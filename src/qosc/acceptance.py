@@ -23,12 +23,12 @@ from .algebraops import (
 from .decomp import classical_dim, decompose, hw_weight
 from .fockmod import (
     FockVector,
+    ModuleView,
     RestrictedModule,
     TensorModule,
     TruncatedModule,
     W2Module,
     WModule,
-    act,
 )
 from .fundrep import (
     check_fundamental_truncation,
@@ -449,32 +449,8 @@ def criterion_8(cutoff=6):
 # -- criterion 9: negative controls -------------------------------------------
 
 
-class _CorruptedW:
+class _CorruptedW(ModuleView):
     """W(x) with the sign of e_0 flipped; must fail the e-f relation."""
-
-    def __init__(self, base):
-        self.base = base
-        self.eps = base.eps
-        self.n = base.n
-        self.cutoff = base.cutoff
-        self.algebra = base.algebra
-        self.lam_level = base.lam_level
-        self.x = base.x
-
-    def degree(self, label):
-        return self.base.degree(label)
-
-    def weight_of(self, label):
-        return self.base.weight_of(label)
-
-    def atom_shift(self, atom):
-        return self.base.atom_shift(atom)
-
-    def labels_by_delta(self, dvec):
-        return self.base.labels_by_delta(dvec)
-
-    def enumerate_labels(self, *a, **k):
-        return self.base.enumerate_labels(*a, **k)
 
     def apply_gen(self, gen, label):
         out = self.base.apply_gen(gen, label)

@@ -9,7 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fockmod import FockVector, eval_word, eval_word_guarded
+from .fockmod import (
+    FockVector,
+    TruncatedModule,
+    W2Module,
+    WModule,
+    eval_word,
+    eval_word_guarded,
+)
 from .lattice import EpsilonData, Weight, bilinear, qpair, simple_root
 from .scalars import MINUS_ONE, ONE, Q, QTILDE, Scalar, q_power, qbinom_at, qint
 from .words import WordExpr, expr_max_rise, qcommutator
@@ -370,6 +377,25 @@ def phi_words(kind: str, side: str, host: EpsilonData, eta=1, d_choice=None):
         dch=dch,
         key=("target", kind, side, host.seq, eta, repr(d_choice)),
     )
+
+
+def host_eps(flavor: str, m: int) -> EpsilonData:
+    """The host of length 2m+1: (1,0,...,0,1) for 'c', (0,1,...,1,0) for 'd'."""
+    first = 1 if flavor == "c" else 0
+    return EpsilonData(tuple((i + first) % 2 for i in range(2 * m + 1)))
+
+
+def level_module(flavor: str, level: str, eps: EpsilonData, x, cutoff: int):
+    """The factor W(x) ('c') or W^(x2)(x) ('d') at one truncation level.
+
+    level 'bold' is the ambient module; 'underline' and 'overline' act
+    through the phi maps.  Returns (module, target algebra or None).
+    """
+    module = (WModule if flavor == "c" else W2Module)(eps, x, cutoff)
+    if level == "bold":
+        return module, None
+    tgt = phi_words(flavor, level, eps)
+    return TruncatedModule(module, tgt), tgt
 
 
 def target_relation_suite(tgt: TargetAlgebra):

@@ -17,6 +17,8 @@ from .algebraops import (
     check_phi_relations,
     check_relations,
     check_truncation_equivariance,
+    host_eps,
+    level_module,
     phi_words,
 )
 from .decomp import decompose, find_hw
@@ -58,6 +60,10 @@ from .scalars import parse_scalar
 SCHEMA = "qosc/1"
 
 
+class UsageError(Exception):
+    """A flag value that cannot be used; reported on stderr with exit 2."""
+
+
 def _emit(args, command, checks, extra=None):
     ok = all(c.get("pass", False) for c in checks)
     report = {
@@ -68,10 +74,10 @@ def _emit(args, command, checks, extra=None):
     }
     if extra:
         report.update(extra)
-    if getattr(args, "timings", False):
+    if args.timings:
         report["wall_clock_s"] = round(time.time() - args._t0, 2)
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -80,21 +86,45 @@ def _emit(args, command, checks, extra=None):
 
 
 def _epsilon(args):
-    return EpsilonData(tuple(int(b) for b in args.epsilon.split(",")))
+    try:
+        return EpsilonData(tuple(int(b) for b in args.epsilon.split(",")))
+    except ValueError:
+        raise UsageError("--epsilon: expected a comma list of 0/1, got %r" % args.epsilon)
 
 
-def _module(args, eps):
-    x = parse_scalar(args.x)
-    if args.module == "W":
-        return WModule(eps, x, args.cutoff)
-    if args.module == "W2":
-        return W2Module(eps, x, args.cutoff)
-    raise SystemExit(2)
+def _scalar(text, flag):
+    try:
+        return parse_scalar(text)
+    except (ValueError, ArithmeticError) as exc:
+        raise UsageError("%s: %s" % (flag, exc))
+
+
+def _pair_of_ints(text, flag):
+    try:
+        a, b = (int(t) for t in text.split(","))
+    except ValueError:
+        raise UsageError("%s: expected two integers such as 1,2, got %r" % (flag, text))
+    return a, b
+
+
+def _sigma(args):
+    sigma = tuple(args.sigma.split(","))
+    if len(sigma) != 2 or any(s not in ("+", "-") for s in sigma):
+        raise UsageError("--sigma: expected two signs such as +,-, got %r" % args.sigma)
+    return sigma
+
+
+def _module(args, eps, x):
+    cls = WModule if args.module == "W" else W2Module
+    try:
+        return cls(eps, x, args.cutoff)
+    except (ValueError, ArithmeticError) as exc:
+        raise UsageError("--module %s: %s" % (args.module, exc))
 
 
 def cmd_verify_relations(args):
     eps = _epsilon(args)
-    mod = _module(args, eps)
+    mod = _module(args, eps, _scalar(args.x, "--x"))
     reps = check_relations(mod)
     checks = [r.to_json() for r in reps]
     return _emit(args, "verify-relations", checks)
@@ -102,7 +132,7 @@ def cmd_verify_relations(args):
 
 def cmd_verify_phi(args):
     eps = _epsilon(args)
-    mod = _module(args, eps)
+    mod = _module(args, eps, _scalar(args.x, "--x"))
     tgt = phi_words(args.flavor, args.side, eps, eta=args.eta)
     reps = check_phi_relations(tgt, mod)
     checks = [r.to_json() for r in reps]
@@ -111,13 +141,14 @@ def cmd_verify_phi(args):
 
 def cmd_truncate(args):
     eps = _epsilon(args)
-    mod = _module(args, eps)
+    x = _scalar(args.x, "--x")
+    mod = _module(args, eps, x)
     tgt = phi_words(args.flavor, args.side, eps, eta=args.eta)
     reps = check_truncation_equivariance(tgt, mod, maxdeg=args.cutoff - 2)
     checks = [r.to_json() for r in reps]
     if args.monoidal:
-        wx = _module(args, eps)
-        wy = type(mod)(eps, parse_scalar(args.y), args.cutoff)
+        wx = _module(args, eps, x)
+        wy = _module(args, eps, _scalar(args.y, "--y"))
         t_amb = TensorModule([wx, wy])
         t_tr = TensorModule([TruncatedModule(wx, tgt), TruncatedModule(wy, tgt)])
         reps = check_monoidality(tgt, t_amb, t_tr, maxdeg=max(0, args.cutoff - 3))
@@ -125,31 +156,32 @@ def cmd_truncate(args):
     return _emit(args, "truncate", checks, extra={"kept": list(tgt.kept)})
 
 
-def _parity(ch):
-    return {"+": 0, "-": 1}[ch]
+def _factors(args, eps):
+    """The module named by --factors (tensored when there are several) and
+    its number of factors; each factor is W(x) or W^(x2)(x) at --level,
+    restricted to a parity by '+' or '-'."""
+    sigs = args.factors.split(",")
+    if any(sig not in ("+", "-", "W") for sig in sigs):
+        raise UsageError("--factors: expected a comma list of +, - or W, got %r"
+                         % args.factors)
+    xs = [_scalar(t, "--x") for t in args.x.split(";")]
+    factors = []
+    for i, sig in enumerate(sigs):
+        x = xs[i % len(xs)]
+        try:
+            mod, _ = level_module(args.flavor, args.level, eps, x, args.cutoff)
+        except (ValueError, ArithmeticError) as exc:
+            raise UsageError("--flavor %s --epsilon %s: %s" % (args.flavor, args.epsilon, exc))
+        if sig != "W":
+            mod = RestrictedModule(mod, 0 if sig == "+" else 1)
+        factors.append(mod)
+    if len(factors) == 1:
+        return factors[0], 1
+    return TensorModule(factors), len(factors)
 
 
 def cmd_decompose(args):
-    eps = _epsilon(args)
-    factors = []
-    tgt = None
-    if args.level != "bold":
-        tgt = phi_words(args.flavor, args.level, eps, eta=1)
-    xs = args.x.split(";")
-    for i, sig in enumerate(args.factors.split(",")):
-        x = parse_scalar(xs[i % len(xs)])
-        base = (
-            WModule(eps, x, args.cutoff)
-            if args.flavor == "c"
-            else W2Module(eps, x, args.cutoff)
-        )
-        if tgt:
-            base = TruncatedModule(base, tgt)
-        if sig in "+-":
-            base = RestrictedModule(base, _parity(sig))
-        factors.append(base)
-    mod = factors[0] if len(factors) == 1 else TensorModule(factors)
-    ell = len(factors)
+    mod, ell = _factors(args, _epsilon(args))
     res = decompose(mod, args.flavor, ell, args.cutoff)
     rows = [
         {"lambda": list(lam), "mult": d} for lam, d, _ in res if d or args.zeros
@@ -170,49 +202,32 @@ def _parse_weight(text, eps):
         part = part.strip()
         if not part:
             continue
-        if "*" in part:
-            c, name = part.split("*")
-            c = int(c)
-        elif part.startswith("-") and not part[1:].isdigit():
-            c, name = -1, part[1:]
-        else:
-            c, name = 1, part
+        try:
+            if "*" in part:
+                c, name = part.split("*", 1)
+                c = int(c)
+            elif part.startswith("-") and not part[1:].isdigit():
+                c, name = -1, part[1:]
+            else:
+                c, name = 1, part
+        except ValueError:
+            raise UsageError("--weight: bad coefficient in %r" % part)
         name = name.strip()
         if name in ("L", "Lam", "Lambda"):
             lam += c
-        elif name.startswith("d"):
+        elif name.startswith("d") and name[1:].isdigit() and 1 <= int(name[1:]) <= eps.n:
             delta[int(name[1:]) - 1] += c
         else:
-            raise SystemExit(2)
+            raise UsageError("--weight: bad term %r; use L or d1..d%d" % (part, eps.n))
     return Weight(lam, tuple(delta))
 
 
 def cmd_hwv(args):
     eps = _epsilon(args)
-    factors = []
-    xs = args.x.split(";")
-    tgt = None
-    if args.level != "bold":
-        tgt = phi_words(args.flavor, args.level, eps, eta=1)
-    for i, sig in enumerate(args.factors.split(",")):
-        x = parse_scalar(xs[i % len(xs)])
-        base = (
-            WModule(eps, x, args.cutoff)
-            if args.flavor == "c"
-            else W2Module(eps, x, args.cutoff)
-        )
-        if tgt:
-            base = TruncatedModule(base, tgt)
-        if sig in "+-":
-            base = RestrictedModule(base, _parity(sig))
-        factors.append(base)
-    mod = factors[0] if len(factors) == 1 else TensorModule(factors)
+    mod, _ = _factors(args, eps)
     wt = _parse_weight(args.weight, eps)
     rep = find_hw(mod, wt)
-    basis = [
-        {ket_str(l): c.to_str() if hasattr(c, "to_str") else str(c) for l, c in v.terms.items()}
-        for v in rep.basis
-    ]
+    basis = [{ket_str(l): c.to_str() for l, c in v.terms.items()} for v in rep.basis]
     checks = [
         {
             "id": "hwv",
@@ -228,11 +243,10 @@ def cmd_hwv(args):
 def cmd_rmatrix(args):
     checks = []
     if args.flavor == "c":
-        sigma = tuple(args.sigma.split(","))
+        sigma = _sigma(args)
         pair = make_c_pair(args.m, sigma, cutoff=args.cutoff, level=args.level)
         rho, dec = solve_R(pair)
         for key in sorted(rho):
-            closed = closed_rho_c(sigma, key) if args.level != "underline" else None
             entry = {
                 "id": "rho %s" % (key,),
                 "component": list(key),
@@ -250,7 +264,7 @@ def cmd_rmatrix(args):
             "declared_poles": poles("c", sigma, 4 * args.cutoff + 8),
         }
     else:
-        l1, l2 = (int(t) for t in args.l.split(","))
+        l1, l2 = _pair_of_ints(args.l, "--l")
         pair = make_d_pair(args.m, l1, l2, cutoff=args.cutoff, level=args.level)
         rho, dec = solve_R(pair)
         for key in sorted(rho):
@@ -273,15 +287,15 @@ def cmd_rmatrix(args):
 
 def cmd_fuse(args):
     checks = []
-    cs = [parse_scalar(t) for t in args.c.split(",")]
+    cs = [_scalar(t, "--c") for t in args.c.split(",")]
     if len(cs) != 2:
-        raise SystemExit(2)
+        raise UsageError("--c: expected two comma-separated parameters, got %r" % args.c)
     try:
         if args.flavor == "c":
-            sigma = tuple(args.sigma.split(","))
+            sigma = _sigma(args)
             check_admissible("c", sigma, cs)
         else:
-            ls = tuple(int(t) for t in args.l.split(","))
+            ls = _pair_of_ints(args.l, "--l")
             check_admissible("d", ls, cs)
     except AdmissibilityError as e:
         checks.append(
@@ -292,9 +306,7 @@ def cmd_fuse(args):
     if args.flavor == "c":
         pair = make_c_pair(args.m, sigma, cutoff=args.cutoff, level=args.level)
         rho, dec = solve_R(pair, full_window=True)
-        kept = None
-        if args.level != "bold":
-            kept = phi_words("c", args.level, pair.source.eps).kept
+        kept = pair.source.algebra.kept
         cands = []
         for lam in sigma_component_partitions(sigma, args.cutoff):
             wt = hw_weight(pair.source.eps, lam, 2, "c", kept=kept)
@@ -328,19 +340,18 @@ def cmd_fuse(args):
             from .rmatrix import compare_spans, truncate_image_span
 
             for side in ("underline", "overline"):
-                tgt = phi_words("c", side, pair.source.eps)
                 pair_l = make_c_pair(args.m, sigma, cutoff=args.cutoff, level=side)
                 rho_l, dec_l = solve_R(pair_l, full_window=True)
                 img_l, _, _, _ = fuse(
                     pair_l, rho_l, dec_l, cs[0], cs[1], [], maxdeg=args.cutoff
                 )
-                tr_img = truncate_image_span(image, tgt.kept, pair_l.target)
+                kept_l = pair_l.source.algebra.kept
+                tr_img = truncate_image_span(image, kept_l, pair_l.target)
                 cmp = compare_spans(tr_img, img_l)
                 checks.append(
                     {"id": "truncation-%s" % side, "pass": cmp["pass"], **cmp}
                 )
     else:
-        ls = tuple(int(t) for t in args.l.split(","))
         pair = make_d_pair(args.m, ls[0], ls[1], cutoff=args.cutoff, level=args.level)
         rho, dec = solve_R(pair, full_window=True)
         image, dims, content, hw_vecs = fuse(
@@ -353,9 +364,9 @@ def cmd_fuse(args):
 
 
 def cmd_fundamental(args):
-    epsp = EpsilonData(tuple(i % 2 for i in range(2 * args.m + 1)))
-    mod = W2Module(epsp, parse_scalar(args.x), args.cutoff)
-    rep = build_fundamental(mod, args.l, args.k, check_closure=True)
+    k = args.l if args.k is None else args.k
+    mod = W2Module(host_eps("d", args.m), _scalar(args.x, "--x"), args.cutoff)
+    rep = build_fundamental(mod, args.l, k, check_closure=True)
     checks = [
         {
             "id": "build",
@@ -370,11 +381,11 @@ def cmd_fundamental(args):
             "dimension_in_window": rep.span.dim(),
         }
     ]
-    if args.verify in ("iso", "all") and args.k != args.k2:
-        iso = iso_between_k(mod, args.l, args.k, args.k2)
+    if args.verify in ("iso", "all") and k != args.k2:
+        iso = iso_between_k(mod, args.l, k, args.k2)
         checks.append(
             {
-                "id": "iso k=%d~k=%d" % (args.k, args.k2),
+                "id": "iso k=%d~k=%d" % (k, args.k2),
                 "pass": iso["dims_match"] and not iso["residuals"],
                 "dims_match": iso["dims_match"],
                 "residuals": len(iso["residuals"]),
@@ -394,7 +405,7 @@ def cmd_fundamental(args):
 
 
 def cmd_appendix_check(args):
-    l1, l2 = (int(t) for t in args.l.split(","))
+    l1, l2 = _pair_of_ints(args.l, "--l")
     checks = []
     if args.which in ("B", "all"):
         res = verify_EF_identities(args.m, l1, l2, rmax=args.rmax, smax=args.smax)
@@ -442,7 +453,7 @@ def cmd_suite(args):
         entry = {"id": rep["id"], "pass": rep["pass"]}
         if not rep["pass"]:
             entry["failures"] = rep.get("failures")
-        if getattr(args, "timings", False):
+        if args.timings:
             entry["seconds"] = rep["seconds"]
         checks.append(entry)
     return _emit(args, "suite", checks)
@@ -563,10 +574,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     args._t0 = time.time()
-    if getattr(args, "k", "missing") is None:
-        args.k = args.l
     try:
         return args.fn(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (ValueError, ArithmeticError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}, indent=2))
         return 1

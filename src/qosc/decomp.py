@@ -84,7 +84,6 @@ def tableau_H(eps: EpsilonData, nu, kept=None):
     eta = [0] * len(nu)
     counts = {}
     audit = []
-    pos = 0
     for i in indices:
         if all(e == r for e, r in zip(eta, nu)):
             break
@@ -176,7 +175,7 @@ def decompose(module, flavor: str, ell: int, max_degree: int, kept=None):
     group = "O" if flavor == "c" else "Sp"
     eps = module.eps
     if kept is None:
-        kept = getattr(module.algebra, "kept", None)
+        kept = module.algebra.kept
     out = []
     for lam in sorted(partitions_upto(max_degree)):
         if not in_classical_family(lam, group, ell):

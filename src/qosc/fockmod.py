@@ -12,7 +12,7 @@ import itertools
 
 from .lattice import EpsilonData, Weight, qpair, simple_root
 from .scalars import ONE, Scalar, qint
-from .words import WordExpr
+from .words import WordExpr, word_degree_profile
 
 
 class WindowError(RuntimeError):
@@ -113,6 +113,8 @@ def ket_str(label):
 class AmbientAlgebra:
     """Descriptor for U_D(eps): generator index set I and simple roots."""
 
+    kept = None  # every index is kept; truncated targets list theirs
+
     def __init__(self, eps: EpsilonData):
         self.eps = eps
         self.gen_indices = tuple(eps.I)
@@ -138,19 +140,44 @@ def _valid_ket(m, eps: EpsilonData):
     return True
 
 
-class WModule:
+class FockModule:
+    """The protocol shared by every module.
+
+    Fields: eps, n, cutoff, algebra (ambient or target), lam_level (the
+    Lambda coefficient of every weight) and x (the spectral parameter, None
+    for tensor products).  Subclasses define degree, weight_of, apply_gen,
+    labels_by_delta and enumerate_labels(maxdeg=None).
+    """
+
+    def __init__(self, eps: EpsilonData, cutoff: int, algebra, lam_level: int, x):
+        self.eps = eps
+        self.n = eps.n
+        self.cutoff = cutoff
+        self.algebra = algebra
+        self.lam_level = lam_level
+        self.x = Scalar.from_int(x) if isinstance(x, int) else x
+
+    def parity(self, label):
+        return self.degree(label) % 2
+
+    def atom_shift(self, atom):
+        """Degree change of a U_D(eps) atom: the guard band of relation checks."""
+        kind, i = atom
+        if kind == "e":
+            return 2 if i == 0 else (-2 if i == self.n else 0)
+        if kind == "f":
+            return -2 if i == 0 else (2 if i == self.n else 0)
+        return 0
+
+
+class WModule(FockModule):
     """W(x) on kets |m>, m in Z^n_+(eps); requires eps_1 = eps_n = 1."""
 
     def __init__(self, eps: EpsilonData, x, cutoff: int):
         if eps.eps(1) != 1 or eps.eps(eps.n) != 1:
             raise ValueError("W(x) requires eps_1 = eps_n = 1")
-        self.eps = eps
-        self.n = eps.n
-        self.x = x if not isinstance(x, int) else Scalar.from_int(x)
-        self.xinv = self.x.inverse() if hasattr(self.x, "inverse") else None
-        self.cutoff = cutoff
-        self.algebra = AmbientAlgebra(eps)
-        self.lam_level = 1
+        super().__init__(eps, cutoff, AmbientAlgebra(eps), 1, x)
+        self.xinv = self.x.inverse()
         self._cache = {}
 
     def degree(self, label):
@@ -158,17 +185,6 @@ class WModule:
 
     def weight_of(self, label) -> Weight:
         return Weight(1, tuple(label))
-
-    def parity(self, label):
-        return sum(label) % 2
-
-    def atom_shift(self, atom):
-        kind, i = atom
-        if kind == "e":
-            return 2 if i == 0 else (-2 if i == self.n else 0)
-        if kind == "f":
-            return -2 if i == 0 else (2 if i == self.n else 0)
-        return 0
 
     def apply_gen(self, gen, m):
         key = (gen, m)
@@ -219,34 +235,25 @@ class WModule:
         m = tuple(dvec)
         return [m] if _valid_ket(m, self.eps) else []
 
-    def enumerate_labels(self, maxdeg=None, parity=None):
+    def enumerate_labels(self, maxdeg=None):
         maxdeg = self.cutoff if maxdeg is None else maxdeg
         ranges = [
             range(0, 2 if self.eps.seq[i] == 1 else maxdeg + 1)
             for i in range(self.n)
         ]
         for m in itertools.product(*ranges):
-            d = sum(m)
-            if d > maxdeg:
-                continue
-            if parity is not None and d % 2 != parity:
-                continue
-            yield m
+            if sum(m) <= maxdeg:
+                yield m
 
 
-class W2Module:
+class W2Module(FockModule):
     """W^(x2)(x) on pairs |m> (x) |m'>; requires eps_1 = eps_n = 0."""
 
     def __init__(self, eps: EpsilonData, x, cutoff: int):
         if eps.eps(1) != 0 or eps.eps(eps.n) != 0:
             raise ValueError("W^(x2)(x) requires eps_1 = eps_n = 0")
-        self.eps = eps
-        self.n = eps.n
-        self.x = x if not isinstance(x, int) else Scalar.from_int(x)
+        super().__init__(eps, cutoff, AmbientAlgebra(eps), 2, x)
         self.xinv = self.x.inverse()
-        self.cutoff = cutoff
-        self.algebra = AmbientAlgebra(eps)
-        self.lam_level = 2
         self._cache = {}
 
     def degree(self, label):
@@ -255,14 +262,6 @@ class W2Module:
     def weight_of(self, label) -> Weight:
         m, mp = label
         return Weight(2, tuple(a + b for a, b in zip(m, mp)))
-
-    def atom_shift(self, atom):
-        kind, i = atom
-        if kind == "e":
-            return 2 if i == 0 else (-2 if i == self.n else 0)
-        if kind == "f":
-            return -2 if i == 0 else (2 if i == self.n else 0)
-        return 0
 
     def _qpow(self, i, e):
         # q_i^e as a Scalar
@@ -381,33 +380,50 @@ class W2Module:
                     yield (m, mp)
 
 
-class TruncatedModule:
+class ModuleView(FockModule):
+    """A module that forwards every protocol method to self.base; a
+    subclass overrides only what differs."""
+
+    def __init__(self, base):
+        super().__init__(base.eps, base.cutoff, base.algebra, base.lam_level, base.x)
+        self.base = base
+
+    def degree(self, label):
+        return self.base.degree(label)
+
+    def weight_of(self, label) -> Weight:
+        return self.base.weight_of(label)
+
+    def atom_shift(self, atom):
+        return self.base.atom_shift(atom)
+
+    def apply_gen(self, gen, label):
+        return self.base.apply_gen(gen, label)
+
+    def labels_by_delta(self, dvec):
+        return self.base.labels_by_delta(dvec)
+
+    def enumerate_labels(self, maxdeg=None):
+        return self.base.enumerate_labels(maxdeg)
+
+
+class TruncatedModule(ModuleView):
     """A truncation tr_eps'(V): kets supported on kept indices, acted on by a
     target algebra through its phi-image words in the ambient module."""
 
-    def __init__(self, ambient, target):
-        self.ambient = ambient
-        self.target = target  # TargetAlgebra from algebraops
-        self.eps = ambient.eps
-        self.n = ambient.n
-        self.cutoff = ambient.cutoff
-        self.algebra = target
-        self.lam_level = ambient.lam_level
+    def __init__(self, base, target):
+        super().__init__(base)
+        self.algebra = target  # TargetAlgebra from algebraops
         self.kept = tuple(sorted(target.kept))
         self._gencache = {}
 
-    def degree(self, label):
-        return self.ambient.degree(label)
-
-    def weight_of(self, label) -> Weight:
-        return self.ambient.weight_of(label)
-
-    def is_truncated_label(self, label):
-        wt = self.weight_of(label)
-        ks = set(self.kept)
-        return all(
-            c == 0 for i, c in enumerate(wt.delta, start=1) if i not in ks
-        )
+    def atom_shift(self, atom):
+        """Degree change of a target atom: the net shift of its phi image."""
+        kind, j = atom
+        if kind == "k":
+            return 0
+        word = self.algebra.phi_e[j] if kind == "e" else self.algebra.phi_f[j]
+        return word_degree_profile(next(iter(word.terms)), self.base.atom_shift)[1]
 
     def apply_gen(self, gen, label):
         key = (gen, label)
@@ -415,8 +431,8 @@ class TruncatedModule:
         if hit is not None:
             return hit
         kind, j = gen
-        word = self.target.phi_e[j] if kind == "e" else self.target.phi_f[j]
-        vec = eval_word(word, FockVector.basis(label), self.ambient)
+        word = self.algebra.phi_e[j] if kind == "e" else self.algebra.phi_f[j]
+        vec = eval_word(word, FockVector.basis(label), self.base)
         out = list(vec.terms.items())
         self._gencache[key] = out
         return out
@@ -425,22 +441,17 @@ class TruncatedModule:
         ks = set(self.kept)
         if any(t and (i + 1) not in ks for i, t in enumerate(dvec)):
             return []
-        return self.ambient.labels_by_delta(dvec)
+        return self.base.labels_by_delta(dvec)
 
-    def enumerate_labels(self, maxdeg=None, parity=None):
-        for label in (
-            self.ambient.enumerate_labels(maxdeg, parity)
-            if parity is not None
-            else self.ambient.enumerate_labels(maxdeg)
-        ):
-            if self.is_truncated_label(label):
+    def enumerate_labels(self, maxdeg=None):
+        ks = set(self.kept)
+        for label in self.base.enumerate_labels(maxdeg):
+            delta = self.weight_of(label).delta
+            if all(c == 0 for i, c in enumerate(delta, start=1) if i not in ks):
                 yield label
 
-    def parity(self, label):
-        return self.ambient.parity(label)
 
-
-class TensorModule:
+class TensorModule(FockModule):
     """Tensor product of modules over one algebra, via the coproduct
     e -> 1(x)e + e(x)k^-1, f -> f(x)1 + k(x)f."""
 
@@ -453,11 +464,8 @@ class TensorModule:
             if f.cutoff != factors[0].cutoff:
                 # one joint degree window; factor-level drops must agree
                 raise ValueError("tensor factors need one common cutoff")
-        self.algebra = a0
-        self.eps = factors[0].eps
-        self.n = factors[0].n
-        self.cutoff = factors[0].cutoff
-        self.lam_level = sum(f.lam_level for f in factors)
+        lam_level = sum(f.lam_level for f in factors)
+        super().__init__(factors[0].eps, factors[0].cutoff, a0, lam_level, None)
 
     def degree(self, label):
         return sum(f.degree(l) for f, l in zip(self.factors, label))
@@ -469,7 +477,7 @@ class TensorModule:
         return wt
 
     def atom_shift(self, atom):
-        return self.factors[0].atom_shift(atom) if hasattr(self.factors[0], "atom_shift") else 0
+        return self.factors[0].atom_shift(atom)
 
     def apply_gen(self, gen, label):
         kind, j = gen
@@ -618,30 +626,12 @@ def parity_split(module):
     return even, odd
 
 
-class RestrictedModule:
+class RestrictedModule(ModuleView):
     """A W-type module restricted to one parity (the submodules W^+/W^-)."""
 
     def __init__(self, base, parity: int):
-        self.base = base
+        super().__init__(base)
         self.parity_value = parity
-        self.eps = base.eps
-        self.n = base.n
-        self.cutoff = base.cutoff
-        self.algebra = base.algebra
-        self.lam_level = base.lam_level
-        self.x = getattr(base, "x", None)
-
-    def degree(self, label):
-        return self.base.degree(label)
-
-    def weight_of(self, label):
-        return self.base.weight_of(label)
-
-    def atom_shift(self, atom):
-        return self.base.atom_shift(atom)
-
-    def apply_gen(self, gen, label):
-        return self.base.apply_gen(gen, label)
 
     def labels_by_delta(self, dvec):
         if sum(dvec) % 2 != self.parity_value:
@@ -649,16 +639,6 @@ class RestrictedModule:
         return self.base.labels_by_delta(dvec)
 
     def enumerate_labels(self, maxdeg=None):
-        maxdeg = self.cutoff if maxdeg is None else maxdeg
-        if hasattr(self.base, "parity"):
-            yield from self.base.enumerate_labels(maxdeg, self.parity_value)
-        else:
-            for l in self.base.enumerate_labels(maxdeg):
-                if self.base.parity(l) == self.parity_value:
-                    yield l
-
-    def parity(self, label):
-        return self.base.parity(label)
-
-    def is_truncated_label(self, label):
-        return self.base.is_truncated_label(label)
+        for label in self.base.enumerate_labels(maxdeg):
+            if self.parity(label) == self.parity_value:
+                yield label

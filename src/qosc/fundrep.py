@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebraops import phi_words, truncate_vector
+from .algebraops import host_eps, level_module, phi_words, truncate_vector
 from .fockmod import (
     FockVector,
     TensorModule,
@@ -19,7 +19,6 @@ from .fockmod import (
     act,
     eval_word,
 )
-from .lattice import EpsilonData, Weight
 from .linalg import RowBasis, solve_unique
 from .scalars import (
     ONE,
@@ -150,8 +149,7 @@ def build_fundamental(module, l: int, k: int, check_closure=True):
         e0v = act(module, ("e", 0), v0)
         word = e0_certificate_word(n)
         rhs = eval_word(word, v0, module).scale(qint(l + 1).inverse())
-        x = module.x if not hasattr(module, "base") else module.base.x
-        lhs = e0v.scale(_inv(x))
+        lhs = e0v.scale(_inv(module.x))
         if not (lhs - rhs).is_zero():
             report.e0_certificate = False
             report.failures.append("e0-certificate")
@@ -193,10 +191,8 @@ def iso_between_k(module, l: int, k1: int, k2: int):
     span1 = Subspace(module)
     span1.add(v1)
     pairs = {0: (v1, v2)}
-    order = [0]
     queue = [(v1, v2)]
     lower = lowering_indices(module.algebra)
-    idx = 0
     while queue:
         a, b = queue.pop(0)
         for j in lower:
@@ -205,7 +201,6 @@ def iso_between_k(module, l: int, k1: int, k2: int):
                 continue
             if span1.add(ia):
                 ib = act(module, ("f", j), b)
-                idx += 1
                 pairs[len(pairs)] = (ia, ib)
                 queue.append((ia, ib))
     span2 = Subspace(module)
@@ -255,14 +250,10 @@ def fundamental_pair_modules(m: int, x1, x2, cutoff: int, level="underline"):
     """The tensor product W_{l1}(x1) (x) W_{l2}(x2) lives inside this pair of
     rank-two Fock modules; level 'underline' acts through type-d phi maps,
     'bold' through the ambient algebra."""
-    n = 2 * m + 1
-    epsp = EpsilonData(tuple(i % 2 for i in range(n)))
-    A = W2Module(epsp, x1, cutoff)
-    B = W2Module(epsp, x2, cutoff)
-    if level == "bold":
-        return TensorModule([A, B]), None
-    tgt = phi_words("d", "underline", epsp)
-    return TensorModule([TruncatedModule(A, tgt), TruncatedModule(B, tgt)]), tgt
+    epsp = host_eps("d", m)
+    A, tgt = level_module("d", level, epsp, x1, cutoff)
+    B, _ = level_module("d", level, epsp, x2, cutoff)
+    return TensorModule([A, B]), tgt
 
 
 def u_rs_component(tensor, m: int, l1: int, l2: int, r: int, s: int, i: int, j: int):
@@ -557,9 +548,8 @@ def check_fundamental_truncation(m: int, l: int, cutoff=None):
     built underline fundamental module."""
     from math import comb
 
-    n = 2 * m + 1
     cutoff = cutoff or (l + 2 * m + 4)
-    epsp = EpsilonData(tuple(i % 2 for i in range(n)))
+    epsp = host_eps("d", m)
     W2 = W2Module(epsp, Scalar.from_int(1), cutoff)
     rep = build_fundamental(W2, l, l, check_closure=False)
     tgt_over = phi_words("d", "overline", epsp)

@@ -60,10 +60,6 @@ class RowBasis:
                     comb[j] = s
         return v, comb
 
-    def reduce(self, v):
-        """(residual, coords): v = residual + sum coords[j]*original_j."""
-        return self._reduce(v)
-
     def express(self, v):
         """Coordinates of v in the accepted originals; None if outside."""
         r, comb = self._reduce(v)
@@ -182,51 +178,3 @@ def solve_unique(equations, columns):
         assert not leftovers
         sol[columns[pc]] = rhs if rhs is not None else ZERO
     return sol, "unique"
-
-
-def mat_inverse(mat):
-    """Inverse of a dense square matrix (list of lists) over a field."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise ArithmeticError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = a[col][col].inverse()
-        a[col] = [x * d for x in a[col]]
-        inv[col] = [x * d for x in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            c = a[r][col]
-            if c.is_zero():
-                continue
-            a[r] = [x - c * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - c * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = ZERO
-            for t in range(k):
-                x = a[i][t]
-                y = b[t][j]
-                if x.is_zero() or y.is_zero():
-                    continue
-                acc = acc + x * y
-            row.append(acc)
-        out.append(row)
-    return out

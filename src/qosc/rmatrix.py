@@ -15,27 +15,22 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebraops import phi_words, truncate_vector
+from .algebraops import host_eps, level_module, truncate_vector
 from .decomp import hw_kernel_of_vectors, hw_weight
 from .fockmod import (
     FockVector,
     RestrictedModule,
     TensorModule,
-    TruncatedModule,
-    W2Module,
-    WModule,
     act,
     label_key,
     weight_block,
 )
 from .fundrep import Subspace, build_fundamental, u_rs
-from .lattice import EpsilonData, Weight
+from .lattice import Weight
 from .linalg import RowBasis, solve_unique
 from .scalars import (
-    ONE,
     SONE,
     SZERO,
-    Q,
     Scalar,
     SpectralScalar,
     Z1,
@@ -210,29 +205,14 @@ def _normalize_lex(v: FockVector) -> FockVector:
     return v.scale(v.terms[lead].inverse())
 
 
-def _c_level_modules(m, cutoff, level, x):
-    n = 2 * m + 1
-    eps = EpsilonData(tuple((i + 1) % 2 for i in range(n)))
-    W = WModule(eps, x, cutoff)
-    if level == "bold":
-        return W, None
-    tgt = phi_words("c", "underline" if level == "underline" else "overline", eps)
-    return TruncatedModule(W, tgt), tgt
-
-
 def make_c_pair(m, sigma, cutoff, level="bold"):
     """The pair W^s1(z) (x) W^s2(1) at the requested truncation level."""
-    par = {"+": 0, "-": 1}
-    A, tgt = _c_level_modules(m, cutoff, level, Z1)
-    B, _ = _c_level_modules(m, cutoff, level, Scalar.from_int(1))
-    A1 = RestrictedModule(A, par[sigma[0]])
-    B1 = RestrictedModule(B, par[sigma[1]])
-    source = TensorModule([A1, B1])
-    target = TensorModule([B1, A1])
-    kept = tgt.kept if tgt else None
+    target = c_target_module(m, sigma, cutoff, level, Z1)
+    source = TensorModule(target.factors[::-1])
+    tgt = None if level == "bold" else source.algebra
     comps = []
     for lam in sigma_component_partitions(sigma, cutoff):
-        wt = hw_weight(source.eps, lam, 2, "c", kept=kept)
+        wt = hw_weight(source.eps, lam, 2, "c", kept=source.algebra.kept)
         if wt is None or wt.degree() > cutoff:
             continue
         vs = _hw_line(source, wt)
@@ -277,21 +257,13 @@ def d_component_keys(l1, l2, cutoff, level="bold", m=None):
 
 def make_d_pair(m, l1, l2, cutoff, level="underline"):
     """The pair W_{l1}(z) (x) W_{l2}(1) of type-d fundamental modules."""
-    n = 2 * m + 1
-    epsp = EpsilonData(tuple(i % 2 for i in range(n)))
-    A = W2Module(epsp, Z1, cutoff)
-    B = W2Module(epsp, Scalar.from_int(1), cutoff)
-    if level == "underline":
-        tgt = phi_words("d", "underline", epsp)
-        Af = TruncatedModule(A, tgt)
-        Bf = TruncatedModule(B, tgt)
-    elif level == "bold":
-        tgt = None
-        Af, Bf = A, B
-    else:
+    if level not in ("bold", "underline"):
         raise ValueError("make_d_pair supports levels 'bold' and 'underline'")
-    source = TensorModule([Af, Bf])
-    target = TensorModule([Bf, Af])
+    epsp = host_eps("d", m)
+    A, tgt = level_module("d", level, epsp, Z1, cutoff)
+    B, _ = level_module("d", level, epsp, Scalar.from_int(1), cutoff)
+    source = TensorModule([A, B])
+    target = TensorModule([B, A])
     comps = []
     if level == "underline":
         for (r, s) in d_component_keys(l1, l2, cutoff):
@@ -330,24 +302,13 @@ def make_d_pair(m, l1, l2, cutoff, level="underline"):
 
 def c_target_module(m, sigma, cutoff, level, x):
     """The concrete-parameter target W^s2(1) (x) W^s1(x) for fused images."""
+    eps = host_eps("c", m)
     par = {"+": 0, "-": 1}
-    A, _ = _c_level_modules(m, cutoff, level, x)
-    B, _ = _c_level_modules(m, cutoff, level, Scalar.from_int(1))
+    A, _ = level_module("c", level, eps, x, cutoff)
+    B, _ = level_module("c", level, eps, Scalar.from_int(1), cutoff)
     return TensorModule(
         [RestrictedModule(B, par[sigma[1]]), RestrictedModule(A, par[sigma[0]])]
     )
-
-
-def d_target_module(m, l1, l2, cutoff, level, x):
-    n = 2 * m + 1
-    epsp = EpsilonData(tuple(i % 2 for i in range(n)))
-    A = W2Module(epsp, x, cutoff)
-    B = W2Module(epsp, Scalar.from_int(1), cutoff)
-    if level == "underline":
-        tgt = phi_words("d", "underline", epsp)
-        A = TruncatedModule(A, tgt)
-        B = TruncatedModule(B, tgt)
-    return TensorModule([B, A])
 
 
 def _fundamental_pair_span(tensor, l1, l2):
@@ -396,7 +357,6 @@ class _ConeTest:
         n = len(dvec)
         aug = [[Fraction(cols[j][i]) for j in range(len(cols))] + [Fraction(dvec[i])] for i in range(n)]
         r = 0
-        piv = []
         for c in range(len(cols)):
             p = next((i for i in range(r, n) if aug[i][c] != 0), None)
             if p is None:
@@ -408,20 +368,17 @@ class _ConeTest:
                 if i != r and aug[i][c] != 0:
                     f = aug[i][c]
                     aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            piv.append(c)
             r += 1
         ok = True
-        coeffs = {}
         for i in range(r, n):
             if aug[i][-1] != 0:
                 ok = False
         if ok:
-            for i, c in enumerate(piv):
+            for i in range(r):
                 val = aug[i][-1]
                 if val.denominator != 1 or val < 0:
                     ok = False
                     break
-                coeffs[c] = val
         self.cache[dvec] = ok
         return ok
 
@@ -496,9 +453,6 @@ class PairDecomposition:
             out = out + vt.scale(rho[ckey] * c)
         return out
 
-    def block_dims(self):
-        return {wt: len(e) for wt, (b, e) in self.blocks.items()}
-
 
 class SolverError(ArithmeticError):
     pass
@@ -571,31 +525,6 @@ def _to_spectral(v):
     if isinstance(v, SpectralScalar):
         return v
     return SpectralScalar.from_scalar(v)
-
-
-def rblocks(pair, dec, rho, weights):
-    """RBlock data: per weight, (source labels/vectors, matrix of R images).
-
-    For exhaustive pairs the source basis is the ket basis of the block;
-    matrix columns are the R images expanded in target kets.
-    """
-    out = {}
-    for wt in weights:
-        if pair.exhaustive:
-            labels = weight_block(pair.source, wt)
-            vecs = [FockVector.basis(l) for l in labels]
-        else:
-            blk = dec.blocks.get(wt)
-            vecs = [e[1] for e in blk[1]] if blk else []
-            labels = list(range(len(vecs)))
-        cols = []
-        for v in vecs:
-            img = dec.apply_R(v, rho)
-            if img is None:
-                raise SolverError("block at %s not covered" % wt.to_str())
-            cols.append(img)
-        out[wt] = (labels, vecs, cols)
-    return out
 
 
 def verify_spectral(pair, dec, rho, maxdeg, gens=None):
@@ -785,15 +714,6 @@ def check_admissible(flavor, params, cs, bound=64):
     return True
 
 
-@dataclass
-class FusionReport:
-    nonzero: bool
-    image_dims: dict
-    hw_content: dict
-    cyclic_consistent: bool
-    details: dict = field(default_factory=dict)
-
-
 def fuse(pair, rho, dec, c1, c2, content_candidates, maxdeg=None):
     """Image of the specialized R matrix applied to the window basis.
 
@@ -808,9 +728,6 @@ def fuse(pair, rho, dec, c1, c2, content_candidates, maxdeg=None):
     maxdeg = maxdeg if maxdeg is not None else src.cutoff
     image = Subspace(pair.target)
     if pair.exhaustive:
-        weights = set()
-        for label in src.enumerate_labels(maxdeg):
-            weights.add(src.weight_of(label))
         basis_iter = [
             FockVector.basis(l) for l in src.enumerate_labels(maxdeg)
         ]

@@ -170,11 +170,6 @@ class Scalar:
         return Scalar(0, (n,), _PONE, _reduced=True)
 
     @staticmethod
-    def from_fraction(fr):
-        fr = Fraction(fr)
-        return Scalar(0, (fr.numerator,), (fr.denominator,), _reduced=True)
-
-    @staticmethod
     def monomial(coeff, exp):
         """coeff * w**exp with integer coeff."""
         if coeff == 0:
@@ -299,13 +294,6 @@ class Scalar:
         noff = -(self.noff + len(self.num) - 1) if self.num else 0
         doff = -(len(self.den) - 1)
         return Scalar(noff - doff, num, den)
-
-    def subs_int(self, wval: Fraction):
-        """Evaluate at a rational w = wval (diagnostic use)."""
-        wval = Fraction(wval)
-        nv = sum(Fraction(c) * wval ** (self.noff + i) for i, c in enumerate(self.num))
-        dv = sum(Fraction(c) * wval**i for i, c in enumerate(self.den))
-        return nv / dv
 
     def __repr__(self):
         return "Scalar(%s)" % self.to_str()
@@ -759,11 +747,6 @@ class SpectralScalar:
 
     def is_one(self):
         return self.num == {(0, 0): ONE} and self.den == {(0, 0): ONE}
-
-    def is_polynomial(self):
-        return self.den == {(0, 0): ONE} and all(
-            e1 >= 0 and e2 >= 0 for (e1, e2) in self.num
-        )
 
     def as_scalar(self):
         """Return the underlying Scalar when no spectral variable occurs."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -83,7 +84,59 @@ def test_reports_are_deterministic(capsys):
     assert first == second
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["rmatrix", "--flavor", "x"])
-    assert exc.value.code == 2
+# (argv, text the error message must contain); exit 1 means a failed check
+USAGE_ERRORS = [
+    (["rmatrix", "--flavor", "x"], "invalid choice"),
+    (["decompose", "--factors", "+,x"], "--factors"),
+    (["decompose", "--factors", "+-,+"], "--factors"),
+    (["rmatrix", "--flavor", "c", "--sigma", "+,x"], "--sigma"),
+    (["hwv", "--weight", "2*L+1*d9"], "--weight"),
+    (["verify-relations", "--x", "foo"], "--x"),
+    (["verify-relations", "--epsilon", "1,2"], "--epsilon"),
+    (["fuse", "--c", "q^-6"], "--c"),
+]
+
+
+def test_usage_error_exit_code(capsys):
+    for argv, message in USAGE_ERRORS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert message in captured.err, (argv, captured.err)
+        assert "Traceback" not in captured.err and not captured.out, argv
+
+
+# SHA-256 of the printed report, recorded before the module protocol
+# refactor; these reach the Restricted and Truncated factor paths
+GOLDEN_REPORTS = [
+    (
+        ["decompose", "--flavor", "c", "--factors", "+,-", "--cutoff", "6"],
+        "67234b7d057c0128f28e29d8bb06d33796c92568cb9dcc1e46112c850599dc80",
+    ),
+    (
+        ["hwv", "--factors", "+,+", "--weight", "2*L+1*d4+1*d5", "--cutoff", "6"],
+        "e4f2e0a0358d7803a0d9b188700db4c61871f56534aa5f8b809da0a1313fec2f",
+    ),
+    (
+        ["decompose", "--flavor", "d", "--epsilon", "0,1,0,1,0", "--level", "underline",
+         "--factors", "W,W", "--cutoff", "5"],
+        "7e2166b47162dcf3254c89adac31288d54231c6fd0469fc29a7a58efc38e9272",
+    ),
+    (
+        ["truncate", "--flavor", "c", "--side", "overline", "--module", "W", "--monoidal",
+         "--cutoff", "5"],
+        "2f78f6137984720004bbd66beae4ce58f6fb0fa9689fdb18bc0e330bffe31a71",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    GOLDEN_REPORTS,
+    ids=["decompose-c", "hwv", "decompose-d-underline", "truncate-monoidal"],
+)
+def test_golden_report_digests(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

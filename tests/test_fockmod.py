@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
 
+from qosc.algebraops import phi_words
 from qosc.fockmod import (
     FockVector,
     RestrictedModule,
     TensorModule,
+    TruncatedModule,
     W2Module,
     WModule,
     act,
@@ -183,3 +187,58 @@ def test_desk_scale_cyclicity_of_parity_submodules():
         for label in sub.enumerate_labels(2):
             wt = sub.weight_of(label)
             assert basis[wt].contains({label: ONE}), (parity, label)
+
+
+def _w(x):
+    return WModule(EPS, parse_scalar(x), cutoff=4)
+
+
+def _w2(x):
+    return W2Module(EPSP, parse_scalar(x), cutoff=4)
+
+
+def _tr_w(x):
+    return TruncatedModule(_w(x), phi_words("c", "underline", EPS))
+
+
+def _tr_w2(x):
+    return TruncatedModule(_w2(x), phi_words("d", "underline", EPSP))
+
+
+PROTOCOL_MODULES = {
+    "W": _w,
+    "W2": _w2,
+    "Truncated(W)": _tr_w,
+    "Truncated(W2)": _tr_w2,
+    "Restricted(W)": lambda x: RestrictedModule(_w(x), 1),
+    "Restricted(W2)": lambda x: RestrictedModule(_w2(x), 0),
+    "Restricted(Truncated(W))": lambda x: RestrictedModule(_tr_w(x), 0),
+}
+
+
+@pytest.mark.parametrize("tensor", [False, True], ids=["single", "tensor"])
+@pytest.mark.parametrize("name", sorted(PROTOCOL_MODULES))
+def test_module_protocol(name, tensor):
+    make = PROTOCOL_MODULES[name]
+    mod = TensorModule([make("q^2"), make("q^-4")]) if tensor else make("q^2")
+    k = 3
+    labels = list(mod.enumerate_labels(k))
+    assert labels and len(labels) == len(set(labels))
+    assert all(mod.degree(l) <= k for l in labels)
+    # the window is exactly the union of its weight blocks
+    blocks = set()
+    for delta in itertools.product(range(k + 1), repeat=mod.n):
+        if sum(delta) <= k:
+            blocks.update(weight_block(mod, Weight(mod.lam_level, delta), k))
+    assert set(labels) == blocks
+    for label in labels:
+        assert mod.parity(label) == mod.degree(label) % 2
+        for j in mod.algebra.gen_indices:
+            for kind in ("e", "f"):
+                shift = mod.atom_shift((kind, j))
+                for l2, _ in mod.apply_gen((kind, j), label):
+                    assert mod.degree(l2) == mod.degree(label) + shift
+        parts = zip(mod.factors, label) if tensor else [(mod, label)]
+        for factor, part in parts:
+            if isinstance(factor, RestrictedModule):
+                assert factor.parity(part) == factor.parity_value
