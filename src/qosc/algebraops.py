@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .fockmod import (
     FockVector,
+    PullbackModule,
     TruncatedModule,
     W2Module,
     WModule,
@@ -234,10 +235,14 @@ def check_relation_on(module, name, expr: WordExpr, labels=None):
 def check_relations(module, eps=None):
     """Run the full defining-relation suite of U_D(eps) on a module window."""
     eps = eps or module.eps
-    return [
-        check_relation_on(module, name, expr)
-        for name, expr in relation_suite(eps)
-    ]
+    return _check_suite(module, relation_suite(eps))
+
+
+def _check_suite(module, suite):
+    # one enumeration of the window: each check skips the kets above its
+    # guard band, and the filtered list keeps the order of a smaller window
+    labels = list(module.enumerate_labels())
+    return [check_relation_on(module, name, expr, labels) for name, expr in suite]
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +405,7 @@ def level_module(flavor: str, level: str, eps: EpsilonData, x, cutoff: int):
 
 def target_relation_suite(tgt: TargetAlgebra):
     """Defining relations of the quantum affine target in Drinfeld-Jimbo
-    form, over the abstract generators (to be substituted by phi)."""
+    form, over the abstract generators (acting through phi)."""
     rels = []
     p = tgt.param
     for i in tgt.gen_indices:
@@ -448,16 +453,9 @@ def target_relation_suite(tgt: TargetAlgebra):
 
 
 def check_phi_relations(tgt: TargetAlgebra, module):
-    """All target relations, with generators replaced by their phi images,
-    as operators on an ambient module window."""
-    emap = tgt.phi_e
-    fmap = tgt.phi_f
-    kmap = WordExpr.k
-    reports = []
-    for name, expr in target_relation_suite(tgt):
-        ambient_expr = expr.substituted(emap, fmap, kmap)
-        reports.append(check_relation_on(module, name, ambient_expr))
-    return reports
+    """All target relations as operators on an ambient module window, each
+    target generator acting through its phi image."""
+    return _check_suite(PullbackModule(module, tgt), target_relation_suite(tgt))
 
 
 # ---------------------------------------------------------------------------

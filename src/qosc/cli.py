@@ -122,6 +122,13 @@ def _module(args, eps, x):
         raise UsageError("--module %s: %s" % (args.module, exc))
 
 
+def _target(args, eps):
+    try:
+        return phi_words(args.flavor, args.side, eps, eta=args.eta)
+    except ValueError as exc:
+        raise UsageError("--flavor %s --epsilon %s: %s" % (args.flavor, args.epsilon, exc))
+
+
 def cmd_verify_relations(args):
     eps = _epsilon(args)
     mod = _module(args, eps, _scalar(args.x, "--x"))
@@ -133,7 +140,7 @@ def cmd_verify_relations(args):
 def cmd_verify_phi(args):
     eps = _epsilon(args)
     mod = _module(args, eps, _scalar(args.x, "--x"))
-    tgt = phi_words(args.flavor, args.side, eps, eta=args.eta)
+    tgt = _target(args, eps)
     reps = check_phi_relations(tgt, mod)
     checks = [r.to_json() for r in reps]
     return _emit(args, "verify-phi", checks, extra={"target": tgt.name})
@@ -143,7 +150,7 @@ def cmd_truncate(args):
     eps = _epsilon(args)
     x = _scalar(args.x, "--x")
     mod = _module(args, eps, x)
-    tgt = phi_words(args.flavor, args.side, eps, eta=args.eta)
+    tgt = _target(args, eps)
     reps = check_truncation_equivariance(tgt, mod, maxdeg=args.cutoff - 2)
     checks = [r.to_json() for r in reps]
     if args.monoidal:
@@ -365,7 +372,10 @@ def cmd_fuse(args):
 
 def cmd_fundamental(args):
     k = args.l if args.k is None else args.k
-    mod = W2Module(host_eps("d", args.m), _scalar(args.x, "--x"), args.cutoff)
+    try:
+        mod = W2Module(host_eps("d", args.m), _scalar(args.x, "--x"), args.cutoff)
+    except ArithmeticError as exc:
+        raise UsageError("--x %s: %s" % (args.x, exc))
     rep = build_fundamental(mod, args.l, k, check_closure=True)
     checks = [
         {

@@ -407,15 +407,14 @@ class ModuleView(FockModule):
         return self.base.enumerate_labels(maxdeg)
 
 
-class TruncatedModule(ModuleView):
-    """A truncation tr_eps'(V): kets supported on kept indices, acted on by a
-    target algebra through its phi-image words in the ambient module."""
+class PullbackModule(ModuleView):
+    """The U_D(eps)-module base seen over a target algebra through phi: a
+    target generator acts on a ket by its phi word, k_mu as on base."""
 
     def __init__(self, base, target):
         super().__init__(base)
         self.algebra = target  # TargetAlgebra from algebraops
-        self.kept = tuple(sorted(target.kept))
-        self._gencache = {}
+        self._images = {}
 
     def atom_shift(self, atom):
         """Degree change of a target atom: the net shift of its phi image."""
@@ -425,17 +424,37 @@ class TruncatedModule(ModuleView):
         word = self.algebra.phi_e[j] if kind == "e" else self.algebra.phi_f[j]
         return word_degree_profile(next(iter(word.terms)), self.base.atom_shift)[1]
 
-    def apply_gen(self, gen, label):
+    def phi_image(self, gen, label):
+        """(terms, whether a ket above the cutoff was dropped) of the phi
+        word of gen on one ket; computed once per (gen, label)."""
         key = (gen, label)
-        hit = self._gencache.get(key)
-        if hit is not None:
-            return hit
-        kind, j = gen
-        word = self.algebra.phi_e[j] if kind == "e" else self.algebra.phi_f[j]
-        vec = eval_word(word, FockVector.basis(label), self.base)
-        out = list(vec.terms.items())
-        self._gencache[key] = out
-        return out
+        hit = self._images.get(key)
+        if hit is None:
+            kind, j = gen
+            word = self.algebra.phi_e[j] if kind == "e" else self.algebra.phi_f[j]
+            terms, dropped = _eval_terms(word, {label: ONE}, self.base)
+            hit = self._images[key] = (list(terms.items()), dropped)
+        return hit
+
+    def apply_gen(self, gen, label):
+        image, dropped = self.phi_image(gen, label)
+        if dropped:
+            raise WindowError("phi image of %r on |%s> leaves the window"
+                              % (gen, ket_str(label)))
+        return image
+
+
+class TruncatedModule(PullbackModule):
+    """A truncation tr_eps'(V): the kets of a pull-back supported on kept
+    indices.  Its action keeps what is left of a phi image that leaves the
+    window; callers flag only the kets that their own cutoff drops."""
+
+    def __init__(self, base, target):
+        super().__init__(base, target)
+        self.kept = tuple(sorted(target.kept))
+
+    def apply_gen(self, gen, label):
+        return self.phi_image(gen, label)[0]
 
     def labels_by_delta(self, dvec):
         ks = set(self.kept)
@@ -546,18 +565,21 @@ def _sub_deltas(t):
 # -- vector-level actions ----------------------------------------------------
 
 
-def act(module, gen, vec: FockVector) -> FockVector:
-    """Apply a generator ('e', i) or ('f', i); drops kets above the cutoff
-    and marks the overflow flag."""
-    if gen[1] not in module.algebra.gen_indices:
-        raise ValueError("generator index %r outside I" % (gen,))
-    out = FockVector(overflow=vec.overflow)
-    acc = out.terms
-    cutoff = module.cutoff
-    for label, c in vec.terms.items():
-        for l2, c2 in module.apply_gen(gen, label):
-            if module.degree(l2) > cutoff:
-                out.overflow = True
+def _step(module, atom, terms):
+    """One atom on a {label: Scalar} dict: (image dict, whether a ket above
+    the cutoff was dropped).  Every module action goes through here."""
+    if atom[0] == "k":
+        mu, eps, weight_of = atom[1], module.eps, module.weight_of
+        return {l: c * qpair(weight_of(l), mu, eps) for l, c in terms.items()}, False
+    if atom[1] not in module.algebra.gen_indices:
+        raise ValueError("generator index %r outside I" % (atom,))
+    acc = {}
+    dropped = False
+    cutoff, degree, apply_gen = module.cutoff, module.degree, module.apply_gen
+    for label, c in terms.items():
+        for l2, c2 in apply_gen(atom, label):
+            if degree(l2) > cutoff:
+                dropped = True
                 continue
             p = c * c2
             s = acc.get(l2)
@@ -566,33 +588,65 @@ def act(module, gen, vec: FockVector) -> FockVector:
                 acc.pop(l2, None)
             else:
                 acc[l2] = s
-    return out
+    return acc, dropped
+
+
+def _eval_terms(expr: WordExpr, terms, module):
+    """expr on a {label: Scalar} dict: (image dict, dropped flag).
+
+    Walks the suffix trie of expr, so each atom is applied once per shared
+    suffix, and stops below a node whose image is zero.  The images of the
+    terms are summed in the order of expr.terms."""
+    parts = []
+    dropped = False
+
+    def walk(node, vec):
+        nonlocal dropped
+        children, end = node
+        if end is not None:
+            parts.append((end, vec))
+        for atom, child in children.items():
+            img, d = _step(module, atom, vec)
+            dropped = dropped or d
+            if img:
+                walk(child, img)
+
+    walk(expr.suffix_trie(), terms)
+    parts.sort(key=lambda part: part[0][0])
+    acc = {}
+    for (_, c), vec in parts:
+        for label, x in vec.items():
+            p = c * x
+            s = acc.get(label)
+            s = p if s is None else s + p
+            if s.is_zero():
+                acc.pop(label, None)
+            else:
+                acc[label] = s
+    return acc, dropped
+
+
+def _vector(terms, overflow):
+    v = FockVector(overflow=overflow)
+    v.terms = terms
+    return v
+
+
+def act(module, gen, vec: FockVector) -> FockVector:
+    """Apply a generator ('e', i) or ('f', i); drops kets above the cutoff
+    and marks the overflow flag."""
+    terms, dropped = _step(module, gen, vec.terms)
+    return _vector(terms, vec.overflow or dropped)
 
 
 def act_k(module, mu: Weight, vec: FockVector) -> FockVector:
-    out = FockVector(overflow=vec.overflow)
-    for label, c in vec.terms.items():
-        out.terms[label] = c * qpair(module.weight_of(label), mu, module.eps)
-    return out
-
-
-def act_atom(module, atom, vec: FockVector) -> FockVector:
-    if atom[0] == "k":
-        return act_k(module, atom[1], vec)
-    return act(module, atom, vec)
+    return _vector(_step(module, ("k", mu), vec.terms)[0], vec.overflow)
 
 
 def eval_word(expr: WordExpr, vec: FockVector, module) -> FockVector:
     """Evaluate a WordExpr right-to-left on a vector."""
-    total = FockVector(overflow=vec.overflow)
-    for atoms, c in expr.terms.items():
-        w = vec
-        for atom in reversed(atoms):
-            w = act_atom(module, atom, vec=w)
-            if w.is_zero():
-                break
-        total = total + w.scale(c)
-    return total
+    terms, dropped = _eval_terms(expr, vec.terms, module)
+    return _vector(terms, vec.overflow or dropped)
 
 
 def eval_word_guarded(expr: WordExpr, vec: FockVector, module) -> FockVector:

@@ -219,7 +219,8 @@ class Scalar:
             noff, num = _padd(self.noff, self.num, other.noff, other.num)
             if not num:
                 return ZERO
-            return Scalar(noff, num, self.den)
+            # a trimmed Laurent polynomial over (1,) is already canonical
+            return Scalar(noff, num, self.den, _reduced=self.den == _PONE)
         noff1, num1 = _pmul(self.noff, self.num, 0, other.den)
         noff2, num2 = _pmul(other.noff, other.num, 0, self.den)
         noff, num = _padd(noff1, num1, noff2, num2)
@@ -245,7 +246,7 @@ class Scalar:
             return self
         noff, num = _pmul(self.noff, self.num, other.noff, other.num)
         if self.den == _PONE and other.den == _PONE:
-            return Scalar(noff, num, _PONE)
+            return Scalar(noff, num, _PONE, _reduced=True)
         _, den = _pmul(0, self.den, 0, other.den)
         return Scalar(noff, num, den)
 

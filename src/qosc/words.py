@@ -2,8 +2,8 @@
 
 A WordExpr is a finite linear combination of generator monomials.  Atoms
 are ('e', i), ('f', i) and ('k', Weight); q-commutators and divided powers
-expand at construction time, so evaluation on a module is a flat
-right-to-left sweep.
+expand at construction time, so evaluation on a module is a right-to-left
+sweep over the suffix trie of the terms.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ from .scalars import ONE, Scalar, qfact_at, Q
 class WordExpr:
     """Linear combination of atom tuples; coefficients are Scalars."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_trie")
 
     def __init__(self, terms=None):
         # terms: dict {atoms tuple: Scalar}
         self.terms = {}
+        self._trie = None
         if terms:
             for atoms, c in terms.items():
                 if not c.is_zero():
@@ -102,22 +103,23 @@ class WordExpr:
         }
         return out
 
-    def substituted(self, emap, fmap, kmap):
-        """Replace ('e', i) by emap[i], ('f', i) by fmap[i], ('k', mu) by
-        kmap(mu); returns the expanded WordExpr."""
-        out = WordExpr()
-        for atoms, c in self.terms.items():
-            part = WordExpr.unit(c)
-            for atom in atoms:
-                kind = atom[0]
-                if kind == "e":
-                    part = part * emap[atom[1]]
-                elif kind == "f":
-                    part = part * fmap[atom[1]]
-                else:
-                    part = part * kmap(atom[1])
-            out = out + part
-        return out
+    def suffix_trie(self):
+        """The terms as a trie keyed rightmost atom first, built once.
+
+        A node is [children {atom: node}, (term index, coefficient) or None]:
+        evaluating right-to-left, terms that end in the same atoms share
+        the nodes of that suffix.  A WordExpr is not changed after it is
+        built, so the trie never goes stale.
+        """
+        if self._trie is None:
+            root = [{}, None]
+            for idx, (atoms, c) in enumerate(self.terms.items()):
+                node = root
+                for atom in reversed(atoms):
+                    node = node[0].setdefault(atom, [{}, None])
+                node[1] = (idx, c)
+            self._trie = root
+        return self._trie
 
     def __repr__(self):
         if not self.terms:

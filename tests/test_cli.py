@@ -94,6 +94,9 @@ USAGE_ERRORS = [
     (["verify-relations", "--x", "foo"], "--x"),
     (["verify-relations", "--epsilon", "1,2"], "--epsilon"),
     (["fuse", "--c", "q^-6"], "--c"),
+    (["fundamental", "--l", "1", "--x", "0"], "--x"),
+    (["verify-phi", "--flavor", "d", "--side", "underline"], "--flavor d"),
+    (["truncate", "--flavor", "d", "--side", "underline"], "--flavor d"),
 ]
 
 
@@ -108,7 +111,9 @@ def test_usage_error_exit_code(capsys):
 
 
 # SHA-256 of the printed report, recorded before the module protocol
-# refactor; these reach the Restricted and Truncated factor paths
+# refactor; these reach the Restricted and Truncated factor paths.  The two
+# verify-phi reports, recorded before relations were evaluated through the
+# phi pull-back, cover the overline maps at eta = -1 and on W2.
 GOLDEN_REPORTS = [
     (
         ["decompose", "--flavor", "c", "--factors", "+,-", "--cutoff", "6"],
@@ -128,13 +133,24 @@ GOLDEN_REPORTS = [
          "--cutoff", "5"],
         "2f78f6137984720004bbd66beae4ce58f6fb0fa9689fdb18bc0e330bffe31a71",
     ),
+    (
+        ["verify-phi", "--flavor", "c", "--side", "overline", "--epsilon", "1,0,1,0,1",
+         "--module", "W", "--cutoff", "6", "--eta", "-1"],
+        "3891a7a5b2754f95daba33edce02b8d663230fd513fa2799681206475f230e49",
+    ),
+    (
+        ["verify-phi", "--flavor", "d", "--side", "overline", "--epsilon", "0,1,0,1,0",
+         "--module", "W2", "--cutoff", "4"],
+        "6a621344c359fb708856455ac4addc001d0383330df9cef793d05c8747b24c6b",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, digest",
     GOLDEN_REPORTS,
-    ids=["decompose-c", "hwv", "decompose-d-underline", "truncate-monoidal"],
+    ids=["decompose-c", "hwv", "decompose-d-underline", "truncate-monoidal",
+         "verify-phi-c-overline", "verify-phi-d-overline"],
 )
 def test_golden_report_digests(capsys, argv, digest):
     assert main(argv) == 0

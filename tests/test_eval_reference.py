@@ -1,0 +1,187 @@
+"""The trie evaluation and the phi pull-back against their reference loops.
+
+``ref_eval_word`` is the per-term loop that evaluated words before the
+suffix trie: every term applied atom by atom through fresh FockVectors.
+``ref_substituted`` is the expansion that relation checks used before
+the pull-back: every target atom replaced by its phi word.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qosc.algebraops import check_relation_on, phi_words, target_relation_suite
+from qosc.fockmod import (
+    FockVector,
+    PullbackModule,
+    TensorModule,
+    TruncatedModule,
+    W2Module,
+    WindowError,
+    WModule,
+    eval_word,
+    eval_word_guarded,
+)
+from qosc.lattice import EpsilonData, qpair
+from qosc.scalars import ONE, Q, Scalar, parse_scalar, qint
+from qosc.words import WordExpr, expr_max_rise
+
+EPS = EpsilonData((1, 0, 1, 0, 1))
+EPSP = EpsilonData((0, 1, 0, 1, 0))
+
+
+# -- reference loops ---------------------------------------------------------
+
+
+def ref_act(module, atom, vec):
+    out = FockVector(overflow=vec.overflow)
+    for label, c in vec.terms.items():
+        if atom[0] == "k":
+            out.terms[label] = c * qpair(module.weight_of(label), atom[1], module.eps)
+            continue
+        for l2, c2 in module.apply_gen(atom, label):
+            if module.degree(l2) > module.cutoff:
+                out.overflow = True
+                continue
+            s = out.terms.get(l2)
+            s = c * c2 if s is None else s + c * c2
+            if s.is_zero():
+                out.terms.pop(l2, None)
+            else:
+                out.terms[l2] = s
+    return out
+
+
+def ref_eval_word(expr, vec, module):
+    total = FockVector(overflow=vec.overflow)
+    for atoms, c in expr.terms.items():
+        w = vec
+        for atom in reversed(atoms):
+            w = ref_act(module, atom, w)
+            if w.is_zero():
+                break
+        total = total + w.scale(c)
+    return total
+
+
+def ref_substituted(expr, emap, fmap):
+    out = WordExpr()
+    for atoms, c in expr.terms.items():
+        part = WordExpr.unit(c)
+        for kind, i in atoms:
+            image = WordExpr.k(i) if kind == "k" else (emap if kind == "e" else fmap)[i]
+            part = part * image
+        out = out + part
+    return out
+
+
+# -- trie evaluation equals the per-term loop --------------------------------
+
+
+def _modules():
+    tgt = phi_words("c", "underline", EPS)
+    return {
+        "W": WModule(EPS, parse_scalar("q^2"), cutoff=4),
+        "W2": W2Module(EPSP, parse_scalar("q^2"), cutoff=4),
+        "Tensor(W,W)": TensorModule(
+            [WModule(EPS, parse_scalar("q^2"), cutoff=3),
+             WModule(EPS, parse_scalar("q^-4"), cutoff=3)]
+        ),
+        "Truncated(W)": TruncatedModule(WModule(EPS, Scalar.from_int(1), cutoff=4), tgt),
+    }
+
+
+MODULES = _modules()
+COEFFS = [ONE, -ONE, Q, qint(2), qint(3).inverse()]
+
+
+@st.composite
+def word_and_vector(draw, name):
+    mod = MODULES[name]
+    gens = list(mod.algebra.gen_indices)
+    roots = [mod.algebra.root(gens[0]), mod.algebra.root(gens[-1])]
+    # a small pool of atoms makes shared suffixes common
+    pool = draw(st.lists(
+        st.sampled_from([(k, i) for i in gens for k in "ef"] + [("k", r) for r in roots]),
+        min_size=1, max_size=4, unique=True))
+    words = draw(st.lists(st.lists(st.sampled_from(pool), max_size=4).map(tuple),
+                          min_size=1, max_size=6))
+    if draw(st.booleans()):
+        words.append(())
+    expr = WordExpr({w: draw(st.sampled_from(COEFFS)) for w in words})
+    labels = list(mod.enumerate_labels())
+    kets = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True))
+    vec = FockVector({l: draw(st.sampled_from(COEFFS)) for l in kets})
+    return mod, expr, vec
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_trie_eval_matches_per_term_loop(name):
+    @settings(max_examples=60, deadline=None)
+    @given(word_and_vector(name))
+    def check(case):
+        mod, expr, vec = case
+        got, want = eval_word(expr, vec, mod), ref_eval_word(expr, vec, mod)
+        # same terms in the same insertion order, and the same overflow bit
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.overflow == want.overflow
+
+    check()
+
+
+def test_trie_shares_suffixes():
+    e, f = WordExpr.e, WordExpr.f
+    expr = e(0) * f(1) * e(2) + f(0) * f(1) * e(2) + e(2) + WordExpr.unit()
+    children, end = expr.suffix_trie()
+    assert end is not None and list(children) == [("e", 2)]
+    (node,) = children.values()
+    assert node[1] is not None and list(node[0]) == [("f", 1)]
+    assert expr.suffix_trie() is expr.suffix_trie()
+
+
+# -- the pull-back equals the substituted words -------------------------------
+
+
+PHI_CASES = [
+    (kind, side, eta)
+    for kind in ("c", "d")
+    for side in ("underline", "overline")
+    for eta in (1, -1)
+]
+
+
+@pytest.mark.parametrize("kind, side, eta", PHI_CASES)
+def test_pullback_matches_substituted_words(kind, side, eta):
+    if kind == "c":
+        host, ambient = EPS, WModule(EPS, Scalar.from_int(1), cutoff=4)
+    else:
+        host, ambient = EPSP, W2Module(EPSP, Scalar.from_int(1), cutoff=3)
+    tgt = phi_words(kind, side, host, eta=eta)
+    pulled = PullbackModule(ambient, tgt)
+    labels = list(ambient.enumerate_labels())
+    for name, expr in target_relation_suite(tgt):
+        ambient_expr = ref_substituted(expr, tgt.phi_e, tgt.phi_f)
+        rise = expr_max_rise(ambient_expr, ambient.atom_shift)
+        assert expr_max_rise(expr, pulled.atom_shift) == rise, name
+        # each target monomial alone, and the relation itself
+        parts = [WordExpr({a: c}) for a, c in expr.terms.items()] + [expr]
+        for label in labels:
+            if ambient.degree(label) > ambient.cutoff - rise:
+                continue
+            b = FockVector.basis(label)
+            for part in parts:
+                got = eval_word(part, b, pulled)
+                want = ref_eval_word(ref_substituted(part, tgt.phi_e, tgt.phi_f), b, ambient)
+                assert got == want and not want.overflow, (name, label)
+
+
+def test_pullback_guard_violation_raises_window_error():
+    tgt = phi_words("c", "underline", EPS)
+    pulled = PullbackModule(WModule(EPS, Scalar.from_int(1), cutoff=4), tgt)
+    expr = dict(target_relation_suite(tgt))["t-ef:0,0"]  # phi(e_0) raises degree by 2
+    ket = (0, 2, 0, 2, 0)  # degree 4: above the guard band 4 - 2
+    assert check_relation_on(pulled, "t-ef:0,0", expr, [ket]).checked == 0
+    with pytest.raises(WindowError):
+        eval_word_guarded(expr, FockVector.basis(ket), pulled)
+    # a truncation keeps what is left of the image, as before
+    trunc = TruncatedModule(pulled.base, tgt)
+    assert trunc.apply_gen(("e", 0), ket) == []

@@ -164,3 +164,42 @@ def test_parser():
     assert parse_scalar("2*q + 1") == Q + Q + ONE
     with pytest.raises(ValueError):
         parse_scalar("q^")
+
+
+def laurent_polys():
+    """Integer Laurent polynomials over the denominator (1,), built through
+    _reduce; untrimmed coefficient lists, zero included."""
+    coeffs = st.lists(st.integers(-30, 30), min_size=0, max_size=7)
+    return st.builds(lambda off, cs: Scalar(off, tuple(cs), (1,)), st.integers(-6, 6), coeffs)
+
+
+def _reduced_from(dense):
+    # {exponent: coefficient} -> Scalar(noff, num, (1,)) sent through _reduce
+    if not dense:
+        return Scalar(0, (), (1,))
+    lo, hi = min(dense), max(dense)
+    return Scalar(lo, tuple(dense.get(e, 0) for e in range(lo, hi + 1)), (1,))
+
+
+def _dense(s):
+    return {s.noff + i: c for i, c in enumerate(s.num)}
+
+
+def _same_structure(a, b):
+    return (a.noff, a.num, a.den, hash(a)) == (b.noff, b.num, b.den, hash(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_polys(), laurent_polys(), st.booleans())
+def test_laurent_fast_path_is_canonical(a, b, cancel):
+    if cancel:  # a sum that cancels to zero, or to the part b adds
+        b = -a + b
+    prod, total = {}, dict(_dense(a))
+    for e1, c1 in _dense(a).items():
+        for e2, c2 in _dense(b).items():
+            prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
+    for e, c in _dense(b).items():
+        total[e] = total.get(e, 0) + c
+    assert _same_structure(a * b, _reduced_from(prod))
+    assert _same_structure(a + b, _reduced_from(total))
+    assert _same_structure(a + (-a), ZERO)
