@@ -12,13 +12,12 @@ import time
 sys.path.insert(0, "src")
 
 from qosc.algebraops import phi_words
-from qosc.decomp import hw_weight
 from qosc.rmatrix import (
     check_admissible,
     compare_spans,
     fuse,
+    hw_content,
     make_c_pair,
-    sigma_component_partitions,
     solve_R,
     truncate_image_span,
 )
@@ -33,12 +32,8 @@ for l in (1, 2, 3):
     check_admissible("c", sigma, [zc, ONE])
     pair = make_c_pair(M, sigma, cutoff=CUTOFF, level="bold")
     rho, dec = solve_R(pair, full_window=True)
-    cands = []
-    for lam in sigma_component_partitions(sigma, CUTOFF):
-        wt = hw_weight(pair.source.eps, lam, 2, "c")
-        if wt is not None and wt.degree() <= CUTOFF:
-            cands.append((lam, wt))
-    image, dims, content, hw_vecs = fuse(pair, rho, dec, zc, ONE, cands, maxdeg=CUTOFF)
+    image = fuse(pair, rho, dec, zc, ONE)
+    content = hw_content(image, pair)
     print(
         "W_%d  via sigma=(%s,%s) at q^-%d:  content %s  [%.1fs]"
         % (l, *sigma, 2 * l + 2, sorted(k for k, v in content.items() if v), time.time() - t0)
@@ -47,7 +42,7 @@ for l in (1, 2, 3):
         tgt = phi_words("c", side, pair.source.eps)
         pair_l = make_c_pair(M, sigma, cutoff=CUTOFF, level=side)
         rho_l, dec_l = solve_R(pair_l, full_window=True)
-        img_l, _, _, _ = fuse(pair_l, rho_l, dec_l, zc, ONE, [], maxdeg=CUTOFF)
+        img_l = fuse(pair_l, rho_l, dec_l, zc, ONE)
         tr = truncate_image_span(image, tgt.kept, pair_l.target)
         cmp = compare_spans(tr, img_l)
         print(

@@ -49,6 +49,7 @@ from .rmatrix import (
     compare_spans,
     cyclicity_diagnostic,
     fuse,
+    hw_content,
     make_c_pair,
     make_d_pair,
     pole_exponents_d,
@@ -347,75 +348,58 @@ def criterion_8(cutoff=6):
     bad = {}
     details = {}
     host = BOLD5
+    solved = {}
+
+    def solved_pair(sigma, level):
+        """(pair, rho, dec) of a type-c pair, solved once per (sigma, level)."""
+        if (sigma, level) not in solved:
+            pair = make_c_pair(2, sigma, cutoff=cutoff, level=level)
+            solved[sigma, level] = (pair, *solve_R(pair, full_window=True))
+        return solved[sigma, level]
+
     for l in (1, 2):
         sigma = ("+", "+") if l % 2 == 0 else ("+", "-")
         zc = parse_scalar("q^-%d" % (2 * l + 2))
         check_admissible("c", sigma, [zc, ONE])
-        pair = make_c_pair(2, sigma, cutoff=cutoff, level="bold")
-        rho, dec = solve_R(pair, full_window=True)
-        cands = []
-        from .rmatrix import sigma_component_partitions
-
-        for lam in sigma_component_partitions(sigma, cutoff):
-            wt = hw_weight(host, lam, 2, "c")
-            if wt is not None and wt.degree() <= cutoff:
-                cands.append((lam, wt))
-        image, dims, content, hw_vecs = fuse(pair, rho, dec, zc, ONE, cands, maxdeg=cutoff)
+        pair, rho, dec = solved_pair(sigma, "bold")
+        image = fuse(pair, rho, dec, zc, ONE)
+        content = hw_content(image, pair)
         got = {k for k, v in content.items() if v}
-        want = set()
-        i = 0
-        while l - 2 * i >= 0:
-            lam = (l - 2 * i,) if l - 2 * i else ()
-            if hw_weight(host, lam, 2, "c") is not None:
-                want.add(lam)
-            i += 1
+        want = {
+            lam
+            for lam in ((k,) if k else () for k in range(l, -1, -2))
+            if hw_weight(host, lam, 2, "c") is not None
+        }
         details["content l=%d" % l] = sorted(got)
         if image.dim() == 0 or got != want:
             bad["fused W_%d content" % l] = {"got": sorted(got), "want": sorted(want)}
             continue
-        top = max(want, key=lambda t: sum(t))
+        top = max(want, key=sum)
         target_c = c_target_module(2, sigma, cutoff, "bold", zc)
-        diag = cyclicity_diagnostic(target_c, hw_vecs[top], image, guard=2)
+        diag = cyclicity_diagnostic(target_c, content[top][0], image, guard=2)
         if not diag["pass"]:
             bad["cyclicity W_%d" % l] = diag["mismatches"]
         # truncation compatibility: tr(image at bold) == image at level
         for side in ("underline", "overline"):
             tgt = phi_words("c", side, host)
-            pair_l = make_c_pair(2, sigma, cutoff=cutoff, level=side)
-            rho_l, dec_l = solve_R(pair_l, full_window=True)
-            cands_l = [
-                (lam, hw_weight(host, lam, 2, "c", kept=tgt.kept))
-                for lam in sigma_component_partitions(sigma, cutoff)
-            ]
-            cands_l = [(a, b) for a, b in cands_l if b is not None and b.degree() <= cutoff]
-            img_l, _, _, _ = fuse(pair_l, rho_l, dec_l, zc, ONE, cands_l, maxdeg=cutoff)
+            pair_l, rho_l, dec_l = solved_pair(sigma, side)
+            img_l = fuse(pair_l, rho_l, dec_l, zc, ONE)
             tr_img = truncate_image_span(image, tgt.kept, pair_l.target)
             cmp = compare_spans(tr_img, img_l)
             if not cmp["pass"]:
                 bad["fusion-truncation l=%d %s" % (l, side)] = cmp
     # a case where truncation kills the top component (zero branch of the
     # component census): l = 4, whose (4,) part dies at the overline level
-    l, sigma = 4, ("+", "+")
+    sigma = ("+", "+")
     zc = parse_scalar("q^-10")
-    pair = make_c_pair(2, sigma, cutoff=cutoff, level="bold")
-    rho, dec = solve_R(pair, full_window=True)
-    cands = [
-        (lam, hw_weight(host, lam, 2, "c"))
-        for lam in [(), (2,), (4,), (6,)]
-    ]
-    cands = [(a, b) for a, b in cands if b is not None and b.degree() <= cutoff]
-    image, dims, content, hw_vecs = fuse(pair, rho, dec, zc, ONE, cands, maxdeg=cutoff)
-    got = {k for k, v in content.items() if v}
+    pair, rho, dec = solved_pair(sigma, "bold")
+    image = fuse(pair, rho, dec, zc, ONE)
+    got = {k for k, v in hw_content(image, pair).items() if v}
     if got != {(), (2,), (4,)}:
         bad["fused W_4 content"] = sorted(got)
     tgt = phi_words("c", "overline", host)
-    pair_o = make_c_pair(2, sigma, cutoff=cutoff, level="overline")
-    rho_o, dec_o = solve_R(pair_o, full_window=True)
-    cands_o = [
-        (lam, hw_weight(host, lam, 2, "c", kept=tgt.kept)) for lam in [(), (2,)]
-    ]
-    cands_o = [(a, b) for a, b in cands_o if b is not None]
-    img_o, _, content_o, _ = fuse(pair_o, rho_o, dec_o, zc, ONE, cands_o, maxdeg=cutoff)
+    pair_o, rho_o, dec_o = solved_pair(sigma, "overline")
+    img_o = fuse(pair_o, rho_o, dec_o, zc, ONE)
     tr_img = truncate_image_span(image, tgt.kept, pair_o.target)
     cmp = compare_spans(tr_img, img_o)
     if not cmp["pass"]:
@@ -425,11 +409,11 @@ def criterion_8(cutoff=6):
     check_admissible("d", (1, 1), [zc, ONE])
     pair_db = make_d_pair(2, 1, 1, cutoff=4, level="bold")
     rho_db, dec_db = solve_R(pair_db, full_window=True)
-    img_db, _, _, _ = fuse(pair_db, rho_db, dec_db, zc, ONE, [], maxdeg=4)
+    img_db = fuse(pair_db, rho_db, dec_db, zc, ONE)
     tgt_d = phi_words("d", "underline", BOLDP5)
     pair_du = make_d_pair(2, 1, 1, cutoff=4, level="underline")
     rho_du, dec_du = solve_R(pair_du, full_window=True)
-    img_du, _, _, _ = fuse(pair_du, rho_du, dec_du, zc, ONE, [], maxdeg=4)
+    img_du = fuse(pair_du, rho_du, dec_du, zc, ONE)
     tr_img = truncate_image_span(img_db, tgt_d.kept, pair_du.target)
     cmp = compare_spans(tr_img, img_du)
     if not cmp["pass"]:

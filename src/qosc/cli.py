@@ -45,16 +45,17 @@ from .rmatrix import (
     check_admissible,
     closed_rho_c,
     closed_rho_d,
+    compare_spans,
     cyclicity_diagnostic,
     fuse,
+    hw_content,
     make_c_pair,
     make_d_pair,
     poles,
     rho_pole_multisets,
-    sigma_component_partitions,
     solve_R,
+    truncate_image_span,
 )
-from .decomp import hw_weight
 from .scalars import parse_scalar
 
 SCHEMA = "qosc/1"
@@ -247,126 +248,87 @@ def cmd_hwv(args):
     return _emit(args, "hwv", checks)
 
 
-def cmd_rmatrix(args):
-    checks = []
+def _rpair_params(args):
+    """sigma for --flavor c, (l1, l2) for --flavor d."""
+    return _sigma(args) if args.flavor == "c" else _pair_of_ints(args.l, "--l")
+
+
+def _rpair(args, params):
     if args.flavor == "c":
-        sigma = _sigma(args)
-        pair = make_c_pair(args.m, sigma, cutoff=args.cutoff, level=args.level)
-        rho, dec = solve_R(pair)
-        for key in sorted(rho):
-            entry = {
-                "id": "rho %s" % (key,),
-                "component": list(key),
-                "rho_num": rho[key].num_str(("z", "z2")),
-                "rho_den": rho[key].den_str(("z", "z2")),
-                "pass": True,
-            }
-            if args.level == "bold":
-                entry["matches_closed_form"] = rho[key] == closed_rho_c(sigma, key)
-                entry["pass"] = entry["matches_closed_form"]
-            checks.append(entry)
-        pm = rho_pole_multisets(rho, 4 * args.cutoff + 8)
-        extra = {
-            "poles": {str(k): v[0] for k, v in pm.items()},
-            "declared_poles": poles("c", sigma, 4 * args.cutoff + 8),
+        return make_c_pair(args.m, params, cutoff=args.cutoff, level=args.level)
+    return make_d_pair(args.m, *params, cutoff=args.cutoff, level=args.level)
+
+
+def cmd_rmatrix(args):
+    params = _rpair_params(args)
+    rho, dec = solve_R(_rpair(args, params))
+    # type c has closed forms on the bold level only
+    closed_form = args.flavor == "d" or args.level == "bold"
+    checks = []
+    for key in sorted(rho):
+        entry = {
+            "id": "rho %s" % (key,),
+            "component": list(key),
+            "rho_num": rho[key].num_str(("z", "z2")),
+            "rho_den": rho[key].den_str(("z", "z2")),
+            "pass": True,
         }
-    else:
-        l1, l2 = _pair_of_ints(args.l, "--l")
-        pair = make_d_pair(args.m, l1, l2, cutoff=args.cutoff, level=args.level)
-        rho, dec = solve_R(pair)
-        for key in sorted(rho):
-            entry = {
-                "id": "rho %s" % (key,),
-                "component": list(key),
-                "rho_num": rho[key].num_str(("z", "z2")),
-                "rho_den": rho[key].den_str(("z", "z2")),
-                "matches_closed_form": rho[key] == closed_rho_d(l1, l2, *key),
-            }
-            entry["pass"] = entry["matches_closed_form"]
-            checks.append(entry)
-        pm = rho_pole_multisets(rho, 4 * args.cutoff + 8)
-        extra = {
-            "poles": {str(k): v[0] for k, v in pm.items()},
-            "declared_poles": poles("d", (l1, l2), 4 * args.cutoff + 8),
-        }
+        if closed_form:
+            if args.flavor == "c":
+                closed = closed_rho_c(params, key)
+            else:
+                closed = closed_rho_d(*params, *key)
+            entry["matches_closed_form"] = entry["pass"] = rho[key] == closed
+        checks.append(entry)
+    bound = 4 * args.cutoff + 8
+    pm = rho_pole_multisets(rho, bound)
+    extra = {
+        "poles": {str(k): v[0] for k, v in pm.items()},
+        "declared_poles": poles(args.flavor, params, bound),
+    }
     return _emit(args, "rmatrix", checks, extra=extra)
 
 
 def cmd_fuse(args):
-    checks = []
     cs = [_scalar(t, "--c") for t in args.c.split(",")]
     if len(cs) != 2:
         raise UsageError("--c: expected two comma-separated parameters, got %r" % args.c)
+    params = _rpair_params(args)
     try:
-        if args.flavor == "c":
-            sigma = _sigma(args)
-            check_admissible("c", sigma, cs)
-        else:
-            ls = _pair_of_ints(args.l, "--l")
-            check_admissible("d", ls, cs)
+        check_admissible(args.flavor, params, cs)
     except AdmissibilityError as e:
-        checks.append(
-            {"id": "admissibility", "pass": False, "offending": list(e.offending)}
-        )
+        checks = [{"id": "admissibility", "pass": False, "offending": list(e.offending)}]
         return _emit(args, "fuse", checks)
-    zc = cs[0] / cs[1]
-    if args.flavor == "c":
-        pair = make_c_pair(args.m, sigma, cutoff=args.cutoff, level=args.level)
-        rho, dec = solve_R(pair, full_window=True)
-        kept = pair.source.algebra.kept
-        cands = []
-        for lam in sigma_component_partitions(sigma, args.cutoff):
-            wt = hw_weight(pair.source.eps, lam, 2, "c", kept=kept)
-            if wt is not None and wt.degree() <= args.cutoff:
-                cands.append((lam, wt))
-        image, dims, content, hw_vecs = fuse(
-            pair, rho, dec, cs[0], cs[1], cands, maxdeg=args.cutoff
-        )
+    pair = _rpair(args, params)
+    rho, dec = solve_R(pair, full_window=True)
+    image = fuse(pair, rho, dec, cs[0], cs[1])
+    fused = {"id": "fused-image", "pass": image.dim() > 0, "nonzero": image.dim() > 0}
+    checks = [fused]
+    if args.flavor == "d":
+        return _emit(args, "fuse", checks)
+    content = hw_content(image, pair)
+    fused["hw_content"] = {str(k): len(v) for k, v in content.items() if v}
+    if image.dim() and any(content.values()):
+        top = max((k for k, v in content.items() if v), key=sum)
+        target_c = c_target_module(args.m, params, args.cutoff, args.level, cs[0] / cs[1])
+        diag = cyclicity_diagnostic(target_c, content[top][0], image, guard=2)
         checks.append(
             {
-                "id": "fused-image",
-                "pass": image.dim() > 0,
-                "nonzero": image.dim() > 0,
-                "hw_content": {str(k): v for k, v in content.items() if v},
+                "id": "cyclicity",
+                "pass": diag["pass"],
+                "note": "consistent with irreducibility"
+                if diag["pass"]
+                else "lowering closure mismatch",
             }
         )
-        if image.dim() and hw_vecs:
-            top = max((k for k, v in content.items() if v), key=sum)
-            target_c = c_target_module(args.m, sigma, args.cutoff, args.level, zc)
-            diag = cyclicity_diagnostic(target_c, hw_vecs[top], image, guard=2)
-            checks.append(
-                {
-                    "id": "cyclicity",
-                    "pass": diag["pass"],
-                    "note": "consistent with irreducibility"
-                    if diag["pass"]
-                    else "lowering closure mismatch",
-                }
-            )
-        if args.check_truncation and args.level == "bold":
-            from .rmatrix import compare_spans, truncate_image_span
-
-            for side in ("underline", "overline"):
-                pair_l = make_c_pair(args.m, sigma, cutoff=args.cutoff, level=side)
-                rho_l, dec_l = solve_R(pair_l, full_window=True)
-                img_l, _, _, _ = fuse(
-                    pair_l, rho_l, dec_l, cs[0], cs[1], [], maxdeg=args.cutoff
-                )
-                kept_l = pair_l.source.algebra.kept
-                tr_img = truncate_image_span(image, kept_l, pair_l.target)
-                cmp = compare_spans(tr_img, img_l)
-                checks.append(
-                    {"id": "truncation-%s" % side, "pass": cmp["pass"], **cmp}
-                )
-    else:
-        pair = make_d_pair(args.m, ls[0], ls[1], cutoff=args.cutoff, level=args.level)
-        rho, dec = solve_R(pair, full_window=True)
-        image, dims, content, hw_vecs = fuse(
-            pair, rho, dec, cs[0], cs[1], [], maxdeg=args.cutoff
-        )
-        checks.append(
-            {"id": "fused-image", "pass": image.dim() > 0, "nonzero": image.dim() > 0}
-        )
+    if args.check_truncation and args.level == "bold":
+        for side in ("underline", "overline"):
+            pair_l = make_c_pair(args.m, params, cutoff=args.cutoff, level=side)
+            rho_l, dec_l = solve_R(pair_l, full_window=True)
+            img_l = fuse(pair_l, rho_l, dec_l, cs[0], cs[1])
+            tr_img = truncate_image_span(image, pair_l.source.algebra.kept, pair_l.target)
+            cmp = compare_spans(tr_img, img_l)
+            checks.append({"id": "truncation-%s" % side, "pass": cmp["pass"], **cmp})
     return _emit(args, "fuse", checks)
 
 
@@ -506,26 +468,23 @@ def build_parser():
     sp.add_argument("--y", default="q^2", help="second spectral parameter")
     sp.set_defaults(fn=cmd_truncate)
 
+    def factored(sp):
+        sp.add_argument("--cutoff", type=int, default=8)
+        sp.add_argument("--out")
+        sp.add_argument("--epsilon", default="1,0,1,0,1")
+        sp.add_argument("--flavor", choices=["c", "d"], default="c")
+        sp.add_argument("--level", choices=["bold", "underline", "overline"], default="bold")
+        sp.add_argument("--factors", default="+,+", help="comma list of +, -, or W per factor")
+        sp.add_argument("--x", default="q^2;q^-4", help="semicolon list of parameters")
+
     sp = sub.add_parser("decompose", help="highest-weight multiplicities")
-    sp.add_argument("--cutoff", type=int, default=8)
-    sp.add_argument("--out")
-    sp.add_argument("--epsilon", default="1,0,1,0,1")
-    sp.add_argument("--flavor", choices=["c", "d"], default="c")
-    sp.add_argument("--level", choices=["bold", "underline", "overline"], default="bold")
-    sp.add_argument("--factors", default="+,+", help="comma list of +, -, or W per factor")
-    sp.add_argument("--x", default="q^2;q^-4", help="semicolon list of parameters")
+    factored(sp)
     sp.add_argument("--zeros", action="store_true", help="include zero multiplicities")
     sp.add_argument("--csv", help="also write the multiplicity table as CSV")
     sp.set_defaults(fn=cmd_decompose)
 
     sp = sub.add_parser("hwv", help="exact highest-weight kernel at a weight")
-    sp.add_argument("--cutoff", type=int, default=8)
-    sp.add_argument("--out")
-    sp.add_argument("--epsilon", default="1,0,1,0,1")
-    sp.add_argument("--flavor", choices=["c", "d"], default="c")
-    sp.add_argument("--level", choices=["bold", "underline", "overline"], default="bold")
-    sp.add_argument("--factors", default="+,+")
-    sp.add_argument("--x", default="q^2;q^-4")
+    factored(sp)
     sp.add_argument("--weight", required=True, help="e.g. '2*L+1*d4+1*d5'")
     sp.set_defaults(fn=cmd_hwv)
 

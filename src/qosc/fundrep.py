@@ -8,6 +8,7 @@ here.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .algebraops import host_eps, level_module, phi_words, truncate_vector
@@ -82,6 +83,34 @@ class Subspace:
         return sum(len(v) for _, v in self.blocks.values())
 
 
+def lowering_closure(module, v, indices) -> Subspace:
+    """The span of v and of every f_j-word image of it (j in indices), built
+    breadth-first; images that vanish or leave the window are dropped."""
+    span = Subspace(module)
+    span.add(v)
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for j in indices:
+            img = act(module, ("f", j), u)
+            if img.is_zero() or img.overflow:
+                continue
+            if span.add(img):
+                queue.append(img)
+    return span
+
+
+def truncate_image_span(image: Subspace, kept, level_module) -> Subspace:
+    """Truncate every stored vector of an image span."""
+    out = Subspace(level_module)
+    for wt, (b, vecs) in image.blocks.items():
+        for v in vecs:
+            tv = truncate_vector(v, kept)
+            if not tv.is_zero():
+                out.add(tv)
+    return out
+
+
 def v_lk_label(l: int, k: int, n: int):
     en = tuple(0 if i < n - 1 else 1 for i in range(n))
     m = tuple(k * e for e in en)
@@ -128,18 +157,8 @@ def build_fundamental(module, l: int, k: int, check_closure=True):
     n = module.n
     label = v_lk_label(l, k, n)
     v0 = FockVector.basis(label)
-    span = Subspace(module)
-    span.add(v0)
     lower = lowering_indices(module.algebra)
-    queue = [v0]
-    while queue:
-        v = queue.pop(0)
-        for j in lower:
-            img = act(module, ("f", j), v)
-            if img.is_zero() or img.overflow:
-                continue
-            if span.add(img):
-                queue.append(img)
+    span = lowering_closure(module, v0, lower)
     report = FundamentalReport(l=l, k=k, span=span)
     if not check_closure:
         return report
@@ -149,7 +168,7 @@ def build_fundamental(module, l: int, k: int, check_closure=True):
         e0v = act(module, ("e", 0), v0)
         word = e0_certificate_word(n)
         rhs = eval_word(word, v0, module).scale(qint(l + 1).inverse())
-        lhs = e0v.scale(_inv(module.x))
+        lhs = e0v.scale(module.x.inverse())
         if not (lhs - rhs).is_zero():
             report.e0_certificate = False
             report.failures.append("e0-certificate")
@@ -174,12 +193,6 @@ def build_fundamental(module, l: int, k: int, check_closure=True):
                     report.raising_closed = False
                     report.failures.append(("e%d" % j, wt))
     return report
-
-
-def _inv(x):
-    if isinstance(x, (Scalar, SpectralScalar)):
-        return x.inverse()
-    raise TypeError("spectral parameter must be Scalar or SpectralScalar")
 
 
 def iso_between_k(module, l: int, k1: int, k2: int):
@@ -553,13 +566,7 @@ def check_fundamental_truncation(m: int, l: int, cutoff=None):
     W2 = W2Module(epsp, Scalar.from_int(1), cutoff)
     rep = build_fundamental(W2, l, l, check_closure=False)
     tgt_over = phi_words("d", "overline", epsp)
-    tspan = Subspace(W2)
-    for wt, (b, vecs) in rep.span.blocks.items():
-        for v in vecs:
-            tv = truncate_vector(v, tgt_over.kept)
-            if not tv.is_zero():
-                tspan.add(tv)
-    got = tspan.dim()
+    got = truncate_image_span(rep.span, tgt_over.kept, W2).dim()
     if l > m:
         expected = 0
     elif l == m:
@@ -571,24 +578,16 @@ def check_fundamental_truncation(m: int, l: int, cutoff=None):
     tgt_under = phi_words("d", "underline", epsp)
     under = TruncatedModule(W2, tgt_under)
     rep_u = build_fundamental(under, l, l, check_closure=False)
-    uspan = Subspace(W2)
-    for wt, (b, vecs) in rep.span.blocks.items():
-        for v in vecs:
-            tv = truncate_vector(v, tgt_under.kept)
-            if not tv.is_zero():
-                uspan.add(tv)
+    uspan = truncate_image_span(rep.span, tgt_under.kept, W2)
     guard_deg = cutoff - 2
     dims_tr = {w: d for w, d in uspan.dims().items() if w.degree() <= guard_deg}
     dims_in = {w: d for w, d in rep_u.span.dims().items() if w.degree() <= guard_deg}
-    under_ok = dims_tr == dims_in
-    if under_ok:
-        for wt, (b, vecs) in rep_u.span.blocks.items():
-            if wt.degree() > guard_deg:
-                continue
-            for v in vecs:
-                if not uspan.contains(v):
-                    under_ok = False
-                    break
+    under_ok = dims_tr == dims_in and all(
+        uspan.contains(v)
+        for wt, (_, vecs) in rep_u.span.blocks.items()
+        if wt.degree() <= guard_deg
+        for v in vecs
+    )
     return {
         "dim": got,
         "expected": expected,

@@ -7,6 +7,8 @@ are reproducible across runs.
 
 from __future__ import annotations
 
+from bisect import insort
+
 from .fockmod import label_key
 from .scalars import ONE, ZERO
 
@@ -67,8 +69,6 @@ class RowBasis:
 
     def add(self, v):
         """Returns (accepted, coords-if-dependent-else-None)."""
-        from bisect import insort
-
         r, comb = self._reduce(v)
         if not r:
             return False, comb
@@ -92,20 +92,17 @@ class RowBasis:
         return not r
 
 
-def nullspace(rows, columns):
-    """Deterministic kernel basis of the linear map given by equation rows.
+def _eliminate(rows, ncols):
+    """Gauss-Jordan over sparse rows {column index: coeff}, one at a time.
 
-    rows: sparse dicts {column label: coeff}; columns: ordered unknowns.
-    Each kernel vector carries coefficient 1 at its free column; free
-    columns are taken in increasing order.
+    The pivot of a row is its least column index; every pivot row is
+    normalized and eliminated from all earlier rows, so the echelon stays
+    fully reduced.  Column index ncols is a right-hand side: a row that
+    reduces to it alone is inconsistent, and the elimination stops there,
+    returning None.  Otherwise returns [(pivot index, reduced row)].
     """
-    col_index = {c: i for i, c in enumerate(columns)}
-    echelon = []  # (pivot column index, fully reduced row over indices)
-    for row in rows:
-        r = {}
-        for c, x in row.items():
-            if not x.is_zero():
-                r[col_index[c]] = x
+    echelon = []
+    for r in rows:
         for pc, er in echelon:
             c = r.get(pc)
             if c is not None:
@@ -113,6 +110,8 @@ def nullspace(rows, columns):
         if not r:
             continue
         pc = min(r)
+        if pc == ncols:
+            return None
         inv = r[pc].inverse()
         r = {k: v * inv for k, v in r.items()}
         for t in range(len(echelon)):
@@ -121,6 +120,22 @@ def nullspace(rows, columns):
             if c is not None:
                 echelon[t] = (p2, vaxpy(er, c, r))
         echelon.append((pc, r))
+    return echelon
+
+
+def _indexed(coeffs, col_index):
+    return {col_index[c]: x for c, x in coeffs.items() if not x.is_zero()}
+
+
+def nullspace(rows, columns):
+    """Deterministic kernel basis of the linear map given by equation rows.
+
+    rows: sparse dicts {column label: coeff}; columns: ordered unknowns.
+    Each kernel vector carries coefficient 1 at its free column; free
+    columns are taken in increasing order.
+    """
+    col_index = {c: i for i, c in enumerate(columns)}
+    echelon = _eliminate((_indexed(row, col_index) for row in rows), len(columns))
     pivots = {pc for pc, _ in echelon}
     basis = []
     for fc in range(len(columns)):
@@ -138,43 +153,28 @@ def nullspace(rows, columns):
 def solve_unique(equations, columns):
     """Solve a (possibly overdetermined) linear system exactly.
 
-    equations: list of (coeff dict over columns, rhs value); columns: the
-    ordered unknowns.  Returns (solution dict, status) where status is
-    'unique', 'inconsistent' or 'underdetermined'.
+    equations: (coeff dict over columns, rhs) pairs, the rhs a Scalar or
+    SpectralScalar; columns: the ordered unknowns.  Returns (solution dict,
+    status) where status is 'unique', 'inconsistent' or 'underdetermined'.
     """
-    RHS = ("#rhs",)
+    n = len(columns)
     col_index = {c: i for i, c in enumerate(columns)}
-    echelon = []
-    for coeffs, rhs in equations:
-        r = {col_index[c]: x for c, x in coeffs.items() if not x.is_zero()}
-        if not (hasattr(rhs, "is_zero") and rhs.is_zero()):
-            r[RHS] = rhs
-        for pc, er in echelon:
-            c = r.get(pc)
-            if c is not None:
-                r = vaxpy(r, c, er)
-        main = [k for k in r if k != RHS]
-        if not main:
-            if r:
-                return None, "inconsistent"
-            continue
-        pc = min(main)
-        inv = r[pc].inverse()
-        r = {k: v * inv for k, v in r.items()}
-        for t in range(len(echelon)):
-            p2, er = echelon[t]
-            c = er.get(pc)
-            if c is not None:
-                echelon[t] = (p2, vaxpy(er, c, r))
-        echelon.append((pc, r))
-    pivots = {pc for pc, _ in echelon}
-    if len(pivots) < len(columns):
+
+    def augmented():
+        for coeffs, rhs in equations:
+            r = _indexed(coeffs, col_index)
+            if not rhs.is_zero():
+                r[n] = rhs
+            yield r
+
+    echelon = _eliminate(augmented(), n)
+    if echelon is None:
+        return None, "inconsistent"
+    if len(echelon) < n:
         return None, "underdetermined"
     sol = {c: ZERO for c in columns}
     for pc, er in echelon:
-        rhs = er.get(RHS)
         # row is x_pc - rhs = 0 after full reduction (no other unknowns left)
-        leftovers = [k for k in er if k != RHS and k != pc]
-        assert not leftovers
-        sol[columns[pc]] = rhs if rhs is not None else ZERO
+        assert set(er) <= {pc, n}
+        sol[columns[pc]] = er.get(n, ZERO)
     return sol, "unique"

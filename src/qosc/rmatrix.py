@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .algebraops import host_eps, level_module, truncate_vector
-from .decomp import hw_kernel_of_vectors, hw_weight
+from .algebraops import host_eps, level_module
+from .decomp import find_hw, hw_kernel_of_vectors, hw_weight
 from .fockmod import (
     FockVector,
     RestrictedModule,
@@ -25,7 +24,13 @@ from .fockmod import (
     label_key,
     weight_block,
 )
-from .fundrep import Subspace, build_fundamental, u_rs
+from .fundrep import (
+    Subspace,
+    build_fundamental,
+    lowering_closure,
+    truncate_image_span,  # re-exported: callers import it from rmatrix
+    u_rs,
+)
 from .lattice import Weight
 from .linalg import RowBasis, solve_unique
 from .scalars import (
@@ -231,8 +236,6 @@ def make_c_pair(m, sigma, cutoff, level="bold"):
 
 
 def _hw_line(module, wt):
-    from .decomp import find_hw
-
     rep = find_hw(module, wt)
     if rep.dimension != 1:
         raise ArithmeticError(
@@ -342,7 +345,11 @@ def _hw_in_span(tensor, spans, wt):
 
 
 class _ConeTest:
-    """Membership of delta-vectors in the Z_+-span of the lowering roots."""
+    """Membership of delta-vectors in the Z_+-span of the lowering roots.
+
+    The lowering roots are linearly independent, so a delta-vector lies in
+    their Q-span at most one way; it is in the cone iff that solution
+    exists and is a nonnegative integer vector."""
 
     def __init__(self, roots):
         self.roots = [tuple(r.delta) for r in roots]
@@ -353,34 +360,23 @@ class _ConeTest:
         hit = self.cache.get(dvec)
         if hit is not None:
             return hit
-        cols = self.roots
-        n = len(dvec)
-        aug = [[Fraction(cols[j][i]) for j in range(len(cols))] + [Fraction(dvec[i])] for i in range(n)]
-        r = 0
-        for c in range(len(cols)):
-            p = next((i for i in range(r, n) if aug[i][c] != 0), None)
-            if p is None:
-                continue
-            aug[r], aug[p] = aug[p], aug[r]
-            d = aug[r][c]
-            aug[r] = [x / d for x in aug[r]]
-            for i in range(n):
-                if i != r and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            r += 1
-        ok = True
-        for i in range(r, n):
-            if aug[i][-1] != 0:
-                ok = False
-        if ok:
-            for i in range(r):
-                val = aug[i][-1]
-                if val.denominator != 1 or val < 0:
-                    ok = False
-                    break
+        cols = range(len(self.roots))
+        eqs = [
+            ({j: Scalar.from_int(root[i]) for j, root in enumerate(self.roots)},
+             Scalar.from_int(d))
+            for i, d in enumerate(dvec)
+        ]
+        sol, status = solve_unique(eqs, cols)
+        if status == "underdetermined":
+            raise ArithmeticError("lowering roots are linearly dependent")
+        ok = status == "unique" and all(_is_nonneg_int(x) for x in sol.values())
         self.cache[dvec] = ok
         return ok
+
+
+def _is_nonneg_int(x: Scalar):
+    parts = x.monomial_parts()
+    return parts is not None and parts[1] == 0 and parts[0].denominator == 1 and parts[0] >= 0
 
 
 class PairDecomposition:
@@ -458,7 +454,7 @@ class SolverError(ArithmeticError):
     pass
 
 
-def solve_R(pair: RPair, needed_weights=None, extra_checks=True, full_window=False):
+def solve_R(pair: RPair, needed_weights=None, full_window=False):
     """Solve for the eigenvalue functions rho on every component.
 
     Builds the matched orbit decomposition restricted to the weights
@@ -516,7 +512,7 @@ def solve_R(pair: RPair, needed_weights=None, extra_checks=True, full_window=Fal
     if status != "unique":
         raise SolverError("e_0 intertwining system is %s" % status)
     rho = {k: _to_spectral(v) for k, v in sol.items()}
-    if extra_checks and not rho[pair.lambda0].is_one():
+    if not rho[pair.lambda0].is_one():
         raise SolverError("normalization failed on the top component")
     return rho, dec
 
@@ -645,17 +641,6 @@ def compatible_bold_rho(pair_bold, dec_bold, pair_level, rho_bold):
     return expected, scales, c0
 
 
-def truncate_image_span(image: Subspace, kept, level_module) -> Subspace:
-    """Truncate every stored vector of an image span."""
-    out = Subspace(level_module)
-    for wt, (b, vecs) in image.blocks.items():
-        for v in vecs:
-            tv = truncate_vector(v, kept)
-            if not tv.is_zero():
-                out.add(tv)
-    return out
-
-
 def compare_spans(a: Subspace, b: Subspace):
     """Equal weight-block dimensions and mutual containment."""
     dims_a, dims_b = a.dims(), b.dims()
@@ -663,14 +648,10 @@ def compare_spans(a: Subspace, b: Subspace):
         return {"pass": False, "reason": "dimension census differs",
                 "only_a": {k.to_str(): v for k, v in dims_a.items() if dims_b.get(k) != v},
                 "only_b": {k.to_str(): v for k, v in dims_b.items() if dims_a.get(k) != v}}
-    for wt, (basis, vecs) in a.blocks.items():
-        for v in vecs:
-            if not b.contains(v):
-                return {"pass": False, "reason": "containment a in b fails"}
-    for wt, (basis, vecs) in b.blocks.items():
-        for v in vecs:
-            if not a.contains(v):
-                return {"pass": False, "reason": "containment b in a fails"}
+    for x, y, name in ((a, b, "a in b"), (b, a, "b in a")):
+        for _, vecs in x.blocks.values():
+            if not all(y.contains(v) for v in vecs):
+                return {"pass": False, "reason": "containment %s fails" % name}
     return {"pass": True}
 
 
@@ -714,50 +695,39 @@ def check_admissible(flavor, params, cs, bound=64):
     return True
 
 
-def fuse(pair, rho, dec, c1, c2, content_candidates, maxdeg=None):
-    """Image of the specialized R matrix applied to the window basis.
-
-    Returns the image span (a Subspace over the target tensor), its
-    weight-block dimensions, hw content and the cyclicity diagnostic.
-    """
+def fuse(pair, rho, dec, c1, c2):
+    """Image of the R matrix specialized at z = c1/c2, applied to a basis
+    of the source window: a Subspace over the target tensor."""
     zc = c1 / c2
-    rho_c = {}
-    for k, v in rho.items():
-        rho_c[k] = v.specialize(0, zc)
+    rho_c = {k: v.specialize(0, zc) for k, v in rho.items()}
     src = pair.source
-    maxdeg = maxdeg if maxdeg is not None else src.cutoff
-    image = Subspace(pair.target)
     if pair.exhaustive:
-        basis_iter = [
-            FockVector.basis(l) for l in src.enumerate_labels(maxdeg)
-        ]
+        basis_iter = [FockVector.basis(l) for l in src.enumerate_labels()]
     else:
         basis_iter = [
             e[1]
-            for wt, (b, ent) in dec.blocks.items()
-            if wt.degree() <= maxdeg
+            for wt, (_, ent) in dec.blocks.items()
+            if wt.degree() <= src.cutoff
             for e in ent
         ]
+    image = Subspace(pair.target)
     for v in basis_iter:
         img = dec.apply_R(v, rho_c)
         if img is None:
             raise SolverError("fusion source vector outside decomposition")
         if not img.is_zero():
             image.add(_despectralize(img))
-    dims = {wt: d for wt, d in image.dims().items()}
-    # hw content of the image
-    content = {}
-    hw_vecs = {}
-    for lam, wt in content_candidates:
-        blk = image.blocks.get(wt)
-        if blk is None:
-            content[lam] = 0
-            continue
-        kern = hw_kernel_of_vectors(blk[1], pair.target)
-        content[lam] = len(kern)
-        if kern:
-            hw_vecs[lam] = kern[0]
-    return image, dims, content, hw_vecs
+    return image
+
+
+def hw_content(image: Subspace, pair):
+    """{component key: basis of the highest-weight vectors of the image at
+    that component's weight}; empty where the image has no such block."""
+    out = {}
+    for comp in pair.components:
+        blk = image.blocks.get(comp.weight)
+        out[comp.key] = hw_kernel_of_vectors(blk[1], pair.target) if blk else []
+    return out
 
 
 def _despectralize(vec: FockVector) -> FockVector:
@@ -773,25 +743,11 @@ def cyclicity_diagnostic(module, hw_vec, image: Subspace, guard=2):
     """Lowering-closure of one hw vector compared against the image span.
 
     Passing means: consistent with irreducibility (never a proof)."""
-    span = Subspace(module)
-    span.add(hw_vec)
-    queue = [hw_vec]
-    lowering = list(module.algebra.gen_indices)
-    while queue:
-        v = queue.pop(0)
-        for j in lowering:
-            img = act(module, ("f", j), v)
-            if img.is_zero() or img.overflow:
-                continue
-            if span.add(img):
-                queue.append(img)
-    ok = True
-    mismatches = []
+    dims = lowering_closure(module, hw_vec, module.algebra.gen_indices).dims()
     maxdeg = module.cutoff - guard
-    for wt, d in image.dims().items():
-        if wt.degree() > maxdeg:
-            continue
-        if span.dims().get(wt, 0) != d:
-            ok = False
-            mismatches.append((wt, span.dims().get(wt, 0), d))
-    return {"pass": ok, "mismatches": mismatches}
+    mismatches = [
+        (wt, dims.get(wt, 0), d)
+        for wt, d in image.dims().items()
+        if wt.degree() <= maxdeg and dims.get(wt, 0) != d
+    ]
+    return {"pass": not mismatches, "mismatches": mismatches}

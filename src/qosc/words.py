@@ -141,12 +141,12 @@ def qcommutator(a: WordExpr, b: WordExpr, t: Scalar) -> WordExpr:
     return a * b - (b * a).scale(t)
 
 
-def divided_power(kind, i, k, base: Scalar = Q) -> WordExpr:
-    """x_i^(k) = x_i^k / [k]!_base."""
+def divided_power(kind, i, k) -> WordExpr:
+    """x_i^(k) = x_i^k / [k]!_q."""
     if k < 0:
         return WordExpr()
     w = WordExpr.gen(kind, i) ** k
-    return w.scale(qfact_at(base, k).inverse())
+    return w.scale(qfact_at(Q, k).inverse())
 
 
 def word_degree_profile(atoms, shift_of):

@@ -113,7 +113,10 @@ def test_usage_error_exit_code(capsys):
 # SHA-256 of the printed report, recorded before the module protocol
 # refactor; these reach the Restricted and Truncated factor paths.  The two
 # verify-phi reports, recorded before relations were evaluated through the
-# phi pull-back, cover the overline maps at eta = -1 and on W2.
+# phi pull-back, cover the overline maps at eta = -1 and on W2.  The last
+# five, recorded before the elimination loops shared one kernel, cover the
+# cone test, the type-d bold pair, fusion with its truncations, the
+# lowering closure of a fundamental module and the appendix C solve.
 GOLDEN_REPORTS = [
     (
         ["decompose", "--flavor", "c", "--factors", "+,-", "--cutoff", "6"],
@@ -143,6 +146,29 @@ GOLDEN_REPORTS = [
          "--module", "W2", "--cutoff", "4"],
         "6a621344c359fb708856455ac4addc001d0383330df9cef793d05c8747b24c6b",
     ),
+    (
+        ["rmatrix", "--flavor", "c", "--sigma", "+,+", "--m", "2", "--cutoff", "5",
+         "--level", "underline"],
+        "127dc575889502c9246c7660dbfe4f5543face751bdb49926bc6af0657b1491b",
+    ),
+    (
+        ["rmatrix", "--flavor", "d", "--l", "1,1", "--m", "2", "--cutoff", "4", "--level",
+         "bold"],
+        "ec89abbd1ce372827ea1bcb0317b1f142a0dd85019120f736c5308d149730e02",
+    ),
+    (
+        ["fuse", "--flavor", "c", "--sigma", "+,+", "--c", "q^-6,1", "--m", "2", "--cutoff",
+         "4", "--check-truncation"],
+        "4d27cb6130cd91ff7cf3fe17f88dc024095dd50020d5273ef77741da6fa8dcfc",
+    ),
+    (
+        ["fundamental", "--l", "1", "--k", "0", "--m", "2", "--cutoff", "7", "--verify", "all"],
+        "289016297aeee45253f9e7164c558370405f320f8fec58236e9e718f0abf603e",
+    ),
+    (
+        ["appendix-check", "--which", "C", "--l", "1,1", "--rmax", "1", "--smax", "0"],
+        "0441df93baa63448a9dd67505d36dc64229f4842a21b00961d1dbd202c5f4341",
+    ),
 ]
 
 
@@ -150,7 +176,8 @@ GOLDEN_REPORTS = [
     "argv, digest",
     GOLDEN_REPORTS,
     ids=["decompose-c", "hwv", "decompose-d-underline", "truncate-monoidal",
-         "verify-phi-c-overline", "verify-phi-d-overline"],
+         "verify-phi-c-overline", "verify-phi-d-overline", "rmatrix-c-underline",
+         "rmatrix-d-bold", "fuse-c-truncation", "fundamental-all", "appendix-c"],
 )
 def test_golden_report_digests(capsys, argv, digest):
     assert main(argv) == 0

@@ -1,0 +1,263 @@
+"""The single elimination kernel against the three loops it replaced.
+
+``ref_nullspace`` and ``ref_solve_unique`` are the two Gauss-Jordan loops
+that ``linalg`` held before they shared one kernel; ``ref_cone_member`` is
+the dense Fraction elimination that ``rmatrix._ConeTest.member`` ran.  The
+kernel must give the same kernel basis (order included), the same status
+and the same solution, and the cone test the same answers.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qosc.algebraops import host_eps, level_module
+from qosc.linalg import nullspace, solve_unique, vaxpy
+from qosc.rmatrix import _ConeTest
+from qosc.scalars import ONE, Q, ZERO, Scalar, qint
+
+# -- reference loops ---------------------------------------------------------
+
+
+def ref_nullspace(rows, columns):
+    col_index = {c: i for i, c in enumerate(columns)}
+    echelon = []
+    for row in rows:
+        r = {}
+        for c, x in row.items():
+            if not x.is_zero():
+                r[col_index[c]] = x
+        for pc, er in echelon:
+            c = r.get(pc)
+            if c is not None:
+                r = vaxpy(r, c, er)
+        if not r:
+            continue
+        pc = min(r)
+        inv = r[pc].inverse()
+        r = {k: v * inv for k, v in r.items()}
+        for t in range(len(echelon)):
+            p2, er = echelon[t]
+            c = er.get(pc)
+            if c is not None:
+                echelon[t] = (p2, vaxpy(er, c, r))
+        echelon.append((pc, r))
+    pivots = {pc for pc, _ in echelon}
+    basis = []
+    for fc in range(len(columns)):
+        if fc in pivots:
+            continue
+        vec = {columns[fc]: ONE}
+        for pc, er in echelon:
+            c = er.get(fc)
+            if c is not None:
+                vec[columns[pc]] = -c
+        basis.append(vec)
+    return basis
+
+
+def ref_solve_unique(equations, columns):
+    RHS = ("#rhs",)
+    col_index = {c: i for i, c in enumerate(columns)}
+    echelon = []
+    for coeffs, rhs in equations:
+        r = {col_index[c]: x for c, x in coeffs.items() if not x.is_zero()}
+        if not (hasattr(rhs, "is_zero") and rhs.is_zero()):
+            r[RHS] = rhs
+        for pc, er in echelon:
+            c = r.get(pc)
+            if c is not None:
+                r = vaxpy(r, c, er)
+        main = [k for k in r if k != RHS]
+        if not main:
+            if r:
+                return None, "inconsistent"
+            continue
+        pc = min(main)
+        inv = r[pc].inverse()
+        r = {k: v * inv for k, v in r.items()}
+        for t in range(len(echelon)):
+            p2, er = echelon[t]
+            c = er.get(pc)
+            if c is not None:
+                echelon[t] = (p2, vaxpy(er, c, r))
+        echelon.append((pc, r))
+    pivots = {pc for pc, _ in echelon}
+    if len(pivots) < len(columns):
+        return None, "underdetermined"
+    sol = {c: ZERO for c in columns}
+    for pc, er in echelon:
+        rhs = er.get(RHS)
+        leftovers = [k for k in er if k != RHS and k != pc]
+        assert not leftovers
+        sol[columns[pc]] = rhs if rhs is not None else ZERO
+    return sol, "unique"
+
+
+def ref_cone_member(roots, dvec):
+    cols = [tuple(r.delta) for r in roots]
+    n = len(dvec)
+    aug = [[Fraction(cols[j][i]) for j in range(len(cols))] + [Fraction(dvec[i])] for i in range(n)]
+    r = 0
+    for c in range(len(cols)):
+        p = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        d = aug[r][c]
+        aug[r] = [x / d for x in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        r += 1
+    ok = True
+    for i in range(r, n):
+        if aug[i][-1] != 0:
+            ok = False
+    if ok:
+        for i in range(r):
+            val = aug[i][-1]
+            if val.denominator != 1 or val < 0:
+                ok = False
+                break
+    return ok
+
+
+# -- random sparse systems ---------------------------------------------------
+
+W = Scalar.monomial(1, 1)
+POOL = [ZERO] * 4 + [
+    ONE,
+    -ONE,
+    Scalar.from_int(2),
+    Scalar.from_int(-3),
+    Q,
+    Q.inverse(),
+    qint(2),
+    qint(3),
+    ONE + W,
+    (ONE + W).inverse(),
+]
+entries = st.sampled_from(POOL)
+
+
+@st.composite
+def systems(draw):
+    """(equations, columns): fresh rows, zero rows, and combinations of
+    earlier rows with the matching right-hand side (dependent) or an offset
+    one (inconsistent when the combination reduces to zero).  Half of the
+    systems give fresh rows the right-hand side of one point x, so that
+    overdetermined systems can still be consistent."""
+    columns = draw(st.permutations([(i, -i) for i in range(draw(st.integers(1, 4)))]))
+    x = {c: draw(entries) for c in columns} if draw(st.booleans()) else None
+    eqs = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["fresh"] * 3 + ["zero", "combo", "combo", "offset"]))
+        if kind == "zero" or (kind != "fresh" and not eqs):
+            eqs.append(({c: ZERO for c in draw(st.lists(st.sampled_from(columns)))}, ZERO))
+        elif kind == "fresh":
+            coeffs = {c: draw(entries) for c in draw(st.lists(st.sampled_from(columns), unique=True))}
+            if x is None:
+                rhs = draw(entries)
+            else:
+                rhs = sum((a * x[c] for c, a in coeffs.items()), ZERO)
+            eqs.append((coeffs, rhs))
+        else:
+            (a, ra), (b, rb) = draw(st.sampled_from(eqs)), draw(st.sampled_from(eqs))
+            s, t = draw(entries), draw(entries)
+            coeffs = {c: s * a.get(c, ZERO) + t * b.get(c, ZERO) for c in columns}
+            rhs = s * ra + t * rb
+            eqs.append((coeffs, rhs + ONE if kind == "offset" else rhs))
+    return eqs, columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_kernel_matches_reference_loops(system):
+    eqs, columns = system
+    rows = [coeffs for coeffs, _ in eqs]
+    got = nullspace(rows, columns)
+    want = ref_nullspace(rows, columns)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+    sol, status = solve_unique(eqs, columns)
+    ref_sol, ref_status = ref_solve_unique(eqs, columns)
+    assert status == ref_status
+    if sol is None:
+        assert ref_sol is None
+    else:
+        assert list(sol.items()) == list(ref_sol.items())
+
+
+def test_statuses():
+    a, b = ("a",), ("b",)
+    two = Scalar.from_int(2)
+    zero_row = ({a: ZERO, b: ZERO}, ZERO)
+    cases = [
+        ([zero_row, ({a: ONE}, two), ({a: ONE, b: ONE}, ONE)], "unique"),
+        ([({a: ONE, b: Q}, ONE), ({a: two, b: two * Q}, ONE)], "inconsistent"),
+        ([zero_row, ({b: ONE}, ZERO)], "underdetermined"),
+        ([({a: ONE}, ONE), zero_row, ({b: ZERO}, two)], "inconsistent"),
+    ]
+    for eqs, status in cases:
+        sol, got = solve_unique(eqs, [a, b])
+        assert got == status
+        assert (sol, got) == ref_solve_unique(eqs, [a, b])
+    sol, _ = solve_unique(cases[0][0], [a, b])
+    assert sol == {a: two, b: -ONE}
+    # free column b: one kernel vector, 1 at b and -q at a
+    assert nullspace([{a: ONE, b: Q}, {a: two, b: two * Q}], [a, b]) == [{b: ONE, a: -Q}]
+
+
+# -- the cone test -----------------------------------------------------------
+
+# (flavor, level, number of lowering roots); the roots are independent
+ALGEBRAS = [
+    ("c", "bold", 5),
+    ("c", "underline", 2),
+    ("c", "overline", 3),
+    ("d", "underline", 3),
+    ("d", "bold", 5),
+]
+
+
+def lowering_roots(flavor, level):
+    module, _ = level_module(flavor, level, host_eps(flavor, 2), ONE, 2)
+    alg = module.algebra
+    return [alg.root(j) for j in alg.gen_indices if j != 0]
+
+
+@pytest.mark.parametrize("flavor, level, rank", ALGEBRAS)
+def test_lowering_roots_are_independent(flavor, level, rank):
+    roots = lowering_roots(flavor, level)
+    assert len(roots) == rank
+    rows = [{j: Scalar.from_int(r.delta[i]) for j, r in enumerate(roots)}
+            for i in range(len(roots[0].delta))]
+    assert nullspace(rows, list(range(rank))) == []
+
+
+@pytest.mark.parametrize("flavor, level, rank", ALGEBRAS)
+def test_cone_member_matches_fraction_reference(flavor, level, rank):
+    roots = lowering_roots(flavor, level)
+    n = len(roots[0].delta)
+    cone = _ConeTest(roots)
+    # the sum of the roots lies in the cone, its negative does not
+    total = [sum(r.delta[i] for r in roots) for i in range(n)]
+    assert cone.member(total) and not cone.member([-x for x in total])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(-1, 3), min_size=rank, max_size=rank),
+        st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+        st.booleans(),
+    )
+    def check(coeffs, noise, perturb):
+        dvec = [sum(c * r.delta[i] for c, r in zip(coeffs, roots)) for i in range(n)]
+        if perturb:
+            dvec = [d + e for d, e in zip(dvec, noise)]
+        want = ref_cone_member(roots, dvec)
+        assert _ConeTest(roots).member(dvec) == want
+        assert cone.member(dvec) == want  # through the per-vector cache
+
+    check()

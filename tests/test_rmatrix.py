@@ -14,6 +14,7 @@ from qosc.rmatrix import (
     compatibility_scale,
     cyclicity_diagnostic,
     fuse,
+    hw_content,
     make_c_pair,
     make_d_pair,
     pole_exponents_c,
@@ -278,16 +279,19 @@ def test_fusion_w1_image():
     pair = make_c_pair(2, sigma, cutoff=cutoff, level="bold")
     rho, dec = solve_R(pair, full_window=True)
     zc = parse_scalar("q^-4")
+    # hw_content reads the pair's components: the candidate weights in S^sigma
     cands = []
     for lam in sigma_component_partitions(sigma, cutoff):
         wt = hw_weight(pair.source.eps, lam, 2, "c")
         if wt is not None and wt.degree() <= cutoff:
             cands.append((lam, wt))
-    image, dims, content, hw_vecs = fuse(pair, rho, dec, zc, ONE, cands, maxdeg=cutoff)
+    assert [(c.key, c.weight) for c in pair.components] == cands
+    image = fuse(pair, rho, dec, zc, ONE)
+    content = hw_content(image, pair)
     assert image.dim() > 0
     assert {k for k, v in content.items() if v} == {(1,)}
     target_c = c_target_module(2, sigma, cutoff, "bold", zc)
-    assert cyclicity_diagnostic(target_c, hw_vecs[(1,)], image, guard=2)["pass"]
+    assert cyclicity_diagnostic(target_c, content[(1,)][0], image, guard=2)["pass"]
 
 
 def test_fusion_truncation_compare():
@@ -296,10 +300,10 @@ def test_fusion_truncation_compare():
     zc = parse_scalar("q^-4")
     host = make_c_pair(2, sigma, cutoff=cutoff, level="bold")
     rho, dec = solve_R(host, full_window=True)
-    image, _, _, _ = fuse(host, rho, dec, zc, ONE, [], maxdeg=cutoff)
+    image = fuse(host, rho, dec, zc, ONE)
     tgt = phi_words("c", "underline", host.source.eps)
     pair_u = make_c_pair(2, sigma, cutoff=cutoff, level="underline")
     rho_u, dec_u = solve_R(pair_u, full_window=True)
-    img_u, _, _, _ = fuse(pair_u, rho_u, dec_u, zc, ONE, [], maxdeg=cutoff)
+    img_u = fuse(pair_u, rho_u, dec_u, zc, ONE)
     tr_img = truncate_image_span(image, tgt.kept, pair_u.target)
     assert compare_spans(tr_img, img_u)["pass"]
