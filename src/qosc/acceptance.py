@@ -33,6 +33,7 @@ from .fockmod import (
     WModule,
 )
 from .fundrep import (
+    block_order,
     check_fundamental_truncation,
     verify_appendix_C,
     verify_EF_identities,
@@ -258,7 +259,7 @@ def criterion_5(cutoff=7):
         rho_o, dec_o = solve_R(pair_o)
         needed = sorted(
             set(dec_u.blocks) | set(dec_o.blocks),
-            key=lambda w: (w.degree(), w.delta),
+            key=block_order,
         )
         rho_b, dec_b = solve_R(pair_b, needed_weights=needed)
         mism = [k for k in rho_b if rho_b[k] != closed_rho_c(sigma, k)]

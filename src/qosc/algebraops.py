@@ -15,8 +15,10 @@ from .fockmod import (
     TruncatedModule,
     W2Module,
     WModule,
+    act,
     eval_word,
     eval_word_guarded,
+    ket_str,
 )
 from .lattice import EpsilonData, Weight, bilinear, qpair, simple_root
 from .scalars import MINUS_ONE, ONE, Q, QTILDE, Scalar, q_power, qbinom_at, qint
@@ -202,8 +204,6 @@ class RelationReport:
             "pass": self.passed,
         }
         if not self.passed:
-            from .fockmod import ket_str
-
             out["counterexample"] = {
                 "ket": ket_str(self.residual_label),
                 "residual": repr(self.residual),
@@ -512,8 +512,6 @@ def check_truncation_equivariance(tgt: TargetAlgebra, module, maxdeg=None):
 def check_monoidality(tgt: TargetAlgebra, tensor_ambient, tensor_truncated, maxdeg):
     """On truncated v (x) w, acting by Delta(phi(x)) in the ambient tensor
     equals acting by the target coproduct with phi per factor."""
-    from .fockmod import act
-
     reports = []
     for j in tgt.gen_indices:
         for kind in ("e", "f"):

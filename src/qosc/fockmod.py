@@ -57,7 +57,7 @@ class FockVector:
         return self + other.scale(Scalar.from_int(-1))
 
     def scale(self, c):
-        if hasattr(c, "is_zero") and c.is_zero():
+        if c.is_zero():
             return FockVector(overflow=self.overflow)
         v = FockVector()
         v.terms = {l: c * x for l, x in self.terms.items()}
@@ -87,6 +87,16 @@ class FockVector:
             " + ".join(bits),
             ", overflow" if self.overflow else "",
         )
+
+
+def tensor_vector(va: FockVector, vb: FockVector) -> FockVector:
+    """va (x) vb, with labels (la, lb) in the order of va's then vb's terms."""
+    out = FockVector()
+    for la, ca in va.terms.items():
+        for lb, cb in vb.terms.items():
+            out.terms[(la, lb)] = ca * cb
+    out.overflow = va.overflow or vb.overflow
+    return out
 
 
 def flat_label(label):

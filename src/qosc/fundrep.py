@@ -19,6 +19,7 @@ from .fockmod import (
     W2Module,
     act,
     eval_word,
+    tensor_vector,
 )
 from .linalg import RowBasis, solve_unique
 from .scalars import (
@@ -35,24 +36,31 @@ from .scalars import (
 from .words import WordExpr, divided_power
 
 
+def block_order(wt):
+    """The order in which spans are walked: by degree, then by delta."""
+    return (wt.degree(), wt.delta)
+
+
 class Subspace:
     """A weight-graded span of FockVectors inside a module window."""
 
     def __init__(self, module):
         self.module = module
-        self.blocks = {}  # Weight -> (RowBasis, [vectors])
+        self.blocks = {}  # Weight -> (RowBasis, [entry per accepted vector])
 
     def _wt(self, vec):
         return self.module.weight_of(next(iter(vec.terms)))
 
-    def add(self, vec: FockVector):
+    def add(self, vec: FockVector, entry=None):
+        """Add vec to its weight block; if it is independent there, store
+        entry (vec itself by default) in the block."""
         if vec.is_zero():
             return False
         wt = self._wt(vec)
-        basis, vecs = self.blocks.setdefault(wt, (RowBasis(), []))
+        basis, entries = self.blocks.setdefault(wt, (RowBasis(), []))
         ok, _ = basis.add(vec.terms)
         if ok:
-            vecs.append(vec)
+            entries.append(vec if entry is None else entry)
         return ok
 
     def contains(self, vec: FockVector):
@@ -62,25 +70,69 @@ class Subspace:
         blk = self.blocks.get(wt)
         return blk is not None and blk[0].contains(vec.terms)
 
-    def express(self, vec: FockVector):
-        """Coordinates over this block's stored vectors, or None."""
-        if vec.is_zero():
-            return {}
-        wt = self._wt(vec)
-        blk = self.blocks.get(wt)
-        if blk is None:
-            return None
-        return blk[0].express(vec.terms)
-
-    def block_vectors(self, wt):
-        blk = self.blocks.get(wt)
-        return blk[1] if blk else []
+    def ordered(self, maxdeg=None):
+        """[(weight, entries)] by block_order, up to degree maxdeg."""
+        return [
+            (wt, self.blocks[wt][1])
+            for wt in sorted(self.blocks, key=block_order)
+            if maxdeg is None or wt.degree() <= maxdeg
+        ]
 
     def dims(self):
         return {wt: len(v) for wt, (b, v) in self.blocks.items()}
 
     def dim(self):
         return sum(len(v) for _, v in self.blocks.values())
+
+
+class MatchedSpan(Subspace):
+    """Source vectors matched with target vectors: each seed (key, v_src,
+    v_tgt) and the images of both sides under the same f_j-words
+    (j in indices), built breadth-first.  A pair is added when it is
+    popped; an image that is zero, overflows on either side or whose
+    weight admit refuses is dropped.  Block entries are (key, v_src, v_tgt).
+    """
+
+    def __init__(self, source, target, seeds, indices, admit=None):
+        super().__init__(source)
+        queue = deque(seeds)
+        while queue:
+            key, vs, vt = queue.popleft()
+            if not self.add(vs, (key, vs, vt)):
+                continue
+            for j in indices:
+                img = act(source, ("f", j), vs)
+                if img.is_zero() or img.overflow:
+                    continue
+                if admit is not None and not admit(self._wt(img)):
+                    continue
+                imgt = act(target, ("f", j), vt)
+                if imgt.overflow:
+                    continue
+                queue.append((key, img, imgt))
+
+    def express(self, v: FockVector):
+        """v = sum coords; returns list of (key, coeff, v_tgt) or None."""
+        if v.is_zero():
+            return []
+        blk = self.blocks.get(self._wt(v))
+        if blk is None:
+            return None
+        coords = blk[0].express(v.terms)
+        if coords is None:
+            return None
+        return [(blk[1][i][0], c, blk[1][i][2]) for i, c in coords.items()]
+
+    def apply(self, v: FockVector, scale):
+        """The matched map scaled by scale[key] on each key's vectors:
+        sum of coords * scale[key] * matched target vector, or None."""
+        parts = self.express(v)
+        if parts is None:
+            return None
+        out = FockVector()
+        for key, c, vt in parts:
+            out = out + vt.scale(scale[key] * c)
+        return out
 
 
 def lowering_closure(module, v, indices) -> Subspace:
@@ -173,12 +225,9 @@ def build_fundamental(module, l: int, k: int, check_closure=True):
             report.e0_certificate = False
             report.failures.append("e0-certificate")
 
-    for wt, (basisrows, vecs) in sorted(
-        span.blocks.items(), key=lambda kv: (kv[0].degree(), kv[0].delta)
-    ):
+    for wt, vecs in span.ordered():
         for v in vecs:
-            deg = wt.degree()
-            if deg + 2 <= module.cutoff:
+            if wt.degree() + 2 <= module.cutoff:
                 img = act(module, ("e", 0), v)
                 if not img.overflow and not span.contains(img):
                     report.e0_closed = False
@@ -201,59 +250,21 @@ def iso_between_k(module, l: int, k1: int, k2: int):
     n = module.n
     v1 = FockVector.basis(v_lk_label(l, k1, n))
     v2 = FockVector.basis(v_lk_label(l, k2, n))
-    span1 = Subspace(module)
-    span1.add(v1)
-    pairs = {0: (v1, v2)}
-    queue = [(v1, v2)]
-    lower = lowering_indices(module.algebra)
-    while queue:
-        a, b = queue.pop(0)
-        for j in lower:
-            ia = act(module, ("f", j), a)
-            if ia.is_zero() or ia.overflow:
-                continue
-            if span1.add(ia):
-                ib = act(module, ("f", j), b)
-                pairs[len(pairs)] = (ia, ib)
-                queue.append((ia, ib))
-    span2 = Subspace(module)
-    for _, (a, b) in sorted(pairs.items()):
-        span2.add(b)
-    dims_ok = span1.dims() == span2.dims()
-
-    def mapped(vec):
-        if vec.is_zero():
-            return FockVector()
-        coords = span1.express(vec)
-        if coords is None:
-            return None
-        # express() coordinates refer to block-local acceptance order;
-        # rebuild through the stored per-block vectors
-        wt = module.weight_of(next(iter(vec.terms)))
-        vecs1 = span1.block_vectors(wt)
-        out = FockVector()
-        for i, c in coords.items():
-            out = out + _partner(pairs, vecs1[i]).scale(c)
-        return out
-
-    def _partner(pairs, a_vec):
-        for a, b in pairs.values():
-            if a is a_vec:
-                return b
-        raise KeyError("unmatched basis vector")
-
+    span = MatchedSpan(module, module, [(0, v1, v2)], lowering_indices(module.algebra))
+    image = Subspace(module)
     residuals = []
-    for key in sorted(pairs):
-        a, b = pairs[key]
-        for gen in (("e", 0), ("f", 0)):
-            ia = act(module, gen, a)
-            ib = act(module, gen, b)
-            if ia.overflow or ib.overflow:
-                continue
-            im = mapped(ia)
-            if im is None or not (im - ib).is_zero():
-                residuals.append((gen, key))
-    return {"dims_match": dims_ok, "residuals": residuals, "pairs": len(pairs)}
+    for wt, entries in span.ordered():
+        for _, a, b in entries:
+            image.add(b)
+            for gen in (("e", 0), ("f", 0)):
+                ia = act(module, gen, a)
+                ib = act(module, gen, b)
+                if ia.overflow or ib.overflow:
+                    continue
+                im = span.apply(ia, {0: ONE})
+                if im is None or not (im - ib).is_zero():
+                    residuals.append((gen, wt))
+    return {"dims_match": span.dims() == image.dims(), "residuals": residuals}
 
 
 # -- explicit highest-weight vectors u_{r,s} ---------------------------------
@@ -286,12 +297,7 @@ def u_rs_component(tensor, m: int, l1: int, l2: int, r: int, s: int, i: int, j: 
     word2 = divided_power("f", m + 1, r - i) * divided_power("f", m, s - j)
     a = eval_word(word1, w1, f1)
     b = eval_word(word2, w2, f2)
-    out = FockVector()
-    for la, ca in a.terms.items():
-        for lb, cb in b.terms.items():
-            out = out + FockVector({(la, lb): ONE}).scale(ca * cb)
-    out.overflow = a.overflow or b.overflow
-    return out
+    return tensor_vector(a, b)
 
 
 def u_rs(tensor, m: int, l1: int, l2: int, r: int, s: int):

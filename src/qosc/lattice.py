@@ -85,9 +85,6 @@ class EpsilonData:
     def qi(self, i) -> Scalar:
         return QTILDE if self.seq[i - 1] else Q
 
-    def zero_weight(self):
-        return Weight(0, (0,) * self.n)
-
     def Lam(self):
         return Weight(1, (0,) * self.n)
 
@@ -172,12 +169,3 @@ def qpair(mu: Weight, nu: Weight, eps: EpsilonData) -> Scalar:
             wexp -= 2 * e
     return Scalar.monomial(sign, wexp)
 
-
-def is_nonnegative(mu: Weight, kept=None) -> bool:
-    """Membership in the cone Z*Lam + sum Z_+ d_a (a in kept, default all)."""
-    if kept is None:
-        return all(c >= 0 for c in mu.delta)
-    ks = set(kept)
-    return all(
-        (c >= 0 if (i + 1) in ks else c == 0) for i, c in enumerate(mu.delta)
-    )

@@ -37,10 +37,9 @@ class RowBasis:
     coordinates of v in terms of the previously accepted originals.
     """
 
-    def __init__(self, key=label_key):
-        self.key = key
+    def __init__(self):
         self.rows = {}  # pivot -> (normalized row dict, comb dict idx->coeff)
-        self.pivots = []  # pivots sorted by key
+        self.pivots = []  # pivots sorted by label_key
         self.count = 0
 
     def _reduce(self, v):
@@ -72,20 +71,16 @@ class RowBasis:
         r, comb = self._reduce(v)
         if not r:
             return False, comb
-        pivot = min(r, key=self.key)
+        pivot = min(r, key=label_key)
         inv = r[pivot].inverse()
         row = {k: c * inv for k, c in r.items()}
         rcomb = {self.count: inv}
         for j, x in comb.items():
             rcomb[j] = -(x * inv)
         self.rows[pivot] = (row, rcomb)
-        insort(self.pivots, pivot, key=self.key)
+        insort(self.pivots, pivot, key=label_key)
         self.count += 1
         return True, None
-
-    @property
-    def dim(self):
-        return len(self.rows)
 
     def contains(self, v):
         r, _ = self._reduce(v)

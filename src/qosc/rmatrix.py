@@ -11,7 +11,6 @@ and fusion images are checked against this solve.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .algebraops import host_eps, level_module
@@ -22,9 +21,11 @@ from .fockmod import (
     TensorModule,
     act,
     label_key,
+    tensor_vector,
     weight_block,
 )
 from .fundrep import (
+    MatchedSpan,
     Subspace,
     build_fundamental,
     lowering_closure,
@@ -32,7 +33,7 @@ from .fundrep import (
     u_rs,
 )
 from .lattice import Weight
-from .linalg import RowBasis, solve_unique
+from .linalg import solve_unique
 from .scalars import (
     SONE,
     SZERO,
@@ -44,15 +45,6 @@ from .scalars import (
     q_power,
     qint,
 )
-
-
-def tensor_vector(va: FockVector, vb: FockVector) -> FockVector:
-    out = FockVector()
-    for la, ca in va.terms.items():
-        for lb, cb in vb.terms.items():
-            out.terms[(la, lb)] = ca * cb
-    out.overflow = va.overflow or vb.overflow
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,75 +371,34 @@ def _is_nonneg_int(x: Scalar):
     return parts is not None and parts[1] == 0 and parts[0].denominator == 1 and parts[0] >= 0
 
 
-class PairDecomposition:
-    """Matched finite-type orbits of the components, block by block."""
+class PairDecomposition(MatchedSpan):
+    """Matched finite-type orbits of the components, block by block; with
+    needed_weights, only the weights that lie above one of them (in the
+    cone of the lowering roots) are built."""
 
     def __init__(self, pair: RPair, needed_weights=None):
-        self.pair = pair
-        self.blocks = {}  # Weight -> (RowBasis, [(ckey, v_src, v_tgt)])
         src = pair.source
         lowering = [j for j in src.algebra.gen_indices if j != 0]
-        roots = [src.algebra.root(j) for j in lowering]
-        cone = _ConeTest(roots) if needed_weights is not None else None
-        needed = list(needed_weights) if needed_weights is not None else None
+        admit = None
+        if needed_weights is not None:
+            cone = _ConeTest([src.algebra.root(j) for j in lowering])
+            needed = list(needed_weights)
 
-        def reachable(wt):
-            if needed is None:
-                return True
-            for nu in needed:
-                if nu.lam != wt.lam:
-                    continue
-                diff = tuple(a - b for a, b in zip(wt.delta, nu.delta))
-                if cone.member(diff):
-                    return True
-            return False
+            def admit(wt):
+                return any(
+                    nu.lam == wt.lam
+                    and cone.member(tuple(a - b for a, b in zip(wt.delta, nu.delta)))
+                    for nu in needed
+                )
 
-        queue = deque()
-        for comp in pair.components:
-            if reachable(comp.weight):
-                queue.append((comp.key, comp.v_src, comp.v_tgt))
-        while queue:
-            ckey, vs, vt = queue.popleft()
-            wt = src.weight_of(next(iter(vs.terms)))
-            basis, entries = self.blocks.setdefault(wt, (RowBasis(), []))
-            ok, _ = basis.add(vs.terms)
-            if not ok:
-                continue
-            entries.append((ckey, vs, vt))
-            for j in lowering:
-                img = act(src, ("f", j), vs)
-                if img.is_zero() or img.overflow:
-                    continue
-                nwt = src.weight_of(next(iter(img.terms)))
-                if nwt.degree() > src.cutoff or not reachable(nwt):
-                    continue
-                imgt = act(pair.target, ("f", j), vt)
-                if imgt.overflow:
-                    continue
-                queue.append((ckey, img, imgt))
+        seeds = [
+            (comp.key, comp.v_src, comp.v_tgt)
+            for comp in pair.components
+            if admit is None or admit(comp.weight)
+        ]
+        super().__init__(src, pair.target, seeds, lowering, admit)
 
-    def express(self, v: FockVector):
-        """v = sum coords; returns list of (ckey, coeff, v_tgt) or None."""
-        if v.is_zero():
-            return []
-        wt = self.pair.source.weight_of(next(iter(v.terms)))
-        blk = self.blocks.get(wt)
-        if blk is None:
-            return None
-        coords = blk[0].express(v.terms)
-        if coords is None:
-            return None
-        return [(blk[1][i][0], c, blk[1][i][2]) for i, c in coords.items()]
-
-    def apply_R(self, v: FockVector, rho):
-        """R(v) = sum coords * rho_comp * matched target vector."""
-        parts = self.express(v)
-        if parts is None:
-            return None
-        out = FockVector()
-        for ckey, c, vt in parts:
-            out = out + vt.scale(rho[ckey] * c)
-        return out
+    apply_R = MatchedSpan.apply
 
 
 class SolverError(ArithmeticError):
@@ -534,10 +485,7 @@ def verify_spectral(pair, dec, rho, maxdeg, gens=None):
     gens = gens or [(k, j) for j in alg.gen_indices for k in ("e", "f")]
     checked = 0
     failures = []
-    for wt in sorted(dec.blocks, key=lambda w: (w.degree(), w.delta)):
-        if wt.degree() > maxdeg:
-            continue
-        basis, entries = dec.blocks[wt]
+    for wt, entries in dec.ordered(maxdeg):
         for ckey, vs, vt in entries:
             rimg = vt.scale(rho[ckey])
             for g in gens:
@@ -558,9 +506,7 @@ def verify_completeness(pair, dec, maxdeg):
     """Every window ket of degree <= maxdeg lies in the built span
     (exhaustive pairs only)."""
     missing = []
-    for wt in sorted(dec.blocks, key=lambda w: (w.degree(), w.delta)):
-        if wt.degree() > maxdeg:
-            continue
+    for wt, _ in dec.ordered(maxdeg):
         for label in weight_block(pair.source, wt):
             if dec.express(FockVector.basis(label)) is None:
                 missing.append(label)
@@ -572,10 +518,7 @@ def verify_unitarity(pair, dec, rho, maxdeg):
     zinv = Z1.inverse()
     rho_inv = {k: v.specialize(0, zinv) for k, v in rho.items()}
     failures = []
-    for wt in sorted(dec.blocks, key=lambda w: (w.degree(), w.delta)):
-        if wt.degree() > maxdeg:
-            continue
-        _, entries = dec.blocks[wt]
+    for wt, entries in dec.ordered(maxdeg):
         for ckey, vs, vt in entries:
             out = dec.apply_R(vs, rho)
             # apply the flipped R: on equal-label pairs source = target
@@ -594,8 +537,7 @@ def verify_truncated_operator(dec_bold, rho_bold, dec_level, rho_level):
     """
     failures = []
     checked = 0
-    for wt in sorted(dec_level.blocks, key=lambda w: (w.degree(), w.delta)):
-        _, entries = dec_level.blocks[wt]
+    for wt, entries in dec_level.ordered():
         for ckey, vs, vt in entries:
             rb = dec_bold.apply_R(vs, rho_bold)
             rl = dec_level.apply_R(vs, rho_level)
@@ -704,12 +646,7 @@ def fuse(pair, rho, dec, c1, c2):
     if pair.exhaustive:
         basis_iter = [FockVector.basis(l) for l in src.enumerate_labels()]
     else:
-        basis_iter = [
-            e[1]
-            for wt, (_, ent) in dec.blocks.items()
-            if wt.degree() <= src.cutoff
-            for e in ent
-        ]
+        basis_iter = [e[1] for _, ent in dec.blocks.values() for e in ent]
     image = Subspace(pair.target)
     for v in basis_iter:
         img = dec.apply_R(v, rho_c)

@@ -169,6 +169,15 @@ GOLDEN_REPORTS = [
         ["appendix-check", "--which", "C", "--l", "1,1", "--rmax", "1", "--smax", "0"],
         "0441df93baa63448a9dd67505d36dc64229f4842a21b00961d1dbd202c5f4341",
     ),
+    (
+        ["fundamental", "--l", "2", "--k", "2", "--k2", "0", "--m", "2", "--cutoff", "7",
+         "--verify", "iso"],
+        "11b761c9e401d39f18da46601acd161a52b409551d15aa36e17abecc1552cf81",
+    ),
+    (
+        ["fuse", "--flavor", "d", "--l", "1,1", "--c", "q^-3,1", "--m", "2", "--cutoff", "4"],
+        "a82414153ab69d67064af62ef1c0b55fa10a643ec308a5724ffb80ccaa233657",
+    ),
 ]
 
 
@@ -177,7 +186,8 @@ GOLDEN_REPORTS = [
     GOLDEN_REPORTS,
     ids=["decompose-c", "hwv", "decompose-d-underline", "truncate-monoidal",
          "verify-phi-c-overline", "verify-phi-d-overline", "rmatrix-c-underline",
-         "rmatrix-d-bold", "fuse-c-truncation", "fundamental-all", "appendix-c"],
+         "rmatrix-d-bold", "fuse-c-truncation", "fundamental-all", "appendix-c",
+         "fundamental-iso", "fuse-d-bold"],
 )
 def test_golden_report_digests(capsys, argv, digest):
     assert main(argv) == 0

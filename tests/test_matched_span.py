@@ -1,0 +1,208 @@
+"""The one matched BFS against the two it replaced.
+
+``ref_pair_blocks`` is the orbit BFS that ``rmatrix.PairDecomposition`` ran
+on its own, and ``ref_iso_between_k`` the second BFS, pair table and
+partner lookup of ``fundrep.iso_between_k``.  ``fundrep.MatchedSpan`` must
+build the same blocks, in the same order, with structurally equal
+``(key, v_src, v_tgt)`` entries, and the isomorphism check must give the
+same result.
+"""
+
+from collections import deque
+
+import pytest
+
+from qosc.fockmod import FockVector, W2Module, act
+from qosc.fundrep import (
+    MatchedSpan,
+    Subspace,
+    block_order,
+    iso_between_k,
+    lowering_indices,
+    v_lk_label,
+)
+from qosc.lattice import EpsilonData
+from qosc.linalg import RowBasis
+from qosc.rmatrix import PairDecomposition, _ConeTest, make_c_pair, make_d_pair
+from qosc.scalars import ONE, parse_scalar
+
+EPSP = EpsilonData((0, 1, 0, 1, 0))
+
+# -- reference loops ---------------------------------------------------------
+
+
+def ref_pair_blocks(pair, needed_weights=None):
+    blocks = {}
+    src = pair.source
+    lowering = [j for j in src.algebra.gen_indices if j != 0]
+    roots = [src.algebra.root(j) for j in lowering]
+    cone = _ConeTest(roots) if needed_weights is not None else None
+    needed = list(needed_weights) if needed_weights is not None else None
+
+    def reachable(wt):
+        if needed is None:
+            return True
+        for nu in needed:
+            if nu.lam != wt.lam:
+                continue
+            diff = tuple(a - b for a, b in zip(wt.delta, nu.delta))
+            if cone.member(diff):
+                return True
+        return False
+
+    queue = deque()
+    for comp in pair.components:
+        if reachable(comp.weight):
+            queue.append((comp.key, comp.v_src, comp.v_tgt))
+    while queue:
+        ckey, vs, vt = queue.popleft()
+        wt = src.weight_of(next(iter(vs.terms)))
+        basis, entries = blocks.setdefault(wt, (RowBasis(), []))
+        ok, _ = basis.add(vs.terms)
+        if not ok:
+            continue
+        entries.append((ckey, vs, vt))
+        for j in lowering:
+            img = act(src, ("f", j), vs)
+            if img.is_zero() or img.overflow:
+                continue
+            nwt = src.weight_of(next(iter(img.terms)))
+            if nwt.degree() > src.cutoff or not reachable(nwt):
+                continue
+            imgt = act(pair.target, ("f", j), vt)
+            if imgt.overflow:
+                continue
+            queue.append((ckey, img, imgt))
+    return blocks
+
+
+def ref_iso_between_k(module, l, k1, k2):
+    n = module.n
+    v1 = FockVector.basis(v_lk_label(l, k1, n))
+    v2 = FockVector.basis(v_lk_label(l, k2, n))
+    span1 = Subspace(module)
+    span1.add(v1)
+    pairs = {0: (v1, v2)}
+    queue = [(v1, v2)]
+    lower = lowering_indices(module.algebra)
+    while queue:
+        a, b = queue.pop(0)
+        for j in lower:
+            ia = act(module, ("f", j), a)
+            if ia.is_zero() or ia.overflow:
+                continue
+            if span1.add(ia):
+                ib = act(module, ("f", j), b)
+                pairs[len(pairs)] = (ia, ib)
+                queue.append((ia, ib))
+    span2 = Subspace(module)
+    for _, (a, b) in sorted(pairs.items()):
+        span2.add(b)
+    dims_ok = span1.dims() == span2.dims()
+
+    def mapped(vec):
+        if vec.is_zero():
+            return FockVector()
+        wt = module.weight_of(next(iter(vec.terms)))
+        blk = span1.blocks.get(wt)
+        coords = blk[0].express(vec.terms) if blk else None
+        if coords is None:
+            return None
+        out = FockVector()
+        for i, c in coords.items():
+            out = out + _partner(blk[1][i]).scale(c)
+        return out
+
+    def _partner(a_vec):
+        for a, b in pairs.values():
+            if a is a_vec:
+                return b
+        raise KeyError("unmatched basis vector")
+
+    residuals = []
+    for key in sorted(pairs):
+        a, b = pairs[key]
+        for gen in (("e", 0), ("f", 0)):
+            ia = act(module, gen, a)
+            ib = act(module, gen, b)
+            if ia.overflow or ib.overflow:
+                continue
+            im = mapped(ia)
+            if im is None or not (im - ib).is_zero():
+                residuals.append((gen, key))
+    return {"dims_match": dims_ok, "residuals": residuals, "pairs": len(pairs)}
+
+
+# -- comparisons -------------------------------------------------------------
+
+
+def _structure(v):
+    return (list(v.terms.items()), v.overflow)
+
+
+def _eq_weights(pair):
+    """The weights solve_R builds by default: e_0 above each component."""
+    alpha0 = pair.source.algebra.root(0)
+    return [
+        c.weight + alpha0
+        for c in pair.components
+        if c.weight.degree() + 2 <= pair.source.cutoff
+    ]
+
+
+PAIRS = {
+    "c-bold-full": (lambda: make_c_pair(2, ("+", "+"), cutoff=5, level="bold"), False),
+    "c-bold-needed": (lambda: make_c_pair(2, ("+", "+"), cutoff=6, level="bold"), True),
+    "c-underline": (lambda: make_c_pair(2, ("+", "-"), cutoff=6, level="underline"), True),
+    "d-underline-11": (lambda: make_d_pair(2, 1, 1, cutoff=5, level="underline"), True),
+    "d-bold-11": (lambda: make_d_pair(2, 1, 1, cutoff=4, level="bold"), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_pair_decomposition_matches_reference(name):
+    build, restrict = PAIRS[name]
+    pair = build()
+    needed = _eq_weights(pair) if restrict else None
+    ref = ref_pair_blocks(pair, needed)
+    dec = PairDecomposition(pair, needed_weights=needed)
+    assert list(dec.blocks) == list(ref)
+    for wt, (basis, entries) in ref.items():
+        got = dec.blocks[wt][1]
+        assert [k for k, _, _ in got] == [k for k, _, _ in entries]
+        for (_, vs, vt), (_, rs, rt) in zip(got, entries):
+            assert _structure(vs) == _structure(rs)
+            assert _structure(vt) == _structure(rt)
+    # ordered() walks the same blocks by degree, then delta
+    assert [wt for wt, _ in dec.ordered()] == sorted(ref, key=block_order)
+
+
+@pytest.mark.parametrize("l,k1,k2", [(2, 2, 0), (1, 1, 0)])
+def test_iso_between_k_matches_reference(l, k1, k2):
+    mod = W2Module(EPSP, parse_scalar("q^2"), cutoff=6)
+    ref = ref_iso_between_k(mod, l, k1, k2)
+    got = iso_between_k(mod, l, k1, k2)
+    assert got == {"dims_match": ref["dims_match"], "residuals": ref["residuals"]}
+    assert got["dims_match"] and not got["residuals"]
+    span = MatchedSpan(mod, mod, [(0, FockVector.basis(v_lk_label(l, k1, mod.n)),
+                                   FockVector.basis(v_lk_label(l, k2, mod.n)))],
+                       lowering_indices(mod.algebra))
+    assert span.dim() == ref["pairs"]
+
+
+def test_apply_sends_each_stored_vector_to_its_partner():
+    pair = make_d_pair(2, 1, 1, cutoff=4, level="underline")
+    dec = PairDecomposition(pair)
+    scale = {c.key: parse_scalar("q^%d" % i) for i, c in enumerate(pair.components)}
+    for _, entries in dec.ordered():
+        for key, vs, vt in entries:
+            assert dec.express(vs) == [(key, ONE, vt)]
+            assert dec.apply_R(vs, scale) == vt.scale(scale[key])
+    assert dec.express(FockVector()) == []
+    # the orbit of the u_{r,s} is not the whole window
+    outside = [
+        v
+        for v in map(FockVector.basis, pair.source.enumerate_labels())
+        if dec.express(v) is None
+    ]
+    assert outside and dec.apply_R(outside[0], scale) is None
