@@ -377,7 +377,7 @@ def criterion_8(cutoff=6):
             continue
         top = max(want, key=sum)
         target_c = c_target_module(2, sigma, cutoff, "bold", zc)
-        diag = cyclicity_diagnostic(target_c, content[top][0], image, guard=2)
+        diag = cyclicity_diagnostic(target_c, content[top][0], image)
         if not diag["pass"]:
             bad["cyclicity W_%d" % l] = diag["mismatches"]
         # truncation compatibility: tr(image at bold) == image at level

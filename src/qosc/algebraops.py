@@ -268,7 +268,6 @@ class TargetAlgebra:
     phi_e: dict
     phi_f: dict
     eta: int = 1
-    dch: Scalar = None
     key: tuple = None
 
     def root(self, j) -> Weight:
@@ -291,13 +290,13 @@ class TargetAlgebra:
         return self.param ** self.d(i)
 
 
-def phi_words(kind: str, side: str, host: EpsilonData, eta=1, d_choice=None):
+def phi_words(kind: str, side: str, host: EpsilonData, eta=1):
     """The phi images of the target generators, per the truncation maps.
 
     kind 'c' hosts eps = (1,0,...,0,1); kind 'd' hosts eps' = (0,1,...,1,0).
     side 'underline' keeps even positions for 'c' (odd for 'd'); 'overline'
-    the complement.  eta is +-1; d_choice defaults to q^eta ('c') and
-    -q^eta ('d').
+    the complement.  eta is +-1; the check maps use the q-commutator
+    parameter q^eta ('c') or -q^eta ('d').
     """
     n = host.n
     if n % 2 == 0 or n < 5:
@@ -336,13 +335,9 @@ def phi_words(kind: str, side: str, host: EpsilonData, eta=1, d_choice=None):
         name = (
             "U_q(C_%d^(1))" % m if kind == "c" else "U_qt(C_%d^(1))" % m
         )
-        dch = None
     else:
         # check maps, indices 0..m+1
-        if d_choice is None:
-            dch = Q ** eta if kind == "c" else -(Q ** eta)
-        else:
-            dch = d_choice
+        dch = Q ** eta if kind == "c" else -(Q ** eta)
         gens = tuple(range(m + 2))
         for j in gens:
             if j == 0:
@@ -379,8 +374,7 @@ def phi_words(kind: str, side: str, host: EpsilonData, eta=1, d_choice=None):
         phi_e=phi_e,
         phi_f=phi_f,
         eta=eta,
-        dch=dch,
-        key=("target", kind, side, host.seq, eta, repr(d_choice)),
+        key=("target", kind, side, host.seq, eta),
     )
 
 

@@ -311,7 +311,7 @@ def cmd_fuse(args):
     if image.dim() and any(content.values()):
         top = max((k for k, v in content.items() if v), key=sum)
         target_c = c_target_module(args.m, params, args.cutoff, args.level, cs[0] / cs[1])
-        diag = cyclicity_diagnostic(target_c, content[top][0], image, guard=2)
+        diag = cyclicity_diagnostic(target_c, content[top][0], image)
         checks.append(
             {
                 "id": "cyclicity",

@@ -132,9 +132,9 @@ def raising_indices(algebra):
     return tuple(j for j in algebra.gen_indices if j != 0)
 
 
-def hw_kernel_of_vectors(vectors, module, raising=None):
+def hw_kernel_of_vectors(vectors, module):
     """Basis of {v in span(vectors) : e_j v = 0 for all raising j}."""
-    raising = raising if raising is not None else raising_indices(module.algebra)
+    raising = raising_indices(module.algebra)
     if not vectors:
         return []
     rows = {}
@@ -156,15 +156,15 @@ def hw_kernel_of_vectors(vectors, module, raising=None):
     return out
 
 
-def find_hw(module, lam: Weight, raising=None) -> HwReport:
+def find_hw(module, lam: Weight) -> HwReport:
     """Exact kernel of the raising operators on the lam weight block."""
     labels = weight_block(module, lam)
     vecs = [FockVector.basis(l) for l in labels]
-    basis = hw_kernel_of_vectors(vecs, module, raising)
+    basis = hw_kernel_of_vectors(vecs, module)
     return HwReport(weight=lam, dimension=len(basis), basis=basis)
 
 
-def decompose(module, flavor: str, ell: int, max_degree: int, kept=None):
+def decompose(module, flavor: str, ell: int, max_degree: int):
     """Highest-weight multiplicities of the window, per candidate partition.
 
     flavor 'c' pairs with O_ell, 'd' with Sp_{2 ell}.  Candidates are the
@@ -174,8 +174,7 @@ def decompose(module, flavor: str, ell: int, max_degree: int, kept=None):
     """
     group = "O" if flavor == "c" else "Sp"
     eps = module.eps
-    if kept is None:
-        kept = module.algebra.kept
+    kept = module.algebra.kept
     out = []
     for lam in sorted(partitions_upto(max_degree)):
         if not in_classical_family(lam, group, ell):

@@ -71,9 +71,6 @@ class FockVector:
             return False
         return all(c == other.terms[l] for l, c in self.terms.items())
 
-    def coeff(self, label):
-        return self.terms.get(label)
-
     def __repr__(self):
         if not self.terms:
             return "FockVector(0)"

@@ -91,9 +91,6 @@ class EpsilonData:
     def delta(self, i):
         return Weight(0, tuple(1 if j == i else 0 for j in self.II))
 
-    def weight(self, lam, deltas):
-        return Weight(lam, tuple(deltas))
-
     def __repr__(self):
         return "EpsilonData(%s)" % (self.seq,)
 

@@ -237,14 +237,11 @@ def _hw_line(module, wt):
     return rep.basis[0]
 
 
-def d_component_keys(l1, l2, cutoff, level="bold", m=None):
+def d_component_keys(l1, l2, cutoff):
     out = []
     r = 0
     while l1 + l2 + 2 * r <= cutoff:
         for s in range(0, min(l1, l2) + 1):
-            lam1 = l1 + l2 + r - s
-            if level == "overline" and lam1 > m:
-                continue
             out.append((r, s))
         r += 1
     return out
@@ -516,7 +513,7 @@ def verify_completeness(pair, dec, maxdeg):
 def verify_unitarity(pair, dec, rho, maxdeg):
     """R(1/z) o R(z) = id on blocks of degree <= maxdeg (equal-label pairs)."""
     zinv = Z1.inverse()
-    rho_inv = {k: v.specialize(0, zinv) for k, v in rho.items()}
+    rho_inv = {k: v.specialize(zinv) for k, v in rho.items()}
     failures = []
     for wt, entries in dec.ordered(maxdeg):
         for ckey, vs, vt in entries:
@@ -601,7 +598,7 @@ def rho_pole_multisets(rho, bound):
     """factor_q_poles applied to every denominator of the solved rho's."""
     out = {}
     for key, val in rho.items():
-        den = val.den_poly_coeffs(0)
+        den = val.den_poly_coeffs()
         ks, leftover = factor_q_poles(den, bound)
         out[key] = (ks, leftover)
     return out
@@ -620,7 +617,7 @@ class AdmissibilityError(ValueError):
         )
 
 
-def check_admissible(flavor, params, cs, bound=64):
+def check_admissible(flavor, params, cs):
     """(sigma, c) or (l, c) in P+; raises AdmissibilityError on a pole hit."""
     for i in range(len(cs)):
         for j in range(i + 1, len(cs)):
@@ -641,7 +638,7 @@ def fuse(pair, rho, dec, c1, c2):
     """Image of the R matrix specialized at z = c1/c2, applied to a basis
     of the source window: a Subspace over the target tensor."""
     zc = c1 / c2
-    rho_c = {k: v.specialize(0, zc) for k, v in rho.items()}
+    rho_c = {k: v.specialize(zc) for k, v in rho.items()}
     src = pair.source
     if pair.exhaustive:
         basis_iter = [FockVector.basis(l) for l in src.enumerate_labels()]
@@ -676,12 +673,16 @@ def _despectralize(vec: FockVector) -> FockVector:
     return out
 
 
-def cyclicity_diagnostic(module, hw_vec, image: Subspace, guard=2):
-    """Lowering-closure of one hw vector compared against the image span.
+CYCLICITY_GUARD = 2
+
+
+def cyclicity_diagnostic(module, hw_vec, image: Subspace):
+    """Lowering-closure of one hw vector compared against the image span,
+    on the weights at least CYCLICITY_GUARD below the cutoff.
 
     Passing means: consistent with irreducibility (never a proof)."""
     dims = lowering_closure(module, hw_vec, module.algebra.gen_indices).dims()
-    maxdeg = module.cutoff - guard
+    maxdeg = module.cutoff - CYCLICITY_GUARD
     mismatches = [
         (wt, dims.get(wt, 0), d)
         for wt, d in image.dims().items()

@@ -3,8 +3,9 @@
 The coefficient field is realized as Q(w) with q = -w**2, so that
 v = w satisfies v**2 = -q and qt := -1/q = w**-2.  Every element is a
 reduced fraction of integer Laurent polynomials in w; equality is
-structural.  Spectral elements adjoin up to two Laurent variables
-(z1, z2) with coefficients in Q(w).
+structural.  Spectral elements are fractions in one variable z1 over
+Q(w) and may carry a second variable z2 only in Laurent polynomials: the
+symbolic identities in x1, x2 divide by Q(w) constants alone.
 """
 
 from __future__ import annotations
@@ -452,7 +453,7 @@ def qbinom_at(p: Scalar, m: int, k: int) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# spectral extension: fractions of Laurent polynomials in z1, z2 over Q(w)
+# spectral extension: fractions in z1 over Q(w), Laurent polynomials in z2
 
 
 class PoleError(ArithmeticError):
@@ -523,20 +524,20 @@ def _zvars(d):
     return v1, v2
 
 
-def _to_list1(d, axis):
-    """Nonneg-exponent dict -> dense list along axis (other exponent 0)."""
-    deg = max(e[axis] for e in d) if d else -1
+def _to_list1(d):
+    """Nonneg-exponent dict in z1 alone -> dense list."""
+    deg = max(e1 for e1, _ in d) if d else -1
     out = [ZERO] * (deg + 1)
-    for e, c in d.items():
-        out[e[axis]] = c
+    for (e1, _), c in d.items():
+        out[e1] = c
     return out
 
 
-def _from_list1(cs, axis):
+def _from_list1(cs):
     out = {}
     for i, c in enumerate(cs):
         if not c.is_zero():
-            out[(i, 0) if axis == 0 else (0, i)] = c
+            out[(i, 0)] = c
     return out
 
 
@@ -586,135 +587,17 @@ def _l1div_exact(a, b):
     return q
 
 
-def _zgcd(a, b):
-    """gcd of nonneg-exponent z-polynomials over Q(w), 1 if coprime."""
-    if not a or not b:
-        return {(0, 0): ONE}
-    a1, a2 = _zvars(a)
-    b1, b2 = _zvars(b)
-    if not (a1 or a2) or not (b1 or b2):
-        return {(0, 0): ONE}
-    if not a2 and not b2:
-        g = _l1gcd(_to_list1(a, 0), _to_list1(b, 0))
-        return _from_list1(g, 0) if len(g) > 1 else {(0, 0): ONE}
-    if not a1 and not b1:
-        g = _l1gcd(_to_list1(a, 1), _to_list1(b, 1))
-        return _from_list1(g, 1) if len(g) > 1 else {(0, 0): ONE}
-    # genuinely bivariate: poly in z2 with coefficients in Q(w)[z1]
-    return _zgcd2(a, b)
-
-
-def _as_nested(d):
-    """dict -> list over z2 of dense z1-lists."""
-    deg2 = max(e2 for (_, e2) in d)
-    rows = [dict() for _ in range(deg2 + 1)]
-    for (e1, e2), c in d.items():
-        rows[e2][(e1, 0)] = c
-    return [_to_list1(r, 0) if r else [] for r in rows]
-
-
-def _nested_to_dict(rows):
-    out = {}
-    for e2, cs in enumerate(rows):
-        for e1, c in enumerate(cs):
-            if not c.is_zero():
-                out[(e1, e2)] = c
-    return out
-
-
-def _n_trim(rows):
-    rows = [_l1trim(list(cs)) for cs in rows]
-    while rows and not rows[-1]:
-        rows.pop()
-    return rows
-
-
-def _n_content(rows):
-    g = []
-    for cs in rows:
-        cs = _l1trim(list(cs))
-        if cs:
-            g = _l1gcd(g, cs) if g else [c * cs[-1].inverse() for c in cs]
-        if len(g) == 1:
-            break
-    return g or [ONE]
-
-
-def _n_scale_div(rows, g):
-    if len(g) == 1 and g[0].is_one():
-        return rows
-    return [_l1div_exact(_l1trim(list(cs)), g) if _l1trim(list(cs)) else [] for cs in rows]
-
-
-def _l1mul(a, b):
-    if not a or not b:
-        return []
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _l1trim(out)
-
-
-def _l1sub(a, b):
-    out = list(a) + [ZERO] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] = out[i] - y
-    return _l1trim(out)
-
-
-def _prem2(fa, fb):
-    """Pseudo-remainder along z2, coefficients are z1-poly lists."""
-    r = [list(cs) for cs in fa]
-    db = len(fb) - 1
-    lb = fb[-1]
-    while True:
-        r = _n_trim(r)
-        dr = len(r) - 1
-        if not r or dr < db:
-            return r
-        lr = r[-1]
-        r = [_l1mul(cs, lb) for cs in r]
-        for i in range(db + 1):
-            r[dr - db + i] = _l1sub(r[dr - db + i], _l1mul(lr, fb[i]))
-
-
-def _zgcd2(a, b):
-    fa = _n_trim(_as_nested(a))
-    fb = _n_trim(_as_nested(b))
-    ca = _n_content(fa)
-    cb = _n_content(fb)
-    fa = _n_scale_div(fa, ca)
-    fb = _n_scale_div(fb, cb)
-    gc = _l1gcd(ca, cb)
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        r = _prem2(fa, fb)
-        if r:
-            r = _n_scale_div(r, _n_content(r))
-        fa, fb = fb, r
-    fa = _n_scale_div(fa, _n_content(fa))
-    prim = _nested_to_dict(fa)
-    prim_trivial = len(prim) == 1 and (0, 0) in prim
-    gch = _from_list1(gc, 0)
-    if prim_trivial:
-        return gch if len(gc) > 1 else {(0, 0): ONE}
-    out = _zmul(gch, prim)
-    return out if out else {(0, 0): ONE}
-
-
 VAR_NAMES = ("z1", "z2")
 
 
 class SpectralScalar:
-    """Rational function in z1, z2 over Q(w), as a reduced fraction.
+    """Element of Q(w)(z1), with Laurent polynomials in z2, as a reduced fraction.
 
-    The denominator is normalized with minimum exponents 0 and leading
-    coefficient 1 under lexicographic (z2, z1) ordering, so equality is
-    structural.  A single spectral variable z is z1.
+    The denominator is a polynomial in z1 alone: monic, with lowest
+    exponent 0 and coprime to the numerator, so equality is structural.
+    z2 occurs only in Laurent polynomials (denominator 1): a fraction whose
+    denominator is not a monomial and meets z2 raises ArithmeticError.  A
+    single spectral variable z is z1.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -786,7 +669,10 @@ class SpectralScalar:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -811,6 +697,8 @@ class SpectralScalar:
 
     def __truediv__(self, other):
         other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self * other.inverse()
 
     def __pow__(self, n):
@@ -838,28 +726,23 @@ class SpectralScalar:
             )
         return self._hash
 
-    def specialize(self, axis, value):
-        """Exact substitution z_axis = value (a Scalar or SpectralScalar)."""
+    def specialize(self, value):
+        """Exact substitution z1 = value (a Scalar or SpectralScalar)."""
         if isinstance(value, Scalar):
             value = SpectralScalar.from_scalar(value)
-        num = _zeval(self.num, axis, value)
-        den = _zeval(self.den, axis, value)
+        num = _zeval(self.num, value)
+        den = _zeval(self.den, value)
         if den.is_zero():
-            k = None
-            if isinstance(value, SpectralScalar):
-                try:
-                    k = as_q_power(value.as_scalar())
-                except ValueError:
-                    k = None
-            raise PoleError(VAR_NAMES[axis], value, self.den_str(), k)
+            try:
+                k = as_q_power(value.as_scalar())
+            except ValueError:
+                k = None
+            raise PoleError(VAR_NAMES[0], value, self.den_str(), k)
         return num / den
 
-    def den_poly_coeffs(self, axis=0):
-        """Denominator as {exponent: Scalar} in the given variable."""
-        v1, v2 = _zvars(self.den)
-        if (axis == 0 and v2) or (axis == 1 and v1):
-            raise ValueError("denominator involves the other variable")
-        return {e[axis]: c for e, c in self.den.items()}
+    def den_poly_coeffs(self):
+        """Denominator as {exponent: Scalar}, a polynomial in z1."""
+        return {e1: c for (e1, _), c in self.den.items()}
 
     def num_str(self, names=VAR_NAMES):
         return _zstr(self.num, names)
@@ -884,13 +767,10 @@ def _coerce(x):
     return NotImplemented
 
 
-def _zeval(d, axis, value):
+def _zeval(d, value):
     out = SZERO
     for (e1, e2), c in d.items():
-        e = e1 if axis == 0 else e2
-        rest = (0, e2) if axis == 0 else (e1, 0)
-        term = SpectralScalar.monomial(c, *rest) * (value**e)
-        out = out + term
+        out = out + SpectralScalar.monomial(c, 0, e2) * (value**e1)
     return out
 
 
@@ -901,51 +781,29 @@ def _sreduce(num, den):
         raise ZeroDivisionError("zero denominator")
     if not num:
         return {}, {(0, 0): ONE}
+    if len(den) > 1 and any(e2 for d in (num, den) for _, e2 in d):
+        raise ArithmeticError(
+            "z2 meets the denominator %s: only Laurent polynomials in z2 "
+            "are supported" % _zstr(den, VAR_NAMES)
+        )
     # clear Laurent shifts
     n1, n2, num = _znormal(num)
     d1, d2, den = _znormal(den)
     s1, s2 = n1 - d1, n2 - d2
-    if len(den) > 1 or den.get((0, 0)) is None:
-        g = _zgcd(num, den)
-        if not (len(g) == 1 and (0, 0) in g and g[(0, 0)].is_one()):
-            num = _zdiv_exact(num, g)
-            den = _zdiv_exact(den, g)
-    # monic denominator under lex (e2, e1)
-    lead = max(den, key=lambda e: (e[1], e[0]))
-    lc = den[lead]
+    # a single-term numerator is now a constant, coprime to den
+    if len(den) > 1 and len(num) > 1:
+        g = _l1gcd(_to_list1(num), _to_list1(den))
+        if len(g) > 1:
+            num = _from_list1(_l1div_exact(_to_list1(num), g))
+            den = _from_list1(_l1div_exact(_to_list1(den), g))
+    # monic denominator
+    lc = den[max(den)]
     if not lc.is_one():
         inv = lc.inverse()
         num = _zscale(num, inv)
         den = _zscale(den, inv)
     num = _zshift(num, s1, s2)
     return num, den
-
-
-def _zdiv_exact(a, b):
-    """Exact division of nonneg z-polynomials over Q(w)."""
-    bv1, bv2 = _zvars(b)
-    if not bv1 and not bv2:
-        return _zscale(a, b[(0, 0)].inverse())
-    if not bv2 and not _zvars(a)[1]:
-        q = _l1div_exact(_to_list1(a, 0), _to_list1(b, 0))
-        return _from_list1(q, 0)
-    if not bv1 and not _zvars(a)[0]:
-        q = _l1div_exact(_to_list1(a, 1), _to_list1(b, 1))
-        return _from_list1(q, 1)
-    # bivariate long division along z2 with z1-list coefficients
-    ra = _n_trim(_as_nested(a))
-    rb = _n_trim(_as_nested(b))
-    qout = [[] for _ in range(len(ra) - len(rb) + 1)]
-    while ra and len(ra) >= len(rb):
-        k = len(ra) - len(rb)
-        c = _l1div_exact(_l1trim(list(ra[-1])), _l1trim(list(rb[-1])))
-        qout[k] = c
-        for i in range(len(rb)):
-            ra[k + i] = _l1sub(ra[k + i], _l1mul(c, rb[i]))
-        ra = _n_trim(ra)
-    if ra:
-        raise ArithmeticError("inexact bivariate division")
-    return _nested_to_dict(qout)
 
 
 def _zstr(d, names):

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from qosc.cli import main
+from qosc.cli import build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -193,3 +195,12 @@ def test_golden_report_digests(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_readme_cli_lines_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [l for l in readme.read_text().splitlines() if l.startswith("qosc ")]
+    assert len(lines) >= 11, lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

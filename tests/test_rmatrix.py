@@ -77,7 +77,7 @@ def test_solve_c_small_window_matches_closed_forms():
     # normalization on the hw line of the top component
     assert rho[()].is_one()
     # equal-parameter identity: rho(1) = 1
-    assert all(rho[k].specialize(0, ONE).is_one() for k in rho)
+    assert all(rho[k].specialize(ONE).is_one() for k in rho)
     # full entrywise intertwining, completeness and unitarity on small blocks
     assert verify_spectral(pair, dec, rho, maxdeg=3)["pass"]
     assert verify_completeness(pair, dec, maxdeg=3)["pass"]
@@ -291,7 +291,7 @@ def test_fusion_w1_image():
     assert image.dim() > 0
     assert {k for k, v in content.items() if v} == {(1,)}
     target_c = c_target_module(2, sigma, cutoff, "bold", zc)
-    assert cyclicity_diagnostic(target_c, content[(1,)][0], image, guard=2)["pass"]
+    assert cyclicity_diagnostic(target_c, content[(1,)][0], image)["pass"]
 
 
 def test_fusion_truncation_compare():
