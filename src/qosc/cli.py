@@ -56,7 +56,7 @@ from .rmatrix import (
     solve_R,
     truncate_image_span,
 )
-from .scalars import parse_scalar
+from .scalars import Scalar, parse_scalar
 
 SCHEMA = "qosc/1"
 
@@ -291,8 +291,9 @@ def cmd_rmatrix(args):
 
 def cmd_fuse(args):
     cs = [_scalar(t, "--c") for t in args.c.split(",")]
-    if len(cs) != 2:
-        raise UsageError("--c: expected two comma-separated parameters, got %r" % args.c)
+    if len(cs) != 2 or not all(isinstance(c, Scalar) and not c.is_zero() for c in cs):
+        raise UsageError("--c: expected two nonzero Q(w) parameters such as q^-6,1, got %r"
+                         % args.c)
     params = _rpair_params(args)
     try:
         check_admissible(args.flavor, params, cs)

@@ -128,13 +128,14 @@ class HwReport:
     basis: list = field(default_factory=list)
 
 
-def raising_indices(algebra):
+def finite_indices(algebra):
+    """The generator indices of the finite-type subalgebra (all but 0)."""
     return tuple(j for j in algebra.gen_indices if j != 0)
 
 
 def hw_kernel_of_vectors(vectors, module):
     """Basis of {v in span(vectors) : e_j v = 0 for all raising j}."""
-    raising = raising_indices(module.algebra)
+    raising = finite_indices(module.algebra)
     if not vectors:
         return []
     rows = {}

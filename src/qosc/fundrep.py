@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .algebraops import host_eps, level_module, phi_words, truncate_vector
+from .decomp import finite_indices
 from .fockmod import (
     FockVector,
     TensorModule,
@@ -182,10 +183,6 @@ class FundamentalReport:
     failures: list = field(default_factory=list)
 
 
-def lowering_indices(algebra):
-    return tuple(j for j in algebra.gen_indices if j != 0)
-
-
 def e0_certificate_word(n: int) -> WordExpr:
     """The f-word equal to [l+1] * x^-1 e_0 on v_{l,k} (l+1 scaled later):
     (f_2..f_{n-2}) f_{n-1} (f_1..f_{n-2}) f_n - (f_2..f_{n-2}) f_n (f_1..f_{n-2}) f_{n-1}."""
@@ -209,7 +206,7 @@ def build_fundamental(module, l: int, k: int, check_closure=True):
     n = module.n
     label = v_lk_label(l, k, n)
     v0 = FockVector.basis(label)
-    lower = lowering_indices(module.algebra)
+    lower = finite_indices(module.algebra)
     span = lowering_closure(module, v0, lower)
     report = FundamentalReport(l=l, k=k, span=span)
     if not check_closure:
@@ -250,7 +247,7 @@ def iso_between_k(module, l: int, k1: int, k2: int):
     n = module.n
     v1 = FockVector.basis(v_lk_label(l, k1, n))
     v2 = FockVector.basis(v_lk_label(l, k2, n))
-    span = MatchedSpan(module, module, [(0, v1, v2)], lowering_indices(module.algebra))
+    span = MatchedSpan(module, module, [(0, v1, v2)], finite_indices(module.algebra))
     image = Subspace(module)
     residuals = []
     for wt, entries in span.ordered():
@@ -448,7 +445,7 @@ def verify_u_rs_highest(m: int, l1: int, l2: int, rmax: int, smax: int, cutoff=N
     """u_{r,s} is killed by every raising operator of the finite subalgebra."""
     cutoff = cutoff or (l1 + l2 + 2 * rmax + 4)
     tensor, tgt = fundamental_pair_modules(m, Z1, Z2, cutoff)
-    raising = [j for j in tensor.algebra.gen_indices if j != 0]
+    raising = finite_indices(tensor.algebra)
     out = []
     smax = min(smax, min(l1, l2))
     for r in range(rmax + 1):

@@ -11,10 +11,11 @@ and fusion images are checked against this solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from .algebraops import host_eps, level_module
-from .decomp import find_hw, hw_kernel_of_vectors, hw_weight
+from .decomp import finite_indices, find_hw, hw_kernel_of_vectors, hw_weight
 from .fockmod import (
     FockVector,
     RestrictedModule,
@@ -22,11 +23,11 @@ from .fockmod import (
     act,
     label_key,
     tensor_vector,
-    weight_block,
 )
 from .fundrep import (
     MatchedSpan,
     Subspace,
+    block_order,
     build_fundamental,
     lowering_closure,
     truncate_image_span,  # re-exported: callers import it from rmatrix
@@ -187,14 +188,11 @@ class Component:
 
 @dataclass
 class RPair:
-    flavor: str
-    level: str
     source: TensorModule
     target: TensorModule
     components: list
     lambda0: object
     exhaustive: bool
-    meta: dict = field(default_factory=dict)
 
 
 def _normalize_lex(v: FockVector) -> FockVector:
@@ -206,7 +204,6 @@ def make_c_pair(m, sigma, cutoff, level="bold"):
     """The pair W^s1(z) (x) W^s2(1) at the requested truncation level."""
     target = c_target_module(m, sigma, cutoff, level, Z1)
     source = TensorModule(target.factors[::-1])
-    tgt = None if level == "bold" else source.algebra
     comps = []
     for lam in sigma_component_partitions(sigma, cutoff):
         wt = hw_weight(source.eps, lam, 2, "c", kept=source.algebra.kept)
@@ -216,14 +213,11 @@ def make_c_pair(m, sigma, cutoff, level="bold"):
         vt = _hw_line(target, wt)
         comps.append(Component(lam, wt, _normalize_lex(vs), _normalize_lex(vt)))
     return RPair(
-        flavor="c",
-        level=level,
         source=source,
         target=target,
         components=comps,
         lambda0=sigma_lambda0(sigma),
         exhaustive=True,
-        meta={"m": m, "sigma": sigma, "target_algebra": tgt},
     )
 
 
@@ -252,7 +246,7 @@ def make_d_pair(m, l1, l2, cutoff, level="underline"):
     if level not in ("bold", "underline"):
         raise ValueError("make_d_pair supports levels 'bold' and 'underline'")
     epsp = host_eps("d", m)
-    A, tgt = level_module("d", level, epsp, Z1, cutoff)
+    A, _ = level_module("d", level, epsp, Z1, cutoff)
     B, _ = level_module("d", level, epsp, Scalar.from_int(1), cutoff)
     source = TensorModule([A, B])
     target = TensorModule([B, A])
@@ -281,14 +275,11 @@ def make_d_pair(m, l1, l2, cutoff, level="underline"):
                 Component((r, s), wt, _normalize_lex(vs), _normalize_lex(vt))
             )
     return RPair(
-        flavor="d",
-        level=level,
         source=source,
         target=target,
         components=comps,
         lambda0=(0, min(l1, l2)),
         exhaustive=False,
-        meta={"m": m, "l": (l1, l2), "target_algebra": tgt},
     )
 
 
@@ -375,7 +366,7 @@ class PairDecomposition(MatchedSpan):
 
     def __init__(self, pair: RPair, needed_weights=None):
         src = pair.source
-        lowering = [j for j in src.algebra.gen_indices if j != 0]
+        lowering = finite_indices(src.algebra)
         admit = None
         if needed_weights is not None:
             cone = _ConeTest([src.algebra.root(j) for j in lowering])
@@ -394,8 +385,6 @@ class PairDecomposition(MatchedSpan):
             if admit is None or admit(comp.weight)
         ]
         super().__init__(src, pair.target, seeds, lowering, admit)
-
-    apply_R = MatchedSpan.apply
 
 
 class SolverError(ArithmeticError):
@@ -490,7 +479,7 @@ def verify_spectral(pair, dec, rho, maxdeg, gens=None):
                 ut = act(tgt, g, rimg)
                 if u.overflow or ut.overflow:
                     continue
-                lhs = dec.apply_R(u, rho)
+                lhs = dec.apply(u, rho)
                 if lhs is None:
                     continue
                 if not (lhs - ut).is_zero():
@@ -499,14 +488,18 @@ def verify_spectral(pair, dec, rho, maxdeg, gens=None):
     return {"checked": checked, "failures": failures, "pass": not failures}
 
 
-def verify_completeness(pair, dec, maxdeg):
-    """Every window ket of degree <= maxdeg lies in the built span
-    (exhaustive pairs only)."""
-    missing = []
-    for wt, _ in dec.ordered(maxdeg):
-        for label in weight_block(pair.source, wt):
-            if dec.express(FockVector.basis(label)) is None:
-                missing.append(label)
+def verify_completeness(pair, dec, maxdeg=None):
+    """The built span is the whole source window up to degree maxdeg
+    (exhaustive pairs only); "missing" lists the weights where it is not.
+
+    The stored source vectors are independent and lie in the window, so a
+    weight block with as many of them as window kets is the whole block."""
+    src = pair.source
+    window = Counter(src.weight_of(l) for l in src.enumerate_labels(maxdeg))
+    dims = dec.dims()
+    missing = sorted(
+        (wt for wt, n in window.items() if dims.get(wt, 0) != n), key=block_order
+    )
     return {"pass": not missing, "missing": missing}
 
 
@@ -517,9 +510,9 @@ def verify_unitarity(pair, dec, rho, maxdeg):
     failures = []
     for wt, entries in dec.ordered(maxdeg):
         for ckey, vs, vt in entries:
-            out = dec.apply_R(vs, rho)
+            out = vt.scale(rho[ckey])
             # apply the flipped R: on equal-label pairs source = target
-            back = dec.apply_R(out, rho_inv)
+            back = dec.apply(out, rho_inv)
             if back is None or not (back - vs).is_zero():
                 failures.append((ckey, wt))
     return {"pass": not failures, "failures": failures}
@@ -536,10 +529,10 @@ def verify_truncated_operator(dec_bold, rho_bold, dec_level, rho_level):
     checked = 0
     for wt, entries in dec_level.ordered():
         for ckey, vs, vt in entries:
-            rb = dec_bold.apply_R(vs, rho_bold)
-            rl = dec_level.apply_R(vs, rho_level)
+            rb = dec_bold.apply(vs, rho_bold)
+            rl = vt.scale(rho_level[ckey])
             checked += 1
-            if rb is None or rl is None or not (rb - rl).is_zero():
+            if rb is None or not (rb - rl).is_zero():
                 failures.append((ckey, wt))
     return {"pass": not failures, "checked": checked, "failures": failures}
 
@@ -551,7 +544,7 @@ def compatibility_scale(dec_bold, comps_bold, comp_level):
     eigenvalues satisfy rho_level = (c / c_{lambda0}) * rho_bold on this
     component, the lambda0 constant being the one of the top component."""
     ones = {c.key: SONE for c in comps_bold}
-    phi = dec_bold.apply_R(comp_level.v_src, ones)
+    phi = dec_bold.apply(comp_level.v_src, ones)
     if phi is None:
         raise SolverError("component vector not covered by the bold orbit")
     lead = min(comp_level.v_tgt.terms, key=label_key)
@@ -635,22 +628,21 @@ def check_admissible(flavor, params, cs):
 
 
 def fuse(pair, rho, dec, c1, c2):
-    """Image of the R matrix specialized at z = c1/c2, applied to a basis
-    of the source window: a Subspace over the target tensor."""
+    """Image of the R matrix specialized at z = c1/c2 on the built source
+    span, a Subspace over the target tensor; for an exhaustive pair that
+    span must be the whole window.
+
+    R sends each stored source vector to rho(c1/c2)[key] * v_tgt, so the
+    image is read off the matched entries."""
+    if pair.exhaustive and not verify_completeness(pair, dec)["pass"]:
+        raise SolverError("fusion source vector outside decomposition")
     zc = c1 / c2
-    rho_c = {k: v.specialize(zc) for k, v in rho.items()}
-    src = pair.source
-    if pair.exhaustive:
-        basis_iter = [FockVector.basis(l) for l in src.enumerate_labels()]
-    else:
-        basis_iter = [e[1] for _, ent in dec.blocks.values() for e in ent]
+    rho_c = {k: v.specialize(zc).as_scalar() for k, v in rho.items()}
     image = Subspace(pair.target)
-    for v in basis_iter:
-        img = dec.apply_R(v, rho_c)
-        if img is None:
-            raise SolverError("fusion source vector outside decomposition")
-        if not img.is_zero():
-            image.add(_despectralize(img))
+    for _, entries in dec.ordered():
+        for key, _, vt in entries:
+            if not rho_c[key].is_zero():
+                image.add(vt.scale(rho_c[key]))
     return image
 
 
@@ -661,15 +653,6 @@ def hw_content(image: Subspace, pair):
     for comp in pair.components:
         blk = image.blocks.get(comp.weight)
         out[comp.key] = hw_kernel_of_vectors(blk[1], pair.target) if blk else []
-    return out
-
-
-def _despectralize(vec: FockVector) -> FockVector:
-    out = FockVector(overflow=vec.overflow)
-    for l, c in vec.terms.items():
-        if isinstance(c, SpectralScalar):
-            c = c.as_scalar()
-        out.terms[l] = c
     return out
 
 

@@ -234,6 +234,8 @@ class Scalar:
         return Scalar(self.noff, _pneg(self.num), self.den, _reduced=True)
 
     def __sub__(self, other):
+        if not isinstance(other, Scalar):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -700,6 +702,12 @@ class SpectralScalar:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n):
         if n < 0:

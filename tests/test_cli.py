@@ -96,6 +96,9 @@ USAGE_ERRORS = [
     (["verify-relations", "--x", "foo"], "--x"),
     (["verify-relations", "--epsilon", "1,2"], "--epsilon"),
     (["fuse", "--c", "q^-6"], "--c"),
+    (["fuse", "--c", "z,1"], "--c"),
+    (["fuse", "--c", "0,1"], "--c"),
+    (["fuse", "--c", "1,0"], "--c"),
     (["fundamental", "--l", "1", "--x", "0"], "--x"),
     (["verify-phi", "--flavor", "d", "--side", "underline"], "--flavor d"),
     (["truncate", "--flavor", "d", "--side", "underline"], "--flavor d"),

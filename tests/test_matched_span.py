@@ -12,13 +12,13 @@ from collections import deque
 
 import pytest
 
+from qosc.decomp import finite_indices
 from qosc.fockmod import FockVector, W2Module, act
 from qosc.fundrep import (
     MatchedSpan,
     Subspace,
     block_order,
     iso_between_k,
-    lowering_indices,
     v_lk_label,
 )
 from qosc.lattice import EpsilonData
@@ -84,7 +84,7 @@ def ref_iso_between_k(module, l, k1, k2):
     span1.add(v1)
     pairs = {0: (v1, v2)}
     queue = [(v1, v2)]
-    lower = lowering_indices(module.algebra)
+    lower = finite_indices(module.algebra)
     while queue:
         a, b = queue.pop(0)
         for j in lower:
@@ -186,7 +186,7 @@ def test_iso_between_k_matches_reference(l, k1, k2):
     assert got["dims_match"] and not got["residuals"]
     span = MatchedSpan(mod, mod, [(0, FockVector.basis(v_lk_label(l, k1, mod.n)),
                                    FockVector.basis(v_lk_label(l, k2, mod.n)))],
-                       lowering_indices(mod.algebra))
+                       finite_indices(mod.algebra))
     assert span.dim() == ref["pairs"]
 
 
@@ -197,7 +197,7 @@ def test_apply_sends_each_stored_vector_to_its_partner():
     for _, entries in dec.ordered():
         for key, vs, vt in entries:
             assert dec.express(vs) == [(key, ONE, vt)]
-            assert dec.apply_R(vs, scale) == vt.scale(scale[key])
+            assert dec.apply(vs, scale) == vt.scale(scale[key])
     assert dec.express(FockVector()) == []
     # the orbit of the u_{r,s} is not the whole window
     outside = [
@@ -205,4 +205,4 @@ def test_apply_sends_each_stored_vector_to_its_partner():
         for v in map(FockVector.basis, pair.source.enumerate_labels())
         if dec.express(v) is None
     ]
-    assert outside and dec.apply_R(outside[0], scale) is None
+    assert outside and dec.apply(outside[0], scale) is None

@@ -156,6 +156,20 @@ def test_spectral_operators_reject_uncoercible_operands():
         Z1 / 1.5
     with pytest.raises(TypeError):
         1.5 - Z1
+    with pytest.raises(TypeError):
+        1.5 / Z1
+    # a Scalar does not coerce ints; the error names the operator used
+    with pytest.raises(TypeError, match="for -:"):
+        Q - 1
+
+
+def test_mixed_operands_reach_the_spectral_reflected_operators():
+    qz = SpectralScalar.from_scalar(Q)
+    assert Q - Z1 == qz - Z1
+    assert 2 / Z1 == Z1.inverse() * 2
+    assert (2 / Z1) * Z1 == 2
+    assert Q / Z1 == qz / Z1
+    assert (Q / (Z1 - qz)) * (Z1 - qz) == qz
 
 
 _w, _z = sympy.symbols("w z")
