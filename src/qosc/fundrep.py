@@ -91,26 +91,38 @@ class MatchedSpan(Subspace):
     v_tgt) and the images of both sides under the same f_j-words
     (j in indices), built breadth-first.  A pair is added when it is
     popped; an image that is zero, overflows on either side or whose
-    weight admit refuses is dropped.  Block entries are (key, v_src, v_tgt).
+    weight admit refuses is dropped.  The target image is computed only
+    for a source image that is independent when popped.  Block entries
+    are (key, v_src, v_tgt).
     """
 
     def __init__(self, source, target, seeds, indices, admit=None):
         super().__init__(source)
-        queue = deque(seeds)
+        # (key, v_src, v_tgt or the parent's, None or the f_j that maps it)
+        queue = deque((key, vs, vt, None) for key, vs, vt in seeds)
         while queue:
-            key, vs, vt = queue.popleft()
-            if not self.add(vs, (key, vs, vt)):
+            key, vs, vt, j = queue.popleft()
+            if vs.is_zero():
                 continue
+            wt = self._wt(vs)
+            blk = self.blocks.get(wt) or (RowBasis(), [])
+            r, comb = blk[0].reduce(vs.terms)
+            if not r:
+                continue
+            if j is not None:
+                vt = act(target, ("f", j), vt)
+                if vt.overflow:
+                    continue
+            self.blocks[wt] = blk
+            blk[0].insert(r, comb)
+            blk[1].append((key, vs, vt))
             for j in indices:
                 img = act(source, ("f", j), vs)
                 if img.is_zero() or img.overflow:
                     continue
                 if admit is not None and not admit(self._wt(img)):
                     continue
-                imgt = act(target, ("f", j), vt)
-                if imgt.overflow:
-                    continue
-                queue.append((key, img, imgt))
+                queue.append((key, img, vt, j))
 
     def express(self, v: FockVector):
         """v = sum coords; returns list of (key, coeff, v_tgt) or None."""

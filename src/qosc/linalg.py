@@ -34,7 +34,9 @@ class RowBasis:
     every row's support lies at or above its pivot; a single ascending
     sweep therefore fully reduces any vector and rows never get rewritten.
     add(v) either accepts v as a new independent row or returns the exact
-    coordinates of v in terms of the previously accepted originals.
+    coordinates of v in terms of the previously accepted originals;
+    reduce(v) and insert(...) split it, for callers that decide between
+    the two steps whether to keep an independent v.
     """
 
     def __init__(self):
@@ -42,7 +44,9 @@ class RowBasis:
         self.pivots = []  # pivots sorted by label_key
         self.count = 0
 
-    def _reduce(self, v):
+    def reduce(self, v):
+        """(remainder of v, coordinates of v - remainder in the originals);
+        v is independent iff the remainder is nonzero."""
         v = dict(v)
         comb = {}
         for pivot in self.pivots:
@@ -61,16 +65,8 @@ class RowBasis:
                     comb[j] = s
         return v, comb
 
-    def express(self, v):
-        """Coordinates of v in the accepted originals; None if outside."""
-        r, comb = self._reduce(v)
-        return comb if not r else None
-
-    def add(self, v):
-        """Returns (accepted, coords-if-dependent-else-None)."""
-        r, comb = self._reduce(v)
-        if not r:
-            return False, comb
+    def insert(self, r, comb):
+        """Accept the original whose reduce() gave a nonzero (r, comb)."""
         pivot = min(r, key=label_key)
         inv = r[pivot].inverse()
         row = {k: c * inv for k, c in r.items()}
@@ -80,10 +76,22 @@ class RowBasis:
         self.rows[pivot] = (row, rcomb)
         insort(self.pivots, pivot, key=label_key)
         self.count += 1
+
+    def express(self, v):
+        """Coordinates of v in the accepted originals; None if outside."""
+        r, comb = self.reduce(v)
+        return comb if not r else None
+
+    def add(self, v):
+        """Returns (accepted, coords-if-dependent-else-None)."""
+        r, comb = self.reduce(v)
+        if not r:
+            return False, comb
+        self.insert(r, comb)
         return True, None
 
     def contains(self, v):
-        r, _ = self._reduce(v)
+        r, _ = self.reduce(v)
         return not r
 
 

@@ -2,10 +2,16 @@
 
 The coefficient field is realized as Q(w) with q = -w**2, so that
 v = w satisfies v**2 = -q and qt := -1/q = w**-2.  Every element is a
-reduced fraction of integer Laurent polynomials in w; equality is
-structural.  Spectral elements are fractions in one variable z1 over
-Q(w) and may carry a second variable z2 only in Laurent polynomials: the
-symbolic identities in x1, x2 divide by Q(w) constants alone.
+reduced fraction w**noff * f(w**s) / g(w**s) of integer polynomials, kept
+in the compressed variable x = w**s.  The stride s in {1, 2, 4} is the
+largest that divides every exponent of f and g: q-integers and spectral
+factors are q**a * f(q**2) / g(q**2), so most fractions have s = 4 and
+the kernel touches a quarter of the coefficients a dense w-tuple holds.
+Reducing in x is exact, since gcd(f(w**s), g(w**s)) = gcd(f, g)(w**s).
+Equality is structural.  Spectral elements are fractions in one variable
+z1 over Q(w) and may carry a second variable z2 only in Laurent
+polynomials: the symbolic identities in x1, x2 divide by Q(w) constants
+alone.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from functools import lru_cache
 from math import gcd as _igcd
 
 # ---------------------------------------------------------------------------
-# integer polynomials in w: dense tuples, cs[0] != 0 and cs[-1] != 0 unless ()
+# integer polynomials in one variable: dense tuples, cs[0] != 0 and
+# cs[-1] != 0 unless ().  A Scalar's polynomials are in x = w**stride.
 
 _PZERO = ()
 _PONE = (1,)
@@ -46,20 +53,20 @@ def _padd(a_off, a, b_off, b):
     return off + doff, cs
 
 
-def _pmul(a_off, a, b_off, b):
-    if not a or not b:
-        return 0, _PZERO
+def _pmul(a, b):
+    """Product of nonzero trimmed polynomials (no offsets), trimmed too."""
     if len(a) == 1:
-        return a_off + b_off, tuple(a[0] * c for c in b)
+        x = a[0]
+        return b if x == 1 else tuple(x * c for c in b)
     if len(b) == 1:
-        return a_off + b_off, tuple(b[0] * c for c in a)
+        y = b[0]
+        return a if y == 1 else tuple(y * c for c in a)
     cs = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 cs[i + j] += x * y
-    doff, cs = _ptrim(cs)
-    return a_off + b_off + doff, cs
+    return tuple(cs)
 
 
 def _pneg(cs):
@@ -143,23 +150,39 @@ def _pgcd(a, b):
     return _pgcd_prim(a, b)
 
 
-class Scalar:
-    """Element of Q(w), a reduced fraction of integer Laurent polynomials.
+def _stretch(cs, r):
+    """cs(x) -> cs(x**r): the coefficients at a stride r times finer."""
+    if r == 1 or len(cs) == 1:
+        return cs
+    out = [0] * ((len(cs) - 1) * r + 1)
+    out[::r] = cs
+    return tuple(out)
 
-    Canonical form: numerator and denominator are coprime over Q[w], the
-    denominator has lowest exponent 0, positive leading coefficient and
-    integer content coprime to the numerator's.  Hence Scalar equality and
-    hashing are structural.
+
+def _compress(s, num, den):
+    """Raise the stride s of num/den to the largest in {1, 2, 4} that
+    their exponents allow; returns (stride, num, den)."""
+    while s < 4 and not any(num[1::2]) and not any(den[1::2]):
+        s, num, den = 2 * s, num[::2], den[::2]
+    return s, num, den
+
+
+class Scalar:
+    """Element of Q(w): w**noff * num(w**stride) / den(w**stride).
+
+    Canonical form: num and den are integer polynomials in x = w**stride,
+    coprime over Q[x], each with a nonzero constant term; den has a
+    positive leading coefficient and integer content coprime to num's; the
+    stride is the largest of 1, 2, 4 that divides every exponent of num
+    and den (4 for monomials and zero).  The form is unique, so Scalar
+    equality and hashing are structural.  Scalar(noff, num, den) takes
+    coefficient tuples in w and reduces them; dense() gives them back.
     """
 
-    __slots__ = ("noff", "num", "den", "_hash")
+    __slots__ = ("noff", "stride", "num", "den", "_hash")
 
-    def __init__(self, noff, num, den, _reduced=False):
-        if not _reduced:
-            noff, num, den = _reduce(noff, num, den)
-        self.noff = noff
-        self.num = num
-        self.den = den
+    def __init__(self, noff, num, den):
+        self.noff, self.stride, self.num, self.den = _reduce(noff, 1, num, den)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -168,14 +191,14 @@ class Scalar:
     def from_int(n):
         if n == 0:
             return ZERO
-        return Scalar(0, (n,), _PONE, _reduced=True)
+        return _make(0, 4, (n,), _PONE)
 
     @staticmethod
     def monomial(coeff, exp):
         """coeff * w**exp with integer coeff."""
         if coeff == 0:
             return ZERO
-        return Scalar(exp, (coeff,), _PONE, _reduced=True)
+        return _make(exp, 4, (coeff,), _PONE)
 
     # -- predicates ---------------------------------------------------------
 
@@ -204,34 +227,60 @@ class Scalar:
         """Laurent coefficients {exponent: Fraction}; requires is_laurent()."""
         if not self.is_laurent():
             raise ValueError("not a Laurent polynomial: %s" % self)
-        d = self.den[0]
-        return {self.noff + i: Fraction(c, d) for i, c in enumerate(self.num) if c}
+        d, s = self.den[0], self.stride
+        return {self.noff + s * i: Fraction(c, d) for i, c in enumerate(self.num) if c}
+
+    def dense(self):
+        """(noff, num, den) with num and den as coefficient tuples in w."""
+        return (
+            self.noff,
+            _stretch(self.num, self.stride) if self.num else _PZERO,
+            _stretch(self.den, self.stride),
+        )
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        if not self.num:
+        a, b = self.num, other.num
+        if not a:
             return other
-        if not other.num:
+        if not b:
             return self
-        if self.den == other.den:
-            noff, num = _padd(self.noff, self.num, other.noff, other.num)
+        da, db = self.den, other.den
+        sa, sb = self.stride, other.stride
+        # the common stride divides both strides and the offset gap
+        s = sa if sa < sb else sb
+        d = self.noff - other.noff
+        if d & (s - 1):
+            s = 1 if d & 1 else 2
+        if d < 0:
+            lo, a_off, b_off = self.noff, 0, -d // s
+        else:
+            lo, a_off, b_off = other.noff, d // s, 0
+        if sa != s:
+            a, da = _stretch(a, sa // s), _stretch(da, sa // s)
+        if sb != s:
+            b, db = _stretch(b, sb // s), _stretch(db, sb // s)
+        if da == db:
+            off, num = _padd(a_off, a, b_off, b)
             if not num:
                 return ZERO
-            # a trimmed Laurent polynomial over (1,) is already canonical
-            return Scalar(noff, num, self.den, _reduced=self.den == _PONE)
-        noff1, num1 = _pmul(self.noff, self.num, 0, other.den)
-        noff2, num2 = _pmul(other.noff, other.num, 0, self.den)
-        noff, num = _padd(noff1, num1, noff2, num2)
-        _, den = _pmul(0, self.den, 0, other.den)
-        return Scalar(noff, num, den)
+            noff = lo + s * off
+            if da != _PONE:
+                return _make(*_reduce(noff, s, num, da))
+            # a trimmed polynomial over (1,) is canonical up to its stride
+            if s < 4:
+                s, num, _ = _compress(s, num, _PONE)
+            return _make(noff, s, num, _PONE)
+        off, num = _padd(a_off, _pmul(a, db), b_off, _pmul(b, da))
+        return _make(*_reduce(lo + s * off, s, num, _pmul(da, db)))
 
     def __neg__(self):
         if not self.num:
             return self
-        return Scalar(self.noff, _pneg(self.num), self.den, _reduced=True)
+        return _make(self.noff, self.stride, _pneg(self.num), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -241,22 +290,51 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        if not self.num or not other.num:
+        a, c = self.num, other.num
+        if not a or not c:
             return ZERO
+        b, d = self.den, other.den
+        if b == _PONE and d == _PONE and len(a) == 1 and len(c) == 1:
+            return _make(self.noff + other.noff, 4, (a[0] * c[0],), _PONE)
         if self.is_one():
             return other
         if other.is_one():
             return self
-        noff, num = _pmul(self.noff, self.num, other.noff, other.num)
-        if self.den == _PONE and other.den == _PONE:
-            return Scalar(noff, num, _PONE, _reduced=True)
-        _, den = _pmul(0, self.den, 0, other.den)
-        return Scalar(noff, num, den)
+        sa, sc = self.stride, other.stride
+        s = sa if sa < sc else sc
+        if sa != s:
+            a, b = _stretch(a, sa // s), _stretch(b, sa // s)
+        if sc != s:
+            c, d = _stretch(c, sc // s), _stretch(d, sc // s)
+        noff = self.noff + other.noff
+        if b == _PONE and d == _PONE:
+            return _make(noff, *_compress(s, _pmul(a, c), _PONE))
+        # (a/b)(c/d) with a, b and c, d coprime: cancel across, so the
+        # cofactor products are coprime and only the integer content is
+        # left; a square has nothing to cancel
+        if other is not self:
+            if len(a) > 1 and len(d) > 1:
+                g = _pgcd(a, d)
+                if len(g) > 1:
+                    a, d = _pdiv_exact(a, g), _pdiv_exact(d, g)
+            if len(c) > 1 and len(b) > 1:
+                g = _pgcd(c, b)
+                if len(g) > 1:
+                    c, b = _pdiv_exact(c, g), _pdiv_exact(b, g)
+        num, den = _pmul(a, c), _pmul(b, d)
+        k = _igcd(_pcontent(a) * _pcontent(c), _pcontent(b) * _pcontent(d))
+        if k > 1:
+            num = tuple(x // k for x in num)
+            den = tuple(x // k for x in den)
+        return _make(noff, *_compress(s, num, den))
 
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero Scalar")
-        return Scalar(-self.noff, self.den, self.num)
+        num, den = self.den, self.num
+        if den[-1] < 0:
+            num, den = _pneg(num), _pneg(den)
+        return _make(-self.noff, self.stride, num, den)
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
@@ -282,43 +360,61 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         return (
-            self.noff == other.noff and self.num == other.num and self.den == other.den
+            self.noff == other.noff
+            and self.stride == other.stride
+            and self.num == other.num
+            and self.den == other.den
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.noff, self.num, self.den))
+            self._hash = hash((self.noff, self.stride, self.num, self.den))
         return self._hash
 
     def bar(self):
         """The involution w -> 1/w (hence q -> 1/q)."""
-        num = tuple(reversed(self.num))
-        den = tuple(reversed(self.den))
-        # w^noff * num(w) -> w^(-noff-deg) * rev(num); den likewise
-        noff = -(self.noff + len(self.num) - 1) if self.num else 0
-        doff = -(len(self.den) - 1)
-        return Scalar(noff - doff, num, den)
+        if not self.num:
+            return self
+        # num(w^-s) = w^(-s deg num) rev(num)(w^s); den likewise
+        s = self.stride
+        num, den = self.num[::-1], self.den[::-1]
+        noff = s * (len(den) - len(num)) - self.noff
+        if den[-1] < 0:
+            num, den = _pneg(num), _pneg(den)
+        return _make(noff, s, num, den)
 
     def __repr__(self):
         return "Scalar(%s)" % self.to_str()
 
     def to_str(self, var="w"):
         return "(%s)/(%s)" % (
-            _poly_str(self.noff, self.num, var),
-            _poly_str(0, self.den, var),
+            _poly_str(self.noff, self.stride, self.num, var),
+            _poly_str(0, self.stride, self.den, var),
         )
 
 
-def _reduce(noff, num, den):
+def _make(noff, stride, num, den):
+    """A Scalar from parts already in canonical form."""
+    s = object.__new__(Scalar)
+    s.noff = noff
+    s.stride = stride
+    s.num = num
+    s.den = den
+    s._hash = None
+    return s
+
+
+def _reduce(noff, s, num, den):
+    """Canonical (noff, stride, num, den) of w**noff * num(w**s) / den(w**s)."""
     i, num = _ptrim(num)
-    noff += i
     j, den = _ptrim(den)
-    noff -= j
     if not num:
-        return 0, _PZERO, _PONE
+        return 0, 4, _PZERO, _PONE
     if not den:
         raise ZeroDivisionError("zero denominator")
+    noff += s * (i - j)
     if len(den) > 1 and len(num) > 1:
+        s, num, den = _compress(s, num, den)
         g = _pgcd(num, den)
         if len(g) > 1:
             num = _pdiv_exact(num, g)
@@ -333,17 +429,19 @@ def _reduce(noff, num, den):
         num = _pneg(num)
     num = tuple(c * cn for c in num)
     den = tuple(c * cd for c in den)
-    return noff, num, den
+    # a cancellation can raise the stride
+    s, num, den = _compress(s, num, den)
+    return noff, s, num, den
 
 
-def _poly_str(off, cs, var):
+def _poly_str(off, stride, cs, var):
     if not cs:
         return "0"
     parts = []
     for i, c in enumerate(cs):
         if not c:
             continue
-        e = off + i
+        e = off + stride * i
         if e == 0:
             parts.append("%d" % c)
         else:
@@ -360,9 +458,9 @@ def _poly_str(off, cs, var):
     return out
 
 
-ZERO = Scalar(0, _PZERO, _PONE, _reduced=True)
-ONE = Scalar(0, _PONE, _PONE, _reduced=True)
-MINUS_ONE = Scalar(0, (-1,), _PONE, _reduced=True)
+ZERO = _make(0, 4, _PZERO, _PONE)
+ONE = _make(0, 4, _PONE, _PONE)
+MINUS_ONE = _make(0, 4, (-1,), _PONE)
 W = Scalar.monomial(1, 1)  # v
 Q = Scalar.monomial(-1, 2)  # q = -w^2
 QINV = Scalar.monomial(-1, -2)
@@ -400,13 +498,9 @@ def qint(m: int) -> Scalar:
         return ZERO
     if m < 0:
         return -qint(-m)
-    # [m] = (-1)^(m-1) * sum_j w^(2(m-1) - 4j), j = 0..m-1
-    cs = [0] * (4 * (m - 1) + 1)
-    for j in range(m):
-        cs[4 * j] = 1
-    off, cs = _ptrim(cs)
-    s = Scalar(-2 * (m - 1) + off, cs, _PONE, _reduced=True)
-    return s if (m - 1) % 2 == 0 else -s
+    # [m] = (-1)^(m-1) * sum_j w^(2(m-1) - 4j), j = 0..m-1: stride 4
+    sign = 1 if (m - 1) % 2 == 0 else -1
+    return _make(-2 * (m - 1), 4, (sign,) * m, _PONE)
 
 
 @lru_cache(maxsize=None)

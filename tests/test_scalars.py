@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -24,8 +25,10 @@ from qosc.scalars import (
     parse_scalar,
     q_power,
     qbinom,
+    qbinom_at,
     qfact,
     qint,
+    qint_at,
 )
 
 
@@ -176,8 +179,10 @@ _w, _z = sympy.symbols("w z")
 
 
 def _sympy_scalar(s):
-    num = sum(c * _w ** (s.noff + i) for i, c in enumerate(s.num))
-    return num / sum(c * _w**i for i, c in enumerate(s.den))
+    noff, num, den = s.dense()
+    return sum(c * _w ** (noff + i) for i, c in enumerate(num)) / sum(
+        c * _w**i for i, c in enumerate(den)
+    )
 
 
 def _sympy_z(d, shift=0):
@@ -251,11 +256,16 @@ def _reduced_from(dense):
 
 
 def _dense(s):
-    return {s.noff + i: c for i, c in enumerate(s.num)}
+    noff, num, _ = s.dense()
+    return {noff + i: c for i, c in enumerate(num)}
+
+
+def _parts(s):
+    return s.noff, s.stride, s.num, s.den, hash(s)
 
 
 def _same_structure(a, b):
-    return (a.noff, a.num, a.den, hash(a)) == (b.noff, b.num, b.den, hash(b))
+    return _parts(a) == _parts(b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,3 +282,179 @@ def test_laurent_fast_path_is_canonical(a, b, cancel):
     assert _same_structure(a * b, _reduced_from(prod))
     assert _same_structure(a + b, _reduced_from(total))
     assert _same_structure(a + (-a), ZERO)
+
+
+# -- strides ------------------------------------------------------------------
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _at_stride(cs, s):
+    out = [0] * ((len(cs) - 1) * s + 1)
+    out[::s] = cs
+    return out
+
+
+@st.composite
+def strided_scalars(draw):
+    """w^k * f(w^s) h(w^t) / (g(w^s) h(w^t)) with s, t in {1, 2, 4}: once the
+    shared factor h cancels, the stride can rise from t to s."""
+    s, t = draw(st.sampled_from([1, 2, 4])), draw(st.sampled_from([1, 2, 4]))
+    f = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    g = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any))
+    h = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3).filter(any))
+    hs = _at_stride(h, t)
+    num = _convolve(_at_stride(f, s), hs)
+    den = _convolve(_at_stride(g, s), hs)
+    return Scalar(draw(st.integers(-6, 6)), tuple(num), tuple(den))
+
+
+def assert_canonical(r):
+    """num(x)/den(x) in x = w^stride: s maximal, coprime, den with lowest
+    exponent 0 and lc > 0, integer contents coprime."""
+    assert r.stride in (1, 2, 4)
+    f, g = r.num, r.den
+    if not f:
+        assert (r.noff, r.stride, g) == (0, 4, (1,))
+        return
+    assert f[0] and f[-1] and g[0] and g[-1] > 0
+    # a stride below 4 is maximal only if some odd power of x occurs
+    assert r.stride == 4 or any(f[1::2]) or any(g[1::2])
+    x = sympy.Symbol("x")
+    assert sympy.gcd(sympy.Poly(f[::-1], x), sympy.Poly(g[::-1], x)).degree() == 0
+    assert gcd(*f, *g) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(strided_scalars(), strided_scalars(), st.integers(-2, 3))
+def test_stride_arithmetic_matches_sympy(a, b, n):
+    sa, sb = _sympy_scalar(a), _sympy_scalar(b)
+    cases = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb)]
+    cases.append((a.bar(), sa.subs(_w, 1 / _w)))
+    if not b.is_zero():
+        cases += [(a / b, sa / sb), (b.inverse(), 1 / sb)]
+    if n >= 0 or not a.is_zero():
+        cases.append((a**n, sa**n))
+    for r, expected in cases:
+        assert_canonical(r)
+        assert sympy.cancel(_sympy_scalar(r) - expected) == 0
+
+
+def test_cancellation_raises_the_stride():
+    # (1 - w^4) / ((1 - w)(1 + w)) = 1 + w^2: stride 2 after the gcd
+    r = Scalar(0, (1, 0, 0, 0, -1), (1, 0, -1))
+    assert (r.stride, r.num, r.den) == (2, (1, 1), (1,))
+    # (1 + w^4)(1 + w) / ((3 + w^4)(1 + w)): stride 1 before the gcd, 4 after
+    r = Scalar(0, (1, 1, 0, 0, 1, 1), (3, 3, 0, 0, 1, 1))
+    assert (r.stride, r.num, r.den) == (4, (1, 1), (3, 1))
+    # (1 + w)(1 - w) = 1 - w^2 and (1 + w^2)(1 - w^2) = 1 - w^4
+    one_w = Scalar(0, (1, 1), (1,))
+    assert (one_w * Scalar(0, (1, -1), (1,))).stride == 2
+    assert (Q + ONE) * (ONE - Q) == ONE - Q * Q
+    assert ((ONE - Q * Q).stride, (ONE - Q * Q).num) == (4, (1, -1))
+    # mixed strides in a sum: w + w^2 has stride 1, (w + w^2) - w^2 stride 4
+    mixed = W + W**2
+    assert mixed.stride == 1 and (mixed - W**2).stride == 4
+    assert mixed.dense() == (1, (1, 1), (1,))
+
+
+# -- every public constructor yields canonical form ----------------------------
+
+
+def _rebuilt(s):
+    """s sent again through the full reduction, from its coefficients in w."""
+    return Scalar(*s.dense())
+
+
+def _assert_constructed_canonical(s):
+    assert isinstance(s, Scalar)
+    assert _same_structure(s, _rebuilt(s)), s
+    assert_canonical(s)
+
+
+small_ints = st.integers(-4, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-50, 50),
+    small_ints,
+    st.integers(-9, 9),
+    st.integers(-8, 8),
+    st.integers(0, 7),
+    st.integers(0, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+)
+def test_integer_constructors_are_canonical(n, c, e, m, f, mk):
+    made = [Scalar.from_int(n), Scalar.monomial(c, e), q_power(e), qint(m), qfact(f)]
+    for s in made + [qbinom(*mk)]:
+        _assert_constructed_canonical(s)
+
+
+def nonzero_bases():
+    term = st.tuples(st.integers(-2, 2).filter(bool), st.integers(-3, 3))
+
+    def build(terms):
+        acc = ZERO
+        for c, e in terms:
+            acc = acc + Scalar.monomial(c, e)
+        return acc
+
+    return st.builds(build, st.lists(term, min_size=1, max_size=2)).filter(
+        lambda p: not p.is_zero()
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nonzero_bases(),
+    st.integers(-4, 4),
+    st.integers(0, 4).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+)
+def test_based_q_numbers_are_canonical(p, m, mk):
+    _assert_constructed_canonical(qint_at(p, m))
+    _assert_constructed_canonical(qbinom_at(p, *mk))
+
+
+@settings(max_examples=60, deadline=None)
+@given(strided_scalars())
+def test_bar_and_inverse_are_canonical(s):
+    _assert_constructed_canonical(s)
+    _assert_constructed_canonical(s.bar())
+    if not s.is_zero():
+        _assert_constructed_canonical(s.inverse())
+
+
+def parsed_terms():
+    term = st.tuples(small_ints, st.sampled_from("wq"), st.integers(-4, 4))
+    return st.lists(term, min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parsed_terms(), parsed_terms())
+def test_parsed_scalars_are_canonical(top, bottom):
+    def text(terms):
+        return " + ".join("(%d)*%s^%d" % term for term in terms)
+
+    try:
+        s = parse_scalar("(%s)/(%s)" % (text(top), text(bottom)))
+    except ZeroDivisionError:
+        assume(False)
+    _assert_constructed_canonical(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strided_scalars(), strided_scalars(), strided_scalars())
+def test_specialized_scalars_are_canonical(a, b, c):
+    za, zb = SpectralScalar.from_scalar(a), SpectralScalar.from_scalar(b)
+    f = (Z1 * za + SONE) / (Z1 + zb)
+    try:
+        s = f.specialize(c).as_scalar()
+    except (PoleError, ZeroDivisionError):  # a negative power of z1 = 0 divides by 0
+        assume(False)
+    _assert_constructed_canonical(s)
