@@ -12,6 +12,7 @@ import time
 sys.path.insert(0, "src")
 
 from qosc.algebraops import phi_words
+from qosc.fundrep import truncate_image_span
 from qosc.rmatrix import (
     check_admissible,
     compare_spans,
@@ -19,7 +20,6 @@ from qosc.rmatrix import (
     hw_content,
     make_c_pair,
     solve_R,
-    truncate_image_span,
 )
 from qosc.scalars import ONE, parse_scalar
 

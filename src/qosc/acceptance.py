@@ -35,6 +35,7 @@ from .fockmod import (
 from .fundrep import (
     block_order,
     check_fundamental_truncation,
+    truncate_image_span,
     verify_appendix_C,
     verify_EF_identities,
     verify_u_rs_highest,
@@ -57,7 +58,6 @@ from .rmatrix import (
     rho_d_product_part,
     rho_pole_multisets,
     solve_R,
-    truncate_image_span,
     verify_truncated_operator,
 )
 from .scalars import ONE, Scalar, Z1, parse_scalar

@@ -34,6 +34,7 @@ from .fundrep import (
     build_fundamental,
     check_fundamental_truncation,
     iso_between_k,
+    truncate_image_span,
     verify_appendix_C,
     verify_EF_identities,
     verify_u_rs_highest,
@@ -54,7 +55,6 @@ from .rmatrix import (
     poles,
     rho_pole_multisets,
     solve_R,
-    truncate_image_span,
 )
 from .scalars import Scalar, parse_scalar
 

@@ -52,17 +52,17 @@ class Subspace:
     def _wt(self, vec):
         return self.module.weight_of(next(iter(vec.terms)))
 
-    def add(self, vec: FockVector, entry=None):
-        """Add vec to its weight block; if it is independent there, store
-        entry (vec itself by default) in the block."""
+    def add(self, vec: FockVector):
+        """Add vec to its weight block if it is independent there."""
         if vec.is_zero():
             return False
-        wt = self._wt(vec)
-        basis, entries = self.blocks.setdefault(wt, (RowBasis(), []))
-        ok, _ = basis.add(vec.terms)
-        if ok:
-            entries.append(vec if entry is None else entry)
-        return ok
+        basis, entries = self.blocks.setdefault(self._wt(vec), (RowBasis(), []))
+        r, mult = basis.reduce(vec.terms)
+        if not r:
+            return False
+        basis.insert(r, mult)
+        entries.append(vec)
+        return True
 
     def contains(self, vec: FockVector):
         if vec.is_zero():
@@ -106,7 +106,7 @@ class MatchedSpan(Subspace):
                 continue
             wt = self._wt(vs)
             blk = self.blocks.get(wt) or (RowBasis(), [])
-            r, comb = blk[0].reduce(vs.terms)
+            r, mult = blk[0].reduce(vs.terms)
             if not r:
                 continue
             if j is not None:
@@ -114,7 +114,7 @@ class MatchedSpan(Subspace):
                 if vt.overflow:
                     continue
             self.blocks[wt] = blk
-            blk[0].insert(r, comb)
+            blk[0].insert(r, mult)
             blk[1].append((key, vs, vt))
             for j in indices:
                 img = act(source, ("f", j), vs)

@@ -28,67 +28,60 @@ def vaxpy(u, c, v):
 
 
 class RowBasis:
-    """Incremental echelon row space remembering original-vector coordinates.
+    """Incremental echelon row space that can express a vector in the
+    accepted originals.
 
     Rows are normalized at their pivot (the minimal label of the row), so
     every row's support lies at or above its pivot; a single ascending
     sweep therefore fully reduces any vector and rows never get rewritten.
-    add(v) either accepts v as a new independent row or returns the exact
-    coordinates of v in terms of the previously accepted originals;
-    reduce(v) and insert(...) split it, for callers that decide between
-    the two steps whether to keep an independent v.
+    reduce(v) returns the remainder and the sweep's multipliers; insert
+    accepts an original whose remainder is nonzero.  No coordinates are
+    kept: express(v) back-substitutes through the multipliers of the
+    originals, each of which uses only its own row and older ones.
     """
 
     def __init__(self):
-        self.rows = {}  # pivot -> (normalized row dict, comb dict idx->coeff)
+        self.rows = {}  # pivot -> normalized row dict
         self.pivots = []  # pivots sorted by label_key
-        self.count = 0
+        self.made = []  # per accepted original: (pivot, 1/its coeff, multipliers)
 
     def reduce(self, v):
-        """(remainder of v, coordinates of v - remainder in the originals);
-        v is independent iff the remainder is nonzero."""
+        """(remainder of v, {pivot: multiplier} of the sweep); v is
+        independent iff the remainder is nonzero."""
         v = dict(v)
-        comb = {}
+        mult = {}
         for pivot in self.pivots:
             c = v.get(pivot)
             if c is None:
                 continue
-            row, rcomb = self.rows[pivot]
-            v = vaxpy(v, c, row)
-            for j, x in rcomb.items():
-                p = c * x
-                s = comb.get(j)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    comb.pop(j, None)
-                else:
-                    comb[j] = s
-        return v, comb
+            v = vaxpy(v, c, self.rows[pivot])
+            mult[pivot] = c
+        return v, mult
 
-    def insert(self, r, comb):
-        """Accept the original whose reduce() gave a nonzero (r, comb)."""
+    def insert(self, r, mult):
+        """Accept the original whose reduce() gave a nonzero (r, mult)."""
         pivot = min(r, key=label_key)
         inv = r[pivot].inverse()
-        row = {k: c * inv for k, c in r.items()}
-        rcomb = {self.count: inv}
-        for j, x in comb.items():
-            rcomb[j] = -(x * inv)
-        self.rows[pivot] = (row, rcomb)
+        self.rows[pivot] = {k: c * inv for k, c in r.items()}
         insort(self.pivots, pivot, key=label_key)
-        self.count += 1
+        self.made.append((pivot, inv, mult))
 
     def express(self, v):
-        """Coordinates of v in the accepted originals; None if outside."""
-        r, comb = self.reduce(v)
-        return comb if not r else None
-
-    def add(self, v):
-        """Returns (accepted, coords-if-dependent-else-None)."""
-        r, comb = self.reduce(v)
-        if not r:
-            return False, comb
-        self.insert(r, comb)
-        return True, None
+        """{index of original: coeff} with v their combination; None if
+        v is outside the span."""
+        r, c = self.reduce(v)
+        if r:
+            return None
+        coords = {}
+        i = len(self.made)
+        while c:
+            i -= 1
+            pivot, inv, mult = self.made[i]
+            x = c.pop(pivot, None)
+            if x is not None:
+                coords[i] = x = x * inv
+                c = vaxpy(c, x, mult)
+        return coords
 
     def contains(self, v):
         r, _ = self.reduce(v)

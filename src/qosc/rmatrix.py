@@ -30,7 +30,6 @@ from .fundrep import (
     block_order,
     build_fundamental,
     lowering_closure,
-    truncate_image_span,  # re-exported: callers import it from rmatrix
     u_rs,
 )
 from .lattice import Weight

@@ -832,6 +832,11 @@ class SpectralScalar:
         """Exact substitution z1 = value (a Scalar or SpectralScalar)."""
         if isinstance(value, Scalar):
             value = SpectralScalar.from_scalar(value)
+        low = min((e1 for e1, _ in self.num), default=0)
+        if low < 0 and value.is_zero():
+            # the numerator is Laurent in z1: the pole is its factor z1^-low
+            den = _zstr(_zshift(self.den, -low, 0), VAR_NAMES)
+            raise PoleError(VAR_NAMES[0], value, den)
         num = _zeval(self.num, value)
         den = _zeval(self.den, value)
         if den.is_zero():

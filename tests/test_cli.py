@@ -183,6 +183,11 @@ GOLDEN_REPORTS = [
         ["fuse", "--flavor", "d", "--l", "1,1", "--c", "q^-3,1", "--m", "2", "--cutoff", "4"],
         "a82414153ab69d67064af62ef1c0b55fa10a643ec308a5724ffb80ccaa233657",
     ),
+    (
+        ["rmatrix", "--flavor", "d", "--l", "1,2", "--m", "2", "--cutoff", "6", "--level",
+         "underline"],
+        "be82b508b6eaad881422d3d9db3179c4d97f06c7ed5e1effff9ba423906e03e1",
+    ),
 ]
 
 
@@ -192,7 +197,7 @@ GOLDEN_REPORTS = [
     ids=["decompose-c", "hwv", "decompose-d-underline", "truncate-monoidal",
          "verify-phi-c-overline", "verify-phi-d-overline", "rmatrix-c-underline",
          "rmatrix-d-bold", "fuse-c-truncation", "fundamental-all", "appendix-c",
-         "fundamental-iso", "fuse-d-bold"],
+         "fundamental-iso", "fuse-d-bold", "rmatrix-d-underline"],
 )
 def test_golden_report_digests(capsys, argv, digest):
     assert main(argv) == 0

@@ -4,7 +4,8 @@
 that ``linalg`` held before they shared one kernel; ``ref_cone_member`` is
 the dense Fraction elimination that ``rmatrix._ConeTest.member`` ran.  The
 kernel must give the same kernel basis (order included), the same status
-and the same solution, and the cone test the same answers.
+and the same solution, and the cone test the same answers.  ``RowBasis``
+must express a combination of its originals by its exact coefficients.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qosc.algebraops import host_eps, level_module
-from qosc.linalg import nullspace, solve_unique, vaxpy
+from qosc.linalg import RowBasis, nullspace, solve_unique, vaxpy
 from qosc.rmatrix import _ConeTest
 from qosc.scalars import ONE, Q, ZERO, Scalar, qint
 
@@ -261,3 +262,36 @@ def test_cone_member_matches_fraction_reference(flavor, level, rank):
         assert cone.member(dvec) == want  # through the per-vector cache
 
     check()
+
+
+# -- RowBasis.express --------------------------------------------------------
+
+KETS = [(i, j) for i in range(3) for j in range(2)]
+OUTSIDE = (3, 3)
+NONZERO = st.builds(
+    lambda a, k: Scalar.from_int(a) * Q**k,
+    st.integers(-3, 3).filter(bool),
+    st.integers(-3, 3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.dictionaries(st.sampled_from(KETS), NONZERO, min_size=1, max_size=4),
+             min_size=1, max_size=8),
+    st.lists(st.one_of(st.just(ZERO), NONZERO), min_size=6, max_size=6),
+)
+def test_express_returns_the_coefficients_of_a_combination(vectors, weights):
+    basis, originals = RowBasis(), []
+    for v in vectors:
+        r, mult = basis.reduce(v)
+        if r:
+            basis.insert(r, mult)
+            originals.append(v)
+    coords = {i: x for i, x in enumerate(weights[: len(originals)]) if not x.is_zero()}
+    combo = {}
+    for i, x in coords.items():
+        combo = vaxpy(combo, -x, originals[i])
+    assert basis.express(combo) == coords
+    assert basis.express({**combo, OUTSIDE: ONE}) is None
+    assert basis.express({}) == {}

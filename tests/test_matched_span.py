@@ -22,7 +22,7 @@ from qosc.fundrep import (
     v_lk_label,
 )
 from qosc.lattice import EpsilonData
-from qosc.linalg import RowBasis
+from qosc.linalg import RowBasis, nullspace
 from qosc.rmatrix import PairDecomposition, _ConeTest, make_c_pair, make_d_pair
 from qosc.scalars import ONE, parse_scalar
 
@@ -58,9 +58,10 @@ def ref_pair_blocks(pair, needed_weights=None):
         ckey, vs, vt = queue.popleft()
         wt = src.weight_of(next(iter(vs.terms)))
         basis, entries = blocks.setdefault(wt, (RowBasis(), []))
-        ok, _ = basis.add(vs.terms)
-        if not ok:
+        r, mult = basis.reduce(vs.terms)
+        if not r:
             continue
+        basis.insert(r, mult)
         entries.append((ckey, vs, vt))
         for j in lowering:
             img = act(src, ("f", j), vs)
@@ -101,16 +102,25 @@ def ref_iso_between_k(module, l, k1, k2):
     dims_ok = span1.dims() == span2.dims()
 
     def mapped(vec):
+        # the kernel of [originals | vec] is spanned by (-coords, 1) when vec
+        # lies in the span of the (independent) stored originals, else 0
         if vec.is_zero():
             return FockVector()
         wt = module.weight_of(next(iter(vec.terms)))
-        blk = span1.blocks.get(wt)
-        coords = blk[0].express(vec.terms) if blk else None
-        if coords is None:
+        originals = span1.blocks[wt][1] if wt in span1.blocks else []
+        rows = {}
+        for i, u in enumerate(originals + [vec]):
+            for ket, x in u.terms.items():
+                rows.setdefault(ket, {})[i] = x
+        kernel = nullspace(list(rows.values()), list(range(len(originals) + 1)))
+        if not kernel:
             return None
+        (k,) = kernel
+        assert k[len(originals)] == ONE
         out = FockVector()
-        for i, c in coords.items():
-            out = out + _partner(blk[1][i]).scale(c)
+        for i, c in k.items():
+            if i < len(originals):
+                out = out + _partner(originals[i]).scale(-c)
         return out
 
     def _partner(a_vec):

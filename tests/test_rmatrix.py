@@ -2,6 +2,7 @@ import pytest
 
 from qosc.decomp import hw_weight
 from qosc.fockmod import FockVector
+from qosc.fundrep import truncate_image_span
 from qosc.rmatrix import (
     compatible_bold_rho,
     AdmissibilityError,
@@ -24,7 +25,6 @@ from qosc.rmatrix import (
     rho_pole_multisets,
     sigma_component_partitions,
     solve_R,
-    truncate_image_span,
     verify_completeness,
     verify_spectral,
     verify_truncated_operator,
