@@ -8,16 +8,21 @@ current directory.  The invocation runs three times:
 
 1. in a fresh interpreter, unrecorded, for the in-process run time;
 2. in this interpreter, with the operands of every call of ``_pmul``,
-   ``_pdiv_exact``, ``_prem`` and ``_reduce`` recorded, together with the
-   recorded routine each call was made from;
+   ``_pdiv_exact``, ``_prem``, ``_reduce`` and ``_reduce_tail`` recorded,
+   together with the recorded routine each call was made from;
 3. as a replay: each routine's recorded calls are made again, in order,
    grouped by the routine they were made from.
 
 A routine's self time is its replayed time minus the replayed time of the
 recorded calls made from inside it (``_reduce`` reaches ``_prem`` and
-``_pdiv_exact`` through the gcd).  The gcd cache is cleared before
-``_reduce`` is replayed, so its hits and misses are those of the run.  The
-table gives each routine's calls, self time and share of the run time.
+``_pdiv_exact`` through the gcd, and ``_reduce_tail`` for the integer
+content, sign and stride).  ``_reduce_tail`` is also called alone by the
+Henrici sums of ``Scalar.__add__``.  The gcds that ``Scalar.__add__`` and
+``Scalar.__mul__`` take outside ``_reduce`` are counted under ``_prem`` and
+``_pdiv_exact``.  The gcd cache is cleared before ``_reduce`` is replayed,
+so its hits and misses are those of the run.  The table gives each
+routine's calls, self time and share of the run time, one row per routine
+and a last row, ``kernel``, for their sum.
 """
 
 import contextlib
@@ -31,7 +36,7 @@ sys.path.insert(0, "src")
 from qosc import scalars
 from qosc.cli import main
 
-ROUTINES = ("_pmul", "_pdiv_exact", "_prem", "_reduce")
+ROUTINES = ("_pmul", "_pdiv_exact", "_prem", "_reduce", "_reduce_tail")
 
 
 def run_time(argv):

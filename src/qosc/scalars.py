@@ -11,7 +11,10 @@ Reducing in x is exact, since gcd(f(w**s), g(w**s)) = gcd(f, g)(w**s).
 Equality is structural.  Spectral elements are fractions in one variable
 z1 over Q(w) and may carry a second variable z2 only in Laurent
 polynomials: the symbolic identities in x1, x2 divide by Q(w) constants
-alone.
+alone.  In both fields a sum a/b + c/d cancels only gcd(num, g) for
+g = gcd(b, d), and nothing when g = 1 (Henrici), and a product of reduced
+fractions cancels gcd(a, d) and gcd(c, b) before it multiplies, so no gcd
+of full cross products is ever taken.
 """
 
 from __future__ import annotations
@@ -274,8 +277,19 @@ class Scalar:
             if s < 4:
                 s, num, _ = _compress(s, num, _PONE)
             return _make(noff, s, num, _PONE)
+        # Henrici: with g = gcd(da, db), the sum can share a factor with
+        # g alone, so only gcd(num, g) is taken, and none when g = 1
+        g = _pgcd(da, db) if len(da) > 1 and len(db) > 1 else _PONE
+        if len(g) > 1:
+            da, db = _pdiv_exact(da, g), _pdiv_exact(db, g)
         off, num = _padd(a_off, _pmul(a, db), b_off, _pmul(b, da))
-        return _make(*_reduce(lo + s * off, s, num, _pmul(da, db)))
+        den = _pmul(da, db)
+        if len(g) > 1:
+            h = _pgcd(num, g)
+            if len(h) > 1:
+                num, g = _pdiv_exact(num, h), _pdiv_exact(g, h)
+            den = _pmul(den, g)
+        return _make(*_reduce_tail(lo + s * off, s, num, den))
 
     def __neg__(self):
         if not self.num:
@@ -419,6 +433,12 @@ def _reduce(noff, s, num, den):
         if len(g) > 1:
             num = _pdiv_exact(num, g)
             den = _pdiv_exact(den, g)
+    return _reduce_tail(noff, s, num, den)
+
+
+def _reduce_tail(noff, s, num, den):
+    """_reduce after the gcd: num/den coprime over Q, trimmed; fixes the
+    integer content, the sign of lc(den) and the stride."""
     num, cn = _pprim(num)
     den, cd = _pprim(den)
     g = _igcd(cn, cd)
@@ -560,7 +580,7 @@ class PoleError(ArithmeticError):
         self.value = value
         self.denominator = denominator
         self.q_exponent = q_exponent
-        msg = "pole at %s = %s" % (var, value.to_str() if isinstance(value, Scalar) else value)
+        msg = "pole at %s = %s" % (var, value.to_str() if hasattr(value, "to_str") else value)
         if q_exponent is not None:
             msg += " (factor z - q^%d)" % q_exponent
         super().__init__(msg)
@@ -635,6 +655,23 @@ def _from_list1(cs):
         if not c.is_zero():
             out[(i, 0)] = c
     return out
+
+
+def _zdiv1(d, g):
+    """d / g for a polynomial d in z1 alone and a dense list g dividing it."""
+    return _from_list1(_l1div_exact(_to_list1(d), g))
+
+
+def _zcancel(n, d):
+    """(n/g, d/g) for g = gcd(n, d): n is Laurent in z1, d a polynomial in
+    z1 with a nonzero constant term, so powers of z1 never cancel."""
+    if len(n) < 2 or len(d) < 2:
+        return n, d
+    s1, s2, n = _znormal(n)
+    g = _l1gcd(_to_list1(n), _to_list1(d))
+    if len(g) > 1:
+        n, d = _zdiv1(n, g), _zdiv1(d, g)
+    return _zshift(n, s1, s2), d
 
 
 def _l1trim(cs):
@@ -746,10 +783,21 @@ class SpectralScalar:
             return other
         if not other.num:
             return self
-        if self.den == other.den:
-            return SpectralScalar(_zadd(self.num, other.num), self.den)
-        num = _zadd(_zmul(self.num, other.den), _zmul(other.num, self.den))
-        return SpectralScalar(num, _zmul(self.den, other.den))
+        da, db = self.den, other.den
+        if da == db:
+            return SpectralScalar(_zadd(self.num, other.num), da)
+        # Henrici, as in Scalar.__add__: monic cofactors of g = gcd(da, db)
+        # keep the denominator monic with lowest exponent 0
+        g = _l1gcd(_to_list1(da), _to_list1(db)) if len(da) > 1 and len(db) > 1 else []
+        if len(g) > 1:
+            da, db = _zdiv1(da, g), _zdiv1(db, g)
+        num = _zadd(_zmul(self.num, db), _zmul(other.num, da))
+        den = _zmul(da, db)
+        _reject_z2(num, den)
+        if len(g) > 1:
+            num, g = _zcancel(num, _from_list1(g))
+            den = _zmul(den, g)
+        return SpectralScalar(num, den, _reduced=True)
 
     __radd__ = __add__
 
@@ -780,9 +828,16 @@ class SpectralScalar:
             return other
         if other.is_one():
             return self
-        return SpectralScalar(
-            _zmul(self.num, other.num), _zmul(self.den, other.den)
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if len(b) > 1 or len(d) > 1:
+            # z2 occurs only over the denominator 1
+            _reject_z2(a, d)
+            _reject_z2(c, b)
+            # cancel across, as Scalar.__mul__; a square has nothing to cancel
+            if other is not self:
+                a, d = _zcancel(a, d)
+                c, b = _zcancel(c, b)
+        return SpectralScalar(_zmul(a, c), _zmul(b, d), _reduced=True)
 
     __rmul__ = __mul__
 
@@ -830,13 +885,14 @@ class SpectralScalar:
 
     def specialize(self, value):
         """Exact substitution z1 = value (a Scalar or SpectralScalar)."""
+        given = value
         if isinstance(value, Scalar):
             value = SpectralScalar.from_scalar(value)
         low = min((e1 for e1, _ in self.num), default=0)
         if low < 0 and value.is_zero():
             # the numerator is Laurent in z1: the pole is its factor z1^-low
             den = _zstr(_zshift(self.den, -low, 0), VAR_NAMES)
-            raise PoleError(VAR_NAMES[0], value, den)
+            raise PoleError(VAR_NAMES[0], given, den)
         num = _zeval(self.num, value)
         den = _zeval(self.den, value)
         if den.is_zero():
@@ -844,7 +900,7 @@ class SpectralScalar:
                 k = as_q_power(value.as_scalar())
             except ValueError:
                 k = None
-            raise PoleError(VAR_NAMES[0], value, self.den_str(), k)
+            raise PoleError(VAR_NAMES[0], given, self.den_str(), k)
         return num / den
 
     def den_poly_coeffs(self):
@@ -888,29 +944,28 @@ def _sreduce(num, den):
         raise ZeroDivisionError("zero denominator")
     if not num:
         return {}, {(0, 0): ONE}
-    if len(den) > 1 and any(e2 for d in (num, den) for _, e2 in d):
-        raise ArithmeticError(
-            "z2 meets the denominator %s: only Laurent polynomials in z2 "
-            "are supported" % _zstr(den, VAR_NAMES)
-        )
+    _reject_z2(num, den)
     # clear Laurent shifts
     n1, n2, num = _znormal(num)
     d1, d2, den = _znormal(den)
-    s1, s2 = n1 - d1, n2 - d2
-    # a single-term numerator is now a constant, coprime to den
-    if len(den) > 1 and len(num) > 1:
-        g = _l1gcd(_to_list1(num), _to_list1(den))
-        if len(g) > 1:
-            num = _from_list1(_l1div_exact(_to_list1(num), g))
-            den = _from_list1(_l1div_exact(_to_list1(den), g))
+    num, den = _zcancel(num, den)
     # monic denominator
     lc = den[max(den)]
     if not lc.is_one():
         inv = lc.inverse()
         num = _zscale(num, inv)
         den = _zscale(den, inv)
-    num = _zshift(num, s1, s2)
+    num = _zshift(num, n1 - d1, n2 - d2)
     return num, den
+
+
+def _reject_z2(num, den):
+    """Raise when z2 meets a denominator that is not a monomial."""
+    if len(den) > 1 and any(e2 for d in (num, den) for _, e2 in d):
+        raise ArithmeticError(
+            "z2 meets the denominator %s: only Laurent polynomials in z2 "
+            "are supported" % _zstr(den, VAR_NAMES)
+        )
 
 
 def _zstr(d, names):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import pytest
@@ -128,10 +129,15 @@ def test_spectral_specialize():
     with pytest.raises(PoleError) as exc:
         r.specialize(Q**2)
     assert exc.value.q_exponent == 2
+    with pytest.raises(PoleError) as exc:
+        (SONE / (Z1 - SpectralScalar.from_scalar(Q))).specialize(Q)
+    assert str(exc.value) == "pole at z1 = (-w^2)/(1) (factor z - q^1)"
+    assert exc.value.value is Q
     assert Z1.specialize(ZERO).is_zero()
     with pytest.raises(PoleError) as exc:
         (SONE / Z1).specialize(ZERO)
     assert exc.value.q_exponent is None and exc.value.denominator == Z1.num_str()
+    assert str(exc.value) == "pole at z1 = (0)/(1)" and exc.value.value is ZERO
     with pytest.raises(PoleError):
         (Z1 + SONE / (Z1 * Z1)).specialize(SpectralScalar.from_scalar(ZERO))
 
@@ -158,6 +164,10 @@ def test_z2_only_in_laurent_polynomials():
         (Z1 - Z2) / (Z1 + Z2)
     with pytest.raises(ArithmeticError):
         Z2 / (Z1 - qz)
+    with pytest.raises(ArithmeticError):
+        Z2 * (SONE / (Z1 - qz))
+    with pytest.raises(ArithmeticError):
+        Z2 + SONE / (Z1 - qz)
 
 
 def test_spectral_operators_reject_uncoercible_operands():
@@ -195,10 +205,11 @@ def _sympy_z(d, shift=0):
     return sum((_sympy_scalar(c) * _z ** (e1 - shift) for (e1, _), c in d.items()), 0)
 
 
-def laurent_z():
-    """Laurent polynomials in z whose coefficients are small integer
-    Laurent monomials in w."""
-    term = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 3))
+def laurent_z(min_size=0, max_size=4):
+    """Laurent polynomials in z of at most max_size terms whose coefficients
+    are small integer Laurent monomials in w; nonzero when min_size > 0."""
+    coeff = st.integers(-3, 3).filter(bool) if min_size else st.integers(-3, 3)
+    term = st.tuples(coeff, st.integers(-2, 2), st.integers(-2, 3))
 
     def build(terms):
         acc = SZERO
@@ -206,16 +217,18 @@ def laurent_z():
             acc = acc + SpectralScalar.monomial(Scalar.monomial(c, ew), ez)
         return acc
 
-    return st.builds(build, st.lists(term, max_size=4))
+    out = st.builds(build, st.lists(term, min_size=min_size, max_size=max_size))
+    return out.filter(lambda p: not p.is_zero()) if min_size else out
 
 
-@settings(max_examples=50, deadline=None)
-@given(laurent_z(), laurent_z(), laurent_z())
-def test_univariate_reduction_matches_sympy(a, b, g):
-    assume(not (b * g).is_zero())
-    r = (a * g) / (b * g)
-    expected = _sympy_z(a.num) / _sympy_z(b.num)
-    assert sympy.cancel(_sympy_z(r.num) / _sympy_z(r.den) - expected) == 0
+def _sympy_frac(r):
+    return _sympy_z(r.num) / _sympy_z(r.den)
+
+
+def assert_reduced_z(r, expected):
+    """r equals expected, and r is reduced: no z2, a monic denominator with
+    lowest exponent 0, coprime to the numerator over QQ(w)."""
+    assert sympy.cancel(_sympy_frac(r) - expected) == 0
     assert all(e2 == 0 for d in (r.num, r.den) for _, e2 in d)
     assert min(e1 for e1, _ in r.den) == 0 and r.den[max(r.den)].is_one()
     if r.num:
@@ -223,6 +236,46 @@ def test_univariate_reduction_matches_sympy(a, b, g):
         num = sympy.Poly(_sympy_z(r.num, lo), _z, domain="QQ(w)")
         den = sympy.Poly(_sympy_z(r.den), _z, domain="QQ(w)")
         assert sympy.gcd(num, den).degree() == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(laurent_z(), laurent_z(), laurent_z())
+def test_univariate_reduction_matches_sympy(a, b, g):
+    assume(not (b * g).is_zero())
+    r = (a * g) / (b * g)
+    assert_reduced_z(r, _sympy_z(a.num) / _sympy_z(b.num))
+
+
+def z_factors():
+    """c0 + c1 z + c2 z^2 with c0, c1 nonzero integer Laurent monomials in
+    w: polynomials in z of degree 1 or 2."""
+    coeff = st.tuples(st.integers(-3, 3).filter(bool), st.integers(-2, 2))
+
+    def build(*cs):
+        acc = SZERO
+        for e, (c, ew) in enumerate(cs):
+            acc = acc + SpectralScalar.monomial(Scalar.monomial(c, ew), e)
+        return acc
+
+    return st.builds(build, coeff, coeff, st.one_of(st.just((0, 0)), coeff))
+
+
+@settings(max_examples=25, deadline=None)
+@given(laurent_z(0, 3), laurent_z(1, 3), z_factors(), z_factors(), z_factors(), z_factors())
+def test_shared_z1_factors_cancel_in_sums_and_products(a, b, g1, g2, d1, d2):
+    # sums a/(g d1) + b/(g d2) over a shared factor g = g1 g2
+    g = g1 * g2
+    x, y = a / (g * d1), b / (g * d2)
+    sx, sy = _sympy_frac(x), _sympy_frac(y)
+    assert_reduced_z(x + y, sx + sy)
+    assert_reduced_z(x - y, sx - sy)
+    # x + (c - x) = c over g1 d2: the sum cancels g2 from the shared factor
+    c = b / (g1 * d2)
+    sc = _sympy_frac(c)
+    assert_reduced_z(x + (c - x), sc)
+    # products (a g1 / b)(c / (d g1)), here c = d2 and d = d1, cancel g1
+    u, v = (a * g1) / b, d2 / (d1 * g1)
+    assert_reduced_z(u * v, _sympy_frac(u) * _sympy_frac(v))
 
 
 def test_factor_q_poles():
@@ -319,6 +372,50 @@ def strided_scalars(draw):
     num = _convolve(_at_stride(f, s), hs)
     den = _convolve(_at_stride(g, s), hs)
     return Scalar(draw(st.integers(-6, 6)), tuple(num), tuple(den))
+
+
+@st.composite
+def shared_denominator_pairs(draw):
+    """a = f1/(g d1) and b = f2/(g d2) with g = g1 g2, each polynomial at a
+    stride in {1, 2, 4}.  With cancel, b = c - a for c = f3/(g1 d2), so
+    a + b = c loses the factor g2 of the shared denominator."""
+    strides = st.sampled_from([1, 2, 4])
+
+    def poly(stride):
+        cs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any))
+        return _at_stride(cs, stride)
+
+    def factor():
+        # not a monomial, so g1 and g2 are proper factors
+        cs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=2, max_size=3))
+        return _at_stride(cs, draw(strides))
+
+    s1, s2 = draw(strides), draw(strides)
+    g1, g2 = factor(), factor()
+    f1, d1, d2 = poly(s1), poly(s1), poly(s2)
+    k1, k2 = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    g = _convolve(g1, g2)
+    a = Scalar(k1, tuple(f1), tuple(_convolve(g, d1)))
+    cancel = draw(st.booleans())
+    if not cancel:
+        return a, Scalar(k2, tuple(poly(s2)), tuple(_convolve(g, d2)))
+    # c - a = (w^k2 f3 g2 d1 - w^k1 f1 d2) / (g d1 d2), multiplied out here
+    f3 = poly(s2)
+    m = min(k1, k2)
+    left = [0] * (k2 - m) + _convolve(_convolve(f3, g2), d1)
+    right = [0] * (k1 - m) + _convolve(f1, d2)
+    num = [x - y for x, y in zip_longest(left, right, fillvalue=0)]
+    return a, Scalar(m, tuple(num), tuple(_convolve(_convolve(g, d1), d2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_denominator_pairs())
+def test_shared_denominator_sums_match_sympy(pair):
+    a, b = pair
+    sa, sb = _sympy_scalar(a), _sympy_scalar(b)
+    for r, expected in ((a + b, sa + sb), (a - b, sa - sb), (b - a, sb - sa)):
+        assert_canonical(r)
+        assert sympy.cancel(_sympy_scalar(r) - expected) == 0
 
 
 def assert_canonical(r):
