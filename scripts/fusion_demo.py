@@ -11,7 +11,6 @@ import time
 
 sys.path.insert(0, "src")
 
-from qosc.algebraops import phi_words
 from qosc.fundrep import truncate_image_span
 from qosc.rmatrix import (
     check_admissible,
@@ -39,11 +38,10 @@ for l in (1, 2, 3):
         % (l, *sigma, 2 * l + 2, sorted(k for k, v in content.items() if v), time.time() - t0)
     )
     for side in ("underline", "overline"):
-        tgt = phi_words("c", side, pair.source.eps)
         pair_l = make_c_pair(M, sigma, cutoff=CUTOFF, level=side)
         rho_l, dec_l = solve_R(pair_l, full_window=True)
         img_l = fuse(pair_l, rho_l, dec_l, zc, ONE)
-        tr = truncate_image_span(image, tgt.kept, pair_l.target)
+        tr = truncate_image_span(image, pair_l.target)
         cmp = compare_spans(tr, img_l)
         print(
             "   truncation to %-9s dim %3d  matches level image: %s"

@@ -15,12 +15,9 @@ from .scalars import (
     PoleError,
     Scalar,
     SpectralScalar,
-    bar,
     factor_q_poles,
     parse_scalar,
     q_power,
-    qbinom,
-    qfact,
     qint,
 )
 from .lattice import EpsilonData, Weight, bilinear, fundamental_weight, qpair, simple_root
@@ -34,7 +31,6 @@ from .fockmod import (
     act,
     act_k,
     eval_word,
-    parity_split,
     weight_block,
 )
 from .words import WordExpr, divided_power, qcommutator

@@ -18,14 +18,12 @@ from .algebraops import (
     check_truncation_equivariance,
     phi_words,
     relation_suite,
-    target_relation_suite,
     truncate_vector,
 )
 from .decomp import classical_dim, decompose, hw_weight
 from .fockmod import (
     FockVector,
     ModuleView,
-    PullbackModule,
     RestrictedModule,
     TensorModule,
     TruncatedModule,
@@ -33,6 +31,7 @@ from .fockmod import (
     WModule,
 )
 from .fundrep import (
+    APPENDIX_C_IDENTITIES,
     block_order,
     check_fundamental_truncation,
     truncate_image_span,
@@ -109,6 +108,8 @@ def criterion_2():
                 fails = [r.relation for r in reps if not r.passed]
                 if fails:
                     bad["c/%s eta=%d n=%d" % (side, eta, host.n)] = fails
+                if (host, side, eta) == (BOLD5, "underline", 1):
+                    c_under = {r.relation: r.passed for r in reps}
     w2 = W2Module(BOLDP5, Scalar.from_int(1), cutoff=6)
     for side in ("underline", "overline"):
         for eta in (1, -1):
@@ -118,15 +119,9 @@ def criterion_2():
             if fails:
                 bad["d/%s eta=%d" % (side, eta)] = fails
     # the two explicitly displayed Serre identities at the type-c end node
-    tgt = phi_words("c", "underline", BOLD5)
-    w5 = PullbackModule(WModule(BOLD5, Scalar.from_int(1), cutoff=8), tgt)
-    names = ["t-serre:e0,e1", "t-serre:e1,e0"]
-    suite = dict(target_relation_suite(tgt))
-    endnode = []
-    for nm in names:
-        rep = check_relation_on(w5, nm, suite[nm])
-        endnode.append((nm, rep.passed))
-        if not rep.passed:
+    endnode = [(nm, c_under[nm]) for nm in ("t-serre:e0,e1", "t-serre:e1,e0")]
+    for nm, ok in endnode:
+        if not ok:
             bad["end-node-serre:" + nm] = [nm]
     return _report("2-phi-homomorphisms", not bad, failures=bad, end_node_serre=endnode)
 
@@ -186,10 +181,9 @@ def criterion_4():
 
     def levels(x):
         w = WModule(BOLD5, x, cutoff=N)
-        yield "bold", w, None
+        yield "bold", w
         for side in ("underline", "overline"):
-            tgt = phi_words("c", side, BOLD5)
-            yield side, TruncatedModule(w, tgt), tgt
+            yield side, TruncatedModule(w, phi_words("c", side, BOLD5))
 
     expected_sets = {
         ("+", "+"): {(2 * k,) if k else () for k in range(0, 5)},
@@ -198,19 +192,18 @@ def criterion_4():
         ("-", "+"): {(2 * k + 1,) for k in range(0, 4)},
     }
     for sigma in SIGMAS:
-        for (lvname, mx, tgt), (_, my, _) in zip(
+        for (lvname, mx), (_, my) in zip(
             levels(parse_scalar("q^2")), levels(parse_scalar("q^-4"))
         ):
             T = TensorModule(
                 [RestrictedModule(mx, par[sigma[0]]), RestrictedModule(my, par[sigma[1]])]
             )
             res = decompose(T, "c", 2, N)
-            got = {lam: d for lam, d, _ in res if d}
-            kept = tgt.kept if tgt else None
+            got = {lam: d for lam, d in res if d}
             want = {
                 lam: 1
                 for lam in expected_sets[sigma]
-                if hw_weight(BOLD5, lam, 2, "c", kept=kept) is not None
+                if hw_weight(BOLD5, lam, 2, "c", kept=mx.algebra.kept) is not None
             }
             if got != want:
                 bad["sigma=%s level=%s" % ("".join(sigma), lvname)] = {
@@ -220,18 +213,18 @@ def criterion_4():
     # type d: multiplicity l+1 on (l), l <= 4
     w2 = W2Module(BOLDP5, parse_scalar("q^2"), cutoff=6)
     res = decompose(w2, "d", 1, 5)
-    got = {lam: d for lam, d, _ in res if d}
+    got = {lam: d for lam, d in res if d}
     want = {(l,) if l else (): l + 1 for l in range(0, 6)}
     if got != want:
         bad["W2 bold-prime"] = {"got": got, "want": want}
     tgtu = phi_words("d", "underline", BOLDP5)
     res = decompose(TruncatedModule(w2, tgtu), "d", 1, 5)
-    got = {lam: d for lam, d, _ in res if d}
+    got = {lam: d for lam, d in res if d}
     if got != want:
         bad["W2 underline-prime"] = {"got": got, "want": want}
     tgto = phi_words("d", "overline", BOLDP5)
     res = decompose(TruncatedModule(w2, tgto), "d", 1, 5)
-    got = {lam: d for lam, d, _ in res if d}
+    got = {lam: d for lam, d in res if d}
     want_over = {(l,) if l else (): l + 1 for l in range(0, 3)}  # (l) needs l <= m
     if got != want_over:
         bad["W2 overline-prime"] = {"got": got, "want": want_over}
@@ -239,7 +232,7 @@ def criterion_4():
     wfull_x = WModule(BOLD5, parse_scalar("q^2"), cutoff=6)
     wfull_y = WModule(BOLD5, parse_scalar("q^-4"), cutoff=6)
     res = decompose(TensorModule([wfull_x, wfull_y]), "c", 2, 6)
-    for lam, d, _ in res:
+    for lam, d in res:
         if d and d != classical_dim("O", 2, lam):
             bad["O2-dim %s" % (lam,)] = {"got": d}
     return _report("4-decomposition", not bad, failures=bad)
@@ -336,8 +329,7 @@ def criterion_7():
     for (l1, l2, r, s) in ((1, 1, 1, 0), (2, 2, 1, 1), (1, 1, 0, 0)):
         res = verify_appendix_C(2, l1, l2, r, s)
         coeffs["(%d,%d,%d,%d)" % (l1, l2, r, s)] = res
-        keys = ["e2F", "C20", "C10", "C00_nonzero", "closing_identity"]
-        if not all(res.get(k, False) for k in keys):
+        if not all(res.get(k, False) for k in APPENDIX_C_IDENTITIES):
             bad["coefficients (%d,%d,%d,%d)" % (l1, l2, r, s)] = res
     return _report("7-hw-formulas", not bad, failures=bad, coefficient_identities=coeffs)
 
@@ -382,10 +374,9 @@ def criterion_8(cutoff=6):
             bad["cyclicity W_%d" % l] = diag["mismatches"]
         # truncation compatibility: tr(image at bold) == image at level
         for side in ("underline", "overline"):
-            tgt = phi_words("c", side, host)
             pair_l, rho_l, dec_l = solved_pair(sigma, side)
             img_l = fuse(pair_l, rho_l, dec_l, zc, ONE)
-            tr_img = truncate_image_span(image, tgt.kept, pair_l.target)
+            tr_img = truncate_image_span(image, pair_l.target)
             cmp = compare_spans(tr_img, img_l)
             if not cmp["pass"]:
                 bad["fusion-truncation l=%d %s" % (l, side)] = cmp
@@ -398,10 +389,9 @@ def criterion_8(cutoff=6):
     got = {k for k, v in hw_content(image, pair).items() if v}
     if got != {(), (2,), (4,)}:
         bad["fused W_4 content"] = sorted(got)
-    tgt = phi_words("c", "overline", host)
     pair_o, rho_o, dec_o = solved_pair(sigma, "overline")
     img_o = fuse(pair_o, rho_o, dec_o, zc, ONE)
-    tr_img = truncate_image_span(image, tgt.kept, pair_o.target)
+    tr_img = truncate_image_span(image, pair_o.target)
     cmp = compare_spans(tr_img, img_o)
     if not cmp["pass"]:
         bad["fusion-truncation l=4 overline"] = cmp
@@ -411,11 +401,10 @@ def criterion_8(cutoff=6):
     pair_db = make_d_pair(2, 1, 1, cutoff=4, level="bold")
     rho_db, dec_db = solve_R(pair_db, full_window=True)
     img_db = fuse(pair_db, rho_db, dec_db, zc, ONE)
-    tgt_d = phi_words("d", "underline", BOLDP5)
     pair_du = make_d_pair(2, 1, 1, cutoff=4, level="underline")
     rho_du, dec_du = solve_R(pair_du, full_window=True)
     img_du = fuse(pair_du, rho_du, dec_du, zc, ONE)
-    tr_img = truncate_image_span(img_db, tgt_d.kept, pair_du.target)
+    tr_img = truncate_image_span(img_db, pair_du.target)
     cmp = compare_spans(tr_img, img_du)
     if not cmp["pass"]:
         bad["fusion-truncation d (1,1)"] = cmp

@@ -213,29 +213,41 @@ class RelationReport:
 
 def check_relation_on(module, name, expr: WordExpr, labels=None):
     """Evaluate one relation on every guard-safe basis ket of the window."""
-    rise = expr_max_rise(expr, module.atom_shift)
-    safe = module.cutoff - rise
-    report = RelationReport(name, module.cutoff, max_degree_checked=-1)
+    safe = module.cutoff - expr_max_rise(expr, module.atom_shift)
     if labels is None:
-        labels = list(module.enumerate_labels(safe)) if safe >= 0 else []
-    for label in labels:
-        d = module.degree(label)
-        if d > safe:
-            continue
-        out = eval_word_guarded(expr, FockVector.basis(label), module)
+        labels = module.enumerate_labels(safe) if safe >= 0 else ()
+    degree = module.degree
+    kets = ((label, d) for label in labels if (d := degree(label)) <= safe)
+    return _check_window(
+        RelationReport(name, module.cutoff, max_degree_checked=-1),
+        kets,
+        lambda label: eval_word_guarded(expr, FockVector.basis(label), module),
+    )
+
+
+def _check_window(report, kets, residual):
+    """Evaluate residual(label) on each (label, degree) of kets in order,
+    counting the kets and their top degree; the first nonzero residual ends
+    the check, and the report keeps it with its ket."""
+    for label, d in kets:
+        out = residual(label)
         report.checked += 1
         report.max_degree_checked = max(report.max_degree_checked, d)
         if not out.is_zero():
             report.residual_label = label
             report.residual = out
-            return report
+            break
     return report
 
 
-def check_relations(module, eps=None):
+def _window(module, maxdeg):
+    """The (label, degree) pairs of the window up to maxdeg, in order."""
+    return [(label, module.degree(label)) for label in module.enumerate_labels(maxdeg)]
+
+
+def check_relations(module):
     """Run the full defining-relation suite of U_D(eps) on a module window."""
-    eps = eps or module.eps
-    return _check_suite(module, relation_suite(eps))
+    return _check_suite(module, relation_suite(module.eps))
 
 
 def _check_suite(module, suite):
@@ -272,6 +284,11 @@ class TargetAlgebra:
 
     def root(self, j) -> Weight:
         return self.roots[j]
+
+    def phi(self, gen) -> WordExpr:
+        """The phi image of a target generator ('e', j) or ('f', j)."""
+        kind, j = gen
+        return self.phi_e[j] if kind == "e" else self.phi_f[j]
 
     def sym(self, i, j):
         """Symmetrized Cartan integer B_ij of the target."""
@@ -471,59 +488,42 @@ def truncate_vector(vec: FockVector, kept) -> FockVector:
 
 
 def check_truncation_equivariance(tgt: TargetAlgebra, module, maxdeg=None):
-    """tr is idempotent, commutes with phi-actions, and the truncated
-    subspace is stable; returns RelationReports keyed by generator."""
+    """tr commutes with every phi-action on the window: tr(phi(x) b) =
+    phi(x) tr(b) for each basis ket b.  On a kept ket this says that
+    phi(x) b stays kept-supported, so the truncated subspace is stable.
+    Returns RelationReports keyed by generator."""
     maxdeg = (module.cutoff - 2) if maxdeg is None else maxdeg
+    kets = _window(module, maxdeg)
+    kept = tgt.kept
     reports = []
     for j in tgt.gen_indices:
         for kind in ("e", "f"):
-            word = tgt.phi_e[j] if kind == "e" else tgt.phi_f[j]
-            name = "tr-equivariance:%s%d" % (kind, j)
-            rep = RelationReport(name, module.cutoff, -1)
-            for label in module.enumerate_labels(maxdeg):
+            word = tgt.phi((kind, j))
+
+            def residual(label):
                 b = FockVector.basis(label)
-                tb = truncate_vector(b, tgt.kept)
-                rhs = eval_word(word, tb, module)
-                lhs = truncate_vector(eval_word(word, b, module), tgt.kept)
-                rep.checked += 1
-                rep.max_degree_checked = max(
-                    rep.max_degree_checked, module.degree(label)
-                )
-                diff = lhs - rhs
-                if not diff.is_zero():
-                    rep.residual_label = label
-                    rep.residual = diff
-                    break
-                # stability: the image of a truncated ket stays truncated
-                if not tb.is_zero() and not truncate_vector(rhs, tgt.kept) == rhs:
-                    rep.residual_label = label
-                    rep.residual = rhs
-                    break
-            reports.append(rep)
+                lhs = truncate_vector(eval_word(word, b, module), kept)
+                return lhs - eval_word(word, truncate_vector(b, kept), module)
+
+            rep = RelationReport("tr-equivariance:%s%d" % (kind, j), module.cutoff, -1)
+            reports.append(_check_window(rep, kets, residual))
     return reports
 
 
 def check_monoidality(tgt: TargetAlgebra, tensor_ambient, tensor_truncated, maxdeg):
     """On truncated v (x) w, acting by Delta(phi(x)) in the ambient tensor
     equals acting by the target coproduct with phi per factor."""
+    kets = _window(tensor_truncated, maxdeg)
     reports = []
     for j in tgt.gen_indices:
         for kind in ("e", "f"):
-            name = "tr-monoidal:%s%d" % (kind, j)
-            rep = RelationReport(name, tensor_ambient.cutoff, -1)
-            word = tgt.phi_e[j] if kind == "e" else tgt.phi_f[j]
-            for label in tensor_truncated.enumerate_labels(maxdeg):
+            gen = (kind, j)
+            word = tgt.phi(gen)
+
+            def residual(label):
                 b = FockVector.basis(label)
-                lhs = eval_word(word, b, tensor_ambient)
-                rhs = act(tensor_truncated, (kind, j), b)
-                rep.checked += 1
-                rep.max_degree_checked = max(
-                    rep.max_degree_checked, tensor_ambient.degree(label)
-                )
-                diff = lhs - rhs
-                if not diff.is_zero():
-                    rep.residual_label = label
-                    rep.residual = diff
-                    break
-            reports.append(rep)
+                return eval_word(word, b, tensor_ambient) - act(tensor_truncated, gen, b)
+
+            rep = RelationReport("tr-monoidal:%s%d" % gen, tensor_ambient.cutoff, -1)
+            reports.append(_check_window(rep, kets, residual))
     return reports

@@ -31,6 +31,7 @@ from .fockmod import (
     ket_str,
 )
 from .fundrep import (
+    APPENDIX_C_IDENTITIES,
     build_fundamental,
     check_fundamental_truncation,
     iso_between_k,
@@ -192,7 +193,7 @@ def cmd_decompose(args):
     mod, ell = _factors(args, _epsilon(args))
     res = decompose(mod, args.flavor, ell, args.cutoff)
     rows = [
-        {"lambda": list(lam), "mult": d} for lam, d, _ in res if d or args.zeros
+        {"lambda": list(lam), "mult": d} for lam, d in res if d or args.zeros
     ]
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -327,7 +328,7 @@ def cmd_fuse(args):
             pair_l = make_c_pair(args.m, params, cutoff=args.cutoff, level=side)
             rho_l, dec_l = solve_R(pair_l, full_window=True)
             img_l = fuse(pair_l, rho_l, dec_l, cs[0], cs[1])
-            tr_img = truncate_image_span(image, pair_l.source.algebra.kept, pair_l.target)
+            tr_img = truncate_image_span(image, pair_l.target)
             cmp = compare_spans(tr_img, img_l)
             checks.append({"id": "truncation-%s" % side, "pass": cmp["pass"], **cmp})
     return _emit(args, "fuse", checks)
@@ -403,12 +404,12 @@ def cmd_appendix_check(args):
         for r in range(0, args.rmax + 1):
             for s in range(0, min(l1, l2, args.smax) + 1):
                 res = verify_appendix_C(args.m, l1, l2, r, s)
-                keys = ["e2F", "C20", "C10", "C00_nonzero", "closing_identity"]
+                found = {k: bool(res.get(k, False)) for k in APPENDIX_C_IDENTITIES}
                 checks.append(
                     {
                         "id": "coefficients r=%d s=%d" % (r, s),
-                        "pass": all(bool(res.get(k, False)) for k in keys),
-                        **{k: bool(res.get(k, False)) for k in keys},
+                        "pass": all(found.values()),
+                        **found,
                     }
                 )
     return _emit(args, "appendix-check", checks)
@@ -441,13 +442,12 @@ def build_parser():
     p.add_argument("--timings", action="store_true", help="include wall-clock times")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, module=True):
+    def common(sp):
         sp.add_argument("--cutoff", type=int, default=6)
         sp.add_argument("--out", help="write the JSON report to a file")
-        if module:
-            sp.add_argument("--epsilon", default="1,0,1,0,1")
-            sp.add_argument("--module", choices=["W", "W2"], default="W")
-            sp.add_argument("--x", default="1", help="spectral parameter expression")
+        sp.add_argument("--epsilon", default="1,0,1,0,1")
+        sp.add_argument("--module", choices=["W", "W2"], default="W")
+        sp.add_argument("--x", default="1", help="spectral parameter expression")
 
     sp = sub.add_parser("verify-relations", help="defining relations on a module window")
     common(sp)

@@ -166,7 +166,8 @@ def find_hw(module, lam: Weight) -> HwReport:
 
 
 def decompose(module, flavor: str, ell: int, max_degree: int):
-    """Highest-weight multiplicities of the window, per candidate partition.
+    """Highest-weight multiplicities of the window: [(lam, multiplicity)]
+    per candidate partition.
 
     flavor 'c' pairs with O_ell, 'd' with Sp_{2 ell}.  Candidates are the
     partitions lam with |lam| <= max_degree lying in both the classical
@@ -183,8 +184,7 @@ def decompose(module, flavor: str, ell: int, max_degree: int):
         wt = hw_weight(eps, lam, ell, flavor, kept=kept)
         if wt is None:
             continue
-        rep = find_hw(module, wt)
-        out.append((lam, rep.dimension, rep))
+        out.append((lam, find_hw(module, wt).dimension))
     return out
 
 

@@ -425,10 +425,9 @@ class PullbackModule(ModuleView):
 
     def atom_shift(self, atom):
         """Degree change of a target atom: the net shift of its phi image."""
-        kind, j = atom
-        if kind == "k":
+        if atom[0] == "k":
             return 0
-        word = self.algebra.phi_e[j] if kind == "e" else self.algebra.phi_f[j]
+        word = self.algebra.phi(atom)
         return word_degree_profile(next(iter(word.terms)), self.base.atom_shift)[1]
 
     def phi_image(self, gen, label):
@@ -437,9 +436,7 @@ class PullbackModule(ModuleView):
         key = (gen, label)
         hit = self._images.get(key)
         if hit is None:
-            kind, j = gen
-            word = self.algebra.phi_e[j] if kind == "e" else self.algebra.phi_f[j]
-            terms, dropped = _eval_terms(word, {label: ONE}, self.base)
+            terms, dropped = _eval_terms(self.algebra.phi(gen), {label: ONE}, self.base)
             hit = self._images[key] = (list(terms.items()), dropped)
         return hit
 
@@ -452,28 +449,24 @@ class PullbackModule(ModuleView):
 
 
 class TruncatedModule(PullbackModule):
-    """A truncation tr_eps'(V): the kets of a pull-back supported on kept
-    indices.  Its action keeps what is left of a phi image that leaves the
-    window; callers flag only the kets that their own cutoff drops."""
-
-    def __init__(self, base, target):
-        super().__init__(base, target)
-        self.kept = tuple(sorted(target.kept))
+    """A truncation tr_eps'(V): the kets of a pull-back supported on the
+    kept indices of its target algebra.  Its action keeps what is left of a
+    phi image that leaves the window; callers flag only the kets that their
+    own cutoff drops."""
 
     def apply_gen(self, gen, label):
         return self.phi_image(gen, label)[0]
 
+    def _kept_supported(self, delta):
+        kept = self.algebra.kept
+        return all(c == 0 for i, c in enumerate(delta, start=1) if i not in kept)
+
     def labels_by_delta(self, dvec):
-        ks = set(self.kept)
-        if any(t and (i + 1) not in ks for i, t in enumerate(dvec)):
-            return []
-        return self.base.labels_by_delta(dvec)
+        return self.base.labels_by_delta(dvec) if self._kept_supported(dvec) else []
 
     def enumerate_labels(self, maxdeg=None):
-        ks = set(self.kept)
         for label in self.base.enumerate_labels(maxdeg):
-            delta = self.weight_of(label).delta
-            if all(c == 0 for i, c in enumerate(delta, start=1) if i not in ks):
+            if self._kept_supported(self.weight_of(label).delta):
                 yield label
 
 
@@ -673,18 +666,6 @@ def weight_block(module, wt: Weight, maxdeg=None):
         return []
     labels = module.labels_by_delta(wt.delta)
     return sorted(labels, key=label_key)
-
-
-def parity_split(module):
-    """(even predicate, odd predicate) on basis labels of a W-type module."""
-
-    def even(label):
-        return module.parity(label) == 0
-
-    def odd(label):
-        return module.parity(label) == 1
-
-    return even, odd
 
 
 class RestrictedModule(ModuleView):

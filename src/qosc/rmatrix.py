@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 
 from .algebraops import host_eps, level_module
 from .decomp import finite_indices, find_hw, hw_kernel_of_vectors, hw_weight
@@ -73,23 +74,21 @@ def sigma_lambda0(sigma):
     return (1,)
 
 
+def _pole_factor(e, renormalized=False) -> SpectralScalar:
+    """(1 - q^e z)/(z - q^e): the ratio of eigenvalues across a pole at
+    z = q^e.  renormalized gives (z - q^e)/(1 - q^e) instead, the factor
+    that clears that pole and is 1 at z = 1."""
+    qe = SpectralScalar.from_scalar(q_power(e))
+    if renormalized:
+        return (Z1 - qe) / (SONE - qe)
+    return (SONE - qe * Z1) / (Z1 - qe)
+
+
 def closed_rho_c(sigma, lam) -> SpectralScalar:
     """The eigenvalue of the normalized R matrix on a type-c component."""
-    z = Z1
-    s1, s2 = sigma
-    if s1 == s2:
-        if lam == (1, 1) or lam == ():
-            return SONE
-        k = lam[0] // 2
-        exps = [4 * j - 2 for j in range(1, k + 1)]
-    else:
-        k = (lam[0] - 1) // 2
-        exps = [4 * j for j in range(1, k + 1)]
-    acc = SONE
-    for e in exps:
-        qe = SpectralScalar.from_scalar(q_power(e))
-        acc = acc * (SONE - qe * z) / (z - qe)
-    return acc
+    if lam == (1, 1) or lam == ():
+        return SONE
+    return prod((_pole_factor(e) for e in pole_exponents_c(sigma, 2 * lam[0])), start=SONE)
 
 
 def pole_exponents_c(sigma, bound):
@@ -100,32 +99,18 @@ def pole_exponents_c(sigma, bound):
 def renormalize_diamond(sigma, m: int) -> SpectralScalar:
     """The finite prefactor that clears the truncation-level poles,
     turning the normalized R matrix into its renormalized companion."""
-    z = Z1
-    if sigma[0] == sigma[1]:
-        d = (m + 1) // 2
-        exps = [4 * i - 2 for i in range(1, d + 1)]
-    else:
-        d = m // 2
-        exps = [4 * i for i in range(1, d + 1)]
-    acc = SONE
-    for e in exps:
-        qe = SpectralScalar.from_scalar(q_power(e))
-        acc = acc * (z - qe) / (SONE - qe)
-    return acc
+    exps = pole_exponents_c(sigma, 2 * m)
+    return prod((_pole_factor(e, renormalized=True) for e in exps), start=SONE)
 
 
 def rho_d_ratio_r(l1, l2, k) -> SpectralScalar:
-    z = Z1
-    qe = SpectralScalar.from_scalar(q_power(l1 + l2 + 2 * k + 2))
     pref = q_power(l1 - l2) * qint(l2 + k + 1) / qint(l1 + k + 1)
-    return SpectralScalar.from_scalar(pref) * (SONE - z * qe) / (z - qe)
+    return SpectralScalar.from_scalar(pref) * _pole_factor(l1 + l2 + 2 * k + 2)
 
 
 def rho_d_ratio_s(l1, l2, t) -> SpectralScalar:
-    z = Z1
-    qe = SpectralScalar.from_scalar(q_power(-l1 - l2 - 2 + 2 * t))
     pref = q_power(l2 - l1) * qint(l2 - t + 1) / qint(l1 - t + 1)
-    return SpectralScalar.from_scalar(pref) * (SONE - z * qe) / (z - qe)
+    return SpectralScalar.from_scalar(pref) * _pole_factor(-l1 - l2 - 2 + 2 * t)
 
 
 def closed_rho_d(l1, l2, r, s) -> SpectralScalar:
@@ -142,15 +127,9 @@ def closed_rho_d(l1, l2, r, s) -> SpectralScalar:
 
 def rho_d_product_part(l1, l2, r, s) -> SpectralScalar:
     """The displayed product (without the constant), for D-extraction."""
-    z = Z1
-    acc = SONE
-    for k in range(1, r + 1):
-        qe = SpectralScalar.from_scalar(q_power(l1 + l2 + 2 * k + 2))
-        acc = acc * (SONE - z * qe) / (z - qe)
-    for k in range(1, min(l1, l2) - s + 1):
-        qe = SpectralScalar.from_scalar(q_power(abs(l2 - l1) + 2 * k))
-        acc = acc * (SONE - z * qe) / (z - qe)
-    return acc
+    exps = [l1 + l2 + 2 * k + 2 for k in range(1, r + 1)]
+    exps += [abs(l2 - l1) + 2 * k for k in range(1, min(l1, l2) - s + 1)]
+    return prod((_pole_factor(e) for e in exps), start=SONE)
 
 
 def pole_exponents_d(l1, l2, bound):

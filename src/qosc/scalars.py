@@ -211,10 +211,6 @@ class Scalar:
     def is_one(self):
         return self.noff == 0 and self.num == _PONE and self.den == _PONE
 
-    def is_laurent(self):
-        """True when the denominator is a rational constant."""
-        return len(self.den) == 1
-
     def is_monomial(self):
         return len(self.num) == 1 and len(self.den) == 1
 
@@ -225,13 +221,6 @@ class Scalar:
         if self.is_monomial():
             return Fraction(self.num[0], self.den[0]), self.noff
         return None
-
-    def coeffs(self):
-        """Laurent coefficients {exponent: Fraction}; requires is_laurent()."""
-        if not self.is_laurent():
-            raise ValueError("not a Laurent polynomial: %s" % self)
-        d, s = self.den[0], self.stride
-        return {self.noff + s * i: Fraction(c, d) for i, c in enumerate(self.num) if c}
 
     def dense(self):
         """(noff, num, den) with num and den as coefficient tuples in w."""
@@ -487,11 +476,6 @@ QINV = Scalar.monomial(-1, -2)
 QTILDE = Scalar.monomial(1, -2)  # -1/q = w^-2
 
 
-def bar(s: Scalar) -> Scalar:
-    """The involution w -> 1/w as a function."""
-    return s.bar()
-
-
 def q_power(k):
     """q**k as a Scalar."""
     return Scalar.monomial(-1 if k % 2 else 1, 2 * k)
@@ -521,23 +505,6 @@ def qint(m: int) -> Scalar:
     # [m] = (-1)^(m-1) * sum_j w^(2(m-1) - 4j), j = 0..m-1: stride 4
     sign = 1 if (m - 1) % 2 == 0 else -1
     return _make(-2 * (m - 1), 4, (sign,) * m, _PONE)
-
-
-@lru_cache(maxsize=None)
-def qfact(m: int) -> Scalar:
-    """[m]! = [m][m-1]...[1]."""
-    if m < 0:
-        raise ValueError("qfact of negative integer")
-    if m == 0:
-        return ONE
-    return qfact(m - 1) * qint(m)
-
-
-def qbinom(m: int, k: int) -> Scalar:
-    """Quantum binomial [m k] for 0 <= k <= m."""
-    if not (0 <= k <= m):
-        raise ValueError("qbinom out of range: (%d, %d)" % (m, k))
-    return qfact(m) / (qfact(k) * qfact(m - k))
 
 
 def qint_at(p: Scalar, m: int) -> Scalar:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from qosc.algebraops import (
@@ -79,14 +81,14 @@ def test_phi_words_examples():
     tgt = phi_words("c", "underline", EPS, eta=1)
     # hat e_1 = [e_2, e_3]_{-q}
     want = qcommutator(WordExpr.e(2), WordExpr.e(3), -Q)
-    assert (tgt.phi_e[1] - want).is_zero()
+    assert (tgt.phi(("e", 1)) - want).is_zero()
     tgt = phi_words("c", "overline", EPS, eta=1)  # d = q
     want = qcommutator(WordExpr.e(0), WordExpr.e(2), Q)
-    assert (tgt.phi_e[0] - want).is_zero()
+    assert (tgt.phi(("e", 0)) - want).is_zero()
     tgt = phi_words("d", "underline", EPSP, eta=1)  # d = -q
     m = 2
     want = qcommutator(WordExpr.e(2 * m + 1), WordExpr.e(2 * m - 1), -Q)
-    assert (tgt.phi_e[m + 1] - want).is_zero()
+    assert (tgt.phi(("e", m + 1)) - want).is_zero()
     with pytest.raises(ValueError):
         phi_words("c", "underline", EPSP)
 
@@ -190,3 +192,56 @@ def test_negative_control_detects_corruption():
     suite = dict(relation_suite(EPS))
     rep = check_relation_on(mod, "ef:0,0", suite["ef:0,0"])
     assert not rep.passed and rep.residual_label is not None
+
+
+def _kept(vec, tgt):
+    return truncate_vector(vec, tgt.kept) == vec
+
+
+def test_equivariance_catches_a_phi_image_that_leaves_kept_support():
+    # corrupt hat e_1 by e_2, which moves position 2 (kept) to 3 (removed):
+    # the image of a kept ket then leaves kept support
+    tgt = phi_words("c", "underline", EPS)
+    bad_word = tgt.phi(("e", 1)) + WordExpr.e(2)
+    bad = replace(tgt, phi_e={**tgt.phi_e, 1: bad_word})
+    mod = WModule(EPS, Scalar.from_int(1), cutoff=6)
+    reps = check_truncation_equivariance(bad, mod, maxdeg=4)
+    assert [r.relation for r in reps if not r.passed] == ["tr-equivariance:e1"]
+    # the old stability condition names the first failing ket in window order
+    first = None
+    for label in mod.enumerate_labels(4):
+        b = FockVector.basis(label)
+        if _kept(b, tgt) and not _kept(eval_word(bad_word, b, mod), tgt):
+            first = label
+            break
+    rep = next(r for r in reps if not r.passed)
+    assert first is not None and rep.residual_label == first
+    img = eval_word(bad_word, FockVector.basis(first), mod)
+    assert rep.residual == truncate_vector(img, tgt.kept) - img
+    assert rep.checked == 1 + list(mod.enumerate_labels(4)).index(first)
+
+
+def test_monoidality_catches_a_sign_flip_in_one_factor():
+    class Flipped(TruncatedModule):
+        def apply_gen(self, gen, label):
+            out = TruncatedModule.apply_gen(self, gen, label)
+            if gen == ("e", 1):
+                return [(l, -c) for l, c in out]
+            return out
+
+    tgt = phi_words("c", "underline", EPS)
+    wx = WModule(EPS, parse_scalar("q^2"), cutoff=4)
+    wy = WModule(EPS, parse_scalar("q^-2"), cutoff=4)
+    t_amb = TensorModule([wx, wy])
+    t_bad = TensorModule([Flipped(wx, tgt), TruncatedModule(wy, tgt)])
+    reps = check_monoidality(tgt, t_amb, t_bad, maxdeg=2)
+    assert [r.relation for r in reps if not r.passed] == ["tr-monoidal:e1"]
+    # e (x) k^-1 is the flipped term: the first ket whose first factor e_1
+    # does not kill fails
+    first = next(
+        label
+        for label in t_bad.enumerate_labels(2)
+        if not act(TruncatedModule(wx, tgt), ("e", 1), FockVector.basis(label[0])).is_zero()
+    )
+    rep = next(r for r in reps if not r.passed)
+    assert rep.residual_label == first

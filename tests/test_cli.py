@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -212,3 +215,29 @@ def test_readme_cli_lines_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+# The benchmark's output gate: every invocation in perfbench/workloads.json,
+# with the exponent {k} set to 0, must print the report whose rc and SHA-256
+# the file records.  Each runs in a fresh interpreter with PYTHONHASHSEED=0,
+# as the benchmark's child process does.
+ROOT = Path(__file__).resolve().parent.parent
+GATED = [
+    inv
+    for workload in json.loads((ROOT / "perfbench" / "workloads.json").read_text())[
+        "workloads"
+    ].values()
+    for inv in workload["invocations"]
+]
+
+
+@pytest.mark.parametrize("inv", GATED, ids=lambda inv: " ".join(inv["argv"]))
+def test_perfbench_output_gate(inv, tmp_path):
+    argv = [a.replace("{k}", "0") for a in inv["argv"]]
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qosc.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == inv["rc"], proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == inv["digest"]

@@ -28,7 +28,7 @@ EPSP = EpsilonData((0, 1, 0, 1, 0))
 
 
 def nonzero(res):
-    return {lam: d for lam, d, _ in res if d}
+    return {lam: d for lam, d in res if d}
 
 
 def test_partitions_and_families():
@@ -149,6 +149,6 @@ def test_classical_dims():
     # cross-validated against hw counts in the full W (x) W window
     wx = WModule(EPS, parse_scalar("q^2"), cutoff=6)
     wy = WModule(EPS, parse_scalar("q^-4"), cutoff=6)
-    for lam, d, _ in decompose(TensorModule([wx, wy]), "c", 2, 6):
+    for lam, d in decompose(TensorModule([wx, wy]), "c", 2, 6):
         if d:
             assert d == classical_dim("O", 2, lam)

@@ -13,7 +13,6 @@ from qosc.fockmod import (
     act,
     act_k,
     flat_label,
-    parity_split,
     weight_block,
 )
 from qosc.lattice import EpsilonData, Weight, qpair, simple_root
@@ -113,8 +112,7 @@ def test_k_acts_by_qpair_eigenvalue():
 
 def test_parity_split_and_stability():
     mod = WModule(EPS, Scalar.from_int(1), cutoff=6)
-    even, odd = parity_split(mod)
-    assert even((0,) * 5) and odd((0, 0, 0, 0, 1))
+    assert mod.parity((0,) * 5) == 0 and mod.parity((0, 0, 0, 0, 1)) == 1
     for label in mod.enumerate_labels(4):
         p = mod.parity(label)
         for i in EPS.I:
