@@ -7,6 +7,7 @@ quantum affine algebra of type C or D acting through q-commutator words.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .fockmod import (
@@ -14,10 +15,11 @@ from .fockmod import (
     PullbackModule,
     TruncatedModule,
     W2Module,
+    WindowError,
     WModule,
     act,
     eval_word,
-    eval_word_guarded,
+    eval_word_on_kets,
     ket_str,
 )
 from .lattice import EpsilonData, Weight, bilinear, qpair, simple_root
@@ -211,8 +213,15 @@ class RelationReport:
         return out
 
 
+# Kets per trie walk of a relation check.  A walk keeps every image row of
+# its block alive at once: the whole window as one block ran 20 times the
+# gen-2 collections and raised peak RSS; blocks of 8 to 32 tie on time.
+_BLOCK = 16
+
+
 def check_relation_on(module, name, expr: WordExpr, labels=None):
-    """Evaluate one relation on every guard-safe basis ket of the window."""
+    """Evaluate one relation on every guard-safe basis ket of the window,
+    one block of kets per walk of the relation's suffix trie."""
     safe = module.cutoff - expr_max_rise(expr, module.atom_shift)
     if labels is None:
         labels = module.enumerate_labels(safe) if safe >= 0 else ()
@@ -221,22 +230,48 @@ def check_relation_on(module, name, expr: WordExpr, labels=None):
     return _check_window(
         RelationReport(name, module.cutoff, max_degree_checked=-1),
         kets,
-        lambda label: eval_word_guarded(expr, FockVector.basis(label), module),
+        lambda block: _relation_residuals(module, expr, block),
     )
 
 
-def _check_window(report, kets, residual):
-    """Evaluate residual(label) on each (label, degree) of kets in order,
-    counting the kets and their top degree; the first nonzero residual ends
-    the check, and the report keeps it with its ket."""
-    for label, d in kets:
-        out = residual(label)
-        report.checked += 1
-        report.max_degree_checked = max(report.max_degree_checked, d)
-        if not out.is_zero():
-            report.residual_label = label
-            report.residual = out
-            break
+def _relation_residuals(module, expr, labels):
+    """Yield the residual of expr on each basis ket of labels in order, all
+    from one trie walk.  A ket whose image dropped a ket above the cutoff
+    raises WindowError when its turn comes."""
+    try:
+        images, dropped = eval_word_on_kets(expr, labels, module)
+    except WindowError:
+        # a pull-back raises inside the walk when a phi image leaves the
+        # window; ket by ket, only a ket up to the first counterexample
+        # can raise it, as in a check of one ket at a time
+        if len(labels) == 1:
+            raise
+        for label in labels:
+            yield from _relation_residuals(module, expr, [label])
+        return
+    for label in labels:
+        if label in dropped:
+            raise WindowError("insufficient guard band for the word")
+        yield FockVector(images.get(label))
+
+
+def _check_window(report, kets, residuals):
+    """Walk the (label, degree) pairs of kets in order, in blocks of
+    _BLOCK; residuals(labels) yields the residual of each label of a block
+    in turn.  Counts the kets and their top degree; the first nonzero
+    residual ends the check, and the report keeps it with its ket."""
+    kets = iter(kets)
+    while block := list(itertools.islice(kets, _BLOCK)):
+        # the labels go as a list: a tuple built from a generator is
+        # resized into its size class, whose free list then only grows
+        # (2000 dead 16-tuples, 0.3 MiB, at the end of verify-phi)
+        for (label, d), out in zip(block, residuals([label for label, _ in block])):
+            report.checked += 1
+            report.max_degree_checked = max(report.max_degree_checked, d)
+            if not out.is_zero():
+                report.residual_label = label
+                report.residual = out
+                return report
     return report
 
 
@@ -506,7 +541,7 @@ def check_truncation_equivariance(tgt: TargetAlgebra, module, maxdeg=None):
                 return lhs - eval_word(word, truncate_vector(b, kept), module)
 
             rep = RelationReport("tr-equivariance:%s%d" % (kind, j), module.cutoff, -1)
-            reports.append(_check_window(rep, kets, residual))
+            reports.append(_check_window(rep, kets, lambda labels: map(residual, labels)))
     return reports
 
 
@@ -525,5 +560,5 @@ def check_monoidality(tgt: TargetAlgebra, tensor_ambient, tensor_truncated, maxd
                 return eval_word(word, b, tensor_ambient) - act(tensor_truncated, gen, b)
 
             rep = RelationReport("tr-monoidal:%s%d" % gen, tensor_ambient.cutoff, -1)
-            reports.append(_check_window(rep, kets, residual))
+            reports.append(_check_window(rep, kets, lambda labels: map(residual, labels)))
     return reports

@@ -436,8 +436,8 @@ class PullbackModule(ModuleView):
         key = (gen, label)
         hit = self._images.get(key)
         if hit is None:
-            terms, dropped = _eval_terms(self.algebra.phi(gen), {label: ONE}, self.base)
-            hit = self._images[key] = (list(terms.items()), dropped)
+            images, dropped = eval_word_on_kets(self.algebra.phi(gen), (label,), self.base)
+            hit = self._images[key] = (list(images.get(label, {}).items()), bool(dropped))
         return hit
 
     def apply_gen(self, gen, label):
@@ -565,65 +565,92 @@ def _sub_deltas(t):
 # -- vector-level actions ----------------------------------------------------
 
 
-def _step(module, atom, terms):
-    """One atom on a {label: Scalar} dict: (image dict, whether a ket above
-    the cutoff was dropped).  Every module action goes through here."""
+def _step(module, atom, rows):
+    """One atom on rows {source: {label: Scalar}}: (image rows, the sources
+    whose image dropped a ket above the cutoff).  A row whose image is zero
+    is left out.  Every module action goes through here."""
+    out = {}
     if atom[0] == "k":
         mu, eps, weight_of = atom[1], module.eps, module.weight_of
-        return {l: c * qpair(weight_of(l), mu, eps) for l, c in terms.items()}, False
+        factors = {}  # one q-power per distinct label, shared by the rows
+        for src, terms in rows.items():
+            img = {}
+            for l, c in terms.items():
+                f = factors.get(l)
+                if f is None:
+                    f = factors[l] = qpair(weight_of(l), mu, eps)
+                img[l] = c * f
+            if img:
+                out[src] = img
+        return out, ()
     if atom[1] not in module.algebra.gen_indices:
         raise ValueError("generator index %r outside I" % (atom,))
-    acc = {}
-    dropped = False
+    dropped = []
     cutoff, degree, apply_gen = module.cutoff, module.degree, module.apply_gen
-    for label, c in terms.items():
-        for l2, c2 in apply_gen(atom, label):
-            if degree(l2) > cutoff:
-                dropped = True
-                continue
-            p = c * c2
-            s = acc.get(l2)
-            s = p if s is None else s + p
-            if s.is_zero():
-                acc.pop(l2, None)
-            else:
-                acc[l2] = s
-    return acc, dropped
+    for src, terms in rows.items():
+        acc = {}
+        drop = False
+        for label, c in terms.items():
+            for l2, c2 in apply_gen(atom, label):
+                if degree(l2) > cutoff:
+                    drop = True
+                    continue
+                p = c * c2
+                s = acc.get(l2)
+                s = p if s is None else s + p
+                if s.is_zero():
+                    acc.pop(l2, None)
+                else:
+                    acc[l2] = s
+        if drop:
+            dropped.append(src)
+        if acc:
+            out[src] = acc
+    return out, dropped
 
 
-def _eval_terms(expr: WordExpr, terms, module):
-    """expr on a {label: Scalar} dict: (image dict, dropped flag).
+def _walk(module, node, rows, parts, dropped):
+    """Depth-first below one trie node: collect (term, rows) at each word
+    end into parts and the dropping sources into dropped.  A module-level
+    function, not a closure, so no reference cycle keeps the rows alive
+    until the cyclic GC runs."""
+    children, end = node
+    if end is not None:
+        parts.append((end, rows))
+    for atom, child in children.items():
+        img, d = _step(module, atom, rows)
+        dropped.update(d)
+        if img:
+            _walk(module, child, img, parts, dropped)
 
-    Walks the suffix trie of expr, so each atom is applied once per shared
-    suffix, and stops below a node whose image is zero.  The images of the
-    terms are summed in the order of expr.terms."""
+
+def _eval_terms(expr: WordExpr, rows, module):
+    """expr on rows {source: {label: Scalar}}: (image rows, the set of
+    sources whose image dropped a ket above the cutoff).
+
+    Walks the suffix trie of expr once for all rows, so each atom is
+    applied once per shared suffix, and stops below a node where every
+    row's image is zero.  The images of the terms are summed per row in
+    the order of expr.terms; a row whose sum is zero is left out."""
     parts = []
-    dropped = False
-
-    def walk(node, vec):
-        nonlocal dropped
-        children, end = node
-        if end is not None:
-            parts.append((end, vec))
-        for atom, child in children.items():
-            img, d = _step(module, atom, vec)
-            dropped = dropped or d
-            if img:
-                walk(child, img)
-
-    walk(expr.suffix_trie(), terms)
+    dropped = set()
+    _walk(module, expr.suffix_trie(), rows, parts, dropped)
     parts.sort(key=lambda part: part[0][0])
-    acc = {}
-    for (_, c), vec in parts:
-        for label, x in vec.items():
-            p = c * x
-            s = acc.get(label)
-            s = p if s is None else s + p
-            if s.is_zero():
-                acc.pop(label, None)
-            else:
-                acc[label] = s
-    return acc, dropped
+    out = {}
+    for (_, c), prows in parts:
+        for src, vec in prows.items():
+            acc = out.get(src)
+            if acc is None:
+                acc = out[src] = {}
+            for label, x in vec.items():
+                p = c * x
+                s = acc.get(label)
+                s = p if s is None else s + p
+                if s.is_zero():
+                    acc.pop(label, None)
+                else:
+                    acc[label] = s
+    return {src: acc for src, acc in out.items() if acc}, dropped
 
 
 def _vector(terms, overflow):
@@ -635,26 +662,26 @@ def _vector(terms, overflow):
 def act(module, gen, vec: FockVector) -> FockVector:
     """Apply a generator ('e', i) or ('f', i); drops kets above the cutoff
     and marks the overflow flag."""
-    terms, dropped = _step(module, gen, vec.terms)
-    return _vector(terms, vec.overflow or dropped)
+    rows, dropped = _step(module, gen, {None: vec.terms})
+    return _vector(rows.get(None, {}), vec.overflow or bool(dropped))
 
 
 def act_k(module, mu: Weight, vec: FockVector) -> FockVector:
-    return _vector(_step(module, ("k", mu), vec.terms)[0], vec.overflow)
+    rows, _ = _step(module, ("k", mu), {None: vec.terms})
+    return _vector(rows.get(None, {}), vec.overflow)
 
 
 def eval_word(expr: WordExpr, vec: FockVector, module) -> FockVector:
     """Evaluate a WordExpr right-to-left on a vector."""
-    terms, dropped = _eval_terms(expr, vec.terms, module)
-    return _vector(terms, vec.overflow or dropped)
+    rows, dropped = _eval_terms(expr, {None: vec.terms}, module)
+    return _vector(rows.get(None, {}), vec.overflow or bool(dropped))
 
 
-def eval_word_guarded(expr: WordExpr, vec: FockVector, module) -> FockVector:
-    """eval_word that refuses window-contaminated results."""
-    out = eval_word(expr, vec, module)
-    if out.overflow:
-        raise WindowError("insufficient guard band for the word")
-    return out
+def eval_word_on_kets(expr: WordExpr, labels, module):
+    """expr on each basis ket of labels in one trie walk: ({label: image
+    terms}, the set of labels whose image dropped a ket above the cutoff).
+    A label whose image is zero has no entry."""
+    return _eval_terms(expr, {label: {label: ONE} for label in labels}, module)
 
 
 def weight_block(module, wt: Weight, maxdeg=None):

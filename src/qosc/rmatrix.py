@@ -85,7 +85,10 @@ def _pole_factor(e, renormalized=False) -> SpectralScalar:
 
 
 def closed_rho_c(sigma, lam) -> SpectralScalar:
-    """The eigenvalue of the normalized R matrix on a type-c component."""
+    """The eigenvalue of the normalized R matrix on a type-c component;
+    lam must be a component of W^s1 (x) W^s2 (ValueError otherwise)."""
+    if lam not in sigma_component_partitions(sigma, sum(lam)):
+        raise ValueError("%r is not a component for sigma %r" % (lam, sigma))
     if lam == (1, 1) or lam == ():
         return SONE
     return prod((_pole_factor(e) for e in pole_exponents_c(sigma, 2 * lam[0])), start=SONE)

@@ -1,8 +1,10 @@
 from dataclasses import replace
 
 import pytest
+from test_eval_reference import ref_eval_word
 
 from qosc.algebraops import (
+    RelationReport,
     check_monoidality,
     check_phi_relations,
     check_relation_on,
@@ -15,9 +17,11 @@ from qosc.algebraops import (
 )
 from qosc.fockmod import (
     FockVector,
+    PullbackModule,
     TensorModule,
     TruncatedModule,
     W2Module,
+    WindowError,
     WModule,
     act,
     eval_word,
@@ -25,7 +29,7 @@ from qosc.fockmod import (
 )
 from qosc.lattice import EpsilonData, qpair, simple_root
 from qosc.scalars import ONE, Q, Scalar, Z1, parse_scalar, q_power, qint
-from qosc.words import WordExpr, divided_power, qcommutator
+from qosc.words import WordExpr, divided_power, expr_max_rise, qcommutator
 
 EPS = EpsilonData((1, 0, 1, 0, 1))
 EPSP = EpsilonData((0, 1, 0, 1, 0))
@@ -245,3 +249,161 @@ def test_monoidality_catches_a_sign_flip_in_one_factor():
     )
     rep = next(r for r in reps if not r.passed)
     assert rep.residual_label == first
+
+
+# -- the blocked relation check against a check of one ket at a time -------
+
+
+def _ref_check(module, name, expr, labels=None):
+    """check_relation_on as a loop over one ket at a time, each evaluated
+    by the per-term reference loop."""
+    safe = module.cutoff - expr_max_rise(expr, module.atom_shift)
+    if labels is None:
+        labels = module.enumerate_labels(safe) if safe >= 0 else ()
+    rep = RelationReport(name, module.cutoff, max_degree_checked=-1)
+    for label in labels:
+        d = module.degree(label)
+        if d > safe:
+            continue
+        out = ref_eval_word(expr, FockVector.basis(label), module)
+        if out.overflow:
+            raise WindowError("insufficient guard band for the word")
+        rep.checked += 1
+        rep.max_degree_checked = max(rep.max_degree_checked, d)
+        if not out.is_zero():
+            rep.residual_label, rep.residual = label, out
+            break
+    return rep
+
+
+def _assert_same_report(module, name, expr, labels=None):
+    got = check_relation_on(module, name, expr, labels)
+    want = _ref_check(module, name, expr, labels)
+    assert got == want
+    assert got.to_json() == want.to_json()
+    assert repr(got.residual) == repr(want.residual)
+    return got
+
+
+class _SignFlippedW2(W2Module):
+    """W^(x2)(x) with the sign of f_2 flipped on kets whose second factor
+    has m'_3 > 0."""
+
+    def apply_gen(self, gen, label):
+        out = W2Module.apply_gen(self, gen, label)
+        if gen == ("f", 2) and label[1][2]:
+            return [(l, -c) for l, c in out]
+        return out
+
+
+def _corrupted_phi_pullback():
+    tgt = phi_words("d", "underline", EPSP)
+    bad = replace(tgt, phi_f={**tgt.phi_f, 1: tgt.phi_f[1] + WordExpr.f(2).scale(Q)})
+    return tgt, PullbackModule(W2Module(EPSP, parse_scalar("q^2"), cutoff=4), bad)
+
+
+def _placements(module, expr, length=24):
+    """Windows of length kets, the first failing ket of the window put at
+    positions 0, 15, 16 (either side of the first block boundary) and
+    last, the rest passing kets in window order."""
+    safe = module.cutoff - expr_max_rise(expr, module.atom_shift)
+    passing, failing = [], None
+    for label in module.enumerate_labels(safe):
+        if ref_eval_word(expr, FockVector.basis(label), module).is_zero():
+            passing.append(label)
+        elif failing is None:
+            failing = label
+        if failing is not None and len(passing) >= length - 1:
+            break
+    passing = passing[: length - 1]
+    return failing, [passing[:p] + [failing] + passing[p:] for p in (0, 15, 16, length - 1)]
+
+
+def _cases():
+    tgt, pulled = _corrupted_phi_pullback()
+    return {
+        "corrupted W2 action": (
+            _SignFlippedW2(EPSP, parse_scalar("q^2"), cutoff=4),
+            "ef:3,2",
+            dict(relation_suite(EPSP))["ef:3,2"],
+        ),
+        "corrupted phi word": (
+            pulled,
+            "t-serre:f0,f1",
+            dict(target_relation_suite(tgt))["t-serre:f0,f1"],
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["corrupted W2 action", "corrupted phi word"])
+def test_blocked_check_matches_one_ket_at_a_time(case):
+    module, name, expr = _cases()[case]
+    # the whole window, in window order
+    rep = _assert_same_report(module, name, expr)
+    assert not rep.passed
+    failing, windows = _placements(module, expr)
+    for pos, labels in zip((0, 15, 16, 23), windows):
+        rep = _assert_same_report(module, name, expr, labels)
+        assert rep.residual_label == failing and rep.checked == pos + 1, pos
+
+
+def test_blocked_check_matches_on_a_passing_relation():
+    module = W2Module(EPSP, parse_scalar("q^2"), cutoff=4)
+    rep = _assert_same_report(module, "ef:3,2", dict(relation_suite(EPSP))["ef:3,2"])
+    assert rep.passed and rep.checked % 16 != 0
+
+
+class _UnderstatedW2(W2Module):
+    """W^(x2)(x) whose atom_shift claims no atom raises the degree, and
+    whose f_0 has the wrong sign: low kets fail e_0 f_0 - f_0 e_0 = [k],
+    and a ket at degree 3 or more is let in though e_0 lifts it out."""
+
+    def atom_shift(self, atom):
+        return 0
+
+    def apply_gen(self, gen, label):
+        out = W2Module.apply_gen(self, gen, label)
+        return [(l, -c) for l, c in out] if gen == ("f", 0) else out
+
+
+class _UnderstatedPullback(PullbackModule):
+    def atom_shift(self, atom):
+        return 0
+
+
+def _kinds(module, expr):
+    """The kets of the window that pass, fail with nothing dropped, or drop
+    a ket above the cutoff, one ket at a time."""
+    kinds = {"pass": [], "fail": [], "drop": []}
+    for label in module.enumerate_labels():
+        try:
+            out = ref_eval_word(expr, FockVector.basis(label), module)
+        except WindowError:  # a pull-back raises in apply_gen
+            out = FockVector(overflow=True)
+        kind = "drop" if out.overflow else ("pass" if out.is_zero() else "fail")
+        kinds[kind].append(label)
+    return kinds
+
+
+@pytest.mark.parametrize("kind", ["W2", "pull-back"])
+def test_window_error_only_for_a_drop_up_to_the_first_counterexample(kind):
+    if kind == "W2":
+        module = _UnderstatedW2(EPSP, parse_scalar("q^2"), cutoff=4)
+        expr = dict(relation_suite(EPSP))["ef:0,0"]
+    else:
+        # phi(e_0) + e_2: e_0 f_0 - f_0 e_0 = [k] fails where e_2 acts
+        tgt = phi_words("d", "underline", EPSP)
+        bad = replace(tgt, phi_e={**tgt.phi_e, 0: tgt.phi_e[0] + WordExpr.e(2)})
+        module = _UnderstatedPullback(W2Module(EPSP, parse_scalar("q^2"), cutoff=4), bad)
+        expr = dict(target_relation_suite(tgt))["t-ef:0,0"]
+    kinds = _kinds(module, expr)
+    fail, drop = kinds["fail"][0], kinds["drop"][0]
+    # in the first block, across the boundary, and in the second block
+    for pad in (kinds["pass"][:0], kinds["pass"][:15], kinds["pass"][:16]):
+        labels = pad + [drop, fail]
+        with pytest.raises(WindowError):
+            check_relation_on(module, "r", expr, labels)
+        with pytest.raises(WindowError):
+            _ref_check(module, "r", expr, labels)
+        rep = _assert_same_report(module, "r", expr, pad + [fail, drop])
+        assert rep.residual_label == fail and rep.checked == len(pad) + 1

@@ -19,7 +19,6 @@ from qosc.fockmod import (
     WindowError,
     WModule,
     eval_word,
-    eval_word_guarded,
 )
 from qosc.lattice import EpsilonData, qpair
 from qosc.scalars import ONE, Q, Scalar, parse_scalar, qint
@@ -181,7 +180,7 @@ def test_pullback_guard_violation_raises_window_error():
     ket = (0, 2, 0, 2, 0)  # degree 4: above the guard band 4 - 2
     assert check_relation_on(pulled, "t-ef:0,0", expr, [ket]).checked == 0
     with pytest.raises(WindowError):
-        eval_word_guarded(expr, FockVector.basis(ket), pulled)
+        eval_word(expr, FockVector.basis(ket), pulled)
     # a truncation keeps what is left of the image, as before
     trunc = TruncatedModule(pulled.base, tgt)
     assert trunc.apply_gen(("e", 0), ket) == []

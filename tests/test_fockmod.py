@@ -74,13 +74,20 @@ def test_generator_domain_error():
 
 
 def test_guard_violation_raises_window_error():
-    from qosc.fockmod import WindowError, eval_word_guarded
+    from qosc.algebraops import check_relation_on
+    from qosc.fockmod import WindowError, eval_word
     from qosc.words import WordExpr
 
     mod = WModule(EPS, Scalar.from_int(1), cutoff=4)
     expr = WordExpr.e(0) * WordExpr.f(5)  # raises degree by 4
+    ket = (0, 1, 0, 1, 0)
+    assert eval_word(expr, FockVector.basis(ket), mod).overflow
+    # the guard band keeps the ket out of a relation check; a module that
+    # understates the rise lets it in, and the check refuses the result
+    assert check_relation_on(mod, "e0f5", expr, [ket]).checked == 0
+    mod.atom_shift = lambda atom: 0
     with pytest.raises(WindowError):
-        eval_word_guarded(expr, FockVector.basis((0, 1, 0, 1, 0)), mod)
+        check_relation_on(mod, "e0f5", expr, [ket])
 
 
 def test_weight_compatibility_and_degree_bookkeeping():

@@ -53,6 +53,16 @@ def test_closed_rho_c_examples():
     assert closed_rho_c(("-", "-"), (4,)) == want
 
 
+def test_closed_rho_c_rejects_a_key_that_is_not_a_component():
+    good = {("+", "+"): (2,), ("-", "-"): (1, 1), ("+", "-"): (1,), ("-", "+"): (3,)}
+    for sigma, lam in good.items():
+        assert lam in sigma_component_partitions(sigma, sum(lam))
+        closed_rho_c(sigma, lam)
+    for sigma, lam in [(("+", "+"), (1,)), (("+", "-"), (1, 1))]:
+        with pytest.raises(ValueError):
+            closed_rho_c(sigma, lam)
+
+
 def test_pole_sets():
     assert pole_exponents_c(("+", "+"), 12) == [2, 6, 10]
     assert pole_exponents_c(("+", "-"), 13) == [4, 8, 12]

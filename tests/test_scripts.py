@@ -1,12 +1,15 @@
 """Every name a script imports from qosc must still exist, and the kernel
-replay runs end to end.
+replay and the acceptance runner run end to end.
 
 The scripts do their work at import time, so they are parsed with ast
 instead of being imported.
 """
 
 import ast
+import gc
 import importlib
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +49,17 @@ def test_kernel_replay_prints_a_row_per_routine():
     lines = out.splitlines()
     assert lines[2].split() == ["routine", "calls", "self", "s", "share"], out
     assert [line.split()[0] for line in lines[3:]] == list(routines) + ["kernel"], out
+
+
+def test_run_acceptance_prints_seconds_and_gc_collections(monkeypatch, capsys):
+    acceptance = importlib.import_module("qosc.acceptance")
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.criterion_9])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    callbacks = list(gc.callbacks)
+    main = runpy.run_path(str(ROOT / "scripts" / "run_acceptance.py"))["main"]
+    assert main() == 0
+    assert gc.callbacks == callbacks
+    lines = capsys.readouterr().out.splitlines()
+    line = r"9-negative-controls +PASS  \(\d+\.\ds\)  gc \d+/\d+/\d+"
+    assert re.fullmatch(line, lines[0]), lines
+    assert lines[1:] == ["all 1 criteria passed"], lines
