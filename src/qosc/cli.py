@@ -153,7 +153,7 @@ def cmd_truncate(args):
     x = _scalar(args.x, "--x")
     mod = _module(args, eps, x)
     tgt = _target(args, eps)
-    reps = check_truncation_equivariance(tgt, mod, maxdeg=args.cutoff - 2)
+    reps = check_truncation_equivariance(tgt, mod)
     checks = [r.to_json() for r in reps]
     if args.monoidal:
         wx = _module(args, eps, x)
@@ -340,7 +340,7 @@ def cmd_fundamental(args):
         mod = W2Module(host_eps("d", args.m), _scalar(args.x, "--x"), args.cutoff)
     except ArithmeticError as exc:
         raise UsageError("--x %s: %s" % (args.x, exc))
-    rep = build_fundamental(mod, args.l, k, check_closure=True)
+    rep = build_fundamental(mod, args.l, k)
     checks = [
         {
             "id": "build",

@@ -3,7 +3,7 @@
 All modules are materialized lazily on sparse vectors over ket labels.
 A ket label is an integer tuple m (for W), a pair of tuples (for the
 rank-two Fock space) or a nested tuple of factor labels (for tensor
-products).  Degrees above the module cutoff are dropped and flagged.
+products).  An image above the module cutoff is dropped whole and flagged.
 """
 
 from __future__ import annotations
@@ -17,6 +17,12 @@ from .words import WordExpr, word_degree_profile
 
 class WindowError(RuntimeError):
     """An assertion would have depended on kets beyond the degree cutoff."""
+
+
+# What apply_gen returns when a generator's image of a ket leaves the degree
+# window.  Every atom moves every image term's degree by atom_shift, so an
+# image leaves the window whole or not at all.
+DROPPED = object()
 
 
 class FockVector:
@@ -152,7 +158,8 @@ class FockModule:
 
     Fields: eps, n, cutoff, algebra (ambient or target), lam_level (the
     Lambda coefficient of every weight) and x (the spectral parameter, None
-    for tensor products).  Subclasses define degree, weight_of, apply_gen,
+    for tensor products).  Subclasses define degree, weight_of, apply_gen
+    (the image terms of one ket, or DROPPED when they leave the window),
     labels_by_delta and enumerate_labels(maxdeg=None).
     """
 
@@ -177,15 +184,35 @@ class FockModule:
         return 0
 
 
-class WModule(FockModule):
+class AmbientModule(FockModule):
+    """A U_D(eps)-module on Fock kets, W(x) or W^(x2)(x).  A subclass gives
+    _image, the image terms of a generator on one ket at any degree."""
+
+    def __init__(self, eps: EpsilonData, x, cutoff: int, lam_level: int):
+        super().__init__(eps, cutoff, AmbientAlgebra(eps), lam_level, x)
+        self.xinv = self.x.inverse()
+        self._cache = {}
+
+    def apply_gen(self, gen, label):
+        """The image terms of gen on one ket, or DROPPED when they lie above
+        the cutoff; decided once per (gen, label)."""
+        key = (gen, label)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._image(gen, label)
+            if hit and self.degree(hit[0][0]) > self.cutoff:
+                hit = DROPPED
+            self._cache[key] = hit
+        return hit
+
+
+class WModule(AmbientModule):
     """W(x) on kets |m>, m in Z^n_+(eps); requires eps_1 = eps_n = 1."""
 
     def __init__(self, eps: EpsilonData, x, cutoff: int):
         if eps.eps(1) != 1 or eps.eps(eps.n) != 1:
             raise ValueError("W(x) requires eps_1 = eps_n = 1")
-        super().__init__(eps, cutoff, AmbientAlgebra(eps), 1, x)
-        self.xinv = self.x.inverse()
-        self._cache = {}
+        super().__init__(eps, x, cutoff, 1)
 
     def degree(self, label):
         return sum(label)
@@ -193,11 +220,7 @@ class WModule(FockModule):
     def weight_of(self, label) -> Weight:
         return Weight(1, tuple(label))
 
-    def apply_gen(self, gen, m):
-        key = (gen, m)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def _image(self, gen, m):
         kind, i = gen
         n = self.n
         out = []
@@ -234,9 +257,7 @@ class WModule(FockModule):
                     out = [(tuple(lm), qint(m[i]))]
         else:
             raise ValueError("apply_gen expects e/f, got %r" % (gen,))
-        out = [(l, c) for (l, c) in out if _valid_ket(l, self.eps)]
-        self._cache[key] = out
-        return out
+        return [(l, c) for l, c in out if _valid_ket(l, self.eps)]
 
     def labels_by_delta(self, dvec):
         m = tuple(dvec)
@@ -253,15 +274,13 @@ class WModule(FockModule):
                 yield m
 
 
-class W2Module(FockModule):
+class W2Module(AmbientModule):
     """W^(x2)(x) on pairs |m> (x) |m'>; requires eps_1 = eps_n = 0."""
 
     def __init__(self, eps: EpsilonData, x, cutoff: int):
         if eps.eps(1) != 0 or eps.eps(eps.n) != 0:
             raise ValueError("W^(x2)(x) requires eps_1 = eps_n = 0")
-        super().__init__(eps, cutoff, AmbientAlgebra(eps), 2, x)
-        self.xinv = self.x.inverse()
-        self._cache = {}
+        super().__init__(eps, x, cutoff, 2)
 
     def degree(self, label):
         return sum(label[0]) + sum(label[1])
@@ -274,11 +293,7 @@ class W2Module(FockModule):
         # q_i^e as a Scalar
         return self.eps.qi(i) ** e
 
-    def apply_gen(self, gen, label):
-        key = (gen, label)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def _image(self, gen, label):
         kind, i = gen
         n = self.n
         m, mp = label
@@ -343,13 +358,8 @@ class W2Module(FockModule):
                 out.append(((m, shifted(shifted(mp, i, 1), i + 1, -1)), c))
         else:
             raise ValueError("apply_gen expects e/f, got %r" % (gen,))
-        out = [
-            (l, c)
-            for (l, c) in out
-            if _valid_ket(l[0], self.eps) and _valid_ket(l[1], self.eps)
-        ]
-        self._cache[key] = out
-        return out
+        eps = self.eps
+        return [(l, c) for l, c in out if _valid_ket(l[0], eps) and _valid_ket(l[1], eps)]
 
     def labels_by_delta(self, dvec):
         per = []
@@ -430,32 +440,22 @@ class PullbackModule(ModuleView):
         word = self.algebra.phi(atom)
         return word_degree_profile(next(iter(word.terms)), self.base.atom_shift)[1]
 
-    def phi_image(self, gen, label):
-        """(terms, whether a ket above the cutoff was dropped) of the phi
-        word of gen on one ket; computed once per (gen, label)."""
+    def apply_gen(self, gen, label):
+        """The phi image of gen on one ket, or DROPPED when the walk of the
+        phi word on base dropped a ket; computed once per (gen, label)."""
         key = (gen, label)
         hit = self._images.get(key)
         if hit is None:
             images, dropped = eval_word_on_kets(self.algebra.phi(gen), (label,), self.base)
-            hit = self._images[key] = (list(images.get(label, {}).items()), bool(dropped))
+            hit = DROPPED if dropped else list(images.get(label, {}).items())
+            self._images[key] = hit
         return hit
-
-    def apply_gen(self, gen, label):
-        image, dropped = self.phi_image(gen, label)
-        if dropped:
-            raise WindowError("phi image of %r on |%s> leaves the window"
-                              % (gen, ket_str(label)))
-        return image
 
 
 class TruncatedModule(PullbackModule):
     """A truncation tr_eps'(V): the kets of a pull-back supported on the
-    kept indices of its target algebra.  Its action keeps what is left of a
-    phi image that leaves the window; callers flag only the kets that their
-    own cutoff drops."""
-
-    def apply_gen(self, gen, label):
-        return self.phi_image(gen, label)[0]
+    kept indices of its target algebra.  It acts as the pull-back does, so
+    a phi image that leaves the window is dropped whole and flagged."""
 
     def _kept_supported(self, delta):
         kept = self.algebra.kept
@@ -505,6 +505,8 @@ class TensorModule(FockModule):
         nfac = len(self.factors)
         for p in range(nfac):
             img = self.factors[p].apply_gen(gen, label[p])
+            if img is DROPPED:
+                return DROPPED
             if not img:
                 continue
             coeff = ONE
@@ -521,6 +523,9 @@ class TensorModule(FockModule):
             for l2, c in img:
                 nl = label[:p] + (l2,) + label[p + 1 :]
                 out.append((nl, coeff * c))
+        # all terms share one degree, and the cutoff bounds the factors' sum
+        if out and self.degree(out[0][0]) > self.cutoff:
+            return DROPPED
         return out
 
     def labels_by_delta(self, dvec):
@@ -567,7 +572,7 @@ def _sub_deltas(t):
 
 def _step(module, atom, rows):
     """One atom on rows {source: {label: Scalar}}: (image rows, the sources
-    whose image dropped a ket above the cutoff).  A row whose image is zero
+    with a ket whose image apply_gen DROPPED).  A row whose image is zero
     is left out.  Every module action goes through here."""
     out = {}
     if atom[0] == "k":
@@ -586,15 +591,16 @@ def _step(module, atom, rows):
     if atom[1] not in module.algebra.gen_indices:
         raise ValueError("generator index %r outside I" % (atom,))
     dropped = []
-    cutoff, degree, apply_gen = module.cutoff, module.degree, module.apply_gen
+    apply_gen = module.apply_gen
     for src, terms in rows.items():
         acc = {}
         drop = False
         for label, c in terms.items():
-            for l2, c2 in apply_gen(atom, label):
-                if degree(l2) > cutoff:
-                    drop = True
-                    continue
+            image = apply_gen(atom, label)
+            if image is DROPPED:
+                drop = True
+                continue
+            for l2, c2 in image:
                 p = c * c2
                 s = acc.get(l2)
                 s = p if s is None else s + p

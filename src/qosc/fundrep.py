@@ -213,17 +213,20 @@ def e0_certificate_word(n: int) -> WordExpr:
     return t1 - t2
 
 
-def build_fundamental(module, l: int, k: int, check_closure=True):
-    """BFS closure of v_{l,k} under the lowering operators of the finite
-    subalgebra; verifies e_0/f_0 stability and the explicit e_0 identity."""
+def fundamental_span(module, l: int, k: int) -> Subspace:
+    """The lowering_closure of v_{l,k} over the finite subalgebra."""
+    v0 = FockVector.basis(v_lk_label(l, k, module.n))
+    return lowering_closure(module, v0, finite_indices(module.algebra))
+
+
+def build_fundamental(module, l: int, k: int):
+    """fundamental_span of v_{l,k}; verifies e_0/f_0 stability and the
+    explicit e_0 identity."""
     n = module.n
-    label = v_lk_label(l, k, n)
-    v0 = FockVector.basis(label)
+    v0 = FockVector.basis(v_lk_label(l, k, n))
     lower = finite_indices(module.algebra)
-    span = lowering_closure(module, v0, lower)
+    span = fundamental_span(module, l, k)
     report = FundamentalReport(l=l, k=k, span=span)
-    if not check_closure:
-        return report
 
     # eq-style certificate: x^-1 e_0 v_{l,k} equals the displayed f-word / [l+1]
     if module.algebra.gen_indices == module.eps.I:
@@ -276,13 +279,12 @@ def iso_between_k(module, l: int, k1: int, k2: int):
 # -- explicit highest-weight vectors u_{r,s} ---------------------------------
 
 
-def fundamental_pair_modules(m: int, x1, x2, cutoff: int, level="underline"):
+def fundamental_pair_modules(m: int, x1, x2, cutoff: int):
     """The tensor product W_{l1}(x1) (x) W_{l2}(x2) lives inside this pair of
-    rank-two Fock modules; level 'underline' acts through type-d phi maps,
-    'bold' through the ambient algebra."""
+    rank-two Fock modules, acting through the underline type-d phi maps."""
     epsp = host_eps("d", m)
-    A, tgt = level_module("d", level, epsp, x1, cutoff)
-    B, _ = level_module("d", level, epsp, x2, cutoff)
+    A, tgt = level_module("d", "underline", epsp, x1, cutoff)
+    B, _ = level_module("d", "underline", epsp, x2, cutoff)
     return TensorModule([A, B]), tgt
 
 
@@ -580,9 +582,9 @@ def check_fundamental_truncation(m: int, l: int, cutoff=None):
     cutoff = cutoff or (l + 2 * m + 4)
     epsp = host_eps("d", m)
     W2 = W2Module(epsp, Scalar.from_int(1), cutoff)
-    rep = build_fundamental(W2, l, l, check_closure=False)
+    span = fundamental_span(W2, l, l)
     over = TruncatedModule(W2, phi_words("d", "overline", epsp))
-    got = truncate_image_span(rep.span, over).dim()
+    got = truncate_image_span(span, over).dim()
     if l > m:
         expected = 0
     elif l == m:
@@ -592,14 +594,14 @@ def check_fundamental_truncation(m: int, l: int, cutoff=None):
         expected = comb(2 * m, k) - (comb(2 * m, k - 2) if k >= 2 else 0)
     # underline: truncation of the span equals the intrinsic module
     under = TruncatedModule(W2, phi_words("d", "underline", epsp))
-    rep_u = build_fundamental(under, l, l, check_closure=False)
-    uspan = truncate_image_span(rep.span, under)
+    span_u = fundamental_span(under, l, l)
+    uspan = truncate_image_span(span, under)
     guard_deg = cutoff - 2
     dims_tr = {w: d for w, d in uspan.dims().items() if w.degree() <= guard_deg}
-    dims_in = {w: d for w, d in rep_u.span.dims().items() if w.degree() <= guard_deg}
+    dims_in = {w: d for w, d in span_u.dims().items() if w.degree() <= guard_deg}
     under_ok = dims_tr == dims_in and all(
         uspan.contains(v)
-        for wt, (_, vecs) in rep_u.span.blocks.items()
+        for wt, (_, vecs) in span_u.blocks.items()
         if wt.degree() <= guard_deg
         for v in vecs
     )

@@ -29,7 +29,7 @@ from .fundrep import (
     MatchedSpan,
     Subspace,
     block_order,
-    build_fundamental,
+    fundamental_span,
     lowering_closure,
     u_rs,
 )
@@ -277,9 +277,7 @@ def c_target_module(m, sigma, cutoff, level, x):
 
 def _fundamental_pair_span(tensor, l1, l2):
     f1, f2 = tensor.factors
-    rep1 = build_fundamental(f1, l1, l1, check_closure=False)
-    rep2 = build_fundamental(f2, l2, l2, check_closure=False)
-    return rep1.span, rep2.span
+    return fundamental_span(f1, l1, l1), fundamental_span(f2, l2, l2)
 
 
 def _hw_in_span(tensor, spans, wt):
@@ -441,15 +439,14 @@ def _to_spectral(v):
     return SpectralScalar.from_scalar(v)
 
 
-def verify_spectral(pair, dec, rho, maxdeg, gens=None):
+def verify_spectral(pair, dec, rho, maxdeg):
     """Entrywise intertwining of R = sum rho_l P_l on guard-safe blocks.
 
     Checks R(g v) = g R(v) for every generator g on every decomposition
     basis vector of degree <= maxdeg; returns a report dict.
     """
     src, tgt = pair.source, pair.target
-    alg = src.algebra
-    gens = gens or [(k, j) for j in alg.gen_indices for k in ("e", "f")]
+    gens = [(k, j) for j in src.algebra.gen_indices for k in ("e", "f")]
     checked = 0
     failures = []
     for wt, entries in dec.ordered(maxdeg):

@@ -27,6 +27,19 @@ def test_verify_relations(capsys):
     assert len(rep["checks"]) > 100
 
 
+def test_relation_check_of_no_kets_fails(capsys):
+    # at cutoff 2 the guard band of these three relations admits no ket
+    code, rep = run_cli(
+        capsys,
+        ["verify-relations", "--epsilon", "1,0,1,0,1", "--module", "W", "--cutoff", "2"],
+    )
+    assert code == 1 and not rep["pass"]
+    vacuous = [c for c in rep["checks"] if c.get("vacuous")]
+    assert [c["relation"] for c in vacuous] == ["ef:0,5", "nilpotent:e0", "nilpotent:f5"]
+    assert all(c["kets_checked"] == 0 and c["pass"] is False for c in vacuous)
+    assert all(c["pass"] and c["kets_checked"] for c in rep["checks"] if c not in vacuous)
+
+
 def test_rmatrix_report(capsys):
     code, rep = run_cli(
         capsys, ["rmatrix", "--flavor", "c", "--sigma", "+,+", "--m", "2", "--cutoff", "5"]

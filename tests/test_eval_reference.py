@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qosc.algebraops import check_relation_on, phi_words, target_relation_suite
 from qosc.fockmod import (
+    DROPPED,
     FockVector,
     PullbackModule,
     TensorModule,
@@ -18,6 +19,7 @@ from qosc.fockmod import (
     W2Module,
     WindowError,
     WModule,
+    act,
     eval_word,
 )
 from qosc.lattice import EpsilonData, qpair
@@ -37,10 +39,11 @@ def ref_act(module, atom, vec):
         if atom[0] == "k":
             out.terms[label] = c * qpair(module.weight_of(label), atom[1], module.eps)
             continue
-        for l2, c2 in module.apply_gen(atom, label):
-            if module.degree(l2) > module.cutoff:
-                out.overflow = True
-                continue
+        image = module.apply_gen(atom, label)
+        if image is DROPPED:
+            out.overflow = True
+            continue
+        for l2, c2 in image:
             s = out.terms.get(l2)
             s = c * c2 if s is None else s + c * c2
             if s.is_zero():
@@ -178,9 +181,17 @@ def test_pullback_guard_violation_raises_window_error():
     pulled = PullbackModule(WModule(EPS, Scalar.from_int(1), cutoff=4), tgt)
     expr = dict(target_relation_suite(tgt))["t-ef:0,0"]  # phi(e_0) raises degree by 2
     ket = (0, 2, 0, 2, 0)  # degree 4: above the guard band 4 - 2
+    assert eval_word(expr, FockVector.basis(ket), pulled).overflow
+    # the guard band keeps the ket out of a relation check; a module that
+    # understates the rise lets it in, and the check refuses the result
     assert check_relation_on(pulled, "t-ef:0,0", expr, [ket]).checked == 0
+    pulled.atom_shift = lambda atom: 0
     with pytest.raises(WindowError):
-        eval_word(expr, FockVector.basis(ket), pulled)
-    # a truncation keeps what is left of the image, as before
-    trunc = TruncatedModule(pulled.base, tgt)
-    assert trunc.apply_gen(("e", 0), ket) == []
+        check_relation_on(pulled, "t-ef:0,0", expr, [ket])
+
+
+def test_truncated_image_that_leaves_the_window_sets_overflow():
+    tgt = phi_words("c", "underline", EPS)
+    trunc = TruncatedModule(WModule(EPS, Scalar.from_int(1), cutoff=4), tgt)
+    img = act(trunc, ("e", 0), FockVector.basis((0, 2, 0, 2, 0)))
+    assert img.is_zero() and img.overflow

@@ -4,6 +4,7 @@ import pytest
 
 from qosc.algebraops import phi_words
 from qosc.fockmod import (
+    DROPPED,
     FockVector,
     RestrictedModule,
     TensorModule,
@@ -188,20 +189,20 @@ def test_desk_scale_cyclicity_of_parity_submodules():
             assert span.contains(FockVector.basis(label)), (parity, label)
 
 
-def _w(x):
-    return WModule(EPS, parse_scalar(x), cutoff=4)
+def _w(x, cutoff):
+    return WModule(EPS, parse_scalar(x), cutoff)
 
 
-def _w2(x):
-    return W2Module(EPSP, parse_scalar(x), cutoff=4)
+def _w2(x, cutoff):
+    return W2Module(EPSP, parse_scalar(x), cutoff)
 
 
-def _tr_w(x):
-    return TruncatedModule(_w(x), phi_words("c", "underline", EPS))
+def _tr_w(x, cutoff):
+    return TruncatedModule(_w(x, cutoff), phi_words("c", "underline", EPS))
 
 
-def _tr_w2(x):
-    return TruncatedModule(_w2(x), phi_words("d", "underline", EPSP))
+def _tr_w2(x, cutoff):
+    return TruncatedModule(_w2(x, cutoff), phi_words("d", "underline", EPSP))
 
 
 PROTOCOL_MODULES = {
@@ -209,9 +210,9 @@ PROTOCOL_MODULES = {
     "W2": _w2,
     "Truncated(W)": _tr_w,
     "Truncated(W2)": _tr_w2,
-    "Restricted(W)": lambda x: RestrictedModule(_w(x), 1),
-    "Restricted(W2)": lambda x: RestrictedModule(_w2(x), 0),
-    "Restricted(Truncated(W))": lambda x: RestrictedModule(_tr_w(x), 0),
+    "Restricted(W)": lambda x, cutoff: RestrictedModule(_w(x, cutoff), 1),
+    "Restricted(W2)": lambda x, cutoff: RestrictedModule(_w2(x, cutoff), 0),
+    "Restricted(Truncated(W))": lambda x, cutoff: RestrictedModule(_tr_w(x, cutoff), 0),
 }
 
 
@@ -219,7 +220,15 @@ PROTOCOL_MODULES = {
 @pytest.mark.parametrize("name", sorted(PROTOCOL_MODULES))
 def test_module_protocol(name, tensor):
     make = PROTOCOL_MODULES[name]
-    mod = TensorModule([make("q^2"), make("q^-4")]) if tensor else make("q^2")
+
+    def build(cutoff):
+        if tensor:
+            return TensorModule([make("q^2", cutoff), make("q^-4", cutoff)])
+        return make("q^2", cutoff)
+
+    # no image of a ket up to degree k leaves mod's window; low's cutoff
+    # lies below some of them
+    mod, low = build(6), build(4)
     k = 3
     labels = list(mod.enumerate_labels(k))
     assert labels and len(labels) == len(set(labels))
@@ -235,8 +244,13 @@ def test_module_protocol(name, tensor):
         for j in mod.algebra.gen_indices:
             for kind in ("e", "f"):
                 shift = mod.atom_shift((kind, j))
-                for l2, _ in mod.apply_gen((kind, j), label):
+                image = mod.apply_gen((kind, j), label)
+                for l2, _ in image:
                     assert mod.degree(l2) == mod.degree(label) + shift
+                # an image leaves the window whole: low drops exactly the
+                # nonzero images above its cutoff and keeps the rest as is
+                above = bool(image) and mod.degree(label) + shift > low.cutoff
+                assert low.apply_gen((kind, j), label) == (DROPPED if above else image)
         parts = zip(mod.factors, label) if tensor else [(mod, label)]
         for factor, part in parts:
             if isinstance(factor, RestrictedModule):

@@ -4,6 +4,7 @@ from qosc.fundrep import (
     build_fundamental,
     check_fundamental_truncation,
     fundamental_pair_modules,
+    fundamental_span,
     iso_between_k,
     u_rs,
     u_rs_component,
@@ -129,8 +130,7 @@ def test_w2_is_exhausted_by_fundamental_components():
     dims = Counter()
     for l in range(0, 5):
         for k in range(0, l + 1):
-            rep = build_fundamental(mod, l, k, check_closure=False)
-            for wt, d in rep.span.dims().items():
+            for wt, d in fundamental_span(mod, l, k).dims().items():
                 if wt.degree() <= 2:  # guard: spans are window-complete here
                     dims[wt] += d
     for label in mod.enumerate_labels(2):
