@@ -45,7 +45,6 @@ from .algebraops import (
     truncate_vector,
 )
 from .decomp import (
-    HwReport,
     classical_dim,
     decompose,
     find_hw,

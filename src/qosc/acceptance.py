@@ -32,10 +32,11 @@ from .fockmod import (
     WModule,
 )
 from .fundrep import (
-    APPENDIX_C_IDENTITIES,
+    appendix_C_verdicts,
     block_order,
     check_fundamental_truncation,
-    truncate_image_span,
+    ladder_failures,
+    u_rs_failures,
     verify_appendix_C,
     verify_EF_identities,
     verify_u_rs_highest,
@@ -44,13 +45,12 @@ from .lattice import EpsilonData
 from .rmatrix import (
     compatible_bold_rho,
     AdmissibilityError,
-    c_target_module,
     check_admissible,
     closed_rho_c,
     closed_rho_d,
-    compare_spans,
-    cyclicity_diagnostic,
+    compare_truncated_image,
     fuse,
+    fused_cyclicity,
     hw_content,
     make_c_pair,
     make_d_pair,
@@ -147,21 +147,16 @@ def criterion_3():
                 bad.setdefault("idempotence", []).append(label)
                 break
     # monoidality on W(x) (x) W(y)
-    tgt = phi_words("c", "underline", BOLD5)
     wx = WModule(BOLD5, parse_scalar("q^2"), cutoff=5)
     wy = WModule(BOLD5, parse_scalar("q^-4"), cutoff=5)
     t_amb = TensorModule([wx, wy])
-    t_tr = TensorModule([TruncatedModule(wx, tgt), TruncatedModule(wy, tgt)])
-    reps = check_monoidality(tgt, t_amb, t_tr, maxdeg=3)
-    fails = [r.relation for r in reps if not r.passed]
-    if fails:
-        bad["monoidality c/underline"] = fails
-    tgto = phi_words("c", "overline", BOLD5)
-    t_tro = TensorModule([TruncatedModule(wx, tgto), TruncatedModule(wy, tgto)])
-    reps = check_monoidality(tgto, t_amb, t_tro, maxdeg=3)
-    fails = [r.relation for r in reps if not r.passed]
-    if fails:
-        bad["monoidality c/overline"] = fails
+    for side in ("underline", "overline"):
+        tgt = phi_words("c", side, BOLD5)
+        t_tr = TensorModule([TruncatedModule(wx, tgt), TruncatedModule(wy, tgt)])
+        reps = check_monoidality(tgt, t_amb, t_tr, maxdeg=3)
+        fails = [r.relation for r in reps if not r.passed]
+        if fails:
+            bad["monoidality c/%s" % side] = fails
     # fundamental truncation dimensions (type d, m = 2): 5, 4, 1, 0
     dims = {}
     for l in range(0, 4):
@@ -242,9 +237,10 @@ def criterion_4():
 # -- criterion 5: spectral decomposition, type c ------------------------------
 
 
-def criterion_5(cutoff=7):
+def criterion_5():
     bad = {}
     details = {}
+    cutoff = 7
     for sigma in SIGMAS:
         pair_b = make_c_pair(2, sigma, cutoff=cutoff, level="bold")
         pair_u = make_c_pair(2, sigma, cutoff=cutoff, level="underline")
@@ -317,20 +313,18 @@ def criterion_6():
 def criterion_7():
     bad = {}
     for (m, l1, l2) in ((2, 1, 1), (2, 2, 1), (3, 2, 3)):
-        res = verify_u_rs_highest(m, l1, l2, rmax=2, smax=2)
-        fails = [(r, s) for r, s, ok in res if not ok]
+        fails = u_rs_failures(verify_u_rs_highest(m, l1, l2, rmax=2, smax=2))
         if fails:
             bad["u_rs kernel m=%d (%d,%d)" % (m, l1, l2)] = fails
     for (m, l1, l2, rmax, smax) in ((2, 1, 1, 1, 1), (2, 2, 1, 1, 1), (3, 2, 3, 2, 2)):
-        res = verify_EF_identities(m, l1, l2, rmax=rmax, smax=smax)
-        fails = [t[:5] for t in res if not t[-1]]
+        fails = ladder_failures(verify_EF_identities(m, l1, l2, rmax=rmax, smax=smax))
         if fails:
             bad["EF m=%d (%d,%d)" % (m, l1, l2)] = fails[:5]
     coeffs = {}
     for (l1, l2, r, s) in ((1, 1, 1, 0), (2, 2, 1, 1), (1, 1, 0, 0)):
         res = verify_appendix_C(2, l1, l2, r, s)
         coeffs["(%d,%d,%d,%d)" % (l1, l2, r, s)] = res
-        if not all(res.get(k, False) for k in APPENDIX_C_IDENTITIES):
+        if not all(appendix_C_verdicts(res).values()):
             bad["coefficients (%d,%d,%d,%d)" % (l1, l2, r, s)] = res
     return _report("7-hw-formulas", not bad, failures=bad, coefficient_identities=coeffs)
 
@@ -338,10 +332,11 @@ def criterion_7():
 # -- criterion 8: fusion --------------------------------------------------------
 
 
-def criterion_8(cutoff=6):
+def criterion_8():
     bad = {}
     details = {}
     host = BOLD5
+    cutoff = 6
     solved = {}
 
     def solved_pair(sigma, level):
@@ -356,7 +351,7 @@ def criterion_8(cutoff=6):
         zc = parse_scalar("q^-%d" % (2 * l + 2))
         check_admissible("c", sigma, [zc, ONE])
         pair, rho, dec = solved_pair(sigma, "bold")
-        image = fuse(pair, rho, dec, zc, ONE)
+        image = fuse(pair, rho, dec, zc)
         content = hw_content(image, pair)
         got = {k for k, v in content.items() if v}
         want = {
@@ -368,17 +363,12 @@ def criterion_8(cutoff=6):
         if image.dim() == 0 or got != want:
             bad["fused W_%d content" % l] = {"got": sorted(got), "want": sorted(want)}
             continue
-        top = max(want, key=sum)
-        target_c = c_target_module(2, sigma, cutoff, "bold", zc)
-        diag = cyclicity_diagnostic(target_c, content[top][0], image)
+        diag = fused_cyclicity(image, content, 2, sigma, "bold", zc)
         if not diag["pass"]:
             bad["cyclicity W_%d" % l] = diag["mismatches"]
         # truncation compatibility: tr(image at bold) == image at level
         for side in ("underline", "overline"):
-            pair_l, rho_l, dec_l = solved_pair(sigma, side)
-            img_l = fuse(pair_l, rho_l, dec_l, zc, ONE)
-            tr_img = truncate_image_span(image, pair_l.target)
-            cmp = compare_spans(tr_img, img_l)
+            cmp = compare_truncated_image(image, *solved_pair(sigma, side), zc)
             if not cmp["pass"]:
                 bad["fusion-truncation l=%d %s" % (l, side)] = cmp
     # a case where truncation kills the top component (zero branch of the
@@ -386,27 +376,20 @@ def criterion_8(cutoff=6):
     sigma = ("+", "+")
     zc = parse_scalar("q^-10")
     pair, rho, dec = solved_pair(sigma, "bold")
-    image = fuse(pair, rho, dec, zc, ONE)
+    image = fuse(pair, rho, dec, zc)
     got = {k for k, v in hw_content(image, pair).items() if v}
     if got != {(), (2,), (4,)}:
         bad["fused W_4 content"] = sorted(got)
-    pair_o, rho_o, dec_o = solved_pair(sigma, "overline")
-    img_o = fuse(pair_o, rho_o, dec_o, zc, ONE)
-    tr_img = truncate_image_span(image, pair_o.target)
-    cmp = compare_spans(tr_img, img_o)
+    cmp = compare_truncated_image(image, *solved_pair(sigma, "overline"), zc)
     if not cmp["pass"]:
         bad["fusion-truncation l=4 overline"] = cmp
     # type d fusion truncation, l = (1,1), generic admissible c
     zc = parse_scalar("q^-3")
     check_admissible("d", (1, 1), [zc, ONE])
     pair_db = make_d_pair(2, 1, 1, cutoff=4, level="bold")
-    rho_db, dec_db = solve_R(pair_db, full_window=True)
-    img_db = fuse(pair_db, rho_db, dec_db, zc, ONE)
+    img_db = fuse(pair_db, *solve_R(pair_db, full_window=True), zc)
     pair_du = make_d_pair(2, 1, 1, cutoff=4, level="underline")
-    rho_du, dec_du = solve_R(pair_du, full_window=True)
-    img_du = fuse(pair_du, rho_du, dec_du, zc, ONE)
-    tr_img = truncate_image_span(img_db, pair_du.target)
-    cmp = compare_spans(tr_img, img_du)
+    cmp = compare_truncated_image(img_db, pair_du, *solve_R(pair_du, full_window=True), zc)
     if not cmp["pass"]:
         bad["fusion-truncation d (1,1)"] = cmp
     # inadmissible parameter must be rejected

@@ -31,11 +31,12 @@ from .fockmod import (
     ket_str,
 )
 from .fundrep import (
-    APPENDIX_C_IDENTITIES,
+    appendix_C_verdicts,
     build_fundamental,
     check_fundamental_truncation,
     iso_between_k,
-    truncate_image_span,
+    ladder_failures,
+    u_rs_failures,
     verify_appendix_C,
     verify_EF_identities,
     verify_u_rs_highest,
@@ -43,13 +44,12 @@ from .fundrep import (
 from .lattice import EpsilonData, Weight
 from .rmatrix import (
     AdmissibilityError,
-    c_target_module,
     check_admissible,
     closed_rho_c,
     closed_rho_d,
-    compare_spans,
-    cyclicity_diagnostic,
+    compare_truncated_image,
     fuse,
+    fused_cyclicity,
     hw_content,
     make_c_pair,
     make_d_pair,
@@ -131,6 +131,11 @@ def _target(args, eps):
         raise UsageError("--flavor %s --epsilon %s: %s" % (args.flavor, args.epsilon, exc))
 
 
+def _eta(tgt):
+    """The report field naming a phi map other than the default eta = 1."""
+    return {} if tgt.eta == 1 else {"eta": tgt.eta}
+
+
 def cmd_verify_relations(args):
     eps = _epsilon(args)
     mod = _module(args, eps, _scalar(args.x, "--x"))
@@ -145,7 +150,7 @@ def cmd_verify_phi(args):
     tgt = _target(args, eps)
     reps = check_phi_relations(tgt, mod)
     checks = [r.to_json() for r in reps]
-    return _emit(args, "verify-phi", checks, extra={"target": tgt.name})
+    return _emit(args, "verify-phi", checks, extra={"target": tgt.name, **_eta(tgt)})
 
 
 def cmd_truncate(args):
@@ -162,7 +167,7 @@ def cmd_truncate(args):
         t_tr = TensorModule([TruncatedModule(wx, tgt), TruncatedModule(wy, tgt)])
         reps = check_monoidality(tgt, t_amb, t_tr, maxdeg=max(0, args.cutoff - 3))
         checks.extend(r.to_json() for r in reps)
-    return _emit(args, "truncate", checks, extra={"kept": list(tgt.kept)})
+    return _emit(args, "truncate", checks, extra={"kept": list(tgt.kept), **_eta(tgt)})
 
 
 def _factors(args, eps):
@@ -178,7 +183,7 @@ def _factors(args, eps):
     for i, sig in enumerate(sigs):
         x = xs[i % len(xs)]
         try:
-            mod, _ = level_module(args.flavor, args.level, eps, x, args.cutoff)
+            mod = level_module(args.flavor, args.level, eps, x, args.cutoff)
         except (ValueError, ArithmeticError) as exc:
             raise UsageError("--flavor %s --epsilon %s: %s" % (args.flavor, args.epsilon, exc))
         if sig != "W":
@@ -235,15 +240,14 @@ def cmd_hwv(args):
     eps = _epsilon(args)
     mod, _ = _factors(args, eps)
     wt = _parse_weight(args.weight, eps)
-    rep = find_hw(mod, wt)
-    basis = [{ket_str(l): c.to_str() for l, c in v.terms.items()} for v in rep.basis]
+    basis = find_hw(mod, wt)
     checks = [
         {
             "id": "hwv",
             "pass": True,
             "weight": wt.to_str(),
-            "dimension": rep.dimension,
-            "basis": basis,
+            "dimension": len(basis),
+            "basis": [{ket_str(l): c.to_str() for l, c in v.terms.items()} for v in basis],
         }
     ]
     return _emit(args, "hwv", checks)
@@ -301,9 +305,9 @@ def cmd_fuse(args):
     except AdmissibilityError as e:
         checks = [{"id": "admissibility", "pass": False, "offending": list(e.offending)}]
         return _emit(args, "fuse", checks)
+    zc = cs[0] / cs[1]
     pair = _rpair(args, params)
-    rho, dec = solve_R(pair, full_window=True)
-    image = fuse(pair, rho, dec, cs[0], cs[1])
+    image = fuse(pair, *solve_R(pair, full_window=True), zc)
     fused = {"id": "fused-image", "pass": image.dim() > 0, "nonzero": image.dim() > 0}
     checks = [fused]
     if args.flavor == "d":
@@ -311,25 +315,13 @@ def cmd_fuse(args):
     content = hw_content(image, pair)
     fused["hw_content"] = {str(k): len(v) for k, v in content.items() if v}
     if image.dim() and any(content.values()):
-        top = max((k for k, v in content.items() if v), key=sum)
-        target_c = c_target_module(args.m, params, args.cutoff, args.level, cs[0] / cs[1])
-        diag = cyclicity_diagnostic(target_c, content[top][0], image)
-        checks.append(
-            {
-                "id": "cyclicity",
-                "pass": diag["pass"],
-                "note": "consistent with irreducibility"
-                if diag["pass"]
-                else "lowering closure mismatch",
-            }
-        )
+        diag = fused_cyclicity(image, content, args.m, params, args.level, zc)
+        note = "consistent with irreducibility" if diag["pass"] else "lowering closure mismatch"
+        checks.append({"id": "cyclicity", "pass": diag["pass"], "note": note})
     if args.check_truncation and args.level == "bold":
         for side in ("underline", "overline"):
             pair_l = make_c_pair(args.m, params, cutoff=args.cutoff, level=side)
-            rho_l, dec_l = solve_R(pair_l, full_window=True)
-            img_l = fuse(pair_l, rho_l, dec_l, cs[0], cs[1])
-            tr_img = truncate_image_span(image, pair_l.target)
-            cmp = compare_spans(tr_img, img_l)
+            cmp = compare_truncated_image(image, pair_l, *solve_R(pair_l, full_window=True), zc)
             checks.append({"id": "truncation-%s" % side, "pass": cmp["pass"], **cmp})
     return _emit(args, "fuse", checks)
 
@@ -383,35 +375,18 @@ def cmd_appendix_check(args):
     checks = []
     if args.which in ("B", "all"):
         res = verify_EF_identities(args.m, l1, l2, rmax=args.rmax, smax=args.smax)
-        fails = [t[:5] for t in res if not t[-1]]
-        checks.append(
-            {
-                "id": "ladder-identities",
-                "pass": not fails,
-                "checked": len(res),
-                "failures": fails[:10],
-            }
-        )
+        fails = ladder_failures(res)
+        checks.append({"id": "ladder-identities", "pass": not fails, "checked": len(res),
+                       "failures": fails[:10]})
         hw = verify_u_rs_highest(args.m, l1, l2, rmax=args.rmax, smax=args.smax)
-        checks.append(
-            {
-                "id": "u_rs-highest-weight",
-                "pass": all(ok for _, _, ok in hw),
-                "checked": len(hw),
-            }
-        )
+        checks.append({"id": "u_rs-highest-weight", "pass": not u_rs_failures(hw),
+                       "checked": len(hw)})
     if args.which in ("C", "all"):
         for r in range(0, args.rmax + 1):
             for s in range(0, min(l1, l2, args.smax) + 1):
-                res = verify_appendix_C(args.m, l1, l2, r, s)
-                found = {k: bool(res.get(k, False)) for k in APPENDIX_C_IDENTITIES}
-                checks.append(
-                    {
-                        "id": "coefficients r=%d s=%d" % (r, s),
-                        "pass": all(found.values()),
-                        **found,
-                    }
-                )
+                found = appendix_C_verdicts(verify_appendix_C(args.m, l1, l2, r, s))
+                checks.append({"id": "coefficients r=%d s=%d" % (r, s),
+                               "pass": all(found.values()), **found})
     return _emit(args, "appendix-check", checks)
 
 

@@ -7,8 +7,6 @@ cross-checked against exact kernel dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .fockmod import FockVector, act, weight_block
 from .lattice import EpsilonData, Weight
 from .linalg import nullspace
@@ -121,13 +119,6 @@ def hw_weight(eps: EpsilonData, lam, ell: int, flavor: str, kept=None):
 # -- exact highest-weight search ----------------------------------------------
 
 
-@dataclass
-class HwReport:
-    weight: Weight
-    dimension: int
-    basis: list = field(default_factory=list)
-
-
 def finite_indices(algebra):
     """The generator indices of the finite-type subalgebra (all but 0)."""
     return tuple(j for j in algebra.gen_indices if j != 0)
@@ -157,12 +148,11 @@ def hw_kernel_of_vectors(vectors, module):
     return out
 
 
-def find_hw(module, lam: Weight) -> HwReport:
-    """Exact kernel of the raising operators on the lam weight block."""
-    labels = weight_block(module, lam)
-    vecs = [FockVector.basis(l) for l in labels]
-    basis = hw_kernel_of_vectors(vecs, module)
-    return HwReport(weight=lam, dimension=len(basis), basis=basis)
+def find_hw(module, lam: Weight):
+    """A basis of the exact kernel of the raising operators on the lam
+    weight block."""
+    vecs = [FockVector.basis(l) for l in weight_block(module, lam)]
+    return hw_kernel_of_vectors(vecs, module)
 
 
 def decompose(module, flavor: str, ell: int, max_degree: int):
@@ -184,7 +174,7 @@ def decompose(module, flavor: str, ell: int, max_degree: int):
         wt = hw_weight(eps, lam, ell, flavor, kept=kept)
         if wt is None:
             continue
-        out.append((lam, find_hw(module, wt).dimension))
+        out.append((lam, len(find_hw(module, wt))))
     return out
 
 

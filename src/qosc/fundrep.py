@@ -283,9 +283,9 @@ def fundamental_pair_modules(m: int, x1, x2, cutoff: int):
     """The tensor product W_{l1}(x1) (x) W_{l2}(x2) lives inside this pair of
     rank-two Fock modules, acting through the underline type-d phi maps."""
     epsp = host_eps("d", m)
-    A, tgt = level_module("d", "underline", epsp, x1, cutoff)
-    B, _ = level_module("d", "underline", epsp, x2, cutoff)
-    return TensorModule([A, B]), tgt
+    return TensorModule(
+        [level_module("d", "underline", epsp, x, cutoff) for x in (x1, x2)]
+    )
 
 
 def u_rs_component(tensor, m: int, l1: int, l2: int, r: int, s: int, i: int, j: int):
@@ -390,14 +390,13 @@ def vanishing_word(m: int) -> WordExpr:
     return w
 
 
-def verify_EF_identities(m: int, l1: int, l2: int, rmax: int, smax: int, cutoff=None):
+def verify_EF_identities(m: int, l1: int, l2: int, rmax: int, smax: int):
     """Check the four ladder identities with symbolic spectral parameters.
 
-    Returns a list of (name, r, s, i, j, ok) tuples; all identities use the
-    out-of-range convention u = 0.
+    Returns a list of (name, r, s, i, j, ok) tuples, read by
+    ladder_failures; all identities use the out-of-range convention u = 0.
     """
-    cutoff = cutoff or (l1 + l2 + 2 * (rmax + 1) + 2)
-    tensor, _ = fundamental_pair_modules(m, Z1, Z2, cutoff)
+    tensor = fundamental_pair_modules(m, Z1, Z2, l1 + l2 + 2 * (rmax + 1) + 2)
     x1, x2 = Z1, Z2
     x1i, x2i = Z1.inverse(), Z2.inverse()
     U = lambda r, s, i, j: u_rs_component(tensor, m, l1, l2, r, s, i, j)
@@ -452,10 +451,15 @@ def verify_EF_identities(m: int, l1: int, l2: int, rmax: int, smax: int, cutoff=
     return out
 
 
-def verify_u_rs_highest(m: int, l1: int, l2: int, rmax: int, smax: int, cutoff=None):
-    """u_{r,s} is killed by every raising operator of the finite subalgebra."""
-    cutoff = cutoff or (l1 + l2 + 2 * rmax + 4)
-    tensor, tgt = fundamental_pair_modules(m, Z1, Z2, cutoff)
+def ladder_failures(res):
+    """The (name, r, s, i, j) of each failed identity of verify_EF_identities."""
+    return [t[:5] for t in res if not t[-1]]
+
+
+def verify_u_rs_highest(m: int, l1: int, l2: int, rmax: int, smax: int):
+    """u_{r,s} is nonzero and killed by every raising operator of the finite
+    subalgebra; a list of (r, s, ok), read by u_rs_failures."""
+    tensor = fundamental_pair_modules(m, Z1, Z2, l1 + l2 + 2 * rmax + 4)
     raising = finite_indices(tensor.algebra)
     out = []
     smax = min(smax, min(l1, l2))
@@ -471,22 +475,30 @@ def verify_u_rs_highest(m: int, l1: int, l2: int, rmax: int, smax: int, cutoff=N
     return out
 
 
+def u_rs_failures(res):
+    """The (r, s) of each u_{r,s} that verify_u_rs_highest refutes."""
+    return [(r, s) for r, s, ok in res if not ok]
+
+
 # -- the expansion coefficients of F_{m+1} u_{r,s} ---------------------------
 
 
-# the identities of verify_appendix_C that must all hold
-APPENDIX_C_IDENTITIES = ("e2F", "C20", "C10", "C00_nonzero", "closing_identity")
+def appendix_C_verdicts(res):
+    """{identity: holds} for each identity of verify_appendix_C that must
+    hold; one that the result lacks does not hold."""
+    names = ("e2F", "C20", "C10", "C00_nonzero", "closing_identity")
+    return {k: bool(res.get(k, False)) for k in names}
 
 
-def verify_appendix_C(m: int, l1: int, l2: int, r: int, s: int, cutoff=None):
+def verify_appendix_C(m: int, l1: int, l2: int, r: int, s: int):
     """The exact ladder-coefficient identities with symbolic x1, x2.
 
     (i)  e_{m+1}^2 F_{m+1} u_{r,s} = [l2+r+1][2](x2 q^(-l2-2r) - x1 q^(l1+2)) u_{r-1,s}
     (ii) F_{m+1} u_{r,s} = C00 u_{r+1,s} + C10 f_{m+1} u_{r,s} + C20 f^(2)_{m+1} u_{r-1,s}
-    with the closed forms of C20 and C10 and C00 != 0.
+    with the closed forms of C20 and C10 and C00 != 0; appendix_C_verdicts
+    reads the result.
     """
-    cutoff = cutoff or (l1 + l2 + 2 * (r + 2) + 2)
-    tensor, _ = fundamental_pair_modules(m, Z1, Z2, cutoff)
+    tensor = fundamental_pair_modules(m, Z1, Z2, l1 + l2 + 2 * (r + 2) + 2)
     x1, x2 = Z1, Z2
     Fm1 = bold_word("F_m+1", m)
     u = u_rs(tensor, m, l1, l2, r, s)
@@ -572,14 +584,13 @@ def verify_appendix_C(m: int, l1: int, l2: int, r: int, s: int, cutoff=None):
     return res
 
 
-def check_fundamental_truncation(m: int, l: int, cutoff=None):
+def check_fundamental_truncation(m: int, l: int, cutoff: int):
     """Truncations of W_{l}: the overline image has the fundamental C_m
     dimension (dim V(varpi_{m-l}) for l < m, 1 at l = m, 0 beyond), and
     the underline image coincides block by block with the intrinsically
     built underline fundamental module."""
     from math import comb
 
-    cutoff = cutoff or (l + 2 * m + 4)
     epsp = host_eps("d", m)
     W2 = W2Module(epsp, Scalar.from_int(1), cutoff)
     span = fundamental_span(W2, l, l)

@@ -31,6 +31,7 @@ from .fundrep import (
     block_order,
     fundamental_span,
     lowering_closure,
+    truncate_image_span,
     u_rs,
 )
 from .lattice import Weight
@@ -203,13 +204,13 @@ def make_c_pair(m, sigma, cutoff, level="bold"):
 
 
 def _hw_line(module, wt):
-    rep = find_hw(module, wt)
-    if rep.dimension != 1:
+    basis = find_hw(module, wt)
+    if len(basis) != 1:
         raise ArithmeticError(
             "highest-weight space at %s has dimension %d, expected 1"
-            % (wt.to_str(), rep.dimension)
+            % (wt.to_str(), len(basis))
         )
-    return rep.basis[0]
+    return basis[0]
 
 
 def d_component_keys(l1, l2, cutoff):
@@ -227,8 +228,8 @@ def make_d_pair(m, l1, l2, cutoff, level="underline"):
     if level not in ("bold", "underline"):
         raise ValueError("make_d_pair supports levels 'bold' and 'underline'")
     epsp = host_eps("d", m)
-    A, _ = level_module("d", level, epsp, Z1, cutoff)
-    B, _ = level_module("d", level, epsp, Scalar.from_int(1), cutoff)
+    A = level_module("d", level, epsp, Z1, cutoff)
+    B = level_module("d", level, epsp, Scalar.from_int(1), cutoff)
     source = TensorModule([A, B])
     target = TensorModule([B, A])
     comps = []
@@ -268,8 +269,8 @@ def c_target_module(m, sigma, cutoff, level, x):
     """The concrete-parameter target W^s2(1) (x) W^s1(x) for fused images."""
     eps = host_eps("c", m)
     par = {"+": 0, "-": 1}
-    A, _ = level_module("c", level, eps, x, cutoff)
-    B, _ = level_module("c", level, eps, Scalar.from_int(1), cutoff)
+    A = level_module("c", level, eps, x, cutoff)
+    B = level_module("c", level, eps, Scalar.from_int(1), cutoff)
     return TensorModule(
         [RestrictedModule(B, par[sigma[1]]), RestrictedModule(A, par[sigma[0]])]
     )
@@ -605,16 +606,15 @@ def check_admissible(flavor, params, cs):
     return True
 
 
-def fuse(pair, rho, dec, c1, c2):
-    """Image of the R matrix specialized at z = c1/c2 on the built source
-    span, a Subspace over the target tensor; for an exhaustive pair that
-    span must be the whole window.
+def fuse(pair, rho, dec, zc):
+    """Image of the R matrix specialized at z = zc on the built source span,
+    a Subspace over the target tensor; for an exhaustive pair that span
+    must be the whole window.
 
-    R sends each stored source vector to rho(c1/c2)[key] * v_tgt, so the
+    R sends each stored source vector to rho(zc)[key] * v_tgt, so the
     image is read off the matched entries."""
     if pair.exhaustive and not verify_completeness(pair, dec)["pass"]:
         raise SolverError("fusion source vector outside decomposition")
-    zc = c1 / c2
     rho_c = {k: v.specialize(zc).as_scalar() for k, v in rho.items()}
     image = Subspace(pair.target)
     for _, entries in dec.ordered():
@@ -622,6 +622,14 @@ def fuse(pair, rho, dec, c1, c2):
             if not rho_c[key].is_zero():
                 image.add(vt.scale(rho_c[key]))
     return image
+
+
+def compare_truncated_image(image: Subspace, level_pair, level_rho, level_dec, zc):
+    """The truncated bold image against the level pair's own image fused at
+    zc: compare_spans of tr(image), taken in the level pair's target, and
+    that image."""
+    level_image = fuse(level_pair, level_rho, level_dec, zc)
+    return compare_spans(truncate_image_span(image, level_pair.target), level_image)
 
 
 def hw_content(image: Subspace, pair):
@@ -650,3 +658,12 @@ def cyclicity_diagnostic(module, hw_vec, image: Subspace):
         if wt.degree() <= maxdeg and dims.get(wt, 0) != d
     ]
     return {"pass": not mismatches, "mismatches": mismatches}
+
+
+def fused_cyclicity(image: Subspace, content, m, sigma, level, zc):
+    """cyclicity_diagnostic of a type-c fused image on its top component,
+    the one of most boxes in the highest-weight content, inside the target
+    W^s2(1) (x) W^s1(zc) of the level."""
+    top = max((k for k, v in content.items() if v), key=sum)
+    target = c_target_module(m, sigma, image.module.cutoff, level, zc)
+    return cyclicity_diagnostic(target, content[top][0], image)

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from test_eval_reference import ref_eval_word
+from test_eval_reference import ref_act, ref_eval_word
 
 from qosc.algebraops import (
     RelationReport,
@@ -407,3 +407,121 @@ def test_window_error_only_for_a_drop_up_to_the_first_counterexample(kind):
             _ref_check(module, "r", expr, labels)
         rep = _assert_same_report(module, "r", expr, pad + [fail, drop])
         assert rep.residual_label == fail and rep.checked == len(pad) + 1
+
+
+# -- the blocked truncation checks against checks of one ket at a time ------
+
+
+def _equivariance_residual(tgt, module, gen):
+    word, kept = tgt.phi(gen), tgt.kept
+    return lambda b: truncate_vector(ref_eval_word(word, b, module), kept) - ref_eval_word(
+        word, truncate_vector(b, kept), module
+    )
+
+
+def _monoidal_residual(tgt, t_amb, t_tr, gen):
+    return lambda b: ref_eval_word(tgt.phi(gen), b, t_amb) - ref_act(t_tr, gen, b)
+
+
+def _ref_reports(prefix, tgt, cutoff, module, maxdeg, residual_of):
+    """One report per target generator, each from a loop over one ket at a
+    time: module's kets up to maxdeg in window order, stopping at the first
+    nonzero residual_of(gen)(b)."""
+    reports = []
+    for j in tgt.gen_indices:
+        for kind in ("e", "f"):
+            residual = residual_of((kind, j))
+            rep = RelationReport("%s:%s%d" % (prefix, kind, j), cutoff, max_degree_checked=-1)
+            for label in module.enumerate_labels(maxdeg):
+                out = residual(FockVector.basis(label))
+                rep.checked += 1
+                rep.max_degree_checked = max(rep.max_degree_checked, module.degree(label))
+                if not out.is_zero():
+                    rep.residual_label, rep.residual = label, out
+                    break
+            reports.append(rep)
+    return reports
+
+
+def _assert_same_reports(got, want):
+    assert got == want
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert [repr(r.residual) for r in got] == [repr(r.residual) for r in want]
+
+
+def _listed(module, labels):
+    """module with its window replaced by labels, in that order."""
+    module.enumerate_labels = lambda maxdeg=None: iter(labels)
+    return module
+
+
+def _windows(labels, residual, length=24):
+    """(first failing ket, windows of length kets that put it at positions
+    0, 15, 16 (either side of the first block boundary) and last, the rest
+    passing kets in window order)."""
+    fails = [not residual(FockVector.basis(label)).is_zero() for label in labels]
+    failing = labels[fails.index(True)]
+    passing = [label for label, bad in zip(labels, fails) if not bad][: length - 1]
+    assert len(passing) == length - 1
+    return failing, [passing[:p] + [failing] + passing[p:] for p in (0, 15, 16, length - 1)]
+
+
+def test_blocked_equivariance_matches_one_ket_at_a_time():
+    # hat e_1 corrupted by + e_2, as in the kept-support test above
+    tgt = phi_words("c", "underline", EPS)
+    bad = replace(tgt, phi_e={**tgt.phi_e, 1: tgt.phi(("e", 1)) + WordExpr.e(2)})
+
+    def check(module):
+        got = check_truncation_equivariance(bad, module)
+        _assert_same_reports(got, _ref_reports(
+            "tr-equivariance", bad, 6, module, 4,
+            lambda gen: _equivariance_residual(bad, module, gen)))
+        assert [r.relation for r in got if not r.passed] == ["tr-equivariance:e1"]
+        return got
+
+    module = WModule(EPS, Scalar.from_int(1), cutoff=6)
+    check(module)
+    failing, windows = _windows(list(module.enumerate_labels(4)),
+                                _equivariance_residual(bad, module, ("e", 1)))
+    for pos, labels in zip((0, 15, 16, 23), windows):
+        got = check(_listed(WModule(EPS, Scalar.from_int(1), cutoff=6), labels))
+        rep = got[2]
+        assert rep.residual_label == failing and rep.checked == pos + 1, pos
+        assert all(r.checked == 24 for r in got if r is not rep)
+
+
+def test_blocked_monoidality_matches_one_ket_at_a_time():
+    class Leaky(TruncatedModule):
+        """A truncation that reports every nonzero e_1 image as leaving the
+        window: the truncated side of a failing ket is empty and flagged."""
+
+        def apply_gen(self, gen, label):
+            out = TruncatedModule.apply_gen(self, gen, label)
+            return DROPPED if gen == ("e", 1) and out else out
+
+    tgt = phi_words("c", "underline", EPS)
+    wx = WModule(EPS, parse_scalar("q^2"), cutoff=6)
+    wy = WModule(EPS, parse_scalar("q^-2"), cutoff=6)
+    t_amb = TensorModule([wx, wy])
+
+    def t_bad():
+        return TensorModule([Leaky(wx, tgt), TruncatedModule(wy, tgt)])
+
+    def check(t_tr):
+        got = check_monoidality(tgt, t_amb, t_tr, maxdeg=4)
+        _assert_same_reports(got, _ref_reports(
+            "tr-monoidal", tgt, 6, t_tr, 4,
+            lambda gen: _monoidal_residual(tgt, t_amb, t_tr, gen)))
+        assert [r.relation for r in got if not r.passed] == ["tr-monoidal:e1"]
+        return got
+
+    module = t_bad()
+    check(module)
+    failing, windows = _windows(list(module.enumerate_labels(4)),
+                                _monoidal_residual(tgt, t_amb, module, ("e", 1)))
+    for pos, labels in zip((0, 15, 16, 23), windows):
+        got = check(_listed(t_bad(), labels))
+        rep = got[2]
+        assert rep.residual_label == failing and rep.checked == pos + 1, pos
+        assert rep.residual.overflow
+        assert all(r.checked == 24 for r in got if r is not rep)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -102,6 +103,21 @@ def test_reports_are_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("command", ["verify-phi", "truncate"])
+def test_eta_is_in_the_report(capsys, command):
+    argv = [command, "--flavor", "c", "--side", "overline", "--epsilon", "1,0,1,0,1",
+            "--module", "W", "--cutoff", "4"]
+    reports = {}
+    for eta in ("1", "-1"):
+        code, reports[eta] = run_cli(capsys, argv + ["--eta", eta])
+        assert code == 0
+    assert reports["-1"] != reports["1"]
+    assert reports["-1"].pop("eta") == -1
+    assert "eta" not in reports["1"]
+    # the default report is unchanged: eta names only the other phi map
+    assert run_cli(capsys, argv) == (0, reports["1"])
+
+
 # (argv, text the error message must contain); exit 1 means a failed check
 USAGE_ERRORS = [
     (["rmatrix", "--flavor", "x"], "invalid choice"),
@@ -134,7 +150,8 @@ def test_usage_error_exit_code(capsys):
 # SHA-256 of the printed report, recorded before the module protocol
 # refactor; these reach the Restricted and Truncated factor paths.  The two
 # verify-phi reports, recorded before relations were evaluated through the
-# phi pull-back, cover the overline maps at eta = -1 and on W2.  The last
+# phi pull-back, cover the overline maps at eta = -1 and on W2; the eta = -1
+# one was recorded again when reports began to name that eta.  The last
 # five, recorded before the elimination loops shared one kernel, cover the
 # cone test, the type-d bold pair, fusion with its truncations, the
 # lowering closure of a fundamental module and the appendix C solve.
@@ -160,7 +177,7 @@ GOLDEN_REPORTS = [
     (
         ["verify-phi", "--flavor", "c", "--side", "overline", "--epsilon", "1,0,1,0,1",
          "--module", "W", "--cutoff", "6", "--eta", "-1"],
-        "3891a7a5b2754f95daba33edce02b8d663230fd513fa2799681206475f230e49",
+        "c48f3e10a10d6dce181091ebe166b95ede607a71ef5ce79fe8a17cf908662b55",
     ),
     (
         ["verify-phi", "--flavor", "d", "--side", "overline", "--epsilon", "0,1,0,1,0",
@@ -254,3 +271,25 @@ def test_perfbench_output_gate(inv, tmp_path):
     )
     assert proc.returncode == inv["rc"], proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == inv["digest"]
+
+
+# The benchmark's tracer wraps functions by their dotted path under qosc.
+# These three paths have had no target since earlier refactors; mending the
+# benchmark is its own change.  Every other path must resolve, so that a
+# rename cannot silently leave one of the tracer's sites unwrapped.
+STALE_TRACER_SITES = {
+    "words.WordExpr.substituted",
+    "linalg.RowBasis.add",
+    "rmatrix.PairDecomposition.apply_R",
+}
+
+
+def test_tracer_sites_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer.Tracer()._targets
+    absent = {path for path, _ in tracer.SITES if not targets(path)}
+    assert absent <= STALE_TRACER_SITES

@@ -75,7 +75,7 @@ def test_bold_words_shape():
 
 
 def test_u_rs_base_cases():
-    tensor, _ = fundamental_pair_modules(2, Z1, Z2, 8)
+    tensor = fundamental_pair_modules(2, Z1, Z2, 8)
     u00 = u_rs(tensor, 2, 1, 1, 0, 0)
     assert list(u00.terms.values()) == [ONE]
     lab = next(iter(u00.terms))
@@ -96,7 +96,7 @@ def test_ladder_identities_and_vanishing():
     res = verify_EF_identities(2, 1, 1, rmax=1, smax=1)
     assert all(t[-1] for t in res)
     # the explicit vanishing word kills every component vector
-    tensor, _ = fundamental_pair_modules(2, Z1, Z2, 10)
+    tensor = fundamental_pair_modules(2, Z1, Z2, 10)
     for (r, s, i, j) in ((0, 0, 0, 0), (1, 1, 1, 0), (2, 1, 1, 1)):
         u = u_rs_component(tensor, 2, 2, 1, r, s, i, j)
         assert eval_word(vanishing_word(2), u, tensor).is_zero()

@@ -71,7 +71,7 @@ def test_fuse_matches_apply_every_ket(name):
     pair = make()
     rho, dec = solve_R(pair, full_window=True)
     c1 = parse_scalar(c)
-    got = fuse(pair, rho, dec, c1, ONE)
+    got = fuse(pair, rho, dec, c1)
     ref = ref_fuse(pair, rho, dec, c1, ONE)
     assert 0 < got.dim() < dec.dim()
     assert got.dims() == ref.dims()
@@ -96,4 +96,4 @@ def test_partial_decomposition_fails_completeness_and_fusion():
     )
     assert any(wt not in dec.blocks for wt in rep["missing"])
     with pytest.raises(SolverError, match="outside decomposition"):
-        fuse(pair, rho, dec, parse_scalar("q^-6"), ONE)
+        fuse(pair, rho, dec, parse_scalar("q^-6"))

@@ -12,9 +12,11 @@ from qosc.rmatrix import (
     closed_rho_c,
     closed_rho_d,
     compare_spans,
+    compare_truncated_image,
     compatibility_scale,
     cyclicity_diagnostic,
     fuse,
+    fused_cyclicity,
     hw_content,
     make_c_pair,
     make_d_pair,
@@ -295,12 +297,15 @@ def test_fusion_w1_image():
         if wt is not None and wt.degree() <= cutoff:
             cands.append((lam, wt))
     assert [(c.key, c.weight) for c in pair.components] == cands
-    image = fuse(pair, rho, dec, zc, ONE)
+    image = fuse(pair, rho, dec, zc)
     content = hw_content(image, pair)
     assert image.dim() > 0
     assert {k for k, v in content.items() if v} == {(1,)}
     target_c = c_target_module(2, sigma, cutoff, "bold", zc)
     assert cyclicity_diagnostic(target_c, content[(1,)][0], image)["pass"]
+    assert fused_cyclicity(image, content, 2, sigma, "bold", zc)["pass"]
+    # the lowering closure is taken in the target specialized at the point
+    assert not fused_cyclicity(image, content, 2, sigma, "bold", parse_scalar("q^-5"))["pass"]
 
 
 def test_fusion_truncation_compare():
@@ -309,9 +314,14 @@ def test_fusion_truncation_compare():
     zc = parse_scalar("q^-4")
     host = make_c_pair(2, sigma, cutoff=cutoff, level="bold")
     rho, dec = solve_R(host, full_window=True)
-    image = fuse(host, rho, dec, zc, ONE)
+    image = fuse(host, rho, dec, zc)
     pair_u = make_c_pair(2, sigma, cutoff=cutoff, level="underline")
     rho_u, dec_u = solve_R(pair_u, full_window=True)
-    img_u = fuse(pair_u, rho_u, dec_u, zc, ONE)
+    img_u = fuse(pair_u, rho_u, dec_u, zc)
     tr_img = truncate_image_span(image, pair_u.target)
     assert compare_spans(tr_img, img_u)["pass"]
+    assert compare_truncated_image(image, pair_u, rho_u, dec_u, zc) == {"pass": True}
+    # against the level image at another point, where that image is larger
+    cmp = compare_truncated_image(image, pair_u, rho_u, dec_u, parse_scalar("q^-5"))
+    assert cmp["reason"] == "dimension census differs"
+    assert img_u.dim() < fuse(pair_u, rho_u, dec_u, parse_scalar("q^-5")).dim()
