@@ -18,12 +18,12 @@ from .fockmod import (
     WindowError,
     WModule,
     eval_word,  # not called here; perfbench/selftest.py checks the tracer rebinds it
-    eval_word_on_kets,
+    eval_words_on_kets,
     ket_str,
 )
 from .lattice import EpsilonData, Weight, bilinear, qpair, simple_root
 from .scalars import MINUS_ONE, ONE, Q, QTILDE, Scalar, q_power, qbinom_at, qint
-from .words import WordExpr, expr_max_rise, qcommutator
+from .words import WordExpr, expr_max_rise, qcommutator, suffix_trie
 
 
 # ---------------------------------------------------------------------------
@@ -222,61 +222,9 @@ _BLOCK = 16
 
 
 def check_relation_on(module, name, expr: WordExpr, labels=None):
-    """Evaluate one relation on every guard-safe basis ket of the window,
-    one block of kets per walk of the relation's suffix trie."""
-    safe = module.cutoff - expr_max_rise(expr, module.atom_shift)
-    if labels is None:
-        labels = module.enumerate_labels(safe) if safe >= 0 else ()
-    degree = module.degree
-    kets = ((label, d) for label in labels if (d := degree(label)) <= safe)
-    return _check_window(
-        RelationReport(name, module.cutoff, max_degree_checked=-1),
-        kets,
-        lambda block: _relation_residuals(module, expr, block),
-    )
-
-
-def _relation_residuals(module, expr, labels):
-    """Yield the residual of expr on each basis ket of labels in order, all
-    from one trie walk.  A ket whose image dropped a ket above the cutoff
-    raises WindowError when its turn comes."""
-    for out in _images(expr, labels, module):
-        if out.overflow:
-            raise WindowError("insufficient guard band for the word")
-        yield out
-
-
-def _images(expr, labels, module):
-    """expr on each basis ket of labels from one trie walk, as FockVectors in
-    the order of labels; overflow marks an image that dropped a ket above
-    the cutoff, as in eval_word."""
-    images, dropped = eval_word_on_kets(expr, labels, module)
-    return [FockVector(images.get(label), overflow=label in dropped) for label in labels]
-
-
-def _check_window(report, kets, residuals):
-    """Walk the (label, degree) pairs of kets in order, in blocks of
-    _BLOCK; residuals(labels) yields the residual of each label of a block
-    in turn.  Counts the kets and their top degree; the first nonzero
-    residual ends the check, and the report keeps it with its ket."""
-    kets = iter(kets)
-    while block := list(itertools.islice(kets, _BLOCK)):
-        # the labels go as a list: a tuple built from a generator is
-        # resized into its size class, whose free list then only grows
-        # (2000 dead 16-tuples, 0.3 MiB, at the end of verify-phi)
-        for (label, d), out in zip(block, residuals([label for label, _ in block])):
-            report.checked += 1
-            report.max_degree_checked = max(report.max_degree_checked, d)
-            if not out.is_zero():
-                report.residual_label = label
-                report.residual = out
-                return report
-    return report
-
-
-def _window(module, maxdeg):
-    """The (label, degree) pairs of the window up to maxdeg, in order."""
-    return [(label, module.degree(label)) for label in module.enumerate_labels(maxdeg)]
+    """Evaluate one relation on every guard-safe basis ket of the window
+    (or of labels, in their order): a suite of one."""
+    return _check_suite(module, [(name, expr)], labels)[0]
 
 
 def check_relations(module):
@@ -284,11 +232,114 @@ def check_relations(module):
     return _check_suite(module, relation_suite(module.eps))
 
 
-def _check_suite(module, suite):
-    # one enumeration of the window: each check skips the kets above its
-    # guard band, and the filtered list keeps the order of a smaller window
-    labels = list(module.enumerate_labels())
-    return [check_relation_on(module, name, expr, labels) for name, expr in suite]
+def _check_suite(module, suite, labels=None):
+    """A RelationReport per (name, WordExpr) of suite, each relation checked
+    on the basis kets of the window (or of labels, in their order) up to
+    its guard band, cutoff - expr_max_rise.
+
+    The relations of one guard band are checked together: one merged
+    suffix trie of their terms is walked once per block of kets.  A ket
+    whose image under a relation dropped a ket above the cutoff raises
+    WindowError when that relation reaches it."""
+    reports = [RelationReport(name, module.cutoff, max_degree_checked=-1) for name, _ in suite]
+    bands = {}
+    for i, (_, expr) in enumerate(suite):
+        safe = module.cutoff - expr_max_rise(expr, module.atom_shift)
+        bands.setdefault(safe, []).append(i)
+    if labels is None:
+        # one enumeration of the window: each band skips the kets above
+        # it, and the filtered list keeps the order of a smaller window
+        top = max(bands, default=-1)
+        labels = module.enumerate_labels(top) if top >= 0 else ()
+    # each band streams its kets: a list of (label, degree) pairs of the
+    # whole window raised the peak RSS of verify-phi by 0.1 MiB
+    labels = list(labels)
+    degrees = list(map(module.degree, labels))
+    for safe, members in bands.items():
+        walk = _walker(module, [suite[i][1] for i in members])
+
+        def residuals(labels, live, walk=walk):
+            return [_relation_residuals(labels, *out) for out in walk(labels, live)]
+
+        kets = ((label, d) for label, d in zip(labels, degrees) if d <= safe)
+        _check_window([reports[i] for i in members], kets, residuals)
+    return reports
+
+
+def _relation_residuals(labels, images, dropped):
+    """(position, residual) of each label of a block with a nonzero image,
+    in order.  A label whose image dropped a ket above the cutoff raises
+    WindowError when its turn comes, so only the kets up to the relation's
+    first counterexample can raise it."""
+    if not (images or dropped):
+        return
+    for pos, label in enumerate(labels):
+        if label in dropped:
+            raise WindowError("insufficient guard band for the word")
+        terms = images.get(label)
+        if terms:
+            yield pos, FockVector(terms)
+
+
+def _walker(module, exprs):
+    """walk(labels, live): the words exprs[i], i in live, on each basis ket
+    of labels, from one walk of their merged suffix trie
+    (eval_words_on_kets).  The trie is rebuilt only when live changes."""
+    built = {}
+
+    def walk(labels, live):
+        trie = built.get(live)
+        if trie is None:
+            built.clear()
+            trie = built[live] = suffix_trie([exprs[i] for i in live])
+        return eval_words_on_kets(trie, labels, module)
+
+    return walk
+
+
+def _image(out, label):
+    """The image of label in one word's (images, dropped), as a FockVector
+    whose overflow marks a dropped ket, as in eval_word."""
+    images, dropped = out
+    return FockVector(images.get(label), overflow=label in dropped)
+
+
+def _check_window(reports, kets, residuals):
+    """Check every report on the (label, degree) pairs of kets in order, in
+    blocks of _BLOCK.  residuals(labels, live) gives, for each index in
+    live (the reports still running, in order), the (position, residual)
+    pairs of the block's labels whose residual may be nonzero, by
+    position; the residual of any other label is zero.  Each report counts
+    its kets and their top degree; its first nonzero residual ends it, and
+    the report keeps that residual with its ket."""
+    kets = iter(kets)
+    live = tuple(range(len(reports)))
+    # the labels go as a list: a tuple built from a generator is resized
+    # into its size class, whose free list then only grows (2000 dead
+    # 16-tuples, 0.3 MiB, at the end of verify-phi)
+    while live and (block := list(itertools.islice(kets, _BLOCK))):
+        labels = [label for label, _ in block]
+        tops = list(itertools.accumulate((d for _, d in block), max))
+        ended = []
+        for i, outs in zip(live, residuals(labels, live)):
+            report = reports[i]
+            pos = len(block) - 1
+            for at, out in outs:
+                if not out.is_zero():
+                    pos = at
+                    report.residual_label, report.residual = labels[at], out
+                    ended.append(i)
+                    break
+            report.checked += pos + 1
+            report.max_degree_checked = max(report.max_degree_checked, tops[pos])
+        if ended:
+            live = tuple(i for i in live if i not in ended)
+    return reports
+
+
+def _window(module, maxdeg):
+    """The (label, degree) pairs of the window up to maxdeg, in order."""
+    return [(label, module.degree(label)) for label in module.enumerate_labels(maxdeg)]
 
 
 # ---------------------------------------------------------------------------
@@ -520,46 +571,60 @@ def truncate_vector(vec: FockVector, kept) -> FockVector:
     return out
 
 
+def _generators(tgt):
+    """The target generators, e before f at each index."""
+    return [(kind, j) for j in tgt.gen_indices for kind in ("e", "f")]
+
+
 def check_truncation_equivariance(tgt: TargetAlgebra, module):
     """tr commutes with every phi-action on the window: tr(phi(x) b) =
     phi(x) tr(b) for each basis ket b up to degree cutoff - 2, the guard
     band of a phi word.  On a kept ket this says that phi(x) b stays
     kept-supported, so the truncated subspace is stable.  Returns
-    RelationReports keyed by generator."""
-    kets = _window(module, module.cutoff - 2)
+    RelationReports keyed by generator; each block's phi images come from
+    one merged walk."""
+    gens = _generators(tgt)
+    walk = _walker(module, [tgt.phi(gen) for gen in gens])
     kept = tgt.kept
-    reports = []
-    for j in tgt.gen_indices:
-        for kind in ("e", "f"):
-            word = tgt.phi((kind, j))
 
-            def residuals(labels):
-                # tr(b) is b on a kept ket and 0 on any other
-                for label, img in zip(labels, _images(word, labels, module)):
-                    b = FockVector.basis(label)
-                    rhs = img if truncate_vector(b, kept).terms else FockVector()
-                    yield truncate_vector(img, kept) - rhs
+    def residual(out, label):
+        # tr(b) is b on a kept ket and 0 on any other
+        img = _image(out, label)
+        rhs = img if truncate_vector(FockVector.basis(label), kept).terms else FockVector()
+        return truncate_vector(img, kept) - rhs
 
-            rep = RelationReport("tr-equivariance:%s%d" % (kind, j), module.cutoff, -1)
-            reports.append(_check_window(rep, kets, residuals))
-    return reports
+    def residuals(labels, live):
+        # a ket with a zero image has a zero residual
+        return [
+            [(pos, residual(out, label)) for pos, label in enumerate(labels) if label in out[0]]
+            for out in walk(labels, live)
+        ]
+
+    reports = [
+        RelationReport("tr-equivariance:%s%d" % gen, module.cutoff, -1) for gen in gens
+    ]
+    return _check_window(reports, _window(module, module.cutoff - 2), residuals)
 
 
 def check_monoidality(tgt: TargetAlgebra, tensor_ambient, tensor_truncated, maxdeg):
     """On truncated v (x) w, acting by Delta(phi(x)) in the ambient tensor
-    equals acting by the target coproduct with phi per factor."""
-    kets = _window(tensor_truncated, maxdeg)
-    reports = []
-    for j in tgt.gen_indices:
-        for kind in ("e", "f"):
-            gen = (kind, j)
-            word, atom = tgt.phi(gen), WordExpr.gen(kind, j)
+    equals acting by the target coproduct with phi per factor.  Each
+    block's images come from one merged walk per tensor module."""
+    gens = _generators(tgt)
+    ambient = _walker(tensor_ambient, [tgt.phi(gen) for gen in gens])
+    truncated = _walker(tensor_truncated, [WordExpr.gen(*gen) for gen in gens])
 
-            def residuals(labels):
-                ambient = _images(word, labels, tensor_ambient)
-                truncated = _images(atom, labels, tensor_truncated)
-                return map(FockVector.__sub__, ambient, truncated)
+    def residuals(labels, live):
+        return [
+            [
+                (pos, _image(amb, label) - _image(tr, label))
+                for pos, label in enumerate(labels)
+                if label in amb[0] or label in tr[0]
+            ]
+            for amb, tr in zip(ambient(labels, live), truncated(labels, live))
+        ]
 
-            rep = RelationReport("tr-monoidal:%s%d" % gen, tensor_ambient.cutoff, -1)
-            reports.append(_check_window(rep, kets, residuals))
-    return reports
+    reports = [
+        RelationReport("tr-monoidal:%s%d" % gen, tensor_ambient.cutoff, -1) for gen in gens
+    ]
+    return _check_window(reports, _window(tensor_truncated, maxdeg), residuals)

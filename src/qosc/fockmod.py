@@ -446,7 +446,8 @@ class PullbackModule(ModuleView):
         key = (gen, label)
         hit = self._images.get(key)
         if hit is None:
-            images, dropped = eval_word_on_kets(self.algebra.phi(gen), (label,), self.base)
+            word = self.algebra.phi(gen)
+            ((images, dropped),) = eval_words_on_kets(word.suffix_trie(), (label,), self.base)
             hit = DROPPED if dropped else list(images.get(label, {}).items())
             self._images[key] = hit
         return hit
@@ -615,48 +616,70 @@ def _step(module, atom, rows):
     return out, dropped
 
 
-def _walk(module, node, rows, parts, dropped):
-    """Depth-first below one trie node: collect (term, rows) at each word
-    end into parts and the dropping sources into dropped.  A module-level
-    function, not a closure, so no reference cycle keeps the rows alive
-    until the cyclic GC runs."""
-    children, end = node
-    if end is not None:
-        parts.append((end, rows))
+def _walk(module, node, rows, parts, outs, dropped):
+    """Depth-first below one trie node: at each term end, add (term index,
+    coefficient, rows) to parts[r] of its word r, and sum the word into
+    outs[r] at its last end; add the sources a step drops to dropped[r] of
+    each word r that owns the step's node.  A module-level function, not a
+    closure, so no reference cycle keeps the rows alive until the cyclic
+    GC runs."""
+    children, ends, _ = node
+    for r, idx, c, last in ends:
+        parts[r].append((idx, c, rows))
+        if last:
+            _sum_parts(parts, r, outs)
     for atom, child in children.items():
         img, d = _step(module, atom, rows)
-        dropped.update(d)
+        if d:
+            for r in child[2]:
+                dropped[r].update(d)
         if img:
-            _walk(module, child, img, parts, dropped)
+            _walk(module, child, img, parts, outs, dropped)
 
 
-def _eval_terms(expr: WordExpr, rows, module):
-    """expr on rows {source: {label: Scalar}}: (image rows, the set of
-    sources whose image dropped a ket above the cutoff).
-
-    Walks the suffix trie of expr once for all rows, so each atom is
-    applied once per shared suffix, and stops below a node where every
-    row's image is zero.  The images of the terms are summed per row in
-    the order of expr.terms; a row whose sum is zero is left out."""
-    parts = []
-    dropped = set()
-    _walk(module, expr.suffix_trie(), rows, parts, dropped)
-    parts.sort(key=lambda part: part[0][0])
+def _sum_parts(parts, r, outs):
+    """Sum the parts of word r per row in term order into outs[r], leaving
+    out a row whose sum is zero, and release the parts."""
+    word_parts, parts[r] = parts[r], None
+    word_parts.sort(key=lambda part: part[0])
     out = {}
-    for (_, c), prows in parts:
+    for _, c, prows in word_parts:
+        one = c.is_one()  # skip the products by 1
         for src, vec in prows.items():
             acc = out.get(src)
             if acc is None:
-                acc = out[src] = {}
+                out[src] = dict(vec) if one else {label: c * x for label, x in vec.items()}
+                continue
             for label, x in vec.items():
-                p = c * x
+                p = x if one else c * x
                 s = acc.get(label)
                 s = p if s is None else s + p
                 if s.is_zero():
                     acc.pop(label, None)
                 else:
                     acc[label] = s
-    return {src: acc for src, acc in out.items() if acc}, dropped
+    outs[r] = {src: acc for src, acc in out.items() if acc}
+
+
+def _eval_trie(trie, rows, module):
+    """The words of a suffix trie (words.suffix_trie) on rows {source:
+    {label: Scalar}}: per word in order, (image rows, the set of sources
+    whose image under that word dropped a ket above the cutoff).
+
+    Walks the trie once for all rows and words, so each atom is applied
+    once per shared suffix, and stops below a node where every row's image
+    is zero.  The images of a word's terms are summed per row in term
+    order, as soon as the walk has passed the word's last term; a row whose
+    sum is zero is left out."""
+    count = len(trie[2])
+    parts = [[] for _ in range(count)]
+    outs = [{} for _ in range(count)]
+    dropped = [set() for _ in range(count)]
+    _walk(module, trie, rows, parts, outs, dropped)
+    for r in range(count):
+        if parts[r] is not None:  # the walk stopped above the last end
+            _sum_parts(parts, r, outs)
+    return list(zip(outs, dropped))
 
 
 def _vector(terms, overflow):
@@ -679,15 +702,15 @@ def act_k(module, mu: Weight, vec: FockVector) -> FockVector:
 
 def eval_word(expr: WordExpr, vec: FockVector, module) -> FockVector:
     """Evaluate a WordExpr right-to-left on a vector."""
-    rows, dropped = _eval_terms(expr, {None: vec.terms}, module)
+    ((rows, dropped),) = _eval_trie(expr.suffix_trie(), {None: vec.terms}, module)
     return _vector(rows.get(None, {}), vec.overflow or bool(dropped))
 
 
-def eval_word_on_kets(expr: WordExpr, labels, module):
-    """expr on each basis ket of labels in one trie walk: ({label: image
-    terms}, the set of labels whose image dropped a ket above the cutoff).
-    A label whose image is zero has no entry."""
-    return _eval_terms(expr, {label: {label: ONE} for label in labels}, module)
+def eval_words_on_kets(trie, labels, module):
+    """The words of a suffix trie on each basis ket of labels, in one walk:
+    per word, ({label: image terms}, the set of labels whose image dropped
+    a ket above the cutoff).  A label whose image is zero has no entry."""
+    return _eval_trie(trie, {label: {label: ONE} for label in labels}, module)
 
 
 def weight_block(module, wt: Weight, maxdeg=None):

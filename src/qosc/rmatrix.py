@@ -29,6 +29,7 @@ from .fundrep import (
     MatchedSpan,
     Subspace,
     block_order,
+    compare_spans,
     fundamental_span,
     lowering_closure,
     truncate_image_span,
@@ -550,20 +551,6 @@ def compatible_bold_rho(pair_bold, dec_bold, pair_level, rho_bold):
         fac = SpectralScalar.from_scalar(c * c0.inverse())
         expected[key] = rho_bold[key] * fac
     return expected, scales, c0
-
-
-def compare_spans(a: Subspace, b: Subspace):
-    """Equal weight-block dimensions and mutual containment."""
-    dims_a, dims_b = a.dims(), b.dims()
-    if dims_a != dims_b:
-        return {"pass": False, "reason": "dimension census differs",
-                "only_a": {k.to_str(): v for k, v in dims_a.items() if dims_b.get(k) != v},
-                "only_b": {k.to_str(): v for k, v in dims_b.items() if dims_a.get(k) != v}}
-    for x, y, name in ((a, b, "a in b"), (b, a, "b in a")):
-        for _, vecs in x.blocks.values():
-            if not all(y.contains(v) for v in vecs):
-                return {"pass": False, "reason": "containment %s fails" % name}
-    return {"pass": True}
 
 
 def rho_pole_multisets(rho, bound):

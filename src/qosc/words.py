@@ -104,21 +104,10 @@ class WordExpr:
         return out
 
     def suffix_trie(self):
-        """The terms as a trie keyed rightmost atom first, built once.
-
-        A node is [children {atom: node}, (term index, coefficient) or None]:
-        evaluating right-to-left, terms that end in the same atoms share
-        the nodes of that suffix.  A WordExpr is not changed after it is
-        built, so the trie never goes stale.
-        """
+        """suffix_trie([self]), built once.  A WordExpr is not changed
+        after it is built, so the trie never goes stale."""
         if self._trie is None:
-            root = [{}, None]
-            for idx, (atoms, c) in enumerate(self.terms.items()):
-                node = root
-                for atom in reversed(atoms):
-                    node = node[0].setdefault(atom, [{}, None])
-                node[1] = (idx, c)
-            self._trie = root
+            self._trie = suffix_trie([self])
         return self._trie
 
     def __repr__(self):
@@ -134,6 +123,39 @@ class WordExpr:
         if len(self.terms) > 6:
             bits.append("...")
         return "WordExpr(%s)" % " + ".join(bits)
+
+
+def suffix_trie(exprs):
+    """The terms of several WordExprs as one trie keyed rightmost atom
+    first: evaluating right-to-left, terms that end in the same atoms share
+    the nodes of that suffix, within one word and across words.
+
+    A node is [children {atom: node}, ends, owners].  ends lists [word
+    index, term index, coefficient, last] for each term that ends at the
+    node, where last marks the word's last end in the order a walk meets
+    them (a node's ends, then its children in insertion order).  owners
+    lists, in order, the words with a term through the node, that is the
+    words an image dropped at the node belongs to.  The root owns every
+    word, so len(root[2]) is the number of words.
+    """
+    root = [{}, [], list(range(len(exprs)))]
+    for r, expr in enumerate(exprs):
+        for idx, (atoms, c) in enumerate(expr.terms.items()):
+            node = root
+            for atom in reversed(atoms):
+                node = node[0].setdefault(atom, [{}, [], []])
+                if not node[2] or node[2][-1] != r:
+                    node[2].append(r)
+            node[1].append([r, idx, c, False])
+    last, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        for end in node[1]:
+            last[end[0]] = end
+        stack.extend(reversed(node[0].values()))
+    for end in last.values():
+        end[3] = True
+    return root
 
 
 def qcommutator(a: WordExpr, b: WordExpr, t: Scalar) -> WordExpr:

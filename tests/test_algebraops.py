@@ -5,6 +5,7 @@ from test_eval_reference import ref_act, ref_eval_word
 
 from qosc.algebraops import (
     RelationReport,
+    _check_suite,
     check_monoidality,
     check_phi_relations,
     check_relation_on,
@@ -409,6 +410,74 @@ def test_window_error_only_for_a_drop_up_to_the_first_counterexample(kind):
         assert rep.residual_label == fail and rep.checked == len(pad) + 1
 
 
+# -- whole suites in one merged walk against checks of one ket at a time -----
+
+
+def _assert_same_suite(got, module, suite):
+    """got equals _ref_check run on each relation of suite in turn."""
+    want = [_ref_check(module, name, expr) for name, expr in suite]
+    assert got == want
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert [repr(r.residual) for r in got] == [repr(r.residual) for r in want]
+    return got
+
+
+def test_relation_suite_matches_one_ket_at_a_time():
+    module = _SignFlippedW2(EPSP, parse_scalar("q^2"), cutoff=4)
+    got = _assert_same_suite(check_relations(module), module, relation_suite(EPSP))
+    assert 0 < sum(not r.passed for r in got) < len(got)
+
+
+def test_phi_relation_suite_matches_one_ket_at_a_time():
+    tgt, pulled = _corrupted_phi_pullback()
+    bad = pulled.algebra
+    got = _assert_same_suite(
+        check_phi_relations(bad, pulled.base), pulled, target_relation_suite(tgt)
+    )
+    assert 0 < sum(not r.passed for r in got) < len(got)
+
+
+def test_relation_suite_matches_with_vacuous_checks():
+    module = WModule(EPS, Scalar.from_int(1), cutoff=2)
+    got = _assert_same_suite(check_relations(module), module, relation_suite(EPS))
+    vacuous = [r.relation for r in got if not r.checked]
+    assert vacuous == ["ef:0,5", "nilpotent:e0", "nilpotent:f5"]
+
+
+def test_relation_suite_raises_window_error_as_one_ket_at_a_time():
+    module = _UnderstatedW2(EPSP, parse_scalar("q^2"), cutoff=4)
+    with pytest.raises(WindowError):
+        check_relations(module)
+    with pytest.raises(WindowError):
+        for name, expr in relation_suite(EPSP):
+            _ref_check(module, name, expr)
+
+
+def test_merged_walk_charges_a_drop_to_its_own_relations():
+    # on the understated W2 every relation has the whole window as guard
+    # band, so r and s share one trie: both walk f_0 first, and only s has
+    # a term whose first atom e_0 drops the image of a ket of degree 3 or 4
+    module = _UnderstatedW2(EPSP, parse_scalar("q^2"), cutoff=4)
+    rels = dict(relation_suite(EPSP))
+    suite = [("r", rels["ef:1,0"]), ("s", rels["ef:0,0"])]
+    kinds = _kinds(module, suite[1][1])
+    fail, drop = kinds["fail"][0], kinds["drop"][0]
+    assert drop in _kinds(module, suite[0][1])["pass"]
+    for pad in (kinds["pass"][:0], kinds["pass"][:15], kinds["pass"][:16]):
+        # r reaches the drop and passes it; s stops at its counterexample
+        # first, so the drop after it raises for neither
+        labels = pad + [fail, drop]
+        got = _check_suite(module, suite, labels)
+        want = [_ref_check(module, name, expr, labels) for name, expr in suite]
+        assert got == want and [r.to_json() for r in got] == [r.to_json() for r in want]
+        assert got[0].passed and got[0].checked == len(labels)
+        assert got[1].residual_label == fail and got[1].checked == len(pad) + 1
+        # s reaches the drop first
+        with pytest.raises(WindowError):
+            _check_suite(module, suite, pad + [drop, fail])
+        assert _check_suite(module, suite[:1], pad + [drop, fail])[0].passed
+
+
 # -- the blocked truncation checks against checks of one ket at a time ------
 
 
@@ -525,3 +594,26 @@ def test_blocked_monoidality_matches_one_ket_at_a_time():
         assert rep.residual_label == failing and rep.checked == pos + 1, pos
         assert rep.residual.overflow
         assert all(r.checked == 24 for r in got if r is not rep)
+
+
+def test_monoidality_catches_an_image_only_on_the_truncated_side():
+    class Phantom(TruncatedModule):
+        """A truncation whose e_1 fixes every ket that e_1 kills."""
+
+        def apply_gen(self, gen, label):
+            out = TruncatedModule.apply_gen(self, gen, label)
+            return [(label, ONE)] if gen == ("e", 1) and not out else out
+
+    tgt = phi_words("c", "underline", EPS)
+    wx = WModule(EPS, parse_scalar("q^2"), cutoff=4)
+    wy = WModule(EPS, parse_scalar("q^-2"), cutoff=4)
+    t_amb = TensorModule([wx, wy])
+    t_bad = TensorModule([Phantom(wx, tgt), TruncatedModule(wy, tgt)])
+    got = check_monoidality(tgt, t_amb, t_bad, maxdeg=2)
+    _assert_same_reports(got, _ref_reports(
+        "tr-monoidal", tgt, 4, t_bad, 2,
+        lambda gen: _monoidal_residual(tgt, t_amb, t_bad, gen)))
+    assert [r.relation for r in got if not r.passed] == ["tr-monoidal:e1"]
+    # the counterexample's ambient image is zero
+    rep = got[2]
+    assert eval_word(tgt.phi(("e", 1)), FockVector.basis(rep.residual_label), t_amb).is_zero()

@@ -24,7 +24,7 @@ from qosc.fockmod import (
 )
 from qosc.lattice import EpsilonData, qpair
 from qosc.scalars import ONE, Q, Scalar, parse_scalar, qint
-from qosc.words import WordExpr, expr_max_rise
+from qosc.words import WordExpr, expr_max_rise, suffix_trie
 
 EPS = EpsilonData((1, 0, 1, 0, 1))
 EPSP = EpsilonData((0, 1, 0, 1, 0))
@@ -133,11 +133,29 @@ def test_trie_eval_matches_per_term_loop(name):
 def test_trie_shares_suffixes():
     e, f = WordExpr.e, WordExpr.f
     expr = e(0) * f(1) * e(2) + f(0) * f(1) * e(2) + e(2) + WordExpr.unit()
-    children, end = expr.suffix_trie()
-    assert end is not None and list(children) == [("e", 2)]
+    children, ends, owners = expr.suffix_trie()
+    assert ends == [[0, 3, ONE, False]] and list(children) == [("e", 2)]
     (node,) = children.values()
-    assert node[1] is not None and list(node[0]) == [("f", 1)]
+    assert node[1] == [[0, 2, ONE, False]] and list(node[0]) == [("f", 1)]
     assert expr.suffix_trie() is expr.suffix_trie()
+
+
+def test_merged_trie_shares_suffixes_across_words():
+    e, f = WordExpr.e, WordExpr.f
+    a = e(0) * f(1) * e(2) + e(2)
+    b = f(0) * f(1) * e(2).scale(Q) + f(0)
+    children, ends, owners = suffix_trie([a, b, WordExpr()])
+    # the root owns every word, the zero word too
+    assert ends == [] and owners == [0, 1, 2] and list(children) == [("e", 2), ("f", 0)]
+    node = children[("e", 2)]
+    # a walk meets a's e_2 end first, its e_0.f_1.e_2 end last
+    assert node[1] == [[0, 1, ONE, False]] and node[2] == [0, 1]
+    (node,) = node[0].values()
+    assert list(node[0]) == [("e", 0), ("f", 0)] and node[2] == [0, 1]
+    assert node[0][("e", 0)][1:] == [[[0, 0, ONE, True]], [0]]
+    assert node[0][("f", 0)][1:] == [[[1, 0, Q, False]], [1]]
+    # b's f_0 end is met after its f_0.f_1.e_2 end
+    assert children[("f", 0)][1:] == [[[1, 1, ONE, True]], [1]]
 
 
 # -- the pull-back equals the substituted words -------------------------------
