@@ -11,11 +11,13 @@ from __future__ import annotations
 import time
 
 from .algebraops import (
+    LEVELS,
     check_monoidality,
     check_phi_relations,
     check_relation_on,
     check_relations,
     check_truncation_equivariance,
+    level_module,
     phi_words,
     relation_suite,
     truncate_vector,
@@ -25,7 +27,6 @@ from .fockmod import (
     DROPPED,
     FockVector,
     ModuleView,
-    RestrictedModule,
     TensorModule,
     TruncatedModule,
     W2Module,
@@ -173,14 +174,7 @@ def criterion_3():
 def criterion_4():
     bad = {}
     N = 8
-    par = {"+": 0, "-": 1}
-
-    def levels(x):
-        w = WModule(BOLD5, x, cutoff=N)
-        yield "bold", w
-        for side in ("underline", "overline"):
-            yield side, TruncatedModule(w, phi_words("c", side, BOLD5))
-
+    xs = (parse_scalar("q^2"), parse_scalar("q^-4"))
     expected_sets = {
         ("+", "+"): {(2 * k,) if k else () for k in range(0, 5)},
         ("-", "-"): {(1, 1)} | {(2 * k,) for k in range(1, 5)},
@@ -188,47 +182,30 @@ def criterion_4():
         ("-", "+"): {(2 * k + 1,) for k in range(0, 4)},
     }
     for sigma in SIGMAS:
-        for (lvname, mx), (_, my) in zip(
-            levels(parse_scalar("q^2")), levels(parse_scalar("q^-4"))
-        ):
-            T = TensorModule(
-                [RestrictedModule(mx, par[sigma[0]]), RestrictedModule(my, par[sigma[1]])]
-            )
+        for level in LEVELS:
+            T = level_module("c", level, BOLD5, N, list(zip(xs, sigma)))
             res = decompose(T, "c", 2, N)
             got = {lam: d for lam, d in res if d}
             want = {
                 lam: 1
                 for lam in expected_sets[sigma]
-                if hw_weight(BOLD5, lam, 2, "c", kept=mx.algebra.kept) is not None
+                if hw_weight(BOLD5, lam, 2, "c", kept=T.algebra.kept) is not None
             }
             if got != want:
-                bad["sigma=%s level=%s" % ("".join(sigma), lvname)] = {
+                bad["sigma=%s level=%s" % ("".join(sigma), level)] = {
                     "got": sorted(got),
                     "want": sorted(want),
                 }
-    # type d: multiplicity l+1 on (l), l <= 4
-    w2 = W2Module(BOLDP5, parse_scalar("q^2"), cutoff=6)
-    res = decompose(w2, "d", 1, 5)
-    got = {lam: d for lam, d in res if d}
-    want = {(l,) if l else (): l + 1 for l in range(0, 6)}
-    if got != want:
-        bad["W2 bold-prime"] = {"got": got, "want": want}
-    tgtu = phi_words("d", "underline", BOLDP5)
-    res = decompose(TruncatedModule(w2, tgtu), "d", 1, 5)
-    got = {lam: d for lam, d in res if d}
-    if got != want:
-        bad["W2 underline-prime"] = {"got": got, "want": want}
-    tgto = phi_words("d", "overline", BOLDP5)
-    res = decompose(TruncatedModule(w2, tgto), "d", 1, 5)
-    got = {lam: d for lam, d in res if d}
-    want_over = {(l,) if l else (): l + 1 for l in range(0, 3)}  # (l) needs l <= m
-    if got != want_over:
-        bad["W2 overline-prime"] = {"got": got, "want": want_over}
+    # type d: multiplicity l+1 on (l), l <= 5 (l <= m at the overline level)
+    for level, top in zip(LEVELS, (5, 5, 2)):
+        w2 = level_module("d", level, BOLDP5, 6, [(xs[0], "W")])
+        got = {lam: d for lam, d in decompose(w2, "d", 1, 5) if d}
+        want = {(l,) if l else (): l + 1 for l in range(0, top + 1)}
+        if got != want:
+            bad["W2 %s-prime" % level] = {"got": got, "want": want}
     # cross-check the desk-scale classical dimensions against hw counts
-    wfull_x = WModule(BOLD5, parse_scalar("q^2"), cutoff=6)
-    wfull_y = WModule(BOLD5, parse_scalar("q^-4"), cutoff=6)
-    res = decompose(TensorModule([wfull_x, wfull_y]), "c", 2, 6)
-    for lam, d in res:
+    T = level_module("c", "bold", BOLD5, 6, [(x, "W") for x in xs])
+    for lam, d in decompose(T, "c", 2, 6):
         if d and d != classical_dim("O", 2, lam):
             bad["O2-dim %s" % (lam,)] = {"got": d}
     return _report("4-decomposition", not bad, failures=bad)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from .fockmod import (
     FockVector,
     PullbackModule,
+    RestrictedModule,
+    TensorModule,
     TruncatedModule,
     W2Module,
     WindowError,
@@ -486,16 +488,28 @@ def host_eps(flavor: str, m: int) -> EpsilonData:
     return EpsilonData(tuple((i + first) % 2 for i in range(2 * m + 1)))
 
 
-def level_module(flavor: str, level: str, eps: EpsilonData, x, cutoff: int):
-    """The factor W(x) ('c') or W^(x2)(x) ('d') at one truncation level.
+LEVELS = ("bold", "underline", "overline")
+PARTS = {"+": 0, "-": 1, "W": None}  # a factor's kets: even, odd or all
+
+
+def level_module(flavor: str, level: str, eps: EpsilonData, cutoff: int, factors):
+    """W(x) ('c') or W^(x2)(x) ('d') at one truncation level, one factor
+    per (x, part); a lone factor comes back bare, several as one tensor.
 
     level 'bold' is the ambient module; 'underline' and 'overline' act
-    through the phi maps, and the module's algebra is their target.
+    through the phi maps, and the module's algebra is their target.  part
+    '+' or '-' restricts a factor to its even or odd kets, 'W' keeps all.
     """
-    module = (WModule if flavor == "c" else W2Module)(eps, x, cutoff)
-    if level == "bold":
-        return module
-    return TruncatedModule(module, phi_words(flavor, level, eps))
+    tgt = None if level == "bold" else phi_words(flavor, level, eps)
+    out = []
+    for x, part in factors:
+        module = (WModule if flavor == "c" else W2Module)(eps, x, cutoff)
+        if tgt is not None:
+            module = TruncatedModule(module, tgt)
+        if PARTS[part] is not None:
+            module = RestrictedModule(module, PARTS[part])
+        out.append(module)
+    return out[0] if len(out) == 1 else TensorModule(out)
 
 
 def target_relation_suite(tgt: TargetAlgebra):

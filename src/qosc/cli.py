@@ -13,6 +13,8 @@ import sys
 import time
 
 from .algebraops import (
+    LEVELS,
+    PARTS,
     check_monoidality,
     check_phi_relations,
     check_relations,
@@ -23,7 +25,6 @@ from .algebraops import (
 )
 from .decomp import decompose, find_hw
 from .fockmod import (
-    RestrictedModule,
     TensorModule,
     TruncatedModule,
     W2Module,
@@ -89,9 +90,13 @@ def _emit(args, command, checks, extra=None):
 
 def _epsilon(args):
     try:
-        return EpsilonData(tuple(int(b) for b in args.epsilon.split(",")))
+        eps = EpsilonData(tuple(int(b) for b in args.epsilon.split(",")))
     except ValueError:
         raise UsageError("--epsilon: expected a comma list of 0/1, got %r" % args.epsilon)
+    if eps.n < 4:
+        # the relation suite is the one of type D, which needs n >= 4
+        raise UsageError("--epsilon: expected at least 4 entries, got %r" % args.epsilon)
+    return eps
 
 
 def _scalar(text, flag):
@@ -105,8 +110,21 @@ def _pair_of_ints(text, flag):
     try:
         a, b = (int(t) for t in text.split(","))
     except ValueError:
-        raise UsageError("%s: expected two integers such as 1,2, got %r" % (flag, text))
+        a = b = -1
+    if min(a, b) < 0:
+        raise UsageError("%s: expected two integers >= 0 such as 1,2, got %r" % (flag, text))
     return a, b
+
+
+def _int_at_least(lo):
+    """An argparse type: an integer >= lo."""
+
+    def parse(text):
+        if not text.lstrip("-").isdigit() or int(text) < lo:
+            raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (lo, text))
+        return int(text)
+
+    return parse
 
 
 def _sigma(args):
@@ -171,27 +189,18 @@ def cmd_truncate(args):
 
 
 def _factors(args, eps):
-    """The module named by --factors (tensored when there are several) and
-    its number of factors; each factor is W(x) or W^(x2)(x) at --level,
-    restricted to a parity by '+' or '-'."""
-    sigs = args.factors.split(",")
-    if any(sig not in ("+", "-", "W") for sig in sigs):
+    """The module named by --factors (level_module) and its number of factors."""
+    parts = args.factors.split(",")
+    if any(part not in PARTS for part in parts):
         raise UsageError("--factors: expected a comma list of +, - or W, got %r"
                          % args.factors)
     xs = [_scalar(t, "--x") for t in args.x.split(";")]
-    factors = []
-    for i, sig in enumerate(sigs):
-        x = xs[i % len(xs)]
-        try:
-            mod = level_module(args.flavor, args.level, eps, x, args.cutoff)
-        except (ValueError, ArithmeticError) as exc:
-            raise UsageError("--flavor %s --epsilon %s: %s" % (args.flavor, args.epsilon, exc))
-        if sig != "W":
-            mod = RestrictedModule(mod, 0 if sig == "+" else 1)
-        factors.append(mod)
-    if len(factors) == 1:
-        return factors[0], 1
-    return TensorModule(factors), len(factors)
+    factors = [(xs[i % len(xs)], part) for i, part in enumerate(parts)]
+    try:
+        mod = level_module(args.flavor, args.level, eps, args.cutoff, factors)
+    except (ValueError, ArithmeticError) as exc:
+        raise UsageError("--flavor %s --epsilon %s: %s" % (args.flavor, args.epsilon, exc))
+    return mod, len(factors)
 
 
 def cmd_decompose(args):
@@ -260,8 +269,16 @@ def _rpair_params(args):
 
 def _rpair(args, params):
     if args.flavor == "c":
-        return make_c_pair(args.m, params, cutoff=args.cutoff, level=args.level)
-    return make_d_pair(args.m, *params, cutoff=args.cutoff, level=args.level)
+        pair = make_c_pair(args.m, params, cutoff=args.cutoff, level=args.level)
+    elif args.level == "overline":
+        raise UsageError("--flavor d --level overline: the type-d pair is built at the "
+                         "bold and underline levels only")
+    else:
+        pair = make_d_pair(args.m, *params, cutoff=args.cutoff, level=args.level)
+    if pair.lambda0 not in [comp.key for comp in pair.components]:
+        raise UsageError("--cutoff %d: the window leaves out the top component %s"
+                         % (args.cutoff, pair.lambda0))
+    return pair
 
 
 def cmd_rmatrix(args):
@@ -328,6 +345,8 @@ def cmd_fuse(args):
 
 def cmd_fundamental(args):
     k = args.l if args.k is None else args.k
+    if not 0 <= min(k, args.k2) <= max(k, args.k2) <= args.l:
+        raise UsageError("--k, --k2: expected integers from 0 to --l %d" % args.l)
     try:
         mod = W2Module(host_eps("d", args.m), _scalar(args.x, "--x"), args.cutoff)
     except ArithmeticError as exc:
@@ -449,7 +468,7 @@ def build_parser():
         sp.add_argument("--out")
         sp.add_argument("--epsilon", default="1,0,1,0,1")
         sp.add_argument("--flavor", choices=["c", "d"], default="c")
-        sp.add_argument("--level", choices=["bold", "underline", "overline"], default="bold")
+        sp.add_argument("--level", choices=LEVELS, default="bold")
         sp.add_argument("--factors", default="+,+", help="comma list of +, -, or W per factor")
         sp.add_argument("--x", default="q^2;q^-4", help="semicolon list of parameters")
 
@@ -470,10 +489,8 @@ def build_parser():
     sp.add_argument("--flavor", choices=["c", "d"], required=True)
     sp.add_argument("--sigma", default="+,+")
     sp.add_argument("--l", default="1,1")
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument(
-        "--level", choices=["bold", "underline", "overline"], default="bold"
-    )
+    sp.add_argument("--m", type=_int_at_least(2), default=2)
+    sp.add_argument("--level", choices=LEVELS, default="bold")
     sp.set_defaults(fn=cmd_rmatrix)
 
     sp = sub.add_parser("fuse", help="fused image of a specialized R matrix")
@@ -482,7 +499,7 @@ def build_parser():
     sp.add_argument("--flavor", choices=["c", "d"], default="c")
     sp.add_argument("--sigma", default="+,+")
     sp.add_argument("--l", default="1,1")
-    sp.add_argument("--m", type=int, default=2)
+    sp.add_argument("--m", type=_int_at_least(2), default=2)
     sp.add_argument("--level", choices=["bold", "underline"], default="bold")
     sp.add_argument("--c", required=True, help="comma list, e.g. q^-6,1")
     sp.add_argument("--check-truncation", action="store_true")
@@ -491,8 +508,8 @@ def build_parser():
     sp = sub.add_parser("fundamental", help="build and verify W_{l,k}")
     sp.add_argument("--cutoff", type=int, default=10)
     sp.add_argument("--out")
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--l", type=int, required=True)
+    sp.add_argument("--m", type=_int_at_least(2), default=2)
+    sp.add_argument("--l", type=_int_at_least(0), required=True)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--k2", type=int, default=0)
     sp.add_argument("--x", default="1")
@@ -502,10 +519,10 @@ def build_parser():
     sp = sub.add_parser("appendix-check", help="ladder and coefficient identities")
     sp.add_argument("--out")
     sp.add_argument("--which", choices=["B", "C", "all"], default="all")
-    sp.add_argument("--m", type=int, default=2)
+    sp.add_argument("--m", type=_int_at_least(2), default=2)
     sp.add_argument("--l", default="1,1")
-    sp.add_argument("--rmax", type=int, default=1)
-    sp.add_argument("--smax", type=int, default=1)
+    sp.add_argument("--rmax", type=_int_at_least(0), default=1)
+    sp.add_argument("--smax", type=_int_at_least(0), default=1)
     sp.set_defaults(fn=cmd_appendix_check)
 
     sp = sub.add_parser("suite", help="run the full acceptance battery")

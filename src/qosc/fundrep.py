@@ -11,13 +11,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .algebraops import host_eps, level_module, phi_words, truncate_vector
+from .algebraops import LEVELS, host_eps, level_module, truncate_vector
 from .decomp import finite_indices
 from .fockmod import (
     FockVector,
-    TensorModule,
-    TruncatedModule,
-    W2Module,
     act,
     eval_word,
     tensor_vector,
@@ -179,11 +176,11 @@ def lowering_closure(module, v, indices) -> Subspace:
     return span
 
 
-def truncate_image_span(image: Subspace, level_module) -> Subspace:
+def truncate_image_span(image: Subspace, truncated) -> Subspace:
     """Truncate every stored vector of an image span to the kept indices of
-    level_module's target algebra, as a span in level_module."""
-    kept = level_module.algebra.kept
-    out = Subspace(level_module)
+    the target algebra of the module truncated, as a span in truncated."""
+    kept = truncated.algebra.kept
+    out = Subspace(truncated)
     for wt, (b, vecs) in image.blocks.items():
         for v in vecs:
             tv = truncate_vector(v, kept)
@@ -297,9 +294,7 @@ def fundamental_pair_modules(m: int, x1, x2, cutoff: int):
     """The tensor product W_{l1}(x1) (x) W_{l2}(x2) lives inside this pair of
     rank-two Fock modules, acting through the underline type-d phi maps."""
     epsp = host_eps("d", m)
-    return TensorModule(
-        [level_module("d", "underline", epsp, x, cutoff) for x in (x1, x2)]
-    )
+    return level_module("d", "underline", epsp, cutoff, [(x1, "W"), (x2, "W")])
 
 
 def u_rs_component(tensor, m: int, l1: int, l2: int, r: int, s: int, i: int, j: int):
@@ -606,9 +601,8 @@ def check_fundamental_truncation(m: int, l: int, cutoff: int):
     from math import comb
 
     epsp = host_eps("d", m)
-    W2 = W2Module(epsp, Scalar.from_int(1), cutoff)
+    W2, under, over = (level_module("d", lv, epsp, cutoff, [(ONE, "W")]) for lv in LEVELS)
     span = fundamental_span(W2, l, l)
-    over = TruncatedModule(W2, phi_words("d", "overline", epsp))
     got = truncate_image_span(span, over).dim()
     if l > m:
         expected = 0
@@ -618,7 +612,6 @@ def check_fundamental_truncation(m: int, l: int, cutoff: int):
         k = m - l
         expected = comb(2 * m, k) - (comb(2 * m, k - 2) if k >= 2 else 0)
     # underline: truncation of the span equals the intrinsic module
-    under = TruncatedModule(W2, phi_words("d", "underline", epsp))
     span_u = fundamental_span(under, l, l)
     under_ok = compare_spans(truncate_image_span(span, under), span_u)["pass"]
     return {

@@ -19,7 +19,6 @@ from .algebraops import host_eps, level_module
 from .decomp import finite_indices, find_hw, hw_kernel_of_vectors, hw_weight
 from .fockmod import (
     FockVector,
-    RestrictedModule,
     TensorModule,
     act,
     label_key,
@@ -38,6 +37,7 @@ from .fundrep import (
 from .lattice import Weight
 from .linalg import solve_unique
 from .scalars import (
+    ONE,
     SONE,
     SZERO,
     Scalar,
@@ -229,10 +229,8 @@ def make_d_pair(m, l1, l2, cutoff, level="underline"):
     if level not in ("bold", "underline"):
         raise ValueError("make_d_pair supports levels 'bold' and 'underline'")
     epsp = host_eps("d", m)
-    A = level_module("d", level, epsp, Z1, cutoff)
-    B = level_module("d", level, epsp, Scalar.from_int(1), cutoff)
-    source = TensorModule([A, B])
-    target = TensorModule([B, A])
+    source = level_module("d", level, epsp, cutoff, [(Z1, "W"), (ONE, "W")])
+    target = TensorModule(source.factors[::-1])
     comps = []
     if level == "underline":
         for (r, s) in d_component_keys(l1, l2, cutoff):
@@ -268,13 +266,8 @@ def make_d_pair(m, l1, l2, cutoff, level="underline"):
 
 def c_target_module(m, sigma, cutoff, level, x):
     """The concrete-parameter target W^s2(1) (x) W^s1(x) for fused images."""
-    eps = host_eps("c", m)
-    par = {"+": 0, "-": 1}
-    A = level_module("c", level, eps, x, cutoff)
-    B = level_module("c", level, eps, Scalar.from_int(1), cutoff)
-    return TensorModule(
-        [RestrictedModule(B, par[sigma[1]]), RestrictedModule(A, par[sigma[0]])]
-    )
+    factors = [(ONE, sigma[1]), (x, sigma[0])]
+    return level_module("c", level, host_eps("c", m), cutoff, factors)
 
 
 def _fundamental_pair_span(tensor, l1, l2):
@@ -379,8 +372,12 @@ def solve_R(pair: RPair, needed_weights=None, full_window=False):
     needed by the e_0-intertwining equations (plus any extra requested;
     full_window=True builds every block of the window, as fusion needs),
     assembles the linear system over Q(w)(z) and solves it exactly.
-    Raises SolverError when the system is inconsistent or underdetermined.
+    Raises SolverError when the system is inconsistent or underdetermined,
+    or when the window leaves out the top component.
     """
+    unknowns = [comp.key for comp in pair.components]
+    if pair.lambda0 not in unknowns:
+        raise SolverError("top component %r is outside the window" % (pair.lambda0,))
     src, tgt = pair.source, pair.target
     cutoff = src.cutoff
     alpha0 = src.algebra.root(0)
@@ -396,7 +393,6 @@ def solve_R(pair: RPair, needed_weights=None, full_window=False):
             needed.extend(needed_weights)
     dec = PairDecomposition(pair, needed_weights=needed)
 
-    unknowns = [comp.key for comp in pair.components]
     equations = []
     for comp in pair.components:
         if comp.weight.degree() + 2 > cutoff:

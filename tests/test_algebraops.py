@@ -11,6 +11,7 @@ from qosc.algebraops import (
     check_relation_on,
     check_relations,
     check_truncation_equivariance,
+    level_module,
     phi_words,
     relation_suite,
     target_relation_suite,
@@ -20,6 +21,7 @@ from qosc.fockmod import (
     DROPPED,
     FockVector,
     PullbackModule,
+    RestrictedModule,
     TensorModule,
     TruncatedModule,
     W2Module,
@@ -617,3 +619,15 @@ def test_monoidality_catches_an_image_only_on_the_truncated_side():
     # the counterexample's ambient image is zero
     rep = got[2]
     assert eval_word(tgt.phi(("e", 1)), FockVector.basis(rep.residual_label), t_amb).is_zero()
+
+
+def test_level_module_wraps_each_factor_and_tensors_several():
+    lone = level_module("c", "underline", EPS, 4, [(ONE, "-")])
+    assert type(lone) is RestrictedModule and lone.parity_value == 1
+    assert type(lone.base) is TruncatedModule and type(lone.base.base) is WModule
+    assert all(lone.parity(l) == 1 for l in lone.enumerate_labels())
+    pair = level_module("d", "bold", EPSP, 4, [(Z1, "W"), (ONE, "+")])
+    assert type(pair) is TensorModule
+    w, even = pair.factors
+    assert type(w) is W2Module and w.x == Z1
+    assert type(even) is RestrictedModule and even.parity_value == 0 and even.base.x == ONE

@@ -134,6 +134,25 @@ USAGE_ERRORS = [
     (["fundamental", "--l", "1", "--x", "0"], "--x"),
     (["verify-phi", "--flavor", "d", "--side", "underline"], "--flavor d"),
     (["truncate", "--flavor", "d", "--side", "underline"], "--flavor d"),
+    (["rmatrix", "--flavor", "c", "--cutoff", "-1"], "top component ()"),
+    (["rmatrix", "--flavor", "d", "--l", "1,1", "--m", "2", "--cutoff", "1", "--level",
+      "underline"], "top component (0, 1)"),
+    (["fuse", "--flavor", "d", "--l", "1,1", "--c", "q^-3,1", "--cutoff", "1"],
+     "top component (0, 1)"),
+    (["rmatrix", "--flavor", "d", "--level", "overline"], "--level overline"),
+    (["fundamental", "--l", "-1", "--cutoff", "4"], "--l"),
+    (["fundamental", "--l", "1", "--m", "1"], "--m"),
+    (["fundamental", "--l", "1", "--k", "3"], "--k"),
+    (["fundamental", "--l", "1", "--k=-1"], "--k"),
+    (["fundamental", "--l", "1", "--k2", "2"], "--k2"),
+    (["appendix-check", "--m", "1"], "--m"),
+    (["appendix-check", "--l=-1,1"], "--l"),
+    (["appendix-check", "--rmax", "-1"], "--rmax"),
+    (["appendix-check", "--which", "C", "--smax", "-1"], "--smax"),
+    (["rmatrix", "--flavor", "c", "--m", "1"], "--m"),
+    (["rmatrix", "--flavor", "d", "--l=-1,1", "--cutoff", "4"], "--l"),
+    (["verify-relations", "--epsilon", "1,0,1", "--cutoff", "3"], "--epsilon"),
+    (["decompose", "--epsilon", "1,0,1", "--cutoff", "3"], "--epsilon"),
 ]
 
 
@@ -145,6 +164,17 @@ def test_usage_error_exit_code(capsys):
         captured = capsys.readouterr()
         assert message in captured.err, (argv, captured.err)
         assert "Traceback" not in captured.err and not captured.out, argv
+
+
+@pytest.mark.parametrize("pair", [["--flavor", "c", "--sigma", "+,+"],
+                                  ["--flavor", "c", "--sigma", "+,-"],
+                                  ["--flavor", "d", "--l", "1,1", "--level", "underline"]])
+def test_spectral_data_do_not_depend_on_the_rank(capsys, pair):
+    reports = []
+    for m in ("2", "3"):
+        assert main(["rmatrix", *pair, "--m", m, "--cutoff", "5"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 # SHA-256 of the printed report, recorded before the module protocol

@@ -224,7 +224,7 @@ ALGEBRAS = [
 
 
 def lowering_roots(flavor, level):
-    module = level_module(flavor, level, host_eps(flavor, 2), ONE, 2)
+    module = level_module(flavor, level, host_eps(flavor, 2), 2, [(ONE, "W")])
     alg = module.algebra
     return [alg.root(j) for j in alg.gen_indices if j != 0]
 

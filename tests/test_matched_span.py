@@ -200,6 +200,17 @@ def test_iso_between_k_matches_reference(l, k1, k2):
     assert span.dim() == ref["pairs"]
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_c_pair(2, ("+", "-"), cutoff=3, level="underline"),
+    lambda: make_d_pair(2, 1, 1, cutoff=3, level="underline"),
+    lambda: make_d_pair(2, 1, 1, cutoff=3, level="bold"),
+])
+def test_pair_target_shares_the_source_factors(build):
+    # so that source and target share their apply and phi caches
+    pair = build()
+    assert all(a is b for a, b in zip(pair.target.factors, pair.source.factors[::-1]))
+
+
 def test_apply_sends_each_stored_vector_to_its_partner():
     pair = make_d_pair(2, 1, 1, cutoff=4, level="underline")
     dec = PairDecomposition(pair)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qosc.decomp import hw_weight
@@ -153,6 +155,16 @@ def test_solve_inconsistency_is_detected():
     lab = sorted(vt.terms, key=repr)[0]
     vt.terms[lab] = vt.terms[lab] * Q  # breaks the highest-weight property
     with pytest.raises(SolverError):
+        solve_R(pair)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_c_pair(2, ("+", "+"), cutoff=-1, level="bold"),
+    lambda: make_d_pair(2, 1, 1, cutoff=1, level="underline"),
+])
+def test_solve_names_a_top_component_outside_the_window(make):
+    pair = make()
+    with pytest.raises(SolverError, match=r"top component %s" % re.escape(repr(pair.lambda0))):
         solve_R(pair)
 
 
