@@ -35,6 +35,7 @@ from .fundrep import (
     appendix_C_verdicts,
     build_fundamental,
     check_fundamental_truncation,
+    fundamental_truncation_cutoff,
     iso_between_k,
     ladder_failures,
     u_rs_failures,
@@ -347,6 +348,12 @@ def cmd_fundamental(args):
     k = args.l if args.k is None else args.k
     if not 0 <= min(k, args.k2) <= max(k, args.k2) <= args.l:
         raise UsageError("--k, --k2: expected integers from 0 to --l %d" % args.l)
+    if args.verify in ("truncation", "all"):
+        need = fundamental_truncation_cutoff(args.m, args.l)
+        if args.cutoff < need:
+            raise UsageError("--cutoff %d: the window cannot hold the overline truncation "
+                             "of W_%d; it needs --cutoff %d or more"
+                             % (args.cutoff, args.l, need))
     try:
         mod = W2Module(host_eps("d", args.m), _scalar(args.x, "--x"), args.cutoff)
     except ArithmeticError as exc:
@@ -437,7 +444,7 @@ def build_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp):
-        sp.add_argument("--cutoff", type=int, default=6)
+        sp.add_argument("--cutoff", type=_int_at_least(0), default=6)
         sp.add_argument("--out", help="write the JSON report to a file")
         sp.add_argument("--epsilon", default="1,0,1,0,1")
         sp.add_argument("--module", choices=["W", "W2"], default="W")
@@ -464,7 +471,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_truncate)
 
     def factored(sp):
-        sp.add_argument("--cutoff", type=int, default=8)
+        sp.add_argument("--cutoff", type=_int_at_least(0), default=8)
         sp.add_argument("--out")
         sp.add_argument("--epsilon", default="1,0,1,0,1")
         sp.add_argument("--flavor", choices=["c", "d"], default="c")
@@ -506,7 +513,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_fuse)
 
     sp = sub.add_parser("fundamental", help="build and verify W_{l,k}")
-    sp.add_argument("--cutoff", type=int, default=10)
+    sp.add_argument("--cutoff", type=_int_at_least(0), default=10)
     sp.add_argument("--out")
     sp.add_argument("--m", type=_int_at_least(2), default=2)
     sp.add_argument("--l", type=_int_at_least(0), required=True)

@@ -424,6 +424,28 @@ class ModuleView(FockModule):
         return self.base.enumerate_labels(maxdeg)
 
 
+class ImageMemo(ModuleView):
+    """base seen through a memo of its images: apply_gen computes each
+    (gen, label) image of base once, DROPPED included.  A breadth-first
+    build acts through one, so the images it meets again and again are
+    computed once and freed with the view when the build returns.  Images
+    are held as tuples, which take less memory than the lists of base."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self._images = {}
+
+    def apply_gen(self, gen, label):
+        key = (gen, label)
+        hit = self._images.get(key)
+        if hit is None:
+            hit = self.base.apply_gen(gen, label)
+            if hit is not DROPPED:
+                hit = tuple(hit)
+            self._images[key] = hit
+        return hit
+
+
 class PullbackModule(ModuleView):
     """The U_D(eps)-module base seen over a target algebra through phi: a
     target generator acts on a ket by its phi word, k_mu as on base."""

@@ -11,10 +11,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .algebraops import LEVELS, host_eps, level_module, truncate_vector
+from .algebraops import LEVELS, host_eps, level_module, phi_words, truncate_vector
 from .decomp import finite_indices
 from .fockmod import (
     FockVector,
+    ImageMemo,
     act,
     eval_word,
     tensor_vector,
@@ -109,6 +110,9 @@ class MatchedSpan(Subspace):
 
     def __init__(self, source, target, seeds, indices, admit=None):
         super().__init__(source)
+        # both sides act through memos of their images, freed on return
+        memo = ImageMemo(source)
+        source, target = memo, (memo if target is source else ImageMemo(target))
         # (key, v_src, v_tgt or the parent's, None or the f_j that maps it)
         queue = deque((key, vs, vt, None) for key, vs, vt in seeds)
         while queue:
@@ -164,6 +168,7 @@ def lowering_closure(module, v, indices) -> Subspace:
     breadth-first; images that vanish or leave the window are dropped."""
     span = Subspace(module)
     span.add(v)
+    module = ImageMemo(module)  # freed on return
     queue = deque([v])
     while queue:
         u = queue.popleft()
@@ -591,6 +596,20 @@ def verify_appendix_C(m: int, l1: int, l2: int, r: int, s: int):
     )
     res["closing_identity"] = lhs == rhs
     return res
+
+
+def fundamental_truncation_cutoff(m: int, l: int):
+    """The smallest cutoff whose window holds the overline truncation of
+    W_l: the top degree of that truncation.  It is built in the window of
+    degree 2 |kept|, which holds every kept-supported ket, since a kept
+    index is fermionic: at most 1 in each of the two factors of a ket."""
+    epsp = host_eps("d", m)
+    kept = phi_words("d", "overline", epsp).kept
+    assert all(epsp.eps(i) == 1 for i in kept)
+    W2, over = (level_module("d", lv, epsp, 2 * len(kept), [(ONE, "W")])
+                for lv in ("bold", "overline"))
+    image = truncate_image_span(fundamental_span(W2, l, l), over)
+    return max((wt.degree() for wt in image.blocks), default=0)
 
 
 def check_fundamental_truncation(m: int, l: int, cutoff: int):

@@ -13,17 +13,22 @@ from .fockmod import label_key
 from .scalars import ONE, ZERO
 
 
+def _sub_into(u, c, v):
+    """u -= c*v on sparse dicts, in place."""
+    for k, x in v.items():
+        p = c * x
+        s = u.get(k)
+        s = -p if s is None else s - p
+        if s.is_zero():
+            u.pop(k, None)
+        else:
+            u[k] = s
+
+
 def vaxpy(u, c, v):
     """u - c*v (sparse dicts), in a fresh dict."""
     out = dict(u)
-    for k, x in v.items():
-        p = c * x
-        s = out.get(k)
-        s = -p if s is None else s - p
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
+    _sub_into(out, c, v)
     return out
 
 
@@ -47,14 +52,15 @@ class RowBasis:
 
     def reduce(self, v):
         """(remainder of v, {pivot: multiplier} of the sweep); v is
-        independent iff the remainder is nonzero."""
+        independent iff the remainder is nonzero.  v itself is left
+        unchanged: the sweep works on one copy of it."""
         v = dict(v)
         mult = {}
         for pivot in self.pivots:
             c = v.get(pivot)
             if c is None:
                 continue
-            v = vaxpy(v, c, self.rows[pivot])
+            _sub_into(v, c, self.rows[pivot])
             mult[pivot] = c
         return v, mult
 

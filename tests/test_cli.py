@@ -153,6 +153,15 @@ USAGE_ERRORS = [
     (["rmatrix", "--flavor", "d", "--l=-1,1", "--cutoff", "4"], "--l"),
     (["verify-relations", "--epsilon", "1,0,1", "--cutoff", "3"], "--epsilon"),
     (["decompose", "--epsilon", "1,0,1", "--cutoff", "3"], "--epsilon"),
+    (["decompose", "--cutoff", "-1"], "--cutoff"),
+    (["hwv", "--weight", "L", "--cutoff", "-1"], "--cutoff"),
+    (["verify-relations", "--cutoff", "-1"], "--cutoff"),
+    (["verify-phi", "--flavor", "c", "--side", "underline", "--cutoff", "-1"], "--cutoff"),
+    (["fundamental", "--l", "1", "--verify", "build", "--cutoff", "-1"], "--cutoff"),
+    (["fundamental", "--l", "1", "--verify", "truncation", "--cutoff", "0"], "--cutoff 3 or more"),
+    (["fundamental", "--l", "1", "--verify", "truncation", "--cutoff", "1"], "--cutoff 3 or more"),
+    (["fundamental", "--l", "1", "--verify", "truncation", "--cutoff", "2"], "--cutoff 3 or more"),
+    (["fundamental", "--l", "0", "--cutoff", "3"], "--cutoff 4 or more"),
 ]
 
 

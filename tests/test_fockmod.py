@@ -6,6 +6,7 @@ from qosc.algebraops import phi_words
 from qosc.fockmod import (
     DROPPED,
     FockVector,
+    ImageMemo,
     RestrictedModule,
     TensorModule,
     TruncatedModule,
@@ -255,3 +256,26 @@ def test_module_protocol(name, tensor):
         for factor, part in parts:
             if isinstance(factor, RestrictedModule):
                 assert factor.parity(part) == factor.parity_value
+
+
+def test_image_memo_gives_the_bare_tensor_images():
+    # every ket of a small pair window, those at the cutoff included, and
+    # every generator: the same image or DROPPED, first and second time
+    bare = TensorModule([RestrictedModule(_w("q^2", 5), 0), RestrictedModule(_w("q^-4", 5), 1)])
+    memo = ImageMemo(bare)
+    labels = list(bare.enumerate_labels())
+    assert max(bare.degree(l) for l in labels) == bare.cutoff
+    gens = [(kind, j) for kind in ("e", "f") for j in bare.algebra.gen_indices]
+    seen = {"dropped": 0, "nonzero": 0}
+    for _ in range(2):
+        for label in labels:
+            for gen in gens:
+                want, got = bare.apply_gen(gen, label), memo.apply_gen(gen, label)
+                if want is DROPPED:
+                    assert got is DROPPED
+                    seen["dropped"] += 1
+                else:
+                    assert list(got) == want
+                    seen["nonzero"] += bool(want)
+    assert seen["dropped"] and seen["nonzero"]
+    assert len(memo._images) == len(labels) * len(gens)

@@ -5,6 +5,7 @@ from qosc.fundrep import (
     check_fundamental_truncation,
     fundamental_pair_modules,
     fundamental_span,
+    fundamental_truncation_cutoff,
     iso_between_k,
     u_rs,
     u_rs_component,
@@ -120,6 +121,17 @@ def test_fundamental_truncation_dims():
         res = check_fundamental_truncation(2, l, cutoff=l + 7)
         assert res["ok"] and res["expected"] == expect, (l, res)
         assert res["underline_matches"], l
+
+
+def test_fundamental_truncation_cutoff_is_the_smallest_window_that_passes():
+    # m = 2: W_0, W_1, W_2 reach degree 4, 3, 2; W_3 truncates to zero
+    want = {0: 4, 1: 3, 2: 2, 3: 0}
+    for l, need in want.items():
+        assert fundamental_truncation_cutoff(2, l) == need, l
+        assert check_fundamental_truncation(2, l, cutoff=need)["ok"], l
+        if need:
+            res = check_fundamental_truncation(2, l, cutoff=need - 1)
+            assert not res["ok"] and res["dim"] < res["expected"], l
 
 
 def test_w2_is_exhausted_by_fundamental_components():

@@ -5,7 +5,9 @@ that ``linalg`` held before they shared one kernel; ``ref_cone_member`` is
 the dense Fraction elimination that ``rmatrix._ConeTest.member`` ran.  The
 kernel must give the same kernel basis (order included), the same status
 and the same solution, and the cone test the same answers.  ``RowBasis``
-must express a combination of its originals by its exact coefficients.
+must express a combination of its originals by its exact coefficients,
+and its in-place sweep must give what the sweep of one ``vaxpy`` copy per
+pivot gave (``RefRowBasis``).
 """
 
 from fractions import Fraction
@@ -94,6 +96,21 @@ def ref_solve_unique(equations, columns):
         assert not leftovers
         sol[columns[pc]] = rhs if rhs is not None else ZERO
     return sol, "unique"
+
+
+class RefRowBasis(RowBasis):
+    """RowBasis whose sweep copies the vector at every pivot with vaxpy."""
+
+    def reduce(self, v):
+        v = dict(v)
+        mult = {}
+        for pivot in self.pivots:
+            c = v.get(pivot)
+            if c is None:
+                continue
+            v = vaxpy(v, c, self.rows[pivot])
+            mult[pivot] = c
+        return v, mult
 
 
 def ref_cone_member(roots, dvec):
@@ -295,3 +312,39 @@ def test_express_returns_the_coefficients_of_a_combination(vectors, weights):
     assert basis.express(combo) == coords
     assert basis.express({**combo, OUTSIDE: ONE}) is None
     assert basis.express({}) == {}
+
+
+# -- RowBasis.reduce in place ------------------------------------------------
+
+DENSE = st.builds(
+    lambda a, k, j: Scalar.from_int(a) * Q**k + qint(j),
+    st.integers(-3, 3), st.integers(-2, 2), st.integers(0, 3),
+).filter(lambda x: not x.is_zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.dictionaries(st.sampled_from(KETS), st.one_of(NONZERO, DENSE),
+                             min_size=1, max_size=5),
+             min_size=1, max_size=10),
+    st.lists(st.one_of(st.just(ZERO), NONZERO, DENSE), min_size=10, max_size=10),
+)
+def test_in_place_reduce_matches_the_vaxpy_sweep(vectors, weights):
+    basis, ref = RowBasis(), RefRowBasis()
+    for v in vectors:
+        arg = dict(v)
+        got, want = basis.reduce(arg), ref.reduce(v)
+        # the argument is left as it was: MatchedSpan stores it
+        assert list(arg.items()) == list(v.items())
+        assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+        if got[0]:
+            basis.insert(*got)
+            ref.insert(*want)
+    assert basis.pivots == ref.pivots and basis.made == ref.made
+    assert {p: list(r.items()) for p, r in basis.rows.items()} == {
+        p: list(r.items()) for p, r in ref.rows.items()}
+    combo = {}
+    for x, v in zip(weights, vectors):
+        combo = vaxpy(combo, x, v)
+    assert basis.express(combo) == ref.express(combo)
+    assert basis.express({**combo, OUTSIDE: ONE}) == ref.express({**combo, OUTSIDE: ONE})

@@ -8,17 +8,19 @@ build the same blocks, in the same order, with structurally equal
 same result.
 """
 
-from collections import deque
+import gc
+from collections import Counter, deque
 
 import pytest
 
 from qosc.decomp import finite_indices
-from qosc.fockmod import FockVector, W2Module, act
+from qosc.fockmod import FockVector, ImageMemo, TensorModule, W2Module, act
 from qosc.fundrep import (
     MatchedSpan,
     Subspace,
     block_order,
     iso_between_k,
+    lowering_closure,
     v_lk_label,
 )
 from qosc.lattice import EpsilonData
@@ -227,3 +229,46 @@ def test_apply_sends_each_stored_vector_to_its_partner():
         if dec.express(v) is None
     ]
     assert outside and dec.apply(outside[0], scale) is None
+
+
+def _count_tensor_images(monkeypatch):
+    """Count the bare TensorModule.apply_gen calls per (module, gen, ket)."""
+    calls = Counter()
+    bare = TensorModule.apply_gen
+
+    def counted(self, gen, label):
+        calls[id(self), gen, label] += 1
+        return bare(self, gen, label)
+
+    monkeypatch.setattr(TensorModule, "apply_gen", counted)
+    return calls
+
+
+def _live_memos():
+    gc.collect()
+    return [obj for obj in gc.get_objects() if isinstance(obj, ImageMemo)]
+
+
+def test_orbit_build_computes_each_tensor_image_once(monkeypatch):
+    pair = make_c_pair(2, ("+", "-"), cutoff=5, level="bold")
+    modules = (pair.source, pair.target)
+    before = [dict(vars(mod)) for mod in modules]
+    calls = _count_tensor_images(monkeypatch)
+    dec = PairDecomposition(pair)
+    assert dec.dim() and calls
+    assert {key[0] for key in calls} == {id(mod) for mod in modules}
+    assert max(calls.values()) == 1
+    # the images were memoized for the build only: the pair's modules hold
+    # no image cache afterwards, and no memo is left alive
+    assert [vars(mod) for mod in modules] == before
+    assert not [memo for memo in _live_memos() if memo.base in modules]
+
+
+def test_lowering_closure_computes_each_tensor_image_once(monkeypatch):
+    pair = make_c_pair(2, ("+", "+"), cutoff=5, level="bold")
+    calls = _count_tensor_images(monkeypatch)
+    top = max(pair.components, key=lambda comp: sum(comp.key))
+    span = lowering_closure(pair.target, top.v_tgt, pair.target.algebra.gen_indices)
+    assert span.dim() > 1 and calls
+    assert max(calls.values()) == 1
+    assert not [memo for memo in _live_memos() if memo.base is pair.target]
