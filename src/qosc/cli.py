@@ -39,6 +39,7 @@ from .fundrep import (
     iso_between_k,
     ladder_failures,
     u_rs_failures,
+    v_lk_label,
     verify_appendix_C,
     verify_EF_identities,
     verify_u_rs_highest,
@@ -358,6 +359,10 @@ def cmd_fundamental(args):
         mod = W2Module(host_eps("d", args.m), _scalar(args.x, "--x"), args.cutoff)
     except ArithmeticError as exc:
         raise UsageError("--x %s: %s" % (args.x, exc))
+    need = mod.degree(v_lk_label(args.l, k, mod.n))
+    if args.cutoff < need:
+        raise UsageError("--cutoff %d: v_{%d,%d} has degree %d, above the window; it needs "
+                         "--cutoff %d or more" % (args.cutoff, args.l, k, need, need))
     rep = build_fundamental(mod, args.l, k)
     checks = [
         {

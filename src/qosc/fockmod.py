@@ -171,6 +171,8 @@ class FockModule:
         self.lam_level = lam_level
         self.x = Scalar.from_int(x) if isinstance(x, int) else x
 
+    caches_images = False  # whether apply_gen computes each image once
+
     def parity(self, label):
         return self.degree(label) % 2
 
@@ -187,6 +189,8 @@ class FockModule:
 class AmbientModule(FockModule):
     """A U_D(eps)-module on Fock kets, W(x) or W^(x2)(x).  A subclass gives
     _image, the image terms of a generator on one ket at any degree."""
+
+    caches_images = True
 
     def __init__(self, eps: EpsilonData, x, cutoff: int, lam_level: int):
         super().__init__(eps, cutoff, AmbientAlgebra(eps), lam_level, x)
@@ -405,6 +409,10 @@ class ModuleView(FockModule):
         super().__init__(base.eps, base.cutoff, base.algebra, base.lam_level, base.x)
         self.base = base
 
+    @property
+    def caches_images(self):
+        return self.base.caches_images
+
     def degree(self, label):
         return self.base.degree(label)
 
@@ -431,9 +439,16 @@ class ImageMemo(ModuleView):
     computed once and freed with the view when the build returns.  Images
     are held as tuples, which take less memory than the lists of base."""
 
+    caches_images = True
+
     def __init__(self, base):
         super().__init__(base)
         self._images = {}
+
+    @staticmethod
+    def over(module):
+        """module when it computes each image once already, else a memo of it."""
+        return module if module.caches_images else ImageMemo(module)
 
     def apply_gen(self, gen, label):
         key = (gen, label)
@@ -449,6 +464,8 @@ class ImageMemo(ModuleView):
 class PullbackModule(ModuleView):
     """The U_D(eps)-module base seen over a target algebra through phi: a
     target generator acts on a ket by its phi word, k_mu as on base."""
+
+    caches_images = True
 
     def __init__(self, base, target):
         super().__init__(base)

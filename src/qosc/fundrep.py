@@ -19,8 +19,9 @@ from .fockmod import (
     act,
     eval_word,
     tensor_vector,
+    weight_block,
 )
-from .linalg import RowBasis, solve_unique
+from .linalg import RowBasis, Shadow, ShadowBasis, solve_unique
 from .scalars import (
     ONE,
     SZERO,
@@ -67,7 +68,10 @@ class Subspace:
             return True
         wt = self._wt(vec)
         blk = self.blocks.get(wt)
-        return blk is not None and blk[0].contains(vec.terms)
+        return blk is not None and self._basis(blk).contains(vec.terms)
+
+    def _basis(self, blk):
+        return blk[0]
 
     def ordered(self, maxdeg=None):
         """[(weight, entries)] by block_order, up to degree maxdeg."""
@@ -106,30 +110,69 @@ class MatchedSpan(Subspace):
     weight admit refuses is dropped.  The target image is computed only
     for a source image that is independent when popped.  Block entries
     are (key, v_src, v_tgt).
+
+    With exhaustive=True the orbit may fill the weight blocks of the
+    source window, and each decision is proven without exact elimination
+    where it can be:
+    - a candidate in a block that holds as many vectors as the window has
+      kets of that weight is dependent, and is skipped;
+    - a candidate whose image at w0 in GF(p) is independent of the block's
+      (ShadowBasis) is independent, and is accepted;
+    - a candidate whose image is dependent is deferred; when the queue
+      drains it is reduced exactly, if its block is still short;
+    - a candidate with a pole at w0 is reduced exactly.
+    A block that accepts a vector by exact reduction leaves the shadow.
+    The exact RowBasis of a block catches up with its stored vectors only
+    when a reduction or a read (express, contains) needs it.
     """
 
-    def __init__(self, source, target, seeds, indices, admit=None):
+    def __init__(self, source, target, seeds, indices, admit=None, exhaustive=False):
         super().__init__(source)
-        # both sides act through memos of their images, freed on return
-        memo = ImageMemo(source)
-        source, target = memo, (memo if target is source else ImageMemo(target))
+        # a side that keeps no images acts through a memo, freed on return
+        source = ImageMemo.over(source)
+        target = source if target is self.module else ImageMemo.over(target)
+        counts = {}  # weight -> number of window kets (exhaustive only)
+        shadow = Shadow() if exhaustive else None
+        shadows = {}  # weight -> ShadowBasis, or None once the block is exact
         # (key, v_src, v_tgt or the parent's, None or the f_j that maps it)
         queue = deque((key, vs, vt, None) for key, vs, vt in seeds)
-        while queue:
-            key, vs, vt, j = queue.popleft()
+        deferred = deque()
+        while queue or deferred:
+            drained = not queue
+            key, vs, vt, j = (queue or deferred).popleft()
             if vs.is_zero():
                 continue
             wt = self._wt(vs)
             blk = self.blocks.get(wt) or (RowBasis(), [])
-            r, mult = blk[0].reduce(vs.terms)
-            if not r:
-                continue
+            if exhaustive:
+                n = counts.get(wt)
+                if n is None:
+                    n = counts[wt] = len(weight_block(self.module, wt))
+                    shadows[wt] = ShadowBasis()
+                if len(blk[1]) == n:
+                    continue
+            sb = shadows.get(wt)
+            r = None if sb is None or drained else shadow(vs.terms)
+            if r is not None:
+                if not sb.reduce(r):
+                    deferred.append((key, vs, vt, j))
+                    continue
+            else:
+                basis = self._basis(blk)
+                rx, mult = basis.reduce(vs.terms)
+                if not rx:
+                    continue
             if j is not None:
                 vt = act(target, ("f", j), vt)
                 if vt.overflow:
                     continue
             self.blocks[wt] = blk
-            blk[0].insert(r, mult)
+            if r is not None:
+                sb.insert(r)
+            else:
+                basis.insert(rx, mult)
+                if sb is not None:
+                    shadows[wt] = None
             blk[1].append((key, vs, vt))
             for j in indices:
                 img = act(source, ("f", j), vs)
@@ -139,6 +182,17 @@ class MatchedSpan(Subspace):
                     continue
                 queue.append((key, img, vt, j))
 
+    def _basis(self, blk):
+        """The exact RowBasis of a block, first given the stored source
+        vectors it lacks, in order."""
+        basis, entries = blk
+        for _, vs, _ in entries[len(basis.made):]:
+            r, mult = basis.reduce(vs.terms)
+            if not r:
+                raise ArithmeticError("a stored vector of a matched span is dependent")
+            basis.insert(r, mult)
+        return basis
+
     def express(self, v: FockVector):
         """v = sum coords; returns list of (key, coeff, v_tgt) or None."""
         if v.is_zero():
@@ -146,7 +200,7 @@ class MatchedSpan(Subspace):
         blk = self.blocks.get(self._wt(v))
         if blk is None:
             return None
-        coords = blk[0].express(v.terms)
+        coords = self._basis(blk).express(v.terms)
         if coords is None:
             return None
         return [(blk[1][i][0], c, blk[1][i][2]) for i, c in coords.items()]
@@ -168,7 +222,7 @@ def lowering_closure(module, v, indices) -> Subspace:
     breadth-first; images that vanish or leave the window are dropped."""
     span = Subspace(module)
     span.add(v)
-    module = ImageMemo(module)  # freed on return
+    module = ImageMemo.over(module)  # a memo is freed on return
     queue = deque([v])
     while queue:
         u = queue.popleft()

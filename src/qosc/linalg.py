@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import insort
 
 from .fockmod import label_key
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, Scalar
 
 
 def _sub_into(u, c, v):
@@ -92,6 +92,76 @@ class RowBasis:
     def contains(self, v):
         r, _ = self.reduce(v)
         return not r
+
+
+# -- the shadow of a row space over GF(p) --------------------------------------
+
+SHADOW_PRIME = 2**61 - 1
+SHADOW_POINT = 1234567891011  # w0, a unit mod SHADOW_PRIME
+
+
+class Shadow:
+    """Sparse vectors over Q(w) seen at w = SHADOW_POINT in GF(SHADOW_PRIME),
+    each scalar evaluated once.
+
+    This ring map is defined on the fractions whose denominator does not
+    vanish there.  A vector with an entry outside it (a pole at w0), or with
+    an entry over Q(w)(z), has no image: the call returns None."""
+
+    def __init__(self):
+        self._memo = {}
+
+    def __call__(self, v):
+        """{label: nonzero residue} of the image of v, or None."""
+        memo = self._memo
+        out = {}
+        for k, c in v.items():
+            if not isinstance(c, Scalar):
+                return None
+            r = memo.get(c, -1)
+            if r == -1:
+                r = memo[c] = c.residue(SHADOW_POINT, SHADOW_PRIME)
+            if r is None:
+                return None
+            if r:
+                out[k] = r
+        return out
+
+
+class ShadowBasis:
+    """Incremental echelon rows over GF(SHADOW_PRIME), pivoted as in
+    RowBasis, of the images of accepted vectors.
+
+    An image that reduces to nonzero is independent of the rows.  Then the
+    accepted vectors and the new one have a minor whose image is nonzero,
+    so the minor is nonzero over Q(w): the new vector is independent of the
+    accepted ones there too.  A zero remainder proves nothing."""
+
+    def __init__(self):
+        self.rows = {}  # pivot -> row normalized at its pivot
+        self.pivots = []  # sorted by label_key
+
+    def reduce(self, v):
+        """The remainder of the image v, reduced in place."""
+        p = SHADOW_PRIME
+        for pivot in self.pivots:
+            c = v.get(pivot)
+            if c is None:
+                continue
+            for k, x in self.rows[pivot].items():
+                s = (v.get(k, 0) - c * x) % p
+                if s:
+                    v[k] = s
+                else:
+                    del v[k]
+        return v
+
+    def insert(self, r):
+        """Add the nonzero remainder r of reduce() as a row."""
+        pivot = min(r, key=label_key)
+        inv = pow(r[pivot], -1, SHADOW_PRIME)
+        self.rows[pivot] = {k: c * inv % SHADOW_PRIME for k, c in r.items()}
+        insort(self.pivots, pivot, key=label_key)
 
 
 def _eliminate(rows, ncols):

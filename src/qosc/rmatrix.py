@@ -358,7 +358,7 @@ class PairDecomposition(MatchedSpan):
             for comp in pair.components
             if admit is None or admit(comp.weight)
         ]
-        super().__init__(src, pair.target, seeds, lowering, admit)
+        super().__init__(src, pair.target, seeds, lowering, admit, pair.exhaustive)
 
 
 class SolverError(ArithmeticError):

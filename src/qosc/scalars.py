@@ -72,6 +72,14 @@ def _pmul(a, b):
     return tuple(cs)
 
 
+def _peval_mod(cs, x, p):
+    """cs at x in GF(p), by Horner."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def _pneg(cs):
     return tuple(-c for c in cs)
 
@@ -229,6 +237,15 @@ class Scalar:
             _stretch(self.num, self.stride) if self.num else _PZERO,
             _stretch(self.den, self.stride),
         )
+
+    def residue(self, w0, p):
+        """The image of self under w -> w0 in GF(p) (w0 a unit mod p), or
+        None when its denominator vanishes there."""
+        x = pow(w0, self.stride, p)
+        den = _peval_mod(self.den, x, p)
+        if not den:
+            return None
+        return _peval_mod(self.num, x, p) * pow(den * pow(w0, -self.noff, p), -1, p) % p
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -162,6 +162,7 @@ USAGE_ERRORS = [
     (["fundamental", "--l", "1", "--verify", "truncation", "--cutoff", "1"], "--cutoff 3 or more"),
     (["fundamental", "--l", "1", "--verify", "truncation", "--cutoff", "2"], "--cutoff 3 or more"),
     (["fundamental", "--l", "0", "--cutoff", "3"], "--cutoff 4 or more"),
+    (["fundamental", "--l", "1", "--verify", "build", "--cutoff", "0"], "--cutoff 1 or more"),
 ]
 
 

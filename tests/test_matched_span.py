@@ -1,11 +1,13 @@
-"""The one matched BFS against the two it replaced.
+"""The one matched BFS against the two it replaced, and its shadow.
 
 ``ref_pair_blocks`` is the orbit BFS that ``rmatrix.PairDecomposition`` ran
 on its own, and ``ref_iso_between_k`` the second BFS, pair table and
 partner lookup of ``fundrep.iso_between_k``.  ``fundrep.MatchedSpan`` must
 build the same blocks, in the same order, with structurally equal
 ``(key, v_src, v_tgt)`` entries, and the isomorphism check must give the
-same result.
+same result.  On an exhaustive pair the build decides independence through
+a GF(p) shadow, a count of window kets and a drain of exact reductions;
+each decision must stay exact.
 """
 
 import gc
@@ -14,7 +16,7 @@ from collections import Counter, deque
 import pytest
 
 from qosc.decomp import finite_indices
-from qosc.fockmod import FockVector, ImageMemo, TensorModule, W2Module, act
+from qosc.fockmod import FockVector, ImageMemo, TensorModule, W2Module, act, weight_block
 from qosc.fundrep import (
     MatchedSpan,
     Subspace,
@@ -24,9 +26,9 @@ from qosc.fundrep import (
     v_lk_label,
 )
 from qosc.lattice import EpsilonData
-from qosc.linalg import RowBasis, nullspace
+from qosc.linalg import SHADOW_POINT, RowBasis, Shadow, nullspace
 from qosc.rmatrix import PairDecomposition, _ConeTest, make_c_pair, make_d_pair
-from qosc.scalars import ONE, parse_scalar
+from qosc.scalars import ONE, Scalar, parse_scalar
 
 EPSP = EpsilonData((0, 1, 0, 1, 0))
 
@@ -165,6 +167,7 @@ def _eq_weights(pair):
 PAIRS = {
     "c-bold-full": (lambda: make_c_pair(2, ("+", "+"), cutoff=5, level="bold"), False),
     "c-bold-needed": (lambda: make_c_pair(2, ("+", "+"), cutoff=6, level="bold"), True),
+    "c-bold-full-pm": (lambda: make_c_pair(2, ("+", "-"), cutoff=5, level="bold"), False),
     "c-underline": (lambda: make_c_pair(2, ("+", "-"), cutoff=6, level="underline"), True),
     "d-underline-11": (lambda: make_d_pair(2, 1, 1, cutoff=5, level="underline"), True),
     "d-bold-11": (lambda: make_d_pair(2, 1, 1, cutoff=4, level="bold"), True),
@@ -272,3 +275,130 @@ def test_lowering_closure_computes_each_tensor_image_once(monkeypatch):
     assert span.dim() > 1 and calls
     assert max(calls.values()) == 1
     assert not [memo for memo in _live_memos() if memo.base is pair.target]
+
+
+def test_a_memo_wraps_only_a_module_that_caches_no_images():
+    # ambient, pulled back and restricted factors compute each image once
+    # already; a tensor product does not
+    pair = make_c_pair(2, ("+", "-"), cutoff=3, level="underline")
+    bold = make_c_pair(2, ("+", "-"), cutoff=3, level="bold")
+    for factor in (*pair.source.factors, *bold.source.factors,
+                   W2Module(EPSP, parse_scalar("q^2"), cutoff=3)):
+        assert ImageMemo.over(factor) is factor
+    memo = ImageMemo.over(pair.source)
+    assert isinstance(memo, ImageMemo) and memo.base is pair.source
+    assert ImageMemo.over(memo) is memo
+
+
+def test_lowering_closure_of_a_caching_module_makes_no_memo(monkeypatch):
+    made = []
+    bare = ImageMemo.__init__
+
+    def counted(self, base):
+        made.append(base)
+        bare(self, base)
+
+    monkeypatch.setattr(ImageMemo, "__init__", counted)
+    mod = W2Module(EPSP, parse_scalar("q^2"), cutoff=5)
+    assert lowering_closure(mod, FockVector.basis(v_lk_label(1, 1, mod.n)),
+                            finite_indices(mod.algebra)).dim() > 1
+    assert not made
+
+
+# -- the shadow of exhaustive builds -----------------------------------------
+
+W_MINUS_W0 = Scalar(0, (-SHADOW_POINT, 1), (1,))  # w - w0, zero at w0
+
+
+def _kets_of_one_weight(count):
+    """count basis vectors of one weight block of more than count kets."""
+    mod = make_c_pair(2, ("+", "-"), cutoff=4, level="bold").source
+    for label in mod.enumerate_labels():
+        block = weight_block(mod, mod.weight_of(label))
+        if len(block) > count:
+            return mod, [FockVector.basis(k) for k in block[:count]]
+    raise AssertionError("no block of more than %d kets" % count)
+
+
+def _seeded(mod, vectors):
+    return MatchedSpan(mod, mod, [(i, v, v) for i, v in enumerate(vectors)], [],
+                       exhaustive=True)
+
+
+def test_a_candidate_dependent_only_at_w0_is_accepted_in_the_drain():
+    mod, (e1, e2) = _kets_of_one_weight(2)
+    a = e1 + e2
+    b = e1 + e2.scale(W_MINUS_W0 + ONE)  # independent of a, equal to it at w0
+    shadow = Shadow()
+    assert shadow(a.terms) == shadow(b.terms)
+    span = _seeded(mod, [a, b])
+    assert span.dim() == 2
+    assert span.express(b) == [(1, ONE, b)]
+
+
+def test_entries_with_a_pole_at_w0_are_reduced_exactly():
+    mod, (e1, e2, e3) = _kets_of_one_weight(3)
+    pole = W_MINUS_W0.inverse()
+    v1 = e1 + e2.scale(W_MINUS_W0)  # e1 at w0
+    v2 = v1.scale(pole)  # dependent on v1, with a pole at w0
+    v3 = e3.scale(pole)  # independent, with a pole at w0
+    assert Shadow()(v2.terms) is None and Shadow()(v3.terms) is None
+    span = _seeded(mod, [v1, v2, v3])
+    assert [key for _, entries in span.ordered() for key, _, _ in entries] == [0, 2]
+    assert span.express(v2) == [(0, pole, v1)]
+
+
+def test_a_full_block_skips_its_candidates_with_no_elimination(monkeypatch):
+    mod, kets = _kets_of_one_weight(1)
+    block = weight_block(mod, mod.weight_of(next(iter(kets[0].terms))))
+    vectors = [FockVector.basis(k) for k in block]
+    reductions = Counter()
+    bare = RowBasis.reduce
+
+    def counted(self, v):
+        reductions["exact"] += 1
+        return bare(self, v)
+
+    monkeypatch.setattr(RowBasis, "reduce", counted)
+    span = _seeded(mod, vectors + [sum(vectors[1:], vectors[0])])
+    assert span.dim() == len(block) and not reductions
+
+
+def test_the_shadow_runs_on_exhaustive_pairs_only(monkeypatch):
+    calls = Counter()
+    bare = Shadow.__call__
+
+    def counted(self, v):
+        calls["shadow"] += 1
+        return bare(self, v)
+
+    monkeypatch.setattr(Shadow, "__call__", counted)
+    PairDecomposition(make_d_pair(2, 1, 1, cutoff=4, level="underline"))
+    iso_between_k(W2Module(EPSP, parse_scalar("q^2"), cutoff=4), 1, 1, 0)
+    assert not calls
+    PairDecomposition(make_c_pair(2, ("+", "-"), cutoff=4, level="bold"))
+    assert calls
+
+
+@pytest.mark.parametrize("sigma", [("+", "-"), ("+", "+")])
+def test_lazily_filled_rows_express_as_eager_ones(sigma):
+    pair = make_c_pair(2, sigma, cutoff=6, level="bold")
+    needed = _eq_weights(pair)
+    dec = PairDecomposition(pair, needed_weights=needed)
+    # the exact rows of a block are filled only when it is read
+    assert any(len(basis.made) < len(entries) for basis, entries in dec.blocks.values())
+    ref = ref_pair_blocks(pair, needed)
+    src = pair.source
+    expressed = 0
+    for comp in pair.components:
+        if comp.weight.degree() + 2 > src.cutoff:
+            continue
+        u = act(src, ("e", 0), comp.v_src)
+        if u.overflow or u.is_zero():
+            continue
+        basis, entries = ref[src.weight_of(next(iter(u.terms)))]
+        coords = basis.express(u.terms)
+        assert coords is not None
+        assert dec.express(u) == [(entries[i][0], c, entries[i][2]) for i, c in coords.items()]
+        expressed += 1
+    assert expressed
