@@ -30,6 +30,7 @@ from .fockmod import (
     W2Module,
     WModule,
     ket_str,
+    weight_block,
 )
 from .fundrep import (
     appendix_C_verdicts,
@@ -251,6 +252,15 @@ def cmd_hwv(args):
     eps = _epsilon(args)
     mod, _ = _factors(args, eps)
     wt = _parse_weight(args.weight, eps)
+    if not weight_block(mod, wt):
+        if wt.lam != mod.lam_level:
+            why = "the module has level %d, so the weight needs %d*L" % (
+                mod.lam_level, mod.lam_level)
+        elif wt.degree() > args.cutoff:
+            why = "its degree %d is above --cutoff %d" % (wt.degree(), args.cutoff)
+        else:
+            why = "no ket of the window has this weight"
+        raise UsageError("--weight %r: %s" % (args.weight, why))
     basis = find_hw(mod, wt)
     checks = [
         {
@@ -280,6 +290,12 @@ def _rpair(args, params):
     if pair.lambda0 not in [comp.key for comp in pair.components]:
         raise UsageError("--cutoff %d: the window leaves out the top component %s"
                          % (args.cutoff, pair.lambda0))
+    # e_0 raises the degree by 2; a component without room for it gives no equation
+    need = min(comp.weight.degree() for comp in pair.components) + 2
+    if len(pair.components) > 1 and args.cutoff < need:
+        raise UsageError("--cutoff %d: the window holds no e_0 equation to solve for "
+                         "its %d components; it needs --cutoff %d or more"
+                         % (args.cutoff, len(pair.components), need))
     return pair
 
 
@@ -499,7 +515,7 @@ def build_parser():
     sp.add_argument("--cutoff", type=int, default=6)
     sp.add_argument("--out")
     sp.add_argument("--flavor", choices=["c", "d"], required=True)
-    sp.add_argument("--sigma", default="+,+")
+    sp.add_argument("--sigma", default="+,+", help="two signs, e.g. --sigma=-,-")
     sp.add_argument("--l", default="1,1")
     sp.add_argument("--m", type=_int_at_least(2), default=2)
     sp.add_argument("--level", choices=LEVELS, default="bold")
@@ -509,7 +525,7 @@ def build_parser():
     sp.add_argument("--cutoff", type=int, default=6)
     sp.add_argument("--out")
     sp.add_argument("--flavor", choices=["c", "d"], default="c")
-    sp.add_argument("--sigma", default="+,+")
+    sp.add_argument("--sigma", default="+,+", help="two signs, e.g. --sigma=-,-")
     sp.add_argument("--l", default="1,1")
     sp.add_argument("--m", type=_int_at_least(2), default=2)
     sp.add_argument("--level", choices=["bold", "underline"], default="bold")

@@ -158,10 +158,12 @@ class FockModule:
 
     Fields: eps, n, cutoff, algebra (ambient or target), lam_level (the
     Lambda coefficient of every weight) and x (the spectral parameter, None
-    for tensor products).  Subclasses define degree, weight_of, apply_gen
-    (the image terms of one ket, or DROPPED when they leave the window),
+    for tensor products).  Subclasses define degree, weight_of, _image
+    (the list of image terms of one ket at any degree, or DROPPED),
     labels_by_delta and enumerate_labels(maxdeg=None).
     """
+
+    _images = None  # {(gen, label): image}, when the module keeps its images
 
     def __init__(self, eps: EpsilonData, cutoff: int, algebra, lam_level: int, x):
         self.eps = eps
@@ -170,8 +172,6 @@ class FockModule:
         self.algebra = algebra
         self.lam_level = lam_level
         self.x = Scalar.from_int(x) if isinstance(x, int) else x
-
-    caches_images = False  # whether apply_gen computes each image once
 
     def parity(self, label):
         return self.degree(label) % 2
@@ -185,29 +185,34 @@ class FockModule:
             return -2 if i == 0 else (2 if i == self.n else 0)
         return 0
 
+    def apply_gen(self, gen, label):
+        """The image terms of gen on one ket as a tuple, or DROPPED when they
+        lie above the cutoff: the one window rule.  A module with a dict of
+        _images decides each (gen, label) once and keeps the answer there."""
+        images = self._images
+        key = (gen, label)
+        hit = None if images is None else images.get(key)
+        if hit is None:
+            hit = self._image(gen, label)
+            # a list is an image at any degree, whose terms share one degree;
+            # a view's base answers with a tuple or DROPPED, decided already
+            # in the same window
+            if type(hit) is list:
+                hit = DROPPED if hit and self.degree(hit[0][0]) > self.cutoff else tuple(hit)
+            if images is not None:
+                images[key] = hit
+        return hit
+
 
 class AmbientModule(FockModule):
     """A U_D(eps)-module on Fock kets, W(x) or W^(x2)(x).  A subclass gives
-    _image, the image terms of a generator on one ket at any degree."""
-
-    caches_images = True
+    _image, the image terms of a generator on one ket at any degree.  Its
+    images are kept for the module's life."""
 
     def __init__(self, eps: EpsilonData, x, cutoff: int, lam_level: int):
         super().__init__(eps, cutoff, AmbientAlgebra(eps), lam_level, x)
         self.xinv = self.x.inverse()
-        self._cache = {}
-
-    def apply_gen(self, gen, label):
-        """The image terms of gen on one ket, or DROPPED when they lie above
-        the cutoff; decided once per (gen, label)."""
-        key = (gen, label)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._image(gen, label)
-            if hit and self.degree(hit[0][0]) > self.cutoff:
-                hit = DROPPED
-            self._cache[key] = hit
-        return hit
+        self._images = {}
 
 
 class WModule(AmbientModule):
@@ -402,16 +407,14 @@ class W2Module(AmbientModule):
 
 
 class ModuleView(FockModule):
-    """A module that forwards every protocol method to self.base; a
-    subclass overrides only what differs."""
+    """A module that forwards every protocol method to self.base, and
+    shares its images; a subclass overrides only what differs.  A view
+    whose images differ from its base's owns its _images."""
 
     def __init__(self, base):
         super().__init__(base.eps, base.cutoff, base.algebra, base.lam_level, base.x)
         self.base = base
-
-    @property
-    def caches_images(self):
-        return self.base.caches_images
+        self._images = base._images
 
     def degree(self, label):
         return self.base.degree(label)
@@ -422,7 +425,7 @@ class ModuleView(FockModule):
     def atom_shift(self, atom):
         return self.base.atom_shift(atom)
 
-    def apply_gen(self, gen, label):
+    def _image(self, gen, label):
         return self.base.apply_gen(gen, label)
 
     def labels_by_delta(self, dvec):
@@ -436,10 +439,7 @@ class ImageMemo(ModuleView):
     """base seen through a memo of its images: apply_gen computes each
     (gen, label) image of base once, DROPPED included.  A breadth-first
     build acts through one, so the images it meets again and again are
-    computed once and freed with the view when the build returns.  Images
-    are held as tuples, which take less memory than the lists of base."""
-
-    caches_images = True
+    computed once and freed with the view when the build returns."""
 
     def __init__(self, base):
         super().__init__(base)
@@ -447,25 +447,14 @@ class ImageMemo(ModuleView):
 
     @staticmethod
     def over(module):
-        """module when it computes each image once already, else a memo of it."""
-        return module if module.caches_images else ImageMemo(module)
-
-    def apply_gen(self, gen, label):
-        key = (gen, label)
-        hit = self._images.get(key)
-        if hit is None:
-            hit = self.base.apply_gen(gen, label)
-            if hit is not DROPPED:
-                hit = tuple(hit)
-            self._images[key] = hit
-        return hit
+        """module when it keeps its images already, else a memo of it."""
+        return module if module._images is not None else ImageMemo(module)
 
 
 class PullbackModule(ModuleView):
     """The U_D(eps)-module base seen over a target algebra through phi: a
-    target generator acts on a ket by its phi word, k_mu as on base."""
-
-    caches_images = True
+    target generator acts on a ket by its phi word, k_mu as on base.  Its
+    phi images are kept for the module's life."""
 
     def __init__(self, base, target):
         super().__init__(base)
@@ -479,17 +468,12 @@ class PullbackModule(ModuleView):
         word = self.algebra.phi(atom)
         return word_degree_profile(next(iter(word.terms)), self.base.atom_shift)[1]
 
-    def apply_gen(self, gen, label):
+    def _image(self, gen, label):
         """The phi image of gen on one ket, or DROPPED when the walk of the
-        phi word on base dropped a ket; computed once per (gen, label)."""
-        key = (gen, label)
-        hit = self._images.get(key)
-        if hit is None:
-            word = self.algebra.phi(gen)
-            ((images, dropped),) = eval_words_on_kets(word.suffix_trie(), (label,), self.base)
-            hit = DROPPED if dropped else list(images.get(label, {}).items())
-            self._images[key] = hit
-        return hit
+        phi word on base dropped a ket."""
+        word = self.algebra.phi(gen)
+        ((images, dropped),) = eval_words_on_kets(word.suffix_trie(), (label,), self.base)
+        return DROPPED if dropped else list(images.get(label, {}).items())
 
 
 class TruncatedModule(PullbackModule):
@@ -512,7 +496,8 @@ class TruncatedModule(PullbackModule):
 
 class TensorModule(FockModule):
     """Tensor product of modules over one algebra, via the coproduct
-    e -> 1(x)e + e(x)k^-1, f -> f(x)1 + k(x)f."""
+    e -> 1(x)e + e(x)k^-1, f -> f(x)1 + k(x)f.  It keeps no images: a build
+    that meets them again acts through an ImageMemo."""
 
     def __init__(self, factors):
         self.factors = tuple(factors)
@@ -538,7 +523,7 @@ class TensorModule(FockModule):
     def atom_shift(self, atom):
         return self.factors[0].atom_shift(atom)
 
-    def apply_gen(self, gen, label):
+    def _image(self, gen, label):
         kind, j = gen
         root = self.algebra.root(j)
         out = []
@@ -563,9 +548,6 @@ class TensorModule(FockModule):
             for l2, c in img:
                 nl = label[:p] + (l2,) + label[p + 1 :]
                 out.append((nl, coeff * c))
-        # all terms share one degree, and the cutoff bounds the factors' sum
-        if out and self.degree(out[0][0]) > self.cutoff:
-            return DROPPED
         return out
 
     def labels_by_delta(self, dvec):

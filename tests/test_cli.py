@@ -163,6 +163,25 @@ USAGE_ERRORS = [
     (["fundamental", "--l", "1", "--verify", "truncation", "--cutoff", "2"], "--cutoff 3 or more"),
     (["fundamental", "--l", "0", "--cutoff", "3"], "--cutoff 4 or more"),
     (["fundamental", "--l", "1", "--verify", "build", "--cutoff", "0"], "--cutoff 1 or more"),
+    # windows that hold more than the top component but no e_0 equation
+    *[
+        (["rmatrix", "--flavor", "d", "--m", "2", "--level", level, "--l", l,
+          "--cutoff", str(cutoff)], "--cutoff %d or more" % need)
+        for level, l, need in [("underline", "1,1", 4), ("underline", "1,2", 5),
+                               ("underline", "2,2", 6), ("bold", "1,1", 4)]
+        for cutoff in (need - 2, need - 1)
+    ],
+    *[
+        (["fuse", "--flavor", "d", "--l", "1,1", "--c", "q^-3,1", "--cutoff", cutoff],
+         "--cutoff 4 or more")
+        for cutoff in ("2", "3")
+    ],
+    (["rmatrix", "--flavor", "c", "--sigma=-,-", "--cutoff", "3"], "--cutoff 4 or more"),
+    # weights with no ket in the window
+    (["hwv", "--weight", ""], "--weight"),
+    (["hwv", "--weight", "1*L"], "--weight"),
+    (["hwv", "--weight", "2*L+9*d1", "--cutoff", "8"], "above --cutoff 8"),
+    (["hwv", "--weight", "2*L-1*d1"], "--weight"),
 ]
 
 

@@ -217,15 +217,17 @@ PROTOCOL_MODULES = {
 }
 
 
-@pytest.mark.parametrize("tensor", [False, True], ids=["single", "tensor"])
+# a lone module, a tensor of two, and that tensor seen through an ImageMemo
+@pytest.mark.parametrize("wrap", ["single", "tensor", "memo"])
 @pytest.mark.parametrize("name", sorted(PROTOCOL_MODULES))
-def test_module_protocol(name, tensor):
+def test_module_protocol(name, wrap):
     make = PROTOCOL_MODULES[name]
 
     def build(cutoff):
-        if tensor:
-            return TensorModule([make("q^2", cutoff), make("q^-4", cutoff)])
-        return make("q^2", cutoff)
+        if wrap == "single":
+            return make("q^2", cutoff)
+        tensor = TensorModule([make("q^2", cutoff), make("q^-4", cutoff)])
+        return ImageMemo(tensor) if wrap == "memo" else tensor
 
     # no image of a ket up to degree k leaves mod's window; low's cutoff
     # lies below some of them
@@ -252,7 +254,10 @@ def test_module_protocol(name, tensor):
                 # nonzero images above its cutoff and keeps the rest as is
                 above = bool(image) and mod.degree(label) + shift > low.cutoff
                 assert low.apply_gen((kind, j), label) == (DROPPED if above else image)
-        parts = zip(mod.factors, label) if tensor else [(mod, label)]
+        if wrap == "single":
+            parts = [(mod, label)]
+        else:
+            parts = zip((mod.base if wrap == "memo" else mod).factors, label)
         for factor, part in parts:
             if isinstance(factor, RestrictedModule):
                 assert factor.parity(part) == factor.parity_value
@@ -275,7 +280,23 @@ def test_image_memo_gives_the_bare_tensor_images():
                     assert got is DROPPED
                     seen["dropped"] += 1
                 else:
-                    assert list(got) == want
+                    assert list(got) == list(want)
                     seen["nonzero"] += bool(want)
     assert seen["dropped"] and seen["nonzero"]
     assert len(memo._images) == len(labels) * len(gens)
+
+
+def test_each_module_keeps_its_images_in_one_place():
+    # a restriction shares its base's images; a pull-back and a memo see
+    # images other than their base's and own theirs; a tensor keeps none
+    w = _w("q^2", 4)
+    assert RestrictedModule(w, 1)._images is w._images
+    tr = _tr_w("q^2", 4)
+    assert isinstance(tr._images, dict) and tr._images is not tr.base._images
+    tensor = TensorModule([w, _w("q^-4", 4)])
+    assert tensor._images is None and "_images" not in vars(tensor)
+    memo = ImageMemo(tensor)
+    assert memo._images == {} and memo._images is not ImageMemo(tensor)._images
+    label = ((0, 0, 0, 0, 0), (0, 2, 0, 2, 0))  # at the cutoff; e_0 raises it by 2
+    assert memo.apply_gen(("e", 0), label) is DROPPED
+    assert memo._images == {(("e", 0), label): DROPPED} and tensor._images is None
