@@ -330,6 +330,10 @@ def cmd_rmatrix(args):
 
 
 def cmd_fuse(args):
+    if args.check_truncation and (args.flavor, args.level) != ("c", "bold"):
+        raise UsageError("--check-truncation: the truncations are compared for the bold "
+                         "type-c image only, not --flavor %s --level %s"
+                         % (args.flavor, args.level))
     cs = [_scalar(t, "--c") for t in args.c.split(",")]
     if len(cs) != 2 or not all(isinstance(c, Scalar) and not c.is_zero() for c in cs):
         raise UsageError("--c: expected two nonzero Q(w) parameters such as q^-6,1, got %r"
@@ -353,7 +357,7 @@ def cmd_fuse(args):
         diag = fused_cyclicity(image, content, args.m, params, args.level, zc)
         note = "consistent with irreducibility" if diag["pass"] else "lowering closure mismatch"
         checks.append({"id": "cyclicity", "pass": diag["pass"], "note": note})
-    if args.check_truncation and args.level == "bold":
+    if args.check_truncation:
         for side in ("underline", "overline"):
             pair_l = make_c_pair(args.m, params, cutoff=args.cutoff, level=side)
             cmp = compare_truncated_image(image, pair_l, *solve_R(pair_l, full_window=True), zc)
@@ -530,7 +534,9 @@ def build_parser():
     sp.add_argument("--m", type=_int_at_least(2), default=2)
     sp.add_argument("--level", choices=["bold", "underline"], default="bold")
     sp.add_argument("--c", required=True, help="comma list, e.g. q^-6,1")
-    sp.add_argument("--check-truncation", action="store_true")
+    sp.add_argument("--check-truncation", action="store_true",
+                    help="compare the image with the images fused at the underline and "
+                         "overline levels (--flavor c --level bold only)")
     sp.set_defaults(fn=cmd_fuse)
 
     sp = sub.add_parser("fundamental", help="build and verify W_{l,k}")

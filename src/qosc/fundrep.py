@@ -19,7 +19,6 @@ from .fockmod import (
     act,
     eval_word,
     tensor_vector,
-    weight_block,
 )
 from .linalg import RowBasis, Shadow, ShadowBasis, solve_unique
 from .scalars import (
@@ -42,36 +41,84 @@ def block_order(wt):
 
 
 class Subspace:
-    """A weight-graded span of FockVectors inside a module window."""
+    """A weight-graded span of FockVectors inside a module window.
+
+    Independence is decided shadow-first.  Each weight block keeps a
+    linalg.ShadowBasis: the echelon over GF(p) of its accepted vectors
+    seen at w = w0 (linalg.Shadow).  A vector whose image there is
+    independent of the echelon is independent over Q(w) too (a minor
+    nonzero at w0 is nonzero), and is accepted with no exact reduction.
+    Any other vector (dependent at w0, with a pole at w0 or with an entry
+    over Q(w)(z)) is reduced exactly; a block that accepts one that way
+    leaves the shadow, since the images of its vectors then no longer
+    have their rank.  The exact RowBasis of a block is filled from its
+    stored vectors, in order, only when contains, express or an exact
+    reduction reads it, so it holds the rows an eager build would.
+    """
 
     def __init__(self, module):
         self.module = module
         self.blocks = {}  # Weight -> (RowBasis, [entry per accepted vector])
+        self._shadow = Shadow()
+        self._shadows = {}  # Weight -> ShadowBasis, or None once the block is exact
+
+    @staticmethod
+    def _terms(entry):
+        """The sparse vector of a stored entry."""
+        return entry.terms
 
     def _wt(self, vec):
         return self.module.weight_of(next(iter(vec.terms)))
+
+    def _at_w0(self, wt, terms):
+        """The remainder of the image of terms at w0 against block wt's
+        echelon: nonzero proves terms independent, empty proves nothing;
+        None when the block is exact or terms has no image at w0."""
+        sb = self._shadows.setdefault(wt, ShadowBasis())
+        r = None if sb is None else self._shadow(terms)
+        return r if r is None else sb.reduce(r)
+
+    def _store(self, wt, blk, entry, r, mult=None):
+        """Accept entry into block wt, shown independent by its remainder
+        r at w0 (mult None) or by its exact reduction (r, mult)."""
+        if mult is None:
+            self._shadows[wt].insert(r)
+        else:
+            blk[0].insert(r, mult)
+            self._shadows[wt] = None
+        blk[1].append(entry)
+        self.blocks[wt] = blk
+
+    def _basis(self, blk):
+        """The exact RowBasis of a block, first given the stored vectors it
+        lacks, in order."""
+        basis, entries = blk
+        for entry in entries[len(basis.made):]:
+            r, mult = basis.reduce(self._terms(entry))
+            if not r:
+                raise ArithmeticError("a stored vector of a span is dependent")
+            basis.insert(r, mult)
+        return basis
 
     def add(self, vec: FockVector):
         """Add vec to its weight block if it is independent there."""
         if vec.is_zero():
             return False
-        basis, entries = self.blocks.setdefault(self._wt(vec), (RowBasis(), []))
-        r, mult = basis.reduce(vec.terms)
+        wt = self._wt(vec)
+        blk = self.blocks.get(wt) or (RowBasis(), [])
+        r, mult = self._at_w0(wt, vec.terms), None
         if not r:
-            return False
-        basis.insert(r, mult)
-        entries.append(vec)
+            r, mult = self._basis(blk).reduce(vec.terms)
+            if not r:
+                return False
+        self._store(wt, blk, vec, r, mult)
         return True
 
     def contains(self, vec: FockVector):
         if vec.is_zero():
             return True
-        wt = self._wt(vec)
-        blk = self.blocks.get(wt)
+        blk = self.blocks.get(self._wt(vec))
         return blk is not None and self._basis(blk).contains(vec.terms)
-
-    def _basis(self, blk):
-        return blk[0]
 
     def ordered(self, maxdeg=None):
         """[(weight, entries)] by block_order, up to degree maxdeg."""
@@ -111,29 +158,29 @@ class MatchedSpan(Subspace):
     for a source image that is independent when popped.  Block entries
     are (key, v_src, v_tgt).
 
-    With exhaustive=True the orbit may fill the weight blocks of the
-    source window, and each decision is proven without exact elimination
-    where it can be:
-    - a candidate in a block that holds as many vectors as the window has
-      kets of that weight is dependent, and is skipped;
-    - a candidate whose image at w0 in GF(p) is independent of the block's
-      (ShadowBasis) is independent, and is accepted;
+    bound(wt), when given, is an upper bound on the dimension of the
+    build's block at wt: the window's count of kets of that weight for a
+    type-c pair, the dimension of the tensor product of the factors'
+    fundamental spans there for a type-d pair.  With it the build decides
+    shadow-first, as Subspace.add does, and proves each decision:
+    - a candidate in a block that holds bound(wt) vectors is dependent,
+      and is skipped;
+    - a candidate whose image at w0 is independent of the block's
+      echelon is independent, and is accepted;
     - a candidate whose image is dependent is deferred; when the queue
       drains it is reduced exactly, if its block is still short;
     - a candidate with a pole at w0 is reduced exactly.
-    A block that accepts a vector by exact reduction leaves the shadow.
-    The exact RowBasis of a block catches up with its stored vectors only
-    when a reduction or a read (express, contains) needs it.
+    A bound that is too large costs only time, since the drain still
+    reduces exactly; one that is too small would drop vectors.  Without
+    a bound every candidate is reduced exactly, at once.
     """
 
-    def __init__(self, source, target, seeds, indices, admit=None, exhaustive=False):
+    def __init__(self, source, target, seeds, indices, admit=None, bound=None):
         super().__init__(source)
         # a side that keeps no images acts through a memo, freed on return
         source = ImageMemo.over(source)
         target = source if target is self.module else ImageMemo.over(target)
-        counts = {}  # weight -> number of window kets (exhaustive only)
-        shadow = Shadow() if exhaustive else None
-        shadows = {}  # weight -> ShadowBasis, or None once the block is exact
+        bounds = {}  # weight -> bound(weight)
         # (key, v_src, v_tgt or the parent's, None or the f_j that maps it)
         queue = deque((key, vs, vt, None) for key, vs, vt in seeds)
         deferred = deque()
@@ -144,36 +191,27 @@ class MatchedSpan(Subspace):
                 continue
             wt = self._wt(vs)
             blk = self.blocks.get(wt) or (RowBasis(), [])
-            if exhaustive:
-                n = counts.get(wt)
+            r = mult = None
+            if bound is not None:
+                n = bounds.get(wt)
                 if n is None:
-                    n = counts[wt] = len(weight_block(self.module, wt))
-                    shadows[wt] = ShadowBasis()
+                    n = bounds[wt] = bound(wt)
                 if len(blk[1]) == n:
                     continue
-            sb = shadows.get(wt)
-            r = None if sb is None or drained else shadow(vs.terms)
-            if r is not None:
-                if not sb.reduce(r):
-                    deferred.append((key, vs, vt, j))
-                    continue
-            else:
-                basis = self._basis(blk)
-                rx, mult = basis.reduce(vs.terms)
-                if not rx:
+                if not drained:
+                    r = self._at_w0(wt, vs.terms)
+                    if r is not None and not r:
+                        deferred.append((key, vs, vt, j))
+                        continue
+            if not r:
+                r, mult = self._basis(blk).reduce(vs.terms)
+                if not r:
                     continue
             if j is not None:
                 vt = act(target, ("f", j), vt)
                 if vt.overflow:
                     continue
-            self.blocks[wt] = blk
-            if r is not None:
-                sb.insert(r)
-            else:
-                basis.insert(rx, mult)
-                if sb is not None:
-                    shadows[wt] = None
-            blk[1].append((key, vs, vt))
+            self._store(wt, blk, (key, vs, vt), r, mult)
             for j in indices:
                 img = act(source, ("f", j), vs)
                 if img.is_zero() or img.overflow:
@@ -181,17 +219,12 @@ class MatchedSpan(Subspace):
                 if admit is not None and not admit(self._wt(img)):
                     continue
                 queue.append((key, img, vt, j))
+        # entries are matched triples, so no vector is added after the build
+        self._shadow = self._shadows = None
 
-    def _basis(self, blk):
-        """The exact RowBasis of a block, first given the stored source
-        vectors it lacks, in order."""
-        basis, entries = blk
-        for _, vs, _ in entries[len(basis.made):]:
-            r, mult = basis.reduce(vs.terms)
-            if not r:
-                raise ArithmeticError("a stored vector of a matched span is dependent")
-            basis.insert(r, mult)
-        return basis
+    @staticmethod
+    def _terms(entry):
+        return entry[1].terms
 
     def express(self, v: FockVector):
         """v = sum coords; returns list of (key, coeff, v_tgt) or None."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import prod
+from typing import Callable
 
 from .algebraops import host_eps, level_module
 from .decomp import finite_indices, find_hw, hw_kernel_of_vectors, hw_weight
@@ -23,6 +24,7 @@ from .fockmod import (
     act,
     label_key,
     tensor_vector,
+    weight_block,
 )
 from .fundrep import (
     MatchedSpan,
@@ -171,11 +173,18 @@ class Component:
 
 @dataclass
 class RPair:
+    """A tensor pair source -> target and its classical components.
+
+    exhaustive: the orbit of the components is the whole source window.
+    bound(wt): an upper bound on the dimension of that orbit at weight wt
+    (MatchedSpan)."""
+
     source: TensorModule
     target: TensorModule
     components: list
     lambda0: object
     exhaustive: bool
+    bound: Callable
 
 
 def _normalize_lex(v: FockVector) -> FockVector:
@@ -201,6 +210,7 @@ def make_c_pair(m, sigma, cutoff, level="bold"):
         components=comps,
         lambda0=sigma_lambda0(sigma),
         exhaustive=True,
+        bound=lambda wt: len(weight_block(source, wt)),
     )
 
 
@@ -225,12 +235,19 @@ def d_component_keys(l1, l2, cutoff):
 
 
 def make_d_pair(m, l1, l2, cutoff, level="underline"):
-    """The pair W_{l1}(z) (x) W_{l2}(1) of type-d fundamental modules."""
+    """The pair W_{l1}(z) (x) W_{l2}(1) of type-d fundamental modules.
+
+    The orbit of the components under the finite f_j lies in span1 (x)
+    span2, span_i the fundamental span of factor i, which is f_j-stable
+    inside the window: so the pair's bound at wt is the dimension of
+    span1 (x) span2 there, sum over w1 of dim span1[w1] dim span2[wt-w1]."""
     if level not in ("bold", "underline"):
         raise ValueError("make_d_pair supports levels 'bold' and 'underline'")
     epsp = host_eps("d", m)
     source = level_module("d", level, epsp, cutoff, [(Z1, "W"), (ONE, "W")])
     target = TensorModule(source.factors[::-1])
+    # the target's factors are the source's, reversed, and so are its spans
+    spans = tuple(fundamental_span(f, l, l) for f, l in zip(source.factors, (l1, l2)))
     comps = []
     if level == "underline":
         for (r, s) in d_component_keys(l1, l2, cutoff):
@@ -243,24 +260,24 @@ def make_d_pair(m, l1, l2, cutoff, level="underline"):
         # the highest weights are not kept-supported, so normalization is
         # intrinsic (leading coefficient 1) and cross-level statements are
         # made at the operator level
-        spans_src = _fundamental_pair_span(source, l1, l2)
-        spans_tgt = _fundamental_pair_span(target, l2, l1)
         for (r, s) in d_component_keys(l1, l2, cutoff):
             lam = (l1 + l2 + r - s, r + s)
             wt = hw_weight(epsp, lam, 2, "d")
             if wt is None or wt.degree() > cutoff:
                 continue
-            vs = _hw_in_span(source, spans_src, wt)
-            vt = _hw_in_span(target, spans_tgt, wt)
+            vs = _hw_in_span(source, spans, wt)
+            vt = _hw_in_span(target, spans[::-1], wt)
             comps.append(
                 Component((r, s), wt, _normalize_lex(vs), _normalize_lex(vt))
             )
+    dims1, dims2 = (span.dims() for span in spans)
     return RPair(
         source=source,
         target=target,
         components=comps,
         lambda0=(0, min(l1, l2)),
         exhaustive=False,
+        bound=lambda wt: sum(d * dims2.get(wt - w1, 0) for w1, d in dims1.items()),
     )
 
 
@@ -268,11 +285,6 @@ def c_target_module(m, sigma, cutoff, level, x):
     """The concrete-parameter target W^s2(1) (x) W^s1(x) for fused images."""
     factors = [(ONE, sigma[1]), (x, sigma[0])]
     return level_module("c", level, host_eps("c", m), cutoff, factors)
-
-
-def _fundamental_pair_span(tensor, l1, l2):
-    f1, f2 = tensor.factors
-    return fundamental_span(f1, l1, l1), fundamental_span(f2, l2, l2)
 
 
 def _hw_in_span(tensor, spans, wt):
@@ -358,7 +370,7 @@ class PairDecomposition(MatchedSpan):
             for comp in pair.components
             if admit is None or admit(comp.weight)
         ]
-        super().__init__(src, pair.target, seeds, lowering, admit, pair.exhaustive)
+        super().__init__(src, pair.target, seeds, lowering, admit, pair.bound)
 
 
 class SolverError(ArithmeticError):
@@ -595,7 +607,10 @@ def fuse(pair, rho, dec, zc):
     must be the whole window.
 
     R sends each stored source vector to rho(zc)[key] * v_tgt, so the
-    image is read off the matched entries."""
+    image is read off the matched entries.  Subspace.add decides them
+    shadow-first, so an entry independent at w0 costs no exact reduction,
+    and the image's exact rows are filled only where a later contains
+    reads them (compare_truncated_image); for a type-d pair none is."""
     if pair.exhaustive and not verify_completeness(pair, dec)["pass"]:
         raise SolverError("fusion source vector outside decomposition")
     rho_c = {k: v.specialize(zc).as_scalar() for k, v in rho.items()}

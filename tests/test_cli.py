@@ -182,6 +182,15 @@ USAGE_ERRORS = [
     (["hwv", "--weight", "1*L"], "--weight"),
     (["hwv", "--weight", "2*L+9*d1", "--cutoff", "8"], "above --cutoff 8"),
     (["hwv", "--weight", "2*L-1*d1"], "--weight"),
+    # --check-truncation compares the bold type-c image with its truncations
+    (["fuse", "--flavor", "d", "--l", "1,1", "--c", "q^-3,1", "--cutoff", "4",
+      "--check-truncation"], "--check-truncation"),
+    (["fuse", "--flavor", "d", "--l", "1,1", "--c", "q^-3,1", "--cutoff", "4", "--level",
+      "underline", "--check-truncation"], "--check-truncation"),
+    (["fuse", "--c", "q^-6,1", "--cutoff", "4", "--level", "underline",
+      "--check-truncation"], "--check-truncation"),
+    (["fuse", "--c", "q^-6,1", "--level", "overline", "--check-truncation"],
+     "--level"),
 ]
 
 

@@ -21,6 +21,8 @@ from qosc.fundrep import (
     MatchedSpan,
     Subspace,
     block_order,
+    compare_spans,
+    fundamental_span,
     iso_between_k,
     lowering_closure,
     v_lk_label,
@@ -28,7 +30,7 @@ from qosc.fundrep import (
 from qosc.lattice import EpsilonData
 from qosc.linalg import SHADOW_POINT, RowBasis, Shadow, nullspace
 from qosc.rmatrix import PairDecomposition, _ConeTest, make_c_pair, make_d_pair
-from qosc.scalars import ONE, Scalar, parse_scalar
+from qosc.scalars import ONE, Z1, Scalar, SpectralScalar, parse_scalar
 
 EPSP = EpsilonData((0, 1, 0, 1, 0))
 
@@ -322,7 +324,7 @@ def _kets_of_one_weight(count):
 
 def _seeded(mod, vectors):
     return MatchedSpan(mod, mod, [(i, v, v) for i, v in enumerate(vectors)], [],
-                       exhaustive=True)
+                       bound=lambda wt: len(weight_block(mod, wt)))
 
 
 def test_a_candidate_dependent_only_at_w0_is_accepted_in_the_drain():
@@ -364,20 +366,37 @@ def test_a_full_block_skips_its_candidates_with_no_elimination(monkeypatch):
     assert span.dim() == len(block) and not reductions
 
 
-def test_the_shadow_runs_on_exhaustive_pairs_only(monkeypatch):
+def _count_calls(monkeypatch, cls, name):
     calls = Counter()
-    bare = Shadow.__call__
+    bare = getattr(cls, name)
 
-    def counted(self, v):
-        calls["shadow"] += 1
-        return bare(self, v)
+    def counted(self, *args):
+        calls[name] += 1
+        return bare(self, *args)
 
-    monkeypatch.setattr(Shadow, "__call__", counted)
-    PairDecomposition(make_d_pair(2, 1, 1, cutoff=4, level="underline"))
-    iso_between_k(W2Module(EPSP, parse_scalar("q^2"), cutoff=4), 1, 1, 0)
-    assert not calls
-    PairDecomposition(make_c_pair(2, ("+", "-"), cutoff=4, level="bold"))
-    assert calls
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_type_d_builds_use_the_shadow_and_exact_builds_do_not(monkeypatch):
+    pair = make_d_pair(2, 1, 1, cutoff=5, level="bold")
+    spans = [fundamental_span(f, 1, 1) for f in pair.source.factors]
+    shadow = _count_calls(monkeypatch, Shadow, "__call__")
+    exact = _count_calls(monkeypatch, RowBasis, "reduce")
+    dec = PairDecomposition(pair)
+    # the bound is the dimension of span1 (x) span2, and it is reached: the
+    # shadow accepts every vector, and the count skips the rest
+    for wt, entries in dec.ordered():
+        assert pair.bound(wt) == len(entries) == sum(
+            d * spans[1].dims().get(wt - w1, 0) for w1, d in spans[0].dims().items())
+    assert shadow["__call__"] >= dec.dim() and not exact["reduce"]
+    # without a bound, a MatchedSpan (as iso_between_k builds it) stays exact
+    shadow.clear()
+    mod = W2Module(EPSP, parse_scalar("q^2"), cutoff=4)
+    seed = [(0, FockVector.basis(v_lk_label(1, 1, mod.n)),
+             FockVector.basis(v_lk_label(1, 0, mod.n)))]
+    span = MatchedSpan(mod, mod, seed, finite_indices(mod.algebra))
+    assert span.dim() > 1 and exact["reduce"] and not shadow
 
 
 @pytest.mark.parametrize("sigma", [("+", "-"), ("+", "+")])
@@ -402,3 +421,142 @@ def test_lazily_filled_rows_express_as_eager_ones(sigma):
         assert dec.express(u) == [(entries[i][0], c, entries[i][2]) for i, c in coords.items()]
         expressed += 1
     assert expressed
+
+
+# -- the bound of type-d builds ----------------------------------------------
+
+
+def _source_span(module, blocks, filled=False):
+    """A Subspace of the source vectors of matched blocks, with the blocks'
+    filled rows or with fresh ones, filled when read."""
+    span = Subspace(module)
+    span.blocks = {wt: (b if filled else RowBasis(), [vs for _, vs, _ in entries])
+                   for wt, (b, entries) in blocks.items()}
+    return span
+
+
+# (l1, l2, cutoff, level, built for the e_0 equations only): every type-d
+# build of criteria 6 and 8 and of the benchmark's rmatrix and fusion
+# workloads, and the fused pairs at the other level
+TYPE_D_BUILDS = {
+    "criterion-6-underline-11": (1, 1, 6, "underline", True),
+    "criterion-6-underline-12": (1, 2, 7, "underline", True),
+    "criterion-6-underline-22": (2, 2, 8, "underline", True),
+    "criterion-6-bold-11": (1, 1, 4, "bold", True),
+    "criterion-8-bold-11": (1, 1, 4, "bold", False),
+    "criterion-8-underline-11": (1, 1, 4, "underline", False),
+    "fusion-bold-11": (1, 1, 5, "bold", False),
+    "fusion-underline-11": (1, 1, 5, "underline", False),
+}
+
+
+def _type_d_build(name):
+    l1, l2, cutoff, level, restrict = TYPE_D_BUILDS[name]
+    pair = make_d_pair(2, l1, l2, cutoff=cutoff, level=level)
+    return pair, (_eq_weights(pair) if restrict else None)
+
+
+@pytest.mark.parametrize("name", sorted(TYPE_D_BUILDS))
+def test_the_span_bound_builds_the_exact_orbit(name):
+    pair, needed = _type_d_build(name)
+    dec = PairDecomposition(pair, needed_weights=needed)
+    ref = ref_pair_blocks(pair, needed)
+    assert all(len(entries) <= pair.bound(wt) for wt, (_, entries) in ref.items())
+    got = _source_span(pair.source, dec.blocks)
+    want = _source_span(pair.source, ref, filled=True)
+    assert got.dims() == want.dims()
+    assert compare_spans(got, want) == {"pass": True}
+
+
+def test_a_bound_one_short_on_one_block_is_caught():
+    pair, needed = _type_d_build("criterion-8-bold-11")
+    ref = ref_pair_blocks(pair, needed)
+    wt = max(ref, key=lambda w: len(ref[w][1]))
+    bound = pair.bound
+    pair.bound = lambda w: bound(w) - (w == wt)
+    dec = PairDecomposition(pair, needed_weights=needed)
+    got = _source_span(pair.source, dec.blocks)
+    want = _source_span(pair.source, ref, filled=True)
+    assert got.dims()[wt] == len(ref[wt][1]) - 1
+    assert compare_spans(got, want)["pass"] is False
+
+
+# -- shadow-first spans ------------------------------------------------------
+
+
+def _exact_adds(module, vectors):
+    """The decisions of an eager exact Subspace.add, and its row bases."""
+    blocks, out = {}, []
+    for v in vectors:
+        basis = blocks.setdefault(module.weight_of(next(iter(v.terms))), RowBasis())
+        r, mult = basis.reduce(v.terms)
+        if r:
+            basis.insert(r, mult)
+        out.append(bool(r))
+    return out, blocks
+
+
+def _same_rows(a: RowBasis, b: RowBasis):
+    return a.pivots == b.pivots and a.rows == b.rows and a.made == b.made
+
+
+def _shadow_cases():
+    mod, (e1, e2, e3) = _kets_of_one_weight(3)
+    pole = W_MINUS_W0.inverse()
+    a = e1 + e2
+    b = e1 + e2.scale(W_MINUS_W0 + ONE)  # independent of a, equal to it at w0
+    return mod, [
+        a,
+        a.scale(parse_scalar("q^2")),  # dependent
+        b,  # dependent only at w0: accepted by exact reduction
+        e1.scale(pole) + e3,  # independent, with a pole at w0
+        (a + e3).scale(pole),  # dependent, with a pole at w0
+        e3,  # dependent, reduced exactly: the block left the shadow at b
+    ]
+
+
+def test_shadow_first_adds_decide_as_exact_adds():
+    mod, vectors = _shadow_cases()
+    span = Subspace(mod)
+    got = [span.add(v) for v in vectors]
+    want, rows = _exact_adds(mod, vectors)
+    assert got == want == [True, False, True, True, False, False]
+    for wt, (_, entries) in span.blocks.items():
+        assert entries == [v for v, kept in zip(vectors, want) if kept]
+        assert _same_rows(span._basis(span.blocks[wt]), rows[wt])
+
+
+def test_a_shadow_accepted_block_fills_its_rows_when_read():
+    mod, (e1, e2, e3) = _kets_of_one_weight(3)
+    vectors = [e1 + e2, e2.scale(parse_scalar("q^2")) + e3]
+    span = Subspace(mod)
+    assert all(span.add(v) for v in vectors)
+    ((basis, entries),) = span.blocks.values()
+    assert len(entries) == 2 and not basis.made  # the shadow accepted both
+    assert span.contains(vectors[0] + vectors[1]) and not span.contains(e1)
+    assert _same_rows(basis, _exact_adds(mod, vectors)[1][span._wt(e1)])
+
+
+def test_z_entries_take_the_exact_path():
+    mod, (e1, e2, _) = _kets_of_one_weight(3)
+    one = SpectralScalar.from_scalar(ONE)
+    u = e1.scale(Z1) + e2.scale(one)
+    vectors = [u, u.scale(Z1), e1.scale(one)]
+    assert Shadow()(u.terms) is None
+    span = Subspace(mod)
+    assert [span.add(v) for v in vectors] == _exact_adds(mod, vectors)[0] == [True, False, True]
+    assert span.contains(e2.scale(one))
+
+
+def test_a_matched_span_expresses_through_lazily_filled_rows():
+    mod, kets = _kets_of_one_weight(1)
+    vectors = [FockVector.basis(k) for k in weight_block(mod, mod.weight_of(next(iter(kets[0].terms))))]
+    scaled = [v.scale(parse_scalar("q^%d" % i) + ONE) for i, v in enumerate(vectors)]
+    span = _seeded(mod, scaled + [sum(vectors[1:], vectors[0])])
+    ((basis, entries),) = span.blocks.values()
+    assert len(entries) == len(vectors) and not basis.made  # count and shadow only
+    _, rows = _exact_adds(mod, scaled)
+    for v in [*vectors, sum(scaled[1:], scaled[0]), vectors[0].scale(W_MINUS_W0.inverse())]:
+        coords = rows[span._wt(v)].express(v.terms)
+        assert span.express(v) == [(i, c, scaled[i]) for i, c in coords.items()]
+    assert _same_rows(basis, rows[span._wt(vectors[0])])
