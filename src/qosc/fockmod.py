@@ -9,6 +9,7 @@ products).  An image above the module cutoff is dropped whole and flagged.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .lattice import EpsilonData, Weight, qpair, simple_root
 from .scalars import ONE, Scalar, qint
@@ -133,9 +134,10 @@ class AmbientAlgebra:
         self.gen_indices = tuple(eps.I)
         self.name = "U_D(%s)" % (eps.seq,)
         self.key = ("ambient", eps.seq)
+        self.roots = {i: simple_root(i, eps) for i in eps.I}
 
     def root(self, i) -> Weight:
-        return simple_root(i, self.eps)
+        return self.roots[i]
 
     def __eq__(self, other):
         return isinstance(other, AmbientAlgebra) and self.eps == other.eps
@@ -535,16 +537,11 @@ class TensorModule(FockModule):
             if not img:
                 continue
             coeff = ONE
-            if kind == "e":
-                for pp in range(p + 1, nfac):
-                    coeff = coeff * qpair(
-                        self.factors[pp].weight_of(label[pp]), -root, self.eps
-                    )
-            else:
-                for pp in range(p):
-                    coeff = coeff * qpair(
-                        self.factors[pp].weight_of(label[pp]), root, self.eps
-                    )
+            # e_j passes the factors after p, f_j those before it
+            for pp in (range(p + 1, nfac) if kind == "e" else range(p)):
+                coeff = coeff * _coproduct_power(
+                    self.factors[pp].weight_of(label[pp]), root, kind, self.eps
+                )
             for l2, c in img:
                 nl = label[:p] + (l2,) + label[p + 1 :]
                 out.append((nl, coeff * c))
@@ -583,6 +580,13 @@ class TensorModule(FockModule):
                     yield (l,) + rest
 
         yield from rec(0, maxdeg)
+
+
+@lru_cache(maxsize=1024)
+def _coproduct_power(wt, root, kind, eps):
+    """The q-power that a tensor factor of weight wt gives the coproduct of
+    e_j (q(wt, -alpha_j)) or f_j (q(wt, alpha_j)), root = alpha_j."""
+    return qpair(wt, -root if kind == "e" else root, eps)
 
 
 def _sub_deltas(t):

@@ -136,60 +136,67 @@ class Subspace:
 
 
 def compare_spans(a: Subspace, b: Subspace):
-    """Equal weight-block dimensions and mutual containment."""
+    """Equal weight-block dimensions, and a contained in b."""
     dims_a, dims_b = a.dims(), b.dims()
     if dims_a != dims_b:
         return {"pass": False, "reason": "dimension census differs",
                 "only_a": {k.to_str(): v for k, v in dims_a.items() if dims_b.get(k) != v},
                 "only_b": {k.to_str(): v for k, v in dims_b.items() if dims_a.get(k) != v}}
-    for x, y, name in ((a, b, "a in b"), (b, a, "b in a")):
-        for _, vecs in x.blocks.values():
-            if not all(y.contains(v) for v in vecs):
-                return {"pass": False, "reason": "containment %s fails" % name}
+    # the stored vectors of a block are independent, so at equal block
+    # dimensions a in b makes the spans equal
+    for _, vecs in a.blocks.values():
+        if not all(b.contains(v) for v in vecs):
+            return {"pass": False, "reason": "containment a in b fails"}
     return {"pass": True}
 
 
 class MatchedSpan(Subspace):
     """Source vectors matched with target vectors: each seed (key, v_src,
     v_tgt) and the images of both sides under the same f_j-words
-    (j in indices), built breadth-first.  A pair is added when it is
-    popped; an image that is zero, overflows on either side or whose
-    weight admit refuses is dropped.  The target image is computed only
-    for a source image that is independent when popped.  Block entries
-    are (key, v_src, v_tgt).
+    (j in indices), built breadth-first.  A stored pair queues one
+    candidate per f_j: the pair, j and the candidate's weight, the
+    pair's weight less alpha_j.  A candidate's source image is computed
+    when it is popped, unless its block is full, and its target image
+    only when the source image is independent; an image that is zero or
+    overflows on either side is dropped.  Block entries are (key, v_src,
+    v_tgt).
 
     bound(wt), when given, is an upper bound on the dimension of the
     build's block at wt: the window's count of kets of that weight for a
     type-c pair, the dimension of the tensor product of the factors'
-    fundamental spans there for a type-d pair.  With it the build decides
+    fundamental spans there for a type-d pair, 0 at a weight the build
+    leaves out.  It is read once per weight.  With it the build decides
     shadow-first, as Subspace.add does, and proves each decision:
     - a candidate in a block that holds bound(wt) vectors is dependent,
-      and is skipped;
+      and is skipped before its image is computed; at bound 0 that image
+      is zero, leaves the window or lies at a weight left out;
     - a candidate whose image at w0 is independent of the block's
       echelon is independent, and is accepted;
-    - a candidate whose image is dependent is deferred; when the queue
-      drains it is reduced exactly, if its block is still short;
+    - a candidate whose image is dependent is deferred with that image;
+      when the queue drains it is reduced exactly, if its block is still
+      short;
     - a candidate with a pole at w0 is reduced exactly.
     A bound that is too large costs only time, since the drain still
     reduces exactly; one that is too small would drop vectors.  Without
-    a bound every candidate is reduced exactly, at once.
+    a bound every candidate's image is computed and reduced exactly, at
+    once.
     """
 
-    def __init__(self, source, target, seeds, indices, admit=None, bound=None):
+    def __init__(self, source, target, seeds, indices, bound=None):
         super().__init__(source)
+        roots = [(j, source.algebra.root(j)) for j in indices]
         # a side that keeps no images acts through a memo, freed on return
         source = ImageMemo.over(source)
         target = source if target is self.module else ImageMemo.over(target)
         bounds = {}  # weight -> bound(weight)
-        # (key, v_src, v_tgt or the parent's, None or the f_j that maps it)
-        queue = deque((key, vs, vt, None) for key, vs, vt in seeds)
-        deferred = deque()
+        # a seed (key, v_src, v_tgt, None, weight), or a candidate (key, the
+        # parent's v_src and v_tgt, the f_j that maps them, its weight)
+        queue = deque((key, vs, vt, None, self._wt(vs))
+                      for key, vs, vt in seeds if not vs.is_zero())
+        deferred = deque()  # (key, v_src, v_tgt or the parent's, j, weight)
         while queue or deferred:
             drained = not queue
-            key, vs, vt, j = (queue or deferred).popleft()
-            if vs.is_zero():
-                continue
-            wt = self._wt(vs)
+            key, vs, vt, j, wt = (queue or deferred).popleft()
             blk = self.blocks.get(wt) or (RowBasis(), [])
             r = mult = None
             if bound is not None:
@@ -198,10 +205,15 @@ class MatchedSpan(Subspace):
                     n = bounds[wt] = bound(wt)
                 if len(blk[1]) == n:
                     continue
-                if not drained:
+            if not drained:
+                if j is not None:
+                    vs = act(source, ("f", j), vs)
+                    if vs.is_zero() or vs.overflow:
+                        continue
+                if bound is not None:
                     r = self._at_w0(wt, vs.terms)
                     if r is not None and not r:
-                        deferred.append((key, vs, vt, j))
+                        deferred.append((key, vs, vt, j, wt))
                         continue
             if not r:
                 r, mult = self._basis(blk).reduce(vs.terms)
@@ -212,13 +224,8 @@ class MatchedSpan(Subspace):
                 if vt.overflow:
                     continue
             self._store(wt, blk, (key, vs, vt), r, mult)
-            for j in indices:
-                img = act(source, ("f", j), vs)
-                if img.is_zero() or img.overflow:
-                    continue
-                if admit is not None and not admit(self._wt(img)):
-                    continue
-                queue.append((key, img, vt, j))
+            for j, root in roots:
+                queue.append((key, vs, vt, j, wt - root))
         # entries are matched triples, so no vector is added after the build
         self._shadow = self._shadows = None
 

@@ -240,14 +240,17 @@ def make_d_pair(m, l1, l2, cutoff, level="underline"):
     The orbit of the components under the finite f_j lies in span1 (x)
     span2, span_i the fundamental span of factor i, which is f_j-stable
     inside the window: so the pair's bound at wt is the dimension of
-    span1 (x) span2 there, sum over w1 of dim span1[w1] dim span2[wt-w1]."""
+    span1 (x) span2 there, sum over w1 of dim span1[w1] dim span2[wt-w1],
+    tabulated once over the weights w1 + w2.  The finite f_j do not act
+    through x, so factors of equal l share one span."""
     if level not in ("bold", "underline"):
         raise ValueError("make_d_pair supports levels 'bold' and 'underline'")
     epsp = host_eps("d", m)
     source = level_module("d", level, epsp, cutoff, [(Z1, "W"), (ONE, "W")])
     target = TensorModule(source.factors[::-1])
     # the target's factors are the source's, reversed, and so are its spans
-    spans = tuple(fundamental_span(f, l, l) for f, l in zip(source.factors, (l1, l2)))
+    span1 = fundamental_span(source.factors[0], l1, l1)
+    spans = (span1, span1 if l1 == l2 else fundamental_span(source.factors[1], l2, l2))
     comps = []
     if level == "underline":
         for (r, s) in d_component_keys(l1, l2, cutoff):
@@ -271,13 +274,17 @@ def make_d_pair(m, l1, l2, cutoff, level="underline"):
                 Component((r, s), wt, _normalize_lex(vs), _normalize_lex(vt))
             )
     dims1, dims2 = (span.dims() for span in spans)
+    bound = Counter()
+    for w1, d1 in dims1.items():
+        for w2, d2 in dims2.items():
+            bound[w1 + w2] += d1 * d2
     return RPair(
         source=source,
         target=target,
         components=comps,
         lambda0=(0, min(l1, l2)),
         exhaustive=False,
-        bound=lambda wt: sum(d * dims2.get(wt - w1, 0) for w1, d in dims1.items()),
+        bound=lambda wt: bound.get(wt, 0),
     )
 
 
@@ -348,12 +355,13 @@ def _is_nonneg_int(x: Scalar):
 class PairDecomposition(MatchedSpan):
     """Matched finite-type orbits of the components, block by block; with
     needed_weights, only the weights that lie above one of them (in the
-    cone of the lowering roots) are built."""
+    cone of the lowering roots) are built: the bound of every other
+    weight is 0."""
 
     def __init__(self, pair: RPair, needed_weights=None):
         src = pair.source
         lowering = finite_indices(src.algebra)
-        admit = None
+        admit, bound = None, pair.bound
         if needed_weights is not None:
             cone = _ConeTest([src.algebra.root(j) for j in lowering])
             needed = list(needed_weights)
@@ -365,12 +373,16 @@ class PairDecomposition(MatchedSpan):
                     for nu in needed
                 )
 
+            def bound(wt):
+                n = pair.bound(wt)
+                return n if n and admit(wt) else 0
+
         seeds = [
             (comp.key, comp.v_src, comp.v_tgt)
             for comp in pair.components
             if admit is None or admit(comp.weight)
         ]
-        super().__init__(src, pair.target, seeds, lowering, admit, pair.bound)
+        super().__init__(src, pair.target, seeds, lowering, bound)
 
 
 class SolverError(ArithmeticError):

@@ -7,7 +7,8 @@ build the same blocks, in the same order, with structurally equal
 ``(key, v_src, v_tgt)`` entries, and the isomorphism check must give the
 same result.  On an exhaustive pair the build decides independence through
 a GF(p) shadow, a count of window kets and a drain of exact reductions;
-each decision must stay exact.
+each decision must stay exact, and a candidate whose block is full gets
+no image.
 """
 
 import gc
@@ -15,6 +16,7 @@ from collections import Counter, deque
 
 import pytest
 
+from qosc import fundrep
 from qosc.decomp import finite_indices
 from qosc.fockmod import FockVector, ImageMemo, TensorModule, W2Module, act, weight_block
 from qosc.fundrep import (
@@ -254,10 +256,16 @@ def _live_memos():
     return [obj for obj in gc.get_objects() if isinstance(obj, ImageMemo)]
 
 
+def _snapshot(mod):
+    """vars(mod), with each dict-valued attribute copied, so that a dict
+    filled in place shows as a change."""
+    return {k: dict(v) if isinstance(v, dict) else v for k, v in vars(mod).items()}
+
+
 def test_orbit_build_computes_each_tensor_image_once(monkeypatch):
     pair = make_c_pair(2, ("+", "-"), cutoff=5, level="bold")
     modules = (pair.source, pair.target)
-    before = [dict(vars(mod)) for mod in modules]
+    before = [_snapshot(mod) for mod in modules]
     calls = _count_tensor_images(monkeypatch)
     dec = PairDecomposition(pair)
     assert dec.dim() and calls
@@ -265,7 +273,7 @@ def test_orbit_build_computes_each_tensor_image_once(monkeypatch):
     assert max(calls.values()) == 1
     # the images were memoized for the build only: the pair's modules hold
     # no image cache afterwards, and no memo is left alive
-    assert [vars(mod) for mod in modules] == before
+    assert [_snapshot(mod) for mod in modules] == before
     assert not [memo for memo in _live_memos() if memo.base in modules]
 
 
@@ -364,6 +372,42 @@ def test_a_full_block_skips_its_candidates_with_no_elimination(monkeypatch):
     monkeypatch.setattr(RowBasis, "reduce", counted)
     span = _seeded(mod, vectors + [sum(vectors[1:], vectors[0])])
     assert span.dim() == len(block) and not reductions
+
+
+def test_a_candidate_in_a_full_or_empty_block_gets_no_image(monkeypatch):
+    pair = make_c_pair(2, ("+", "-"), cutoff=5, level="bold")
+    src = pair.source
+    building = []  # the span under construction, from its first store
+    bare_store = MatchedSpan._store
+
+    def store(self, *args):
+        building[:] = [self]
+        bare_store(self, *args)
+
+    imaged = []
+    bare_act = fundrep.act
+
+    def counted(module, gen, vec):
+        if getattr(module, "base", module) is src:
+            span = building[0]
+            wt = span._wt(vec) - src.algebra.root(gen[1])
+            assert len(span.blocks.get(wt, (None, []))[1]) < pair.bound(wt)
+            imaged.append(wt)
+        return bare_act(module, gen, vec)
+
+    monkeypatch.setattr(MatchedSpan, "_store", store)
+    monkeypatch.setattr(fundrep, "act", counted)
+    dec = PairDecomposition(pair)
+    candidates = [
+        dec._wt(vs) - src.algebra.root(j)
+        for _, entries in dec.ordered()
+        for _, vs, _ in entries
+        for j in finite_indices(src.algebra)
+    ]
+    empty = sum(pair.bound(wt) == 0 for wt in candidates)
+    # candidates of both kinds were met, and skipped with no image
+    assert imaged and empty
+    assert len(imaged) < len(candidates) - empty
 
 
 def _count_calls(monkeypatch, cls, name):
@@ -479,6 +523,58 @@ def test_a_bound_one_short_on_one_block_is_caught():
     want = _source_span(pair.source, ref, filled=True)
     assert got.dims()[wt] == len(ref[wt][1]) - 1
     assert compare_spans(got, want)["pass"] is False
+
+
+@pytest.mark.parametrize("l1,l2,level,closures", [
+    (1, 1, "underline", 1), (1, 2, "underline", 2), (1, 1, "bold", 1),
+])
+def test_make_d_pair_builds_one_span_per_distinct_l(monkeypatch, l1, l2, level, closures):
+    calls = Counter()
+    bare = fundrep.lowering_closure
+
+    def counted(*args):
+        calls["closure"] += 1
+        return bare(*args)
+
+    monkeypatch.setattr(fundrep, "lowering_closure", counted)
+    make_d_pair(2, l1, l2, cutoff=5, level=level)
+    assert calls["closure"] == closures
+
+
+@pytest.mark.parametrize("l1,l2,level", [(1, 1, "underline"), (1, 2, "underline"), (1, 1, "bold")])
+def test_the_tabulated_d_bound_is_the_sum_over_the_spans(l1, l2, level):
+    pair = make_d_pair(2, l1, l2, cutoff=5, level=level)
+    src = pair.source
+    dims1, dims2 = (fundamental_span(f, l, l).dims() for f, l in zip(src.factors, (l1, l2)))
+    window = {src.weight_of(label) for label in src.enumerate_labels()}
+    bounds = {wt: pair.bound(wt) for wt in window}
+    assert any(bounds.values())
+    assert bounds == {
+        wt: sum(d1 * dims2.get(wt - w1, 0) for w1, d1 in dims1.items()) for wt in window
+    }
+
+
+# -- spans compared ----------------------------------------------------------
+
+
+def test_compare_spans_reads_one_containment_at_equal_dimensions(monkeypatch):
+    mod, (e1, e2) = _kets_of_one_weight(2)
+    a, b, c = Subspace(mod), Subspace(mod), Subspace(mod)
+    a.add(e1)
+    b.add(e2)
+    c.add(e1.scale(parse_scalar("q^2")))
+    assert a.dims() == b.dims()
+    assert compare_spans(a, b) == {"pass": False, "reason": "containment a in b fails"}
+    reads = Counter()
+    bare = Subspace.contains
+
+    def counted(self, v):
+        reads[id(self)] += 1
+        return bare(self, v)
+
+    monkeypatch.setattr(Subspace, "contains", counted)
+    assert compare_spans(a, c) == {"pass": True}
+    assert reads == {id(c): 1}
 
 
 # -- shadow-first spans ------------------------------------------------------
