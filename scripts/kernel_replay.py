@@ -8,21 +8,21 @@ current directory.  The invocation runs three times:
 
 1. in a fresh interpreter, unrecorded, for the in-process run time;
 2. in this interpreter, with the operands of every call of ``_pmul``,
-   ``_pdiv_exact``, ``_prem``, ``_reduce`` and ``_reduce_tail`` recorded,
-   together with the recorded routine each call was made from;
+   ``_pgcd_cof``, ``_pdiv_exact``, ``_prem``, ``_reduce`` and
+   ``_reduce_tail`` recorded in the order they were made;
 3. as a replay: each routine's recorded calls are made again, in order,
-   grouped by the routine they were made from.
+   with the other routines timed wherever the replayed calls reach them.
 
-A routine's self time is its replayed time minus the replayed time of the
-recorded calls made from inside it (``_reduce`` reaches ``_prem`` and
-``_pdiv_exact`` through the gcd, and ``_reduce_tail`` for the integer
-content, sign and stride).  ``_reduce_tail`` is also called alone by the
-Henrici sums of ``Scalar.__add__``.  The gcds that ``Scalar.__add__`` and
-``Scalar.__mul__`` take outside ``_reduce`` are counted under ``_prem`` and
-``_pdiv_exact``.  The gcd cache is cleared before ``_reduce`` is replayed,
-so its hits and misses are those of the run.  The table gives each
-routine's calls, self time and share of the run time, one row per routine
-and a last row, ``kernel``, for their sum.
+A routine's self time is its replayed time minus the time spent in the
+other routines it reached during that replay (``_reduce`` reaches the gcd
+``_pgcd_cof`` and ``_reduce_tail``; the gcd reaches ``_pdiv_exact`` for
+its exact divisions and ``_prem`` only when the heuristic gives up and
+the PRS runs).  ``_pgcd_cof`` is also called alone by ``Scalar.__add__``
+and ``Scalar.__mul__``, and ``_reduce_tail`` by the Henrici sums.  The gcd
+cache is cleared before each routine is replayed, so the replayed
+``_pgcd_cof`` calls hit and miss it as the run's did.  The table gives
+each routine's calls, self time and share of the run time, one row per
+routine and a last row, ``kernel``, for their sum.
 """
 
 import contextlib
@@ -36,7 +36,7 @@ sys.path.insert(0, "src")
 from qosc import scalars
 from qosc.cli import main
 
-ROUTINES = ("_pmul", "_pdiv_exact", "_prem", "_reduce", "_reduce_tail")
+ROUTINES = ("_pmul", "_pgcd_cof", "_pdiv_exact", "_prem", "_reduce", "_reduce_tail")
 
 
 def run_time(argv):
@@ -56,21 +56,33 @@ def frozen(args):
     return tuple(tuple(a) if isinstance(a, list) else a for a in args)
 
 
+def timed(fn, clock, depth):
+    """fn, adding the time of its outermost calls to clock[0]."""
+
+    def wrapper(*args):
+        if depth[0]:
+            return fn(*args)
+        depth[0] += 1
+        t = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            clock[0] += time.perf_counter() - t
+            depth[0] -= 1
+
+    return wrapper
+
+
 def record(argv):
     """Run main(argv) with the kernel routines wrapped; returns
-    {routine: {caller routine or None: [args, ...]}}."""
-    calls = {name: {} for name in ROUTINES}
-    stack = [None]
+    {routine: [args, ...]} in call order."""
+    calls = {name: [] for name in ROUTINES}
     originals = {name: getattr(scalars, name) for name in ROUTINES}
 
     def wrap(name, fn):
         def wrapper(*args):
-            calls[name].setdefault(stack[-1], []).append(frozen(args))
-            stack.append(name)
-            try:
-                return fn(*args)
-            finally:
-                stack.pop()
+            calls[name].append(frozen(args))
+            return fn(*args)
 
         return wrapper
 
@@ -86,17 +98,24 @@ def record(argv):
 
 
 def replay(calls):
-    """{(routine, caller): seconds} for replaying each group of calls."""
+    """{routine: self seconds} for replaying each routine's calls."""
     out = {}
+    originals = {name: getattr(scalars, name) for name in ROUTINES}
     for name in ROUTINES:
-        fn = getattr(scalars, name)
-        for caller, group in calls[name].items():
-            if name == "_reduce":
-                scalars._pgcd_prim.cache_clear()
+        fn = originals[name]
+        nested, depth = [0.0], [0]
+        for other, ofn in originals.items():
+            if other != name:
+                setattr(scalars, other, timed(ofn, nested, depth))
+        scalars._pgcd_prim_cof.cache_clear()
+        try:
             t = time.perf_counter()
-            for args in group:
+            for args in calls[name]:
                 fn(*args)
-            out[(name, caller)] = time.perf_counter() - t
+            out[name] = time.perf_counter() - t - nested[0]
+        finally:
+            for other, ofn in originals.items():
+                setattr(scalars, other, ofn)
     return out
 
 
@@ -109,12 +128,9 @@ def main_replay(argv):
     print("%-12s %9s %9s %7s" % ("routine", "calls", "self s", "share"))
     total = 0.0
     for name in ROUTINES:
-        inclusive = sum(t for (n, _), t in times.items() if n == name)
-        nested = sum(t for (_, c), t in times.items() if c == name)
-        own = inclusive - nested
+        own = times[name]
         total += own
-        ncalls = sum(len(g) for g in calls[name].values())
-        print("%-12s %9d %9.2f %6.1f%%" % (name, ncalls, own, 100 * own / wall))
+        print("%-12s %9d %9.2f %6.1f%%" % (name, len(calls[name]), own, 100 * own / wall))
     print("%-12s %9s %9.2f %6.1f%%" % ("kernel", "", total, 100 * total / wall))
 
 

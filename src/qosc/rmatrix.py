@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import prod
+from fractions import Fraction
+from math import lcm, prod
 from typing import Callable
 
 from .algebraops import host_eps, level_module
@@ -42,7 +43,6 @@ from .scalars import (
     ONE,
     SONE,
     SZERO,
-    Scalar,
     SpectralScalar,
     Z1,
     as_q_power,
@@ -320,36 +320,58 @@ def _hw_in_span(tensor, spans, wt):
 class _ConeTest:
     """Membership of delta-vectors in the Z_+-span of the lowering roots.
 
-    The lowering roots are linearly independent, so a delta-vector lies in
-    their Q-span at most one way; it is in the cone iff that solution
-    exists and is a nonnegative integer vector."""
+    The lowering roots are linearly independent, so a delta-vector d lies
+    in their Q-span at most one way: x = L d for a left inverse L of the
+    matrix A whose columns are the roots.  d is in the cone iff A x = d
+    and x is a nonnegative integer vector.  L = M / den, with M an integer
+    matrix, is computed once over Fraction, so each membership is decided
+    in integers."""
 
     def __init__(self, roots):
         self.roots = [tuple(r.delta) for r in roots]
-        self.cache = {}
+        self.inverse, self.den = _left_inverse(self.roots)
 
     def member(self, dvec):
-        dvec = tuple(dvec)
-        hit = self.cache.get(dvec)
-        if hit is not None:
-            return hit
-        cols = range(len(self.roots))
-        eqs = [
-            ({j: Scalar.from_int(root[i]) for j, root in enumerate(self.roots)},
-             Scalar.from_int(d))
+        den = self.den
+        x = []
+        for row in self.inverse:
+            y = sum(m * d for m, d in zip(row, dvec))
+            if y < 0 or y % den:
+                return False
+            x.append(y // den)
+        return all(
+            sum(xj * root[i] for xj, root in zip(x, self.roots)) == d
             for i, d in enumerate(dvec)
-        ]
-        sol, status = solve_unique(eqs, cols)
-        if status == "underdetermined":
+        )
+
+
+def _left_inverse(roots):
+    """(M, den) with M / den = (A^T A)^-1 A^T, a left inverse of the matrix
+    A whose columns are the integer vectors roots."""
+    k = len(roots)
+    rows = [
+        [Fraction(sum(a * b for a, b in zip(r, t))) for t in roots]
+        + [Fraction(int(i == j)) for j in range(k)]
+        for i, r in enumerate(roots)
+    ]
+    # Gauss-Jordan on the Gram matrix A^T A, invertible iff A has full rank
+    for c in range(k):
+        p = next((i for i in range(c, k) if rows[i][c]), None)
+        if p is None:
             raise ArithmeticError("lowering roots are linearly dependent")
-        ok = status == "unique" and all(_is_nonneg_int(x) for x in sol.values())
-        self.cache[dvec] = ok
-        return ok
-
-
-def _is_nonneg_int(x: Scalar):
-    parts = x.monomial_parts()
-    return parts is not None and parts[1] == 0 and parts[0].denominator == 1 and parts[0] >= 0
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for i in range(k):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    left = [
+        [sum(g * r[i] for g, r in zip(row[k:], roots)) for i in range(len(roots[0]))]
+        for row in rows
+    ]
+    den = lcm(*(x.denominator for row in left for x in row))
+    return [[int(x * den) for x in row] for row in left], den
 
 
 class PairDecomposition(MatchedSpan):

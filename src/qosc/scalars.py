@@ -14,7 +14,12 @@ polynomials: the symbolic identities in x1, x2 divide by Q(w) constants
 alone.  In both fields a sum a/b + c/d cancels only gcd(num, g) for
 g = gcd(b, d), and nothing when g = 1 (Henrici), and a product of reduced
 fractions cancels gcd(a, d) and gcd(c, b) before it multiplies, so no gcd
-of full cross products is ever taken.
+of full cross products is ever taken.  Each of these gcds comes with its
+cofactors from one cached call, _pgcd_cof.  It runs the heuristic GCDHEU:
+the gcd of the values at an integer xi >= 2 min(|a|, |b|) + 2, read back
+in symmetric base xi, is accepted only when it divides both polynomials
+exactly, which under that bound proves it the gcd and gives the
+cofactors; after a few larger xi the primitive PRS takes over.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _igcd
+from math import isqrt
 
 # ---------------------------------------------------------------------------
 # integer polynomials in one variable: dense tuples, cs[0] != 0 and
@@ -101,25 +107,22 @@ def _pprim(cs):
 
 
 def _pdiv_exact(a, b):
-    """Exact division of integer polynomials (no offsets), a = q*b."""
-    if not a:
-        return _PZERO
+    """a/b for integer polynomials (no offsets) when b divides a exactly
+    over Z, else None."""
     q = [0] * (len(a) - len(b) + 1)
     r = list(a)
     lb = b[-1]
     for k in range(len(a) - len(b), -1, -1):
-        c = r[k + len(b) - 1]
-        if c % lb != 0:
-            raise ArithmeticError("inexact polynomial division")
-        c //= lb
+        c, m = divmod(r[k + len(b) - 1], lb)
+        if m:
+            return None
         q[k] = c
         if c:
             for j, y in enumerate(b):
                 r[k + j] -= c * y
     if any(r):
-        raise ArithmeticError("inexact polynomial division")
-    _, qt = _ptrim(q)
-    return qt
+        return None
+    return tuple(q)
 
 
 def _prem(a, b):
@@ -139,9 +142,9 @@ def _prem(a, b):
             r[dr - db + i] -= lr * b[i]
 
 
-@lru_cache(maxsize=1 << 16)
-def _pgcd_prim(a, b):
-    """gcd of two primitive integer polynomials via a primitive PRS."""
+def _pgcd_prs(a, b):
+    """gcd of two primitive integer polynomials via a primitive PRS,
+    primitive with lc > 0."""
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -150,15 +153,87 @@ def _pgcd_prim(a, b):
     return a if a[-1] > 0 else _pneg(a)
 
 
-def _pgcd(a, b):
-    """gcd of integer polynomials (no offsets), primitive with lc > 0."""
-    a, _ = _pprim(a)
-    b, _ = _pprim(b)
-    if not a:
-        return b if (not b or b[-1] > 0) else _pneg(b)
-    if not b:
-        return a if a[-1] > 0 else _pneg(a)
-    return _pgcd_prim(a, b)
+_HEU_ATTEMPTS = 6  # evaluation points GCDHEU tries before the PRS
+_COPRIME = object()  # the cached result of a coprime pair
+
+
+def _pgcd_heu(a, b):
+    """(g, a/g, b/g) for primitive a, b of positive degree by GCDHEU (Char,
+    Geddes and Gonnet 1989; Geddes, Czapor and Labahn 1992, 7.7), or None
+    when every evaluation point fails.
+
+    h is the primitive part of the symmetric base-xi digits of
+    gcd(a(xi), b(xi)).  With xi >= 2 |a| + 2 for the a of smaller norm,
+    an h that divides a and b exactly is their gcd: g = h k, and k(xi)
+    divides the content of the digits, at most xi/2 in size, while every
+    root r of k is a root of a, so |r| < 1 + |a| and
+    |k(xi)| > xi - 1 - |a| >= xi/2 unless k is a constant."""
+    na = max(map(abs, a))
+    nb = max(map(abs, b))
+    xi = 2 * (na if na < nb else nb) + 2
+    top = len(a) if len(a) < len(b) else len(b)
+    for _ in range(_HEU_ATTEMPTS):
+        va = vb = 0
+        for c in reversed(a):
+            va = va * xi + c
+        for c in reversed(b):
+            vb = vb * xi + c
+        if va and vb:
+            gamma = _igcd(va, vb)
+            half = xi // 2
+            h = []
+            while gamma:
+                d = gamma % xi
+                if d > half:
+                    d -= xi
+                h.append(d)
+                gamma = (gamma - d) // xi
+            if len(h) == 1:
+                return _COPRIME
+            if len(h) <= top:
+                h = _pprim(tuple(h))[0]
+                qa = _pdiv_exact(a, h)
+                if qa is not None:
+                    qb = _pdiv_exact(b, h)
+                    if qb is not None:
+                        return h, qa, qb
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+@lru_cache(maxsize=4096)
+def _pgcd_prim_cof(a, b):
+    """(g, a/g, b/g) for primitive a, b of positive degree with lc > 0, or
+    _COPRIME; the PRS runs only when the heuristic fails."""
+    r = _pgcd_heu(a, b)
+    if r is not None:
+        return r
+    g = _pgcd_prs(a, b)
+    if len(g) == 1:
+        return _COPRIME
+    return g, _pdiv_exact(a, g), _pdiv_exact(b, g)
+
+
+def _pgcd_cof(a, b):
+    """(g, a/g, b/g) for nonzero integer polynomials a, b (no offsets):
+    g = gcd(a, b), primitive with lc > 0, and the exact cofactors."""
+    if len(a) == 1 or len(b) == 1:
+        return _PONE, a, b
+    pa, ca = _pprim(a)
+    if pa[-1] < 0:
+        pa, ca = _pneg(pa), -ca
+    pb, cb = _pprim(b)
+    if pb[-1] < 0:
+        pb, cb = _pneg(pb), -cb
+    r = _pgcd_prim_cof(pa, pb)
+    if r is _COPRIME:
+        return _PONE, a, b
+    g, qa, qb = r
+    if ca != 1:
+        qa = tuple(ca * c for c in qa)
+    if cb != 1:
+        qb = tuple(cb * c for c in qb)
+    return g, qa, qb
 
 
 def _stretch(cs, r):
@@ -285,15 +360,11 @@ class Scalar:
             return _make(noff, s, num, _PONE)
         # Henrici: with g = gcd(da, db), the sum can share a factor with
         # g alone, so only gcd(num, g) is taken, and none when g = 1
-        g = _pgcd(da, db) if len(da) > 1 and len(db) > 1 else _PONE
-        if len(g) > 1:
-            da, db = _pdiv_exact(da, g), _pdiv_exact(db, g)
+        g, da, db = _pgcd_cof(da, db)
         off, num = _padd(a_off, _pmul(a, db), b_off, _pmul(b, da))
         den = _pmul(da, db)
         if len(g) > 1:
-            h = _pgcd(num, g)
-            if len(h) > 1:
-                num, g = _pdiv_exact(num, h), _pdiv_exact(g, h)
+            _, num, g = _pgcd_cof(num, g)
             den = _pmul(den, g)
         return _make(*_reduce_tail(lo + s * off, s, num, den))
 
@@ -315,6 +386,10 @@ class Scalar:
             return ZERO
         b, d = self.den, other.den
         if b == _PONE and d == _PONE and len(a) == 1 and len(c) == 1:
+            if a == _PONE and not self.noff:
+                return other
+            if c == _PONE and not other.noff:
+                return self
             return _make(self.noff + other.noff, 4, (a[0] * c[0],), _PONE)
         if self.is_one():
             return other
@@ -333,14 +408,8 @@ class Scalar:
         # cofactor products are coprime and only the integer content is
         # left; a square has nothing to cancel
         if other is not self:
-            if len(a) > 1 and len(d) > 1:
-                g = _pgcd(a, d)
-                if len(g) > 1:
-                    a, d = _pdiv_exact(a, g), _pdiv_exact(d, g)
-            if len(c) > 1 and len(b) > 1:
-                g = _pgcd(c, b)
-                if len(g) > 1:
-                    c, b = _pdiv_exact(c, g), _pdiv_exact(b, g)
+            _, a, d = _pgcd_cof(a, d)
+            _, c, b = _pgcd_cof(c, b)
         num, den = _pmul(a, c), _pmul(b, d)
         k = _igcd(_pcontent(a) * _pcontent(c), _pcontent(b) * _pcontent(d))
         if k > 1:
@@ -435,10 +504,7 @@ def _reduce(noff, s, num, den):
     noff += s * (i - j)
     if len(den) > 1 and len(num) > 1:
         s, num, den = _compress(s, num, den)
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdiv_exact(num, g)
-            den = _pdiv_exact(den, g)
+        _, num, den = _pgcd_cof(num, den)
     return _reduce_tail(noff, s, num, den)
 
 

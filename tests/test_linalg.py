@@ -11,13 +11,15 @@ pivot gave (``RefRowBasis``).
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qosc.algebraops import host_eps, level_module
+from qosc.decomp import finite_indices
 from qosc.linalg import RowBasis, nullspace, solve_unique, vaxpy
-from qosc.rmatrix import _ConeTest
+from qosc.rmatrix import _ConeTest, make_c_pair, make_d_pair
 from qosc.scalars import ONE, Q, ZERO, Scalar, qint
 
 # -- reference loops ---------------------------------------------------------
@@ -276,9 +278,51 @@ def test_cone_member_matches_fraction_reference(flavor, level, rank):
             dvec = [d + e for d, e in zip(dvec, noise)]
         want = ref_cone_member(roots, dvec)
         assert _ConeTest(roots).member(dvec) == want
-        assert cone.member(dvec) == want  # through the per-vector cache
+        assert cone.member(dvec) == want  # one test object, many vectors
 
     check()
+
+
+def ref_cone_member_by_solve(roots, dvec):
+    """The decision ``_ConeTest.member`` made by one ``solve_unique`` over
+    Q(w) per delta-vector, before it kept an integer left inverse."""
+    roots = [tuple(r.delta) for r in roots]
+    eqs = [({j: Scalar.from_int(r[i]) for j, r in enumerate(roots)}, Scalar.from_int(d))
+           for i, d in enumerate(dvec)]
+    sol, status = solve_unique(eqs, range(len(roots)))
+    assert status != "underdetermined"
+    if status != "unique":
+        return False
+    for x in sol.values():
+        parts = x.monomial_parts()
+        if parts is None or parts[1] != 0 or parts[0].denominator != 1 or parts[0] < 0:
+            return False
+    return True
+
+
+PAIRS = [
+    ("c", 2, lambda: make_c_pair(2, ("+", "-"), 3)),
+    ("c", 3, lambda: make_c_pair(3, ("+", "-"), 3)),
+    ("d", 2, lambda: make_d_pair(2, 1, 1, 3)),
+    ("d", 3, lambda: make_d_pair(3, 1, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("flavor, m, make", PAIRS, ids=["%s-m%d" % p[:2] for p in PAIRS])
+def test_the_integer_cone_decision_matches_the_solve_over_qw(flavor, m, make):
+    alg = make().source.algebra
+    roots = [alg.root(j) for j in finite_indices(alg)]
+    cone = _ConeTest(roots)
+    # every coordinate of these roots lies in -1..1: the box reaches one
+    # past that at m = 2 (5 coordinates) and holds it at m = 3 (7)
+    n = len(roots[0].delta)
+    box = range(-2, 3) if m == 2 else range(-1, 2)
+    members = 0
+    for dvec in product(box, repeat=n):
+        got = cone.member(dvec)
+        assert got == ref_cone_member_by_solve(roots, dvec), dvec
+        members += got
+    assert members > n
 
 
 # -- RowBasis.express --------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from qosc import scalars
 from qosc.scalars import (
     MINUS_ONE,
     ONE,
@@ -20,6 +21,7 @@ from qosc.scalars import (
     PoleError,
     Scalar,
     SpectralScalar,
+    _pgcd_cof,
     factor_q_poles,
     parse_scalar,
     q_power,
@@ -558,3 +560,104 @@ def test_specialized_scalars_are_canonical(a, b, c):
     except PoleError:
         assume(False)
     _assert_constructed_canonical(s)
+
+
+# -- the gcd with cofactors ------------------------------------------------------
+
+
+def _int_polys(max_size):
+    """Dense integer polynomials, lowest coefficient first, lc != 0."""
+    cs = st.lists(st.integers(-9, 9), min_size=1, max_size=max_size)
+    return cs.filter(lambda c: c[-1] != 0).map(tuple)
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(c1 g f1, c2 g f2): a planted common factor g (a constant gives a
+    pair with nothing planted), integer contents c1, c2 of either sign and
+    cofactors f1, f2, so coprime pairs and constants occur too."""
+    g = draw(_int_polys(4))
+    contents = st.integers(-12, 12).filter(bool)
+    a = tuple(draw(contents) * x for x in _convolve(g, draw(_int_polys(5))))
+    b = tuple(draw(contents) * x for x in _convolve(g, draw(_int_polys(5))))
+    return a, b
+
+
+def _sympy_prim_gcd(a, b):
+    """gcd(a, b) over Z[x] by sympy, primitive with lc > 0, lowest first."""
+    x = sympy.Symbol("x")
+    g = sympy.gcd(sympy.Poly(a[::-1], x), sympy.Poly(b[::-1], x)).primitive()[1]
+    cs = [int(c) for c in g.all_coeffs()[::-1]]
+    return tuple(-c for c in cs) if cs[-1] < 0 else tuple(cs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gcd_pairs())
+def test_gcd_with_cofactors_matches_sympy(pair):
+    a, b = pair
+    g, qa, qb = _pgcd_cof(a, b)
+    assert g == _sympy_prim_gcd(a, b)
+    assert tuple(_convolve(g, qa)) == a and tuple(_convolve(g, qb)) == b
+
+
+def _prs_only(run):
+    """run() with GCDHEU given zero attempts, so that every gcd the cache
+    misses is taken by the PRS; returns (run(), PRS calls)."""
+    attempts, prs = scalars._HEU_ATTEMPTS, scalars._pgcd_prs
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return prs(a, b)
+
+    scalars._HEU_ATTEMPTS, scalars._pgcd_prs = 0, counted
+    scalars._pgcd_prim_cof.cache_clear()
+    try:
+        return run(), len(calls)
+    finally:
+        scalars._HEU_ATTEMPTS, scalars._pgcd_prs = attempts, prs
+        scalars._pgcd_prim_cof.cache_clear()
+
+
+@settings(max_examples=100, deadline=None)
+@given(gcd_pairs(), strided_scalars(), strided_scalars())
+def test_the_prs_fallback_gives_what_the_heuristic_gives(pair, x, y):
+    a, b = pair
+    dx, dy = x.dense(), y.dense()
+
+    def run():
+        u, v = Scalar(*dx), Scalar(*dy)
+        made = [u, v, u + v, u - v, u * v]
+        if not v.is_zero():
+            made.append(u / v)
+        return _pgcd_cof(a, b), [_parts(s) for s in made]
+
+    scalars._pgcd_prim_cof.cache_clear()
+    heuristic = run()
+    fallback, prs_calls = _prs_only(run)
+    assert fallback == heuristic
+    assert prs_calls > 0 or len(a) == 1 or len(b) == 1
+
+
+def test_the_prs_fallback_is_reached_and_canonical():
+    # (1 + w)(1 - w^3) / ((1 + w)(2 + w)) and the sum of two fractions
+    # over (1 + w^2)(1 - w) and (1 + w^2)(3 + w)
+    def run():
+        r = Scalar(0, (1, 1, 0, -1, -1), (2, 3, 1))
+        s = Scalar(0, (1,), (1, -1, 1, -1)) + Scalar(1, (2,), (3, 1, 3, 1))
+        return r, s
+
+    (r, s), prs_calls = _prs_only(run)
+    assert prs_calls >= 3
+    assert (r.num, r.den) == ((1, 0, 0, -1), (2, 1))
+    for t in (r, s):
+        assert_canonical(t)
+        assert _same_structure(t, _rebuilt(t))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(-9, 9).filter(bool), st.integers(-9, 9))
+def test_a_product_by_one_returns_the_monomial(c, e):
+    x = Scalar.monomial(c, e)
+    assume(not x.is_one())  # 1 * 1 may return either factor
+    assert ONE * x is x and x * ONE is x
