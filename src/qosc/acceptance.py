@@ -27,8 +27,6 @@ from .fockmod import (
     DROPPED,
     FockVector,
     ModuleView,
-    TensorModule,
-    TruncatedModule,
     W2Module,
     WModule,
 )
@@ -148,12 +146,11 @@ def criterion_3():
                 bad.setdefault("idempotence", []).append(label)
                 break
     # monoidality on W(x) (x) W(y)
-    wx = WModule(BOLD5, parse_scalar("q^2"), cutoff=5)
-    wy = WModule(BOLD5, parse_scalar("q^-4"), cutoff=5)
-    t_amb = TensorModule([wx, wy])
+    factors = [(parse_scalar("q^2"), "W"), (parse_scalar("q^-4"), "W")]
+    t_amb = level_module("c", "bold", BOLD5, 5, factors)
     for side in ("underline", "overline"):
         tgt = phi_words("c", side, BOLD5)
-        t_tr = TensorModule([TruncatedModule(wx, tgt), TruncatedModule(wy, tgt)])
+        t_tr = level_module("c", side, BOLD5, 5, factors)
         reps = check_monoidality(tgt, t_amb, t_tr, maxdeg=3)
         fails = [r.relation for r in reps if not r.passed]
         if fails:

@@ -492,15 +492,16 @@ LEVELS = ("bold", "underline", "overline")
 PARTS = {"+": 0, "-": 1, "W": None}  # a factor's kets: even, odd or all
 
 
-def level_module(flavor: str, level: str, eps: EpsilonData, cutoff: int, factors):
+def level_module(flavor: str, level: str, eps: EpsilonData, cutoff: int, factors, eta=1):
     """W(x) ('c') or W^(x2)(x) ('d') at one truncation level, one factor
     per (x, part); a lone factor comes back bare, several as one tensor.
 
     level 'bold' is the ambient module; 'underline' and 'overline' act
-    through the phi maps, and the module's algebra is their target.  part
-    '+' or '-' restricts a factor to its even or odd kets, 'W' keeps all.
+    through the phi maps at eta, and the module's algebra is their target.
+    part '+' or '-' restricts a factor to its even or odd kets, 'W' keeps
+    all.
     """
-    tgt = None if level == "bold" else phi_words(flavor, level, eps)
+    tgt = None if level == "bold" else phi_words(flavor, level, eps, eta)
     out = []
     for x, part in factors:
         module = (WModule if flavor == "c" else W2Module)(eps, x, cutoff)

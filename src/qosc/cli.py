@@ -24,14 +24,7 @@ from .algebraops import (
     phi_words,
 )
 from .decomp import decompose, find_hw
-from .fockmod import (
-    TensorModule,
-    TruncatedModule,
-    W2Module,
-    WModule,
-    ket_str,
-    weight_block,
-)
+from .fockmod import W2Module, WModule, ket_str, weight_block
 from .fundrep import (
     appendix_C_verdicts,
     build_fundamental,
@@ -103,10 +96,14 @@ def _epsilon(args):
 
 
 def _scalar(text, flag):
+    """A nonzero spectral parameter."""
     try:
-        return parse_scalar(text)
+        value = parse_scalar(text)
     except (ValueError, ArithmeticError) as exc:
         raise UsageError("%s: %s" % (flag, exc))
+    if value.is_zero():
+        raise UsageError("%s: expected a nonzero parameter, got %r" % (flag, text))
+    return value
 
 
 def _pair_of_ints(text, flag):
@@ -182,10 +179,10 @@ def cmd_truncate(args):
     reps = check_truncation_equivariance(tgt, mod)
     checks = [r.to_json() for r in reps]
     if args.monoidal:
-        wx = _module(args, eps, x)
-        wy = _module(args, eps, _scalar(args.y, "--y"))
-        t_amb = TensorModule([wx, wy])
-        t_tr = TensorModule([TruncatedModule(wx, tgt), TruncatedModule(wy, tgt)])
+        # _module and _target accepted the host, so the flavor names the module
+        factors = [(x, "W"), (_scalar(args.y, "--y"), "W")]
+        t_amb, t_tr = (level_module(args.flavor, level, eps, args.cutoff, factors, args.eta)
+                       for level in ("bold", args.side))
         reps = check_monoidality(tgt, t_amb, t_tr, maxdeg=max(0, args.cutoff - 3))
         checks.extend(r.to_json() for r in reps)
     return _emit(args, "truncate", checks, extra={"kept": list(tgt.kept), **_eta(tgt)})
@@ -335,7 +332,7 @@ def cmd_fuse(args):
                          "type-c image only, not --flavor %s --level %s"
                          % (args.flavor, args.level))
     cs = [_scalar(t, "--c") for t in args.c.split(",")]
-    if len(cs) != 2 or not all(isinstance(c, Scalar) and not c.is_zero() for c in cs):
+    if len(cs) != 2 or not all(isinstance(c, Scalar) for c in cs):
         raise UsageError("--c: expected two nonzero Q(w) parameters such as q^-6,1, got %r"
                          % args.c)
     params = _rpair_params(args)
@@ -375,10 +372,8 @@ def cmd_fundamental(args):
             raise UsageError("--cutoff %d: the window cannot hold the overline truncation "
                              "of W_%d; it needs --cutoff %d or more"
                              % (args.cutoff, args.l, need))
-    try:
-        mod = W2Module(host_eps("d", args.m), _scalar(args.x, "--x"), args.cutoff)
-    except ArithmeticError as exc:
-        raise UsageError("--x %s: %s" % (args.x, exc))
+    mod = level_module("d", "bold", host_eps("d", args.m), args.cutoff,
+                       [(_scalar(args.x, "--x"), "W")])
     need = mod.degree(v_lk_label(args.l, k, mod.n))
     if args.cutoff < need:
         raise UsageError("--cutoff %d: v_{%d,%d} has degree %d, above the window; it needs "

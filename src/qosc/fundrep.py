@@ -54,6 +54,10 @@ class Subspace:
     have their rank.  The exact RowBasis of a block is filled from its
     stored vectors, in order, only when contains, express or an exact
     reduction reads it, so it holds the rows an eager build would.
+
+    A span grows vector by vector through add, or all at once through
+    build, the one breadth-first span build; a built span takes no
+    further vector.
     """
 
     def __init__(self, module):
@@ -114,6 +118,79 @@ class Subspace:
         self._store(wt, blk, vec, r, mult)
         return True
 
+    def build(self, target, seeds, indices, bound=None):
+        """Span the seeds (key, v, v_tgt) and their images under the
+        f_j-words (j in indices), breadth-first.  With a target each stored
+        v is matched with the image of v_tgt in target under the same word,
+        as an entry (key, v, v_tgt); with target None the entries are v.
+
+        A stored vector queues one candidate per f_j: the vector, j and the
+        candidate's weight, the vector's weight less alpha_j.  A candidate's
+        image is computed when it is popped, unless its block is full, and
+        its target image only when the image is independent; an image that
+        is zero or overflows on either side is dropped.  Each image is
+        decided as add decides it: one independent at w0 is accepted, any
+        other is reduced exactly, at once when no bound is given; so an
+        unbounded build stores what an eager exact one would, in order.
+
+        bound(wt), read once per weight, is an upper bound on the dimension
+        of the block at wt: the window's count of kets of that weight for a
+        type-c pair, the dimension of the tensor product of the factors'
+        fundamental spans there for a type-d pair, 0 at a weight the build
+        leaves out.  With it a candidate in a block of bound(wt) vectors is
+        skipped before its image is computed, and one whose image is
+        dependent at w0 is deferred, to be reduced exactly when the queue
+        drains if its block is still short.  A bound that is too large
+        costs only time; one that is too small would drop vectors.
+        """
+        source = self.module
+        roots = [(j, source.algebra.root(j)) for j in indices]
+        # a side that keeps no images acts through a memo, freed on return
+        source = ImageMemo.over(source)
+        if target is not None:
+            target = source if target is self.module else ImageMemo.over(target)
+        bounds = {}  # weight -> bound(weight)
+        # a seed (key, v, v_tgt, None, weight), or a candidate (key, the
+        # parent's v and v_tgt, the f_j that maps them, its weight)
+        queue = deque((key, vs, vt, None, self._wt(vs))
+                      for key, vs, vt in seeds if not vs.is_zero())
+        deferred = deque()  # (key, v, v_tgt or the parent's, j, weight)
+        while queue or deferred:
+            drained = not queue
+            key, vs, vt, j, wt = (queue or deferred).popleft()
+            blk = self.blocks.get(wt) or (RowBasis(), [])
+            r = mult = None
+            if bound is not None:
+                n = bounds.get(wt)
+                if n is None:
+                    n = bounds[wt] = bound(wt)
+                if len(blk[1]) == n:
+                    continue
+            if not drained:
+                if j is not None:
+                    vs = act(source, ("f", j), vs)
+                    if vs.is_zero() or vs.overflow:
+                        continue
+                r = self._at_w0(wt, vs.terms)
+                if bound is not None and r is not None and not r:
+                    deferred.append((key, vs, vt, j, wt))
+                    continue
+            if not r:
+                r, mult = self._basis(blk).reduce(vs.terms)
+                if not r:
+                    continue
+            entry = vs
+            if target is not None:
+                if j is not None:
+                    vt = act(target, ("f", j), vt)
+                    if vt.overflow:
+                        continue
+                entry = (key, vs, vt)
+            self._store(wt, blk, entry, r, mult)
+            for j, root in roots:
+                queue.append((key, vs, vt, j, wt - root))
+        self._shadow = self._shadows = None
+
     def contains(self, vec: FockVector):
         if vec.is_zero():
             return True
@@ -151,83 +228,13 @@ def compare_spans(a: Subspace, b: Subspace):
 
 
 class MatchedSpan(Subspace):
-    """Source vectors matched with target vectors: each seed (key, v_src,
-    v_tgt) and the images of both sides under the same f_j-words
-    (j in indices), built breadth-first.  A stored pair queues one
-    candidate per f_j: the pair, j and the candidate's weight, the
-    pair's weight less alpha_j.  A candidate's source image is computed
-    when it is popped, unless its block is full, and its target image
-    only when the source image is independent; an image that is zero or
-    overflows on either side is dropped.  Block entries are (key, v_src,
-    v_tgt).
-
-    bound(wt), when given, is an upper bound on the dimension of the
-    build's block at wt: the window's count of kets of that weight for a
-    type-c pair, the dimension of the tensor product of the factors'
-    fundamental spans there for a type-d pair, 0 at a weight the build
-    leaves out.  It is read once per weight.  With it the build decides
-    shadow-first, as Subspace.add does, and proves each decision:
-    - a candidate in a block that holds bound(wt) vectors is dependent,
-      and is skipped before its image is computed; at bound 0 that image
-      is zero, leaves the window or lies at a weight left out;
-    - a candidate whose image at w0 is independent of the block's
-      echelon is independent, and is accepted;
-    - a candidate whose image is dependent is deferred with that image;
-      when the queue drains it is reduced exactly, if its block is still
-      short;
-    - a candidate with a pole at w0 is reduced exactly.
-    A bound that is too large costs only time, since the drain still
-    reduces exactly; one that is too small would drop vectors.  Without
-    a bound every candidate's image is computed and reduced exactly, at
-    once.
-    """
+    """Source vectors matched with target vectors: the Subspace.build of
+    the seeds (key, v_src, v_tgt) in source, matched in target, under the
+    bound if one is given.  Block entries are (key, v_src, v_tgt)."""
 
     def __init__(self, source, target, seeds, indices, bound=None):
         super().__init__(source)
-        roots = [(j, source.algebra.root(j)) for j in indices]
-        # a side that keeps no images acts through a memo, freed on return
-        source = ImageMemo.over(source)
-        target = source if target is self.module else ImageMemo.over(target)
-        bounds = {}  # weight -> bound(weight)
-        # a seed (key, v_src, v_tgt, None, weight), or a candidate (key, the
-        # parent's v_src and v_tgt, the f_j that maps them, its weight)
-        queue = deque((key, vs, vt, None, self._wt(vs))
-                      for key, vs, vt in seeds if not vs.is_zero())
-        deferred = deque()  # (key, v_src, v_tgt or the parent's, j, weight)
-        while queue or deferred:
-            drained = not queue
-            key, vs, vt, j, wt = (queue or deferred).popleft()
-            blk = self.blocks.get(wt) or (RowBasis(), [])
-            r = mult = None
-            if bound is not None:
-                n = bounds.get(wt)
-                if n is None:
-                    n = bounds[wt] = bound(wt)
-                if len(blk[1]) == n:
-                    continue
-            if not drained:
-                if j is not None:
-                    vs = act(source, ("f", j), vs)
-                    if vs.is_zero() or vs.overflow:
-                        continue
-                if bound is not None:
-                    r = self._at_w0(wt, vs.terms)
-                    if r is not None and not r:
-                        deferred.append((key, vs, vt, j, wt))
-                        continue
-            if not r:
-                r, mult = self._basis(blk).reduce(vs.terms)
-                if not r:
-                    continue
-            if j is not None:
-                vt = act(target, ("f", j), vt)
-                if vt.overflow:
-                    continue
-            self._store(wt, blk, (key, vs, vt), r, mult)
-            for j, root in roots:
-                queue.append((key, vs, vt, j, wt - root))
-        # entries are matched triples, so no vector is added after the build
-        self._shadow = self._shadows = None
+        self.build(target, seeds, indices, bound)
 
     @staticmethod
     def _terms(entry):
@@ -258,20 +265,10 @@ class MatchedSpan(Subspace):
 
 
 def lowering_closure(module, v, indices) -> Subspace:
-    """The span of v and of every f_j-word image of it (j in indices), built
-    breadth-first; images that vanish or leave the window are dropped."""
+    """The span of v and of every f_j-word image of it (j in indices): the
+    unmatched Subspace.build of v."""
     span = Subspace(module)
-    span.add(v)
-    module = ImageMemo.over(module)  # a memo is freed on return
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for j in indices:
-            img = act(module, ("f", j), u)
-            if img.is_zero() or img.overflow:
-                continue
-            if span.add(img):
-                queue.append(img)
+    span.build(None, [(None, v, None)], indices)
     return span
 
 

@@ -191,6 +191,12 @@ USAGE_ERRORS = [
       "--check-truncation"], "--check-truncation"),
     (["fuse", "--c", "q^-6,1", "--level", "overline", "--check-truncation"],
      "--level"),
+    # a zero spectral parameter is refused under its own flag
+    (["verify-relations", "--x", "0"], "--x"),
+    (["verify-phi", "--flavor", "c", "--side", "underline", "--x", "0"], "--x"),
+    (["truncate", "--flavor", "c", "--side", "underline", "--monoidal", "--y", "0"], "--y"),
+    (["truncate", "--flavor", "c", "--side", "underline", "--x", "0"], "--x"),
+    (["decompose", "--x", "0;1"], "--x"),
 ]
 
 
@@ -222,7 +228,9 @@ def test_spectral_data_do_not_depend_on_the_rank(capsys, pair):
 # one was recorded again when reports began to name that eta.  The last
 # five, recorded before the elimination loops shared one kernel, cover the
 # cone test, the type-d bold pair, fusion with its truncations, the
-# lowering closure of a fundamental module and the appendix C solve.
+# lowering closure of a fundamental module and the appendix C solve.  The
+# last one, recorded before the monoidal tensors of truncate were built by
+# level_module, covers W2 monoidality at eta = -1.
 GOLDEN_REPORTS = [
     (
         ["decompose", "--flavor", "c", "--factors", "+,-", "--cutoff", "6"],
@@ -289,6 +297,11 @@ GOLDEN_REPORTS = [
          "underline"],
         "be82b508b6eaad881422d3d9db3179c4d97f06c7ed5e1effff9ba423906e03e1",
     ),
+    (
+        ["truncate", "--flavor", "d", "--side", "underline", "--epsilon", "0,1,0,1,0",
+         "--module", "W2", "--monoidal", "--eta", "-1", "--cutoff", "4"],
+        "3b6defc82a47b73619aed4e6203839b81005c08decf2aca160b3b3310fefd009",
+    ),
 ]
 
 
@@ -298,7 +311,7 @@ GOLDEN_REPORTS = [
     ids=["decompose-c", "hwv", "decompose-d-underline", "truncate-monoidal",
          "verify-phi-c-overline", "verify-phi-d-overline", "rmatrix-c-underline",
          "rmatrix-d-bold", "fuse-c-truncation", "fundamental-all", "appendix-c",
-         "fundamental-iso", "fuse-d-bold", "rmatrix-d-underline"],
+         "fundamental-iso", "fuse-d-bold", "rmatrix-d-underline", "truncate-monoidal-w2-eta"],
 )
 def test_golden_report_digests(capsys, argv, digest):
     assert main(argv) == 0

@@ -1,11 +1,14 @@
-"""The one matched BFS against the two it replaced, and its shadow.
+"""The one breadth-first span build against the loops it replaced, and its
+shadow.
 
 ``ref_pair_blocks`` is the orbit BFS that ``rmatrix.PairDecomposition`` ran
-on its own, and ``ref_iso_between_k`` the second BFS, pair table and
-partner lookup of ``fundrep.iso_between_k``.  ``fundrep.MatchedSpan`` must
-build the same blocks, in the same order, with structurally equal
-``(key, v_src, v_tgt)`` entries, and the isomorphism check must give the
-same result.  On an exhaustive pair the build decides independence through
+on its own, ``ref_lowering_closure`` the unmatched BFS that
+``fundrep.lowering_closure`` ran through ``Subspace.add``, and
+``ref_iso_between_k`` the second BFS, pair table and partner lookup of
+``fundrep.iso_between_k``.  ``Subspace.build`` must build the same blocks,
+in the same order, with structurally equal entries (``(key, v_src, v_tgt)``
+when matched, bare vectors when not), and the isomorphism check must give
+the same result.  On an exhaustive pair the build decides independence through
 a GF(p) shadow, a count of window kets and a drain of exact reductions;
 each decision must stay exact, and a candidate whose block is full gets
 no image.
@@ -16,7 +19,8 @@ from collections import Counter, deque
 
 import pytest
 
-from qosc import fundrep
+from qosc import acceptance, fundrep, rmatrix
+from qosc.algebraops import LEVELS, host_eps, level_module
 from qosc.decomp import finite_indices
 from qosc.fockmod import FockVector, ImageMemo, TensorModule, W2Module, act, weight_block
 from qosc.fundrep import (
@@ -83,6 +87,22 @@ def ref_pair_blocks(pair, needed_weights=None):
                 continue
             queue.append((ckey, img, imgt))
     return blocks
+
+
+def ref_lowering_closure(module, v, indices):
+    span = Subspace(module)
+    span.add(v)
+    module = ImageMemo.over(module)
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for j in indices:
+            img = act(module, ("f", j), u)
+            if img.is_zero() or img.overflow:
+                continue
+            if span.add(img):
+                queue.append(img)
+    return span
 
 
 def ref_iso_between_k(module, l, k1, k2):
@@ -194,6 +214,38 @@ def test_pair_decomposition_matches_reference(name):
             assert _structure(vt) == _structure(rt)
     # ordered() walks the same blocks by degree, then delta
     assert [wt for wt, _ in dec.ordered()] == sorted(ref, key=block_order)
+
+
+def _same_closures(got, want):
+    """Equal blocks in the same order, with structurally equal entries."""
+    assert want.dim() > 1
+    assert list(got.blocks) == list(want.blocks)
+    for wt, (_, entries) in want.blocks.items():
+        assert [_structure(v) for v in got.blocks[wt][1]] == [_structure(v) for v in entries]
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("l", range(4))
+def test_fundamental_spans_match_the_reference_closure(level, l):
+    mod = level_module("d", level, host_eps("d", 2), l + 5, [(ONE, "W")])
+    want = ref_lowering_closure(mod, FockVector.basis(v_lk_label(l, l, mod.n)),
+                                finite_indices(mod.algebra))
+    _same_closures(fundamental_span(mod, l, l), want)
+
+
+def test_criterion_8_cyclicity_closures_match_the_reference(monkeypatch):
+    closures = []
+    bare = rmatrix.lowering_closure
+
+    def recorded(*args):
+        closures.append((args, bare(*args)))
+        return closures[-1][1]
+
+    monkeypatch.setattr(rmatrix, "lowering_closure", recorded)
+    assert acceptance.criterion_8()["pass"]
+    assert len(closures) == 2  # of the fused W_1 and W_2
+    for args, got in closures:
+        _same_closures(got, ref_lowering_closure(*args))
 
 
 @pytest.mark.parametrize("l,k1,k2", [(2, 2, 0), (1, 1, 0)])
@@ -434,13 +486,25 @@ def test_type_d_builds_use_the_shadow_and_exact_builds_do_not(monkeypatch):
         assert pair.bound(wt) == len(entries) == sum(
             d * spans[1].dims().get(wt - w1, 0) for w1, d in spans[0].dims().items())
     assert shadow["__call__"] >= dec.dim() and not exact["reduce"]
-    # without a bound, a MatchedSpan (as iso_between_k builds it) stays exact
+    # without a bound, a MatchedSpan (as iso_between_k builds it) decides
+    # each image shadow-first, as an eager exact add decides it
     shadow.clear()
+    decided = []
+    bare = Subspace._at_w0
+
+    def recorded(self, wt, terms):
+        decided.append(terms)
+        return bare(self, wt, terms)
+
+    monkeypatch.setattr(Subspace, "_at_w0", recorded)
     mod = W2Module(EPSP, parse_scalar("q^2"), cutoff=4)
     seed = [(0, FockVector.basis(v_lk_label(1, 1, mod.n)),
              FockVector.basis(v_lk_label(1, 0, mod.n)))]
     span = MatchedSpan(mod, mod, seed, finite_indices(mod.algebra))
-    assert span.dim() > 1 and exact["reduce"] and not shadow
+    stored = {id(vs.terms) for _, entries in span.ordered() for _, vs, _ in entries}
+    kept = [id(terms) in stored for terms in decided]
+    assert span.dim() > 1 and shadow["__call__"] and not all(kept)
+    assert kept == _exact_adds(mod, map(FockVector, decided))[0]
 
 
 @pytest.mark.parametrize("sigma", [("+", "-"), ("+", "+")])
@@ -613,13 +677,18 @@ def _shadow_cases():
 
 def test_shadow_first_adds_decide_as_exact_adds():
     mod, vectors = _shadow_cases()
-    span = Subspace(mod)
-    got = [span.add(v) for v in vectors]
     want, rows = _exact_adds(mod, vectors)
-    assert got == want == [True, False, True, True, False, False]
-    for wt, (_, entries) in span.blocks.items():
-        assert entries == [v for v, kept in zip(vectors, want) if kept]
-        assert _same_rows(span._basis(span.blocks[wt]), rows[wt])
+    assert want == [True, False, True, True, False, False]
+    added = Subspace(mod)
+    assert [added.add(v) for v in vectors] == want
+    # an unbounded build decides its seeds as the adds do
+    built = MatchedSpan(mod, mod, [(i, v, v) for i, v in enumerate(vectors)], [])
+    kept = [v for v, k in zip(vectors, want) if k]
+    for span in (added, built):
+        for wt, (_, entries) in span.blocks.items():
+            assert [span._terms(e) for e in entries] == [v.terms for v in kept]
+            assert _same_rows(span._basis(span.blocks[wt]), rows[wt])
+    assert [key for _, entries in built.ordered() for key, _, _ in entries] == [0, 2, 3]
 
 
 def test_a_shadow_accepted_block_fills_its_rows_when_read():

@@ -1,5 +1,6 @@
-"""Every name a script imports from qosc must still exist, and the kernel
-replay and the acceptance runner run end to end.
+"""Every name a script imports from qosc must still exist, the kernel
+replay and the acceptance runner run end to end, and the README digest
+script finds every CLI example.
 
 The scripts do their work at import time, so they are parsed with ast
 instead of being imported.
@@ -7,9 +8,11 @@ instead of being imported.
 
 import ast
 import gc
+import hashlib
 import importlib
 import re
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +66,28 @@ def test_run_acceptance_prints_seconds_and_gc_collections(monkeypatch, capsys):
     line = r"9-negative-controls +PASS  \(\d+\.\ds\)  gc \d+/\d+/\d+"
     assert re.fullmatch(line, lines[0]), lines
     assert lines[1:] == ["all 1 criteria passed"], lines
+
+
+def test_readme_digests_runs_every_cli_example(monkeypatch, capsys):
+    calls = []
+
+    def stub(argv):
+        calls.append(argv)
+        return 0
+
+    monkeypatch.setattr(importlib.import_module("qosc.cli"), "main", stub)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    main = runpy.run_path(str(ROOT / "scripts" / "readme_digests.py"))["main"]
+    assert main() == 0
+    text = (ROOT / "README.md").read_text()
+    cli_block = text[text.index("\n## CLI\n"):].split("```")[1]
+    examples = [line for line in cli_block.splitlines() if line.startswith("qosc ")]
+    assert len(examples) == len(calls) == 10
+    empty = hashlib.sha256(b"").hexdigest()
+    for line, argv, out in zip(examples, calls, capsys.readouterr().out.splitlines()):
+        words = shlex.split(line)[1:]
+        assert out == "%s  0  %s" % (empty, shlex.join(words))
+        if "--out" in words:  # the README's own report file is not written
+            i = words.index("--out")
+            del words[i:i + 2]
+        assert argv[:-1] == words + ["--out"]
