@@ -23,13 +23,7 @@ from .algebraops import (
     truncate_vector,
 )
 from .decomp import classical_dim, decompose, hw_weight
-from .fockmod import (
-    DROPPED,
-    FockVector,
-    ModuleView,
-    W2Module,
-    WModule,
-)
+from .fockmod import DROPPED, FockVector, ModuleView
 from .fundrep import (
     appendix_C_verdicts,
     block_order,
@@ -42,7 +36,6 @@ from .fundrep import (
 )
 from .lattice import EpsilonData
 from .rmatrix import (
-    compatible_bold_rho,
     AdmissibilityError,
     check_admissible,
     closed_rho_c,
@@ -53,13 +46,13 @@ from .rmatrix import (
     hw_content,
     make_c_pair,
     make_d_pair,
-    pole_exponents_d,
+    pole_failures,
+    poles,
     rho_d_product_part,
-    rho_pole_multisets,
     solve_R,
     verify_truncated_operator,
 )
-from .scalars import ONE, Scalar, Z1, parse_scalar
+from .scalars import ONE, Z1, parse_scalar
 
 BOLD5 = EpsilonData((1, 0, 1, 0, 1))
 BOLD7 = EpsilonData((1, 0, 1, 0, 1, 0, 1))
@@ -79,13 +72,13 @@ def _report(rid, ok, **details):
 
 def criterion_1():
     checks = []
-    w5 = WModule(BOLD5, Z1, cutoff=8)
+    w5 = level_module("c", "bold", BOLD5, 8, [(Z1, "W")])
     reps = check_relations(w5)
     checks.append(("W(x) eps=(10101) N=8", [r for r in reps if not r.passed]))
-    w7 = WModule(BOLD7, Z1, cutoff=8)
+    w7 = level_module("c", "bold", BOLD7, 8, [(Z1, "W")])
     reps = check_relations(w7)
     checks.append(("W(x) eps=(1010101) N=8", [r for r in reps if not r.passed]))
-    w2 = W2Module(BOLDP5, Z1, cutoff=6)
+    w2 = level_module("d", "bold", BOLDP5, 6, [(Z1, "W")])
     reps = check_relations(w2)
     checks.append(("W2(x) eps=(01010) N=6", [r for r in reps if not r.passed]))
     bad = {name: [r.relation for r in fails] for name, fails in checks if fails}
@@ -97,10 +90,8 @@ def criterion_1():
 
 def criterion_2():
     bad = {}
-    for host, module in (
-        (BOLD5, WModule(BOLD5, Scalar.from_int(1), cutoff=8)),
-        (BOLD7, WModule(BOLD7, Scalar.from_int(1), cutoff=8)),
-    ):
+    for host in (BOLD5, BOLD7):
+        module = level_module("c", "bold", host, 8, [(ONE, "W")])
         for side in ("underline", "overline"):
             for eta in (1, -1):
                 tgt = phi_words("c", side, host, eta=eta)
@@ -110,7 +101,7 @@ def criterion_2():
                     bad["c/%s eta=%d n=%d" % (side, eta, host.n)] = fails
                 if (host, side, eta) == (BOLD5, "underline", 1):
                     c_under = {r.relation: r.passed for r in reps}
-    w2 = W2Module(BOLDP5, Scalar.from_int(1), cutoff=6)
+    w2 = level_module("d", "bold", BOLDP5, 6, [(ONE, "W")])
     for side in ("underline", "overline"):
         for eta in (1, -1):
             tgt = phi_words("d", side, BOLDP5, eta=eta)
@@ -131,7 +122,7 @@ def criterion_2():
 
 def criterion_3():
     bad = {}
-    w5 = WModule(BOLD5, Scalar.from_int(1), cutoff=8)
+    w5 = level_module("c", "bold", BOLD5, 8, [(ONE, "W")])
     for side in ("underline", "overline"):
         tgt = phi_words("c", side, BOLD5)
         reps = check_truncation_equivariance(tgt, w5)
@@ -230,19 +221,19 @@ def criterion_5():
         if mism:
             bad["closed-form %s" % ("".join(sigma),)] = mism
         details["components %s" % "".join(sigma)] = sorted(rho_b)
-        # operator-level truncation identity (convention-free)
-        for lvname, dec_l, rho_l in (("underline", dec_u, rho_u), ("overline", dec_o, rho_o)):
-            rep = verify_truncated_operator(dec_b, rho_b, dec_l, rho_l)
-            if not rep["pass"]:
+        # tr(R_bold / c0) = R_level: as operators, and as rho's in the
+        # truncation-compatible normalization
+        for lvname, pair_l, dec_l, rho_l in (
+            ("underline", pair_u, dec_u, rho_u),
+            ("overline", pair_o, dec_o, rho_o),
+        ):
+            rep = verify_truncated_operator(pair_b, dec_b, rho_b, pair_l, dec_l, rho_l)
+            if rep["failures"]:
                 bad["tr-operator %s %s" % ("".join(sigma), lvname)] = rep["failures"]
-        # coefficient equality in truncation-compatible normalization
-        for lvname, pair_l, rho_l in (("underline", pair_u, rho_u), ("overline", pair_o, rho_o)):
-            expected, scales, c0 = compatible_bold_rho(pair_b, dec_b, pair_l, rho_b)
-            for key, val in expected.items():
-                if rho_l[key] != val:
-                    bad["rho-equality %s %s %s" % ("".join(sigma), lvname, key)] = {
-                        "scale": scales[key].to_str()
-                    }
+            for key, c in rep["rho_failures"].items():
+                bad["rho-equality %s %s %s" % ("".join(sigma), lvname, key)] = {
+                    "scale": c.to_str()
+                }
     return _report("5-spectral-type-c", not bad, failures=bad, **details)
 
 
@@ -265,14 +256,12 @@ def criterion_6():
             if any(e[0] for e in D.num) or any(e[0] for e in D.den):
                 bad["D-constant (%d,%d) %s" % (l1, l2, key)] = D.to_str()
         # pole exponents within the declared set
-        declared = set(pole_exponents_d(l1, l2, 64))
-        for key, (ks, leftover) in rho_pole_multisets(rho, 64).items():
-            if not set(ks) <= declared or list(leftover) != [0]:
-                bad["poles (%d,%d) %s" % (l1, l2, key)] = {
-                    "exponents": ks,
-                    "declared": sorted(declared),
-                }
-    # bold-prime level agrees as an operator (small window)
+        for key, ks in pole_failures("d", (l1, l2), rho, 64).items():
+            bad["poles (%d,%d) %s" % (l1, l2, key)] = {
+                "exponents": ks,
+                "declared": poles("d", (l1, l2), 64),
+            }
+    # bold-prime level: its rho's equal the closed forms (small window)
     pair_b = make_d_pair(2, 1, 1, cutoff=4, level="bold")
     rho_b, dec_b = solve_R(pair_b)
     mism = [k for k in rho_b if rho_b[k] != closed_rho_d(1, 1, *k)]
@@ -317,7 +306,7 @@ def criterion_8():
         """(pair, rho, dec) of a type-c pair, solved once per (sigma, level)."""
         if (sigma, level) not in solved:
             pair = make_c_pair(2, sigma, cutoff=cutoff, level=level)
-            solved[sigma, level] = (pair, *solve_R(pair, full_window=True))
+            solved[sigma, level] = (pair, *solve_R(pair, needed_weights=None))
         return solved[sigma, level]
 
     for l in (1, 2):
@@ -361,9 +350,9 @@ def criterion_8():
     zc = parse_scalar("q^-3")
     check_admissible("d", (1, 1), [zc, ONE])
     pair_db = make_d_pair(2, 1, 1, cutoff=4, level="bold")
-    img_db = fuse(pair_db, *solve_R(pair_db, full_window=True), zc)
+    img_db = fuse(pair_db, *solve_R(pair_db, needed_weights=None), zc)
     pair_du = make_d_pair(2, 1, 1, cutoff=4, level="underline")
-    cmp = compare_truncated_image(img_db, pair_du, *solve_R(pair_du, full_window=True), zc)
+    cmp = compare_truncated_image(img_db, pair_du, *solve_R(pair_du, needed_weights=None), zc)
     if not cmp["pass"]:
         bad["fusion-truncation d (1,1)"] = cmp
     # inadmissible parameter must be rejected
@@ -390,7 +379,7 @@ class _CorruptedW(ModuleView):
 
 def criterion_9():
     bad = {}
-    w = _CorruptedW(WModule(BOLD5, Scalar.from_int(1), cutoff=6))
+    w = _CorruptedW(level_module("c", "bold", BOLD5, 6, [(ONE, "W")]))
     suite = dict(relation_suite(BOLD5))
     rep = check_relation_on(w, "ef:0,0", suite["ef:0,0"])
     if rep.passed:

@@ -24,7 +24,7 @@ from .algebraops import (
     phi_words,
 )
 from .decomp import decompose, find_hw
-from .fockmod import W2Module, WModule, ket_str, weight_block
+from .fockmod import ket_str, weight_block
 from .fundrep import (
     appendix_C_verdicts,
     build_fundamental,
@@ -135,9 +135,9 @@ def _sigma(args):
 
 
 def _module(args, eps, x):
-    cls = WModule if args.module == "W" else W2Module
+    flavor = "c" if args.module == "W" else "d"
     try:
-        return cls(eps, x, args.cutoff)
+        return level_module(flavor, "bold", eps, args.cutoff, [(x, "W")])
     except (ValueError, ArithmeticError) as exc:
         raise UsageError("--module %s: %s" % (args.module, exc))
 
@@ -343,7 +343,7 @@ def cmd_fuse(args):
         return _emit(args, "fuse", checks)
     zc = cs[0] / cs[1]
     pair = _rpair(args, params)
-    image = fuse(pair, *solve_R(pair, full_window=True), zc)
+    image = fuse(pair, *solve_R(pair, needed_weights=None), zc)
     fused = {"id": "fused-image", "pass": image.dim() > 0, "nonzero": image.dim() > 0}
     checks = [fused]
     if args.flavor == "d":
@@ -357,7 +357,7 @@ def cmd_fuse(args):
     if args.check_truncation:
         for side in ("underline", "overline"):
             pair_l = make_c_pair(args.m, params, cutoff=args.cutoff, level=side)
-            cmp = compare_truncated_image(image, pair_l, *solve_R(pair_l, full_window=True), zc)
+            cmp = compare_truncated_image(image, pair_l, *solve_R(pair_l, needed_weights=None), zc)
             checks.append({"id": "truncation-%s" % side, "pass": cmp["pass"], **cmp})
     return _emit(args, "fuse", checks)
 

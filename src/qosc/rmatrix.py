@@ -411,13 +411,13 @@ class SolverError(ArithmeticError):
     pass
 
 
-def solve_R(pair: RPair, needed_weights=None, full_window=False):
+def solve_R(pair: RPair, needed_weights=()):
     """Solve for the eigenvalue functions rho on every component.
 
     Builds the matched orbit decomposition restricted to the weights
-    needed by the e_0-intertwining equations (plus any extra requested;
-    full_window=True builds every block of the window, as fusion needs),
-    assembles the linear system over Q(w)(z) and solves it exactly.
+    needed by the e_0-intertwining equations plus needed_weights
+    (needed_weights=None builds every block of the window, as fusion
+    needs), assembles the linear system over Q(w)(z) and solves it exactly.
     Raises SolverError when the system is inconsistent or underdetermined,
     or when the window leaves out the top component.
     """
@@ -431,12 +431,7 @@ def solve_R(pair: RPair, needed_weights=None, full_window=False):
     for comp in pair.components:
         if comp.weight.degree() + 2 <= cutoff:
             eq_weights.append(comp.weight + alpha0)
-    if full_window:
-        needed = None
-    else:
-        needed = list(eq_weights)
-        if needed_weights:
-            needed.extend(needed_weights)
+    needed = None if needed_weights is None else eq_weights + list(needed_weights)
     dec = PairDecomposition(pair, needed_weights=needed)
 
     equations = []
@@ -540,59 +535,53 @@ def verify_unitarity(pair, dec, rho, maxdeg):
     return {"pass": not failures, "failures": failures}
 
 
-def verify_truncated_operator(dec_bold, rho_bold, dec_level, rho_level):
-    """tr(R_bold) == R_level as operators, on every level block vector.
+def verify_truncated_operator(pair_bold, dec_bold, rho_bold, pair_level, dec_level, rho_level):
+    """tr(R_bold / c0) == R_level, the cross-level claim, on one level pair.
 
-    Convention-free form of the coefficient-equality lemma: both sides are
-    evaluated on the level decomposition's basis vectors (kept-supported,
-    hence valid in both pairs) and compared entrywise.
+    The matched map of the bold orbit (every rho = 1) sends each level
+    component's highest-weight vector to c times its level partner after
+    truncation, c a Q(w) constant; c0 is the c of the top component.  Two
+    normalized intertwiners of one irreducible pair differ by one scalar,
+    fixed on the top component, so rho_level = rho_bold * c / c0 on every
+    component ("expected" holds the right sides, "rho_failures" the c of
+    each component where they differ), and rho_bold / c0 applied through
+    the bold orbit equals R_level on every level block vector; those are
+    kept-supported, hence valid in both pairs ("failures" lists the
+    (key, weight) of each that fails).
     """
+    ones = {comp.key: SONE for comp in pair_bold.components}
+    scales = {}
+    for comp in pair_level.components:
+        phi = dec_bold.apply(comp.v_src, ones)
+        if phi is None:
+            raise SolverError("component vector not covered by the bold orbit")
+        lead = min(comp.v_tgt.terms, key=label_key)
+        c = (phi.terms[lead] / comp.v_tgt.terms[lead]).as_scalar()
+        if not (phi - comp.v_tgt.scale(c)).is_zero():
+            raise SolverError("truncated image is not proportional to the level hw")
+        scales[comp.key] = c
+    c0 = scales[pair_level.lambda0]
+    inv0 = c0.inverse()
+    rho = {k: v * inv0 for k, v in rho_bold.items()}
+    expected = {k: rho[k] * c for k, c in scales.items()}
+    rho_failures = {k: c for k, c in scales.items() if rho_level[k] != expected[k]}
     failures = []
     checked = 0
     for wt, entries in dec_level.ordered():
         for ckey, vs, vt in entries:
-            rb = dec_bold.apply(vs, rho_bold)
+            rb = dec_bold.apply(vs, rho)
             rl = vt.scale(rho_level[ckey])
             checked += 1
             if rb is None or not (rb - rl).is_zero():
                 failures.append((ckey, wt))
-    return {"pass": not failures, "checked": checked, "failures": failures}
-
-
-def compatibility_scale(dec_bold, comps_bold, comp_level):
-    """The constant c with tr(Phi_bold(v_level)) = c * v'_level.
-
-    In the truncation-compatible normalization of the level pair the
-    eigenvalues satisfy rho_level = (c / c_{lambda0}) * rho_bold on this
-    component, the lambda0 constant being the one of the top component."""
-    ones = {c.key: SONE for c in comps_bold}
-    phi = dec_bold.apply(comp_level.v_src, ones)
-    if phi is None:
-        raise SolverError("component vector not covered by the bold orbit")
-    lead = min(comp_level.v_tgt.terms, key=label_key)
-    c = phi.terms[lead] / comp_level.v_tgt.terms[lead]
-    if not (phi - comp_level.v_tgt.scale(c)).is_zero():
-        raise SolverError("truncated image is not proportional to the level hw")
-    return c
-
-
-def compatible_bold_rho(pair_bold, dec_bold, pair_level, rho_bold):
-    """rho of the bold pair re-expressed in the level's normalization.
-
-    Two normalized intertwiners of one irreducible pair differ by a single
-    scalar; pinning the top component gives rho_level = rho_bold * c / c0.
-    Returns ({key: expected level rho}, {key: c}, c0); the rescaled
-    operator sum rho_bold/c0 equals the level R matrix after truncation.
-    """
-    scales = {}
-    for comp in pair_level.components:
-        scales[comp.key] = compatibility_scale(dec_bold, pair_bold.components, comp)
-    c0 = scales[pair_level.lambda0]
-    expected = {}
-    for key, c in scales.items():
-        fac = SpectralScalar.from_scalar(c * c0.inverse())
-        expected[key] = rho_bold[key] * fac
-    return expected, scales, c0
+    return {
+        "pass": not failures and not rho_failures,
+        "checked": checked,
+        "failures": failures,
+        "rho_failures": rho_failures,
+        "expected": expected,
+        "c0": c0,
+    }
 
 
 def rho_pole_multisets(rho, bound):
@@ -603,6 +592,18 @@ def rho_pole_multisets(rho, bound):
         ks, leftover = factor_q_poles(den, bound)
         out[key] = (ks, leftover)
     return out
+
+
+def pole_failures(flavor, params, rho, bound):
+    """{key: q-exponents} of each rho whose denominator leaves the declared
+    pole set: a factor z - q^e with e outside poles(flavor, params, bound),
+    or a factor that is no such power."""
+    declared = set(poles(flavor, params, bound))
+    return {
+        key: ks
+        for key, (ks, leftover) in rho_pole_multisets(rho, bound).items()
+        if not set(ks) <= declared or list(leftover) != [0]
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +627,7 @@ def check_admissible(flavor, params, cs):
             k = as_q_power(ratio)
             if k is None:
                 continue
-            if flavor == "c":
-                pol = pole_exponents_c((params[i], params[j]), abs(k))
-            else:
-                pol = pole_exponents_d(params[i], params[j], abs(k))
-            if k in pol:
+            if k in poles(flavor, (params[i], params[j]), abs(k)):
                 raise AdmissibilityError(i, j, k)
     return True
 

@@ -630,7 +630,7 @@ class PoleError(ArithmeticError):
         self.value = value
         self.denominator = denominator
         self.q_exponent = q_exponent
-        msg = "pole at %s = %s" % (var, value.to_str() if hasattr(value, "to_str") else value)
+        msg = "pole at %s = %s" % (var, value.to_str())
         if q_exponent is not None:
             msg += " (factor z - q^%d)" % q_exponent
         super().__init__(msg)
@@ -794,6 +794,8 @@ class SpectralScalar:
 
     @staticmethod
     def from_scalar(s: Scalar):
+        if not isinstance(s, Scalar):
+            raise TypeError("from_scalar takes a Scalar, got %s" % type(s).__name__)
         if s.is_zero():
             return SZERO
         return SpectralScalar({(0, 0): s}, {(0, 0): ONE}, _reduced=True)

@@ -69,7 +69,7 @@ PAIRS = {
 def test_fuse_matches_apply_every_ket(name):
     make, c = PAIRS[name]
     pair = make()
-    rho, dec = solve_R(pair, full_window=True)
+    rho, dec = solve_R(pair, needed_weights=None)
     c1 = parse_scalar(c)
     got = fuse(pair, rho, dec, c1)
     ref = ref_fuse(pair, rho, dec, c1, ONE)
@@ -82,8 +82,8 @@ def test_fuse_matches_apply_every_ket(name):
 
 
 def test_partial_decomposition_fails_completeness_and_fusion():
-    # without full_window the orbit is built only above the e_0 equations'
-    # weights; whole window weight blocks are then absent from it
+    # by default the orbit is built only above the e_0 equations' weights;
+    # whole window weight blocks are then absent from it
     pair = make_c_pair(2, ("+", "+"), cutoff=5, level="bold")
     rho, dec = solve_R(pair)
     rep = verify_completeness(pair, dec, maxdeg=5)

@@ -6,7 +6,6 @@ from qosc.decomp import hw_weight
 from qosc.fockmod import FockVector
 from qosc.fundrep import truncate_image_span
 from qosc.rmatrix import (
-    compatible_bold_rho,
     AdmissibilityError,
     SolverError,
     c_target_module,
@@ -15,7 +14,6 @@ from qosc.rmatrix import (
     closed_rho_d,
     compare_spans,
     compare_truncated_image,
-    compatibility_scale,
     cyclicity_diagnostic,
     fuse,
     fused_cyclicity,
@@ -24,9 +22,9 @@ from qosc.rmatrix import (
     make_d_pair,
     pole_exponents_c,
     pole_exponents_d,
+    pole_failures,
     renormalize_diamond,
     rho_d_product_part,
-    rho_pole_multisets,
     sigma_component_partitions,
     solve_R,
     verify_completeness,
@@ -38,6 +36,7 @@ from qosc.scalars import (
     ONE,
     SONE,
     Q,
+    Scalar,
     SpectralScalar,
     Z1,
     parse_scalar,
@@ -85,7 +84,7 @@ def test_renormalize_diamond_examples():
 
 def test_solve_c_small_window_matches_closed_forms():
     pair = make_c_pair(2, ("+", "+"), cutoff=5, level="bold")
-    rho, dec = solve_R(pair, full_window=True)
+    rho, dec = solve_R(pair, needed_weights=None)
     assert all(rho[k] == closed_rho_c(("+", "+"), k) for k in rho)
     # normalization on the hw line of the top component
     assert rho[()].is_one()
@@ -99,7 +98,7 @@ def test_solve_c_small_window_matches_closed_forms():
 
 def test_projector_completeness_and_orthogonality():
     pair = make_c_pair(2, ("+", "+"), cutoff=5, level="bold")
-    rho, dec = solve_R(pair, full_window=True)
+    rho, dec = solve_R(pair, needed_weights=None)
     comp_keys = [c.key for c in pair.components]
 
     def project(lam, v):
@@ -168,17 +167,26 @@ def test_solve_names_a_top_component_outside_the_window(make):
         solve_R(pair)
 
 
+def assert_canonical_match(rep, rho_level):
+    """Every rho the cross-level check compared is in canonical form: its
+    coefficients are Scalars, and it hashes equal to the level rho."""
+    assert set(rep["expected"]) == set(rho_level)
+    for key, val in rep["expected"].items():
+        coeffs = list(val.num.values()) + list(val.den.values())
+        assert all(type(c) is Scalar for c in coeffs), key
+        assert val == rho_level[key] and hash(val) == hash(rho_level[key]), key
+
+
 def test_cross_level_operator_identity_and_scales():
     sigma = ("-", "+")
     pair_b = make_c_pair(2, sigma, cutoff=5, level="bold")
     pair_u = make_c_pair(2, sigma, cutoff=5, level="underline")
     rho_u, dec_u = solve_R(pair_u)
     rho_b, dec_b = solve_R(pair_b, needed_weights=list(dec_u.blocks))
-    rep = verify_truncated_operator(dec_b, rho_b, dec_u, rho_u)
+    rep = verify_truncated_operator(pair_b, dec_b, rho_b, pair_u, dec_u, rho_u)
     assert rep["pass"] and rep["checked"] > 0
-    for comp in pair_u.components:
-        c = compatibility_scale(dec_b, pair_b.components, comp)
-        assert rho_u[comp.key] == rho_b[comp.key] * SpectralScalar.from_scalar(c)
+    assert rep["rho_failures"] == {}
+    assert_canonical_match(rep, rho_u)
 
 
 def test_solve_d_small_window():
@@ -188,10 +196,7 @@ def test_solve_d_small_window():
         assert rho[key] == closed_rho_d(1, 1, *key)
         D = rho[key] / rho_d_product_part(1, 1, *key)
         assert not any(e[0] for e in D.num) and not any(e[0] for e in D.den)
-    pm = rho_pole_multisets(rho, 40)
-    declared = set(pole_exponents_d(1, 1, 40))
-    for ks, leftover in pm.values():
-        assert set(ks) <= declared and list(leftover) == [0]
+    assert pole_failures("d", (1, 1), rho, 40) == {}
 
 
 def test_solve_d_bold_prime_level():
@@ -205,15 +210,26 @@ def test_solve_d_bold_prime_level():
     pair_u = make_d_pair(2, 1, 2, cutoff=5, level="underline")
     rho_u, dec_u = solve_R(pair_u)
     rho_b2, dec_b2 = solve_R(pair_b, needed_weights=list(dec_u.blocks))
-    expected, scales, c0 = compatible_bold_rho(pair_b, dec_b2, pair_u, rho_b2)
-    assert not c0.is_one()
-    for key, val in expected.items():
-        assert rho_u[key] == val, key
+    rep = verify_truncated_operator(pair_b, dec_b2, rho_b2, pair_u, dec_u, rho_u)
+    assert rep["pass"] and rep["checked"] > 0
+    assert not rep["c0"].is_one()
+    assert_canonical_match(rep, rho_u)
+    for key in rho_u:
         assert rho_u[key] == closed_rho_d(1, 2, *key)
-    # operator identity after the overall rescale by 1/c0
-    inv0 = SpectralScalar.from_scalar(c0.inverse())
-    rho_scaled = {k: v * inv0 for k, v in rho_b2.items()}
-    assert verify_truncated_operator(dec_b2, rho_scaled, dec_u, rho_u)["pass"]
+    # negative controls: a bold rho off by q fails every operator check; one
+    # level rho off by q fails at exactly its component
+    rep = verify_truncated_operator(
+        pair_b, dec_b2, {k: v * Q for k, v in rho_b2.items()}, pair_u, dec_u, rho_u
+    )
+    assert len(rep["failures"]) == rep["checked"] > 0
+    assert set(rep["rho_failures"]) == set(rho_u)
+    key = sorted(rho_u)[-1]
+    rho_bad = dict(rho_u)
+    rho_bad[key] = rho_u[key] * Q
+    rep = verify_truncated_operator(pair_b, dec_b2, rho_b2, pair_u, dec_u, rho_bad)
+    assert not rep["pass"]
+    assert set(rep["rho_failures"]) == {key}
+    assert rep["failures"] and {k for k, _ in rep["failures"]} == {key}
     # symmetric labels need no constants at all
     pair11 = make_d_pair(2, 1, 1, cutoff=4, level="bold")
     rho11, _ = solve_R(pair11)
@@ -231,7 +247,7 @@ def test_overline_level_full_entrywise_verification():
     # decomposition can be verified entrywise on every block
     for sigma in [("+", "+"), ("-", "-"), ("+", "-")]:
         pair = make_c_pair(2, sigma, cutoff=8, level="overline")
-        rho, dec = solve_R(pair, full_window=True)
+        rho, dec = solve_R(pair, needed_weights=None)
         assert verify_spectral(pair, dec, rho, maxdeg=8)["pass"], sigma
         assert verify_completeness(pair, dec, maxdeg=8)["pass"], sigma
 
@@ -257,9 +273,7 @@ def test_rank_three_host():
 def test_c_pole_consistency():
     pair = make_c_pair(2, ("+", "+"), cutoff=6, level="bold")
     rho, _ = solve_R(pair)
-    declared = set(pole_exponents_c(("+", "+"), 64))
-    for ks, leftover in rho_pole_multisets(rho, 64).values():
-        assert set(ks) <= declared and list(leftover) == [0]
+    assert pole_failures("c", ("+", "+"), rho, 64) == {}
 
 
 def test_closed_rho_d_recursion_endpoints():
@@ -300,7 +314,7 @@ def test_fusion_w1_image():
     cutoff = 5
     sigma = ("+", "-")
     pair = make_c_pair(2, sigma, cutoff=cutoff, level="bold")
-    rho, dec = solve_R(pair, full_window=True)
+    rho, dec = solve_R(pair, needed_weights=None)
     zc = parse_scalar("q^-4")
     # hw_content reads the pair's components: the candidate weights in S^sigma
     cands = []
@@ -325,10 +339,10 @@ def test_fusion_truncation_compare():
     sigma = ("+", "-")
     zc = parse_scalar("q^-4")
     host = make_c_pair(2, sigma, cutoff=cutoff, level="bold")
-    rho, dec = solve_R(host, full_window=True)
+    rho, dec = solve_R(host, needed_weights=None)
     image = fuse(host, rho, dec, zc)
     pair_u = make_c_pair(2, sigma, cutoff=cutoff, level="underline")
-    rho_u, dec_u = solve_R(pair_u, full_window=True)
+    rho_u, dec_u = solve_R(pair_u, needed_weights=None)
     img_u = fuse(pair_u, rho_u, dec_u, zc)
     tr_img = truncate_image_span(image, pair_u.target)
     assert compare_spans(tr_img, img_u)["pass"]

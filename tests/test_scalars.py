@@ -141,6 +141,14 @@ def test_spectral_specialize():
         (Z1 + SONE / (Z1 * Z1)).specialize(SpectralScalar.from_scalar(ZERO))
 
 
+def test_from_scalar_takes_only_a_scalar():
+    # a spectral or integer argument would nest or skip the canonical form
+    assert SpectralScalar.from_scalar(Q).num == {(0, 0): Q}
+    for bad in (Z1, SONE, 1):
+        with pytest.raises(TypeError):
+            SpectralScalar.from_scalar(bad)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_scalars(), small_scalars(), small_scalars())
 def test_specialize_commutes_with_ring_ops(a, b, c):
