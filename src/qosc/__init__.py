@@ -10,7 +10,6 @@ from .scalars import (
     SZERO,
     W,
     Z1,
-    Z2,
     ZERO,
     PoleError,
     Scalar,

@@ -253,7 +253,9 @@ def criterion_6():
         # D constants are produced by the recursions and are z-free units
         for key, val in rho.items():
             D = val / rho_d_product_part(l1, l2, *key)
-            if any(e[0] for e in D.num) or any(e[0] for e in D.den):
+            try:
+                D.as_scalar()
+            except ValueError:
                 bad["D-constant (%d,%d) %s" % (l1, l2, key)] = D.to_str()
         # pole exponents within the declared set
         for key, ks in pole_failures("d", (l1, l2), rho, 64).items():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .fockmod import (
     FockVector,
@@ -117,11 +118,7 @@ def relation_suite(eps: EpsilonData):
 
     longs = []
 
-    def E(*idx):
-        w = WordExpr.unit()
-        for i in idx:
-            w = w * WordExpr.e(i)
-        return w
+    E = partial(WordExpr.product, "e")
 
     if eps.eps(1) != eps.eps(2):
         s = MINUS_ONE if eps.eps(2) else ONE

@@ -306,8 +306,8 @@ def cmd_rmatrix(args):
         entry = {
             "id": "rho %s" % (key,),
             "component": list(key),
-            "rho_num": rho[key].num_str(("z", "z2")),
-            "rho_den": rho[key].den_str(("z", "z2")),
+            "rho_num": rho[key].num_str("z"),
+            "rho_den": rho[key].den_str("z"),
             "pass": True,
         }
         if closed_form:

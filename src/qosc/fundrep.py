@@ -23,12 +23,12 @@ from .fockmod import (
 from .linalg import RowBasis, Shadow, ShadowBasis, solve_unique
 from .scalars import (
     ONE,
+    SONE,
     SZERO,
     Q,
     Scalar,
     SpectralScalar,
     Z1,
-    Z2,
     q_power,
     qint,
 )
@@ -307,16 +307,9 @@ def e0_certificate_word(n: int) -> WordExpr:
     """The f-word equal to [l+1] * x^-1 e_0 on v_{l,k} (l+1 scaled later):
     (f_2..f_{n-2}) f_{n-1} (f_1..f_{n-2}) f_n - (f_2..f_{n-2}) f_n (f_1..f_{n-2}) f_{n-1}."""
 
-    def prod(idx):
-        w = WordExpr.unit()
-        for i in idx:
-            w = w * WordExpr.f(i)
-        return w
-
-    head = prod(range(2, n - 1))
-    mid1 = prod(range(1, n - 1))
-    t1 = head * WordExpr.f(n - 1) * mid1 * WordExpr.f(n)
-    t2 = head * WordExpr.f(n) * mid1 * WordExpr.f(n - 1)
+    head, mid1 = range(2, n - 1), range(1, n - 1)
+    t1 = WordExpr.product("f", *head, n - 1, *mid1, n)
+    t2 = WordExpr.product("f", *head, n, *mid1, n - 1)
     return t1 - t2
 
 
@@ -386,11 +379,13 @@ def iso_between_k(module, l: int, k1: int, k2: int):
 # -- explicit highest-weight vectors u_{r,s} ---------------------------------
 
 
-def fundamental_pair_modules(m: int, x1, x2, cutoff: int):
-    """The tensor product W_{l1}(x1) (x) W_{l2}(x2) lives inside this pair of
-    rank-two Fock modules, acting through the underline type-d phi maps."""
+def fundamental_pair_modules(m: int, cutoff: int):
+    """W(z) (x) W(1) of type d: the tensor product W_{l1}(z) (x) W_{l2}(1)
+    lives inside this pair of rank-two Fock modules, acting through the
+    underline type-d phi maps; the .base of each factor is its untruncated
+    W^(x2) module."""
     epsp = host_eps("d", m)
-    return level_module("d", "underline", epsp, cutoff, [(x1, "W"), (x2, "W")])
+    return level_module("d", "underline", epsp, cutoff, [(Z1, "W"), (ONE, "W")])
 
 
 def u_rs_component(tensor, m: int, l1: int, l2: int, r: int, s: int, i: int, j: int):
@@ -457,53 +452,44 @@ def _B_coeff(l1, l2, s, j) -> Scalar:
 
 def bold_word(which: str, m: int) -> WordExpr:
     """The four degree-lowering/raising words between adjacent components."""
-
-    def eprod(idx):
-        w = WordExpr.unit()
-        for i in idx:
-            w = w * WordExpr.e(i)
-        return w
-
-    def fprod(idx):
-        w = WordExpr.unit()
-        for i in idx:
-            w = w * WordExpr.f(i)
-        return w
-
-    desc = list(range(m - 1, 0, -1))  # e_{m-1} ... e_1
-    desc2 = list(range(m - 1, 1, -1))  # e_{m-1} ... e_2
-    asc2 = list(range(2, m))  # f_2 ... f_{m-1}
-    asc1 = list(range(1, m))  # f_1 ... f_{m-1}
+    desc = range(m - 1, 0, -1)  # e_{m-1} ... e_1
+    desc2 = range(m - 1, 1, -1)  # e_{m-1} ... e_2
+    asc2 = range(2, m)  # f_2 ... f_{m-1}
+    asc1 = range(1, m)  # f_1 ... f_{m-1}
     if which == "F_m":
-        return eprod(desc) * WordExpr.e(m + 1) * eprod(desc2) * WordExpr.e(0)
+        return WordExpr.product("e", *desc, m + 1, *desc2, 0)
     if which == "F_m+1":
-        return eprod(desc) * WordExpr.e(m) * eprod(desc2) * WordExpr.e(0)
+        return WordExpr.product("e", *desc, m, *desc2, 0)
     if which == "E_m":
-        return WordExpr.f(0) * fprod(asc2) * WordExpr.f(m + 1) * fprod(asc1)
+        return WordExpr.product("f", 0, *asc2, m + 1, *asc1)
     if which == "E_m+1":
-        return WordExpr.f(0) * fprod(asc2) * WordExpr.f(m) * fprod(asc1)
+        return WordExpr.product("f", 0, *asc2, m, *asc1)
     raise ValueError("which must be F_m, F_m+1, E_m or E_m+1")
 
 
 def vanishing_word(m: int) -> WordExpr:
     """f_0 (f_2...f_{m-1}) (f_1...f_{m-1}), which kills every u^{i,j}_{r,s}."""
-    w = WordExpr.f(0)
-    for i in range(2, m):
-        w = w * WordExpr.f(i)
-    for i in range(1, m):
-        w = w * WordExpr.f(i)
-    return w
+    return WordExpr.product("f", 0, *range(2, m), *range(1, m))
 
 
 def verify_EF_identities(m: int, l1: int, l2: int, rmax: int, smax: int):
-    """Check the four ladder identities with symbolic spectral parameters.
+    """Check the four ladder identities in the spectral parameters x1, x2.
+
+    They are checked at (x1, x2) = (z, 1), which proves them for all
+    x1, x2.  On W^(x2)(x), e_0 acts by x times an x-free map, f_0 by x^-1
+    times one, and every other generator is x-free; each term of a type-d
+    phi image of the target e_0 or f_0 holds exactly one host e_0 or f_0.
+    By the coproduct, a word with a e_0's and b f_0's acts on
+    W(x1) (x) W(x2) homogeneously of degree a - b in (x1, x2), and so
+    does each side of every identity here.  A homogeneous P of degree d
+    has P(x1, x2) = x2^d P(x1/x2, 1), so P(z, 1) = 0 gives P = 0.
 
     Returns a list of (name, r, s, i, j, ok) tuples, read by
     ladder_failures; all identities use the out-of-range convention u = 0.
     """
-    tensor = fundamental_pair_modules(m, Z1, Z2, l1 + l2 + 2 * (rmax + 1) + 2)
-    x1, x2 = Z1, Z2
-    x1i, x2i = Z1.inverse(), Z2.inverse()
+    tensor = fundamental_pair_modules(m, l1 + l2 + 2 * (rmax + 1) + 2)
+    x1, x2 = Z1, SONE
+    x1i, x2i = Z1.inverse(), SONE
     U = lambda r, s, i, j: u_rs_component(tensor, m, l1, l2, r, s, i, j)
     out = []
     Fm = bold_word("F_m", m)
@@ -564,7 +550,7 @@ def ladder_failures(res):
 def verify_u_rs_highest(m: int, l1: int, l2: int, rmax: int, smax: int):
     """u_{r,s} is nonzero and killed by every raising operator of the finite
     subalgebra; a list of (r, s, ok), read by u_rs_failures."""
-    tensor = fundamental_pair_modules(m, Z1, Z2, l1 + l2 + 2 * rmax + 4)
+    tensor = fundamental_pair_modules(m, l1 + l2 + 2 * rmax + 4)
     raising = finite_indices(tensor.algebra)
     out = []
     smax = min(smax, min(l1, l2))
@@ -596,15 +582,21 @@ def appendix_C_verdicts(res):
 
 
 def verify_appendix_C(m: int, l1: int, l2: int, r: int, s: int):
-    """The exact ladder-coefficient identities with symbolic x1, x2.
+    """The exact ladder-coefficient identities in x1, x2.
 
     (i)  e_{m+1}^2 F_{m+1} u_{r,s} = [l2+r+1][2](x2 q^(-l2-2r) - x1 q^(l1+2)) u_{r-1,s}
     (ii) F_{m+1} u_{r,s} = C00 u_{r+1,s} + C10 f_{m+1} u_{r,s} + C20 f^(2)_{m+1} u_{r-1,s}
     with the closed forms of C20 and C10 and C00 != 0; appendix_C_verdicts
     reads the result.
+
+    They are checked at (x1, x2) = (z, 1), which proves them for all
+    x1, x2: F_{m+1} holds one e_0, so (i), (ii) and the closing identity
+    are homogeneous of degree 1 in (x1, x2), the unique solution C of
+    (ii) is too, and a homogeneous P of degree d has
+    P(x1, x2) = x2^d P(x1/x2, 1) (see verify_EF_identities).
     """
-    tensor = fundamental_pair_modules(m, Z1, Z2, l1 + l2 + 2 * (r + 2) + 2)
-    x1, x2 = Z1, Z2
+    tensor = fundamental_pair_modules(m, l1 + l2 + 2 * (r + 2) + 2)
+    x1, x2 = Z1, SONE
     Fm1 = bold_word("F_m+1", m)
     u = u_rs(tensor, m, l1, l2, r, s)
     Fu = eval_word(Fm1, u, tensor)

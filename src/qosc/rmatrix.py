@@ -32,6 +32,7 @@ from .fundrep import (
     Subspace,
     block_order,
     compare_spans,
+    fundamental_pair_modules,
     fundamental_span,
     lowering_closure,
     truncate_image_span,
@@ -235,7 +236,8 @@ def d_component_keys(l1, l2, cutoff):
 
 
 def make_d_pair(m, l1, l2, cutoff, level="underline"):
-    """The pair W_{l1}(z) (x) W_{l2}(1) of type-d fundamental modules.
+    """The pair W_{l1}(z) (x) W_{l2}(1) of type-d fundamental modules, in
+    fundamental_pair_modules or, at level bold, its untruncated factors.
 
     The orbit of the components under the finite f_j lies in span1 (x)
     span2, span_i the fundamental span of factor i, which is f_j-stable
@@ -246,7 +248,9 @@ def make_d_pair(m, l1, l2, cutoff, level="underline"):
     if level not in ("bold", "underline"):
         raise ValueError("make_d_pair supports levels 'bold' and 'underline'")
     epsp = host_eps("d", m)
-    source = level_module("d", level, epsp, cutoff, [(Z1, "W"), (ONE, "W")])
+    source = fundamental_pair_modules(m, cutoff)
+    if level == "bold":
+        source = TensorModule([f.base for f in source.factors])
     target = TensorModule(source.factors[::-1])
     # the target's factors are the source's, reversed, and so are its spans
     span1 = fundamental_span(source.factors[0], l1, l1)
@@ -586,12 +590,7 @@ def verify_truncated_operator(pair_bold, dec_bold, rho_bold, pair_level, dec_lev
 
 def rho_pole_multisets(rho, bound):
     """factor_q_poles applied to every denominator of the solved rho's."""
-    out = {}
-    for key, val in rho.items():
-        den = val.den_poly_coeffs()
-        ks, leftover = factor_q_poles(den, bound)
-        out[key] = (ks, leftover)
-    return out
+    return {key: factor_q_poles(val.den, bound) for key, val in rho.items()}
 
 
 def pole_failures(flavor, params, rho, bound):

@@ -9,12 +9,13 @@ factors are q**a * f(q**2) / g(q**2), so most fractions have s = 4 and
 the kernel touches a quarter of the coefficients a dense w-tuple holds.
 Reducing in x is exact, since gcd(f(w**s), g(w**s)) = gcd(f, g)(w**s).
 Equality is structural.  Spectral elements are fractions in one variable
-z1 over Q(w) and may carry a second variable z2 only in Laurent
-polynomials: the symbolic identities in x1, x2 divide by Q(w) constants
-alone.  In both fields a sum a/b + c/d cancels only gcd(num, g) for
-g = gcd(b, d), and nothing when g = 1 (Henrici), and a product of reduced
-fractions cancels gcd(a, d) and gcd(c, b) before it multiplies, so no gcd
-of full cross products is ever taken.  Each of these gcds comes with its
+z over Q(w): every claim depends on the spectral parameters x1, x2 only
+through z = x1/x2, or is homogeneous in them and so is checked at
+(x1, x2) = (z, 1) (fundrep.verify_EF_identities).  In both fields a sum
+a/b + c/d cancels only gcd(num, g) for g = gcd(b, d), and nothing when
+g = 1 (Henrici), and a product of reduced fractions cancels gcd(a, d)
+and gcd(c, b) before it multiplies, so no gcd of full cross products is
+ever taken.  Each of these gcds comes with its
 cofactors from one cached call, _pgcd_cof.  It runs the heuristic GCDHEU:
 the gcd of the values at an integer xi >= 2 min(|a|, |b|) + 2, read back
 in symmetric base xi, is accepted only when it divides both polynomials
@@ -619,7 +620,7 @@ def qbinom_at(p: Scalar, m: int, k: int) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# spectral extension: fractions in z1 over Q(w), Laurent polynomials in z2
+# spectral extension: fractions in z over Q(w)
 
 
 class PoleError(ArithmeticError):
@@ -640,19 +641,18 @@ def _ztrim(d):
     return {e: c for e, c in d.items() if not c.is_zero()}
 
 
-def _zshift(d, s1, s2):
-    if s1 == 0 and s2 == 0:
+def _zshift(d, s):
+    if s == 0:
         return d
-    return {(e1 + s1, e2 + s2): c for (e1, e2), c in d.items()}
+    return {e + s: c for e, c in d.items()}
 
 
 def _znormal(d):
-    """Shift exponents so minima are 0; return (shift1, shift2, dict)."""
+    """Shift exponents so the least is 0; return (shift, dict)."""
     if not d:
-        return 0, 0, {}
-    m1 = min(e1 for e1, _ in d)
-    m2 = min(e2 for _, e2 in d)
-    return m1, m2, _zshift(d, -m1, -m2)
+        return 0, {}
+    low = min(d)
+    return low, _zshift(d, -low)
 
 
 def _zadd(a, b):
@@ -667,9 +667,9 @@ def _zmul(a, b):
     if not a or not b:
         return {}
     out = {}
-    for (e1, e2), c in a.items():
-        for (f1, f2), d in b.items():
-            k = (e1 + f1, e2 + f2)
+    for e, c in a.items():
+        for f, d in b.items():
+            k = e + f
             s = out.get(k)
             p = c * d
             out[k] = p if s is None else s + p
@@ -684,44 +684,33 @@ def _zscale(a, s: Scalar):
     return _ztrim({e: c * s for e, c in a.items()})
 
 
-def _zvars(d):
-    v1 = any(e1 for (e1, _) in d)
-    v2 = any(e2 for (_, e2) in d)
-    return v1, v2
-
-
-def _to_list1(d):
-    """Nonneg-exponent dict in z1 alone -> dense list."""
-    deg = max(e1 for e1, _ in d) if d else -1
-    out = [ZERO] * (deg + 1)
-    for (e1, _), c in d.items():
-        out[e1] = c
+def _to_list(d):
+    """Nonneg-exponent dict -> dense list."""
+    out = [ZERO] * (max(d) + 1 if d else 0)
+    for e, c in d.items():
+        out[e] = c
     return out
 
 
-def _from_list1(cs):
-    out = {}
-    for i, c in enumerate(cs):
-        if not c.is_zero():
-            out[(i, 0)] = c
-    return out
+def _from_list(cs):
+    return {i: c for i, c in enumerate(cs) if not c.is_zero()}
 
 
-def _zdiv1(d, g):
-    """d / g for a polynomial d in z1 alone and a dense list g dividing it."""
-    return _from_list1(_l1div_exact(_to_list1(d), g))
+def _zdiv(d, g):
+    """d / g for a polynomial d and a dense list g dividing it."""
+    return _from_list(_l1div_exact(_to_list(d), g))
 
 
 def _zcancel(n, d):
-    """(n/g, d/g) for g = gcd(n, d): n is Laurent in z1, d a polynomial in
-    z1 with a nonzero constant term, so powers of z1 never cancel."""
+    """(n/g, d/g) for g = gcd(n, d): n is Laurent in z, d a polynomial in z
+    with a nonzero constant term, so powers of z never cancel."""
     if len(n) < 2 or len(d) < 2:
         return n, d
-    s1, s2, n = _znormal(n)
-    g = _l1gcd(_to_list1(n), _to_list1(d))
+    s, n = _znormal(n)
+    g = _l1gcd(_to_list(n), _to_list(d))
     if len(g) > 1:
-        n, d = _zdiv1(n, g), _zdiv1(d, g)
-    return _zshift(n, s1, s2), d
+        n, d = _zdiv(n, g), _zdiv(d, g)
+    return _zshift(n, s), d
 
 
 def _l1trim(cs):
@@ -770,17 +759,12 @@ def _l1div_exact(a, b):
     return q
 
 
-VAR_NAMES = ("z1", "z2")
-
-
 class SpectralScalar:
-    """Element of Q(w)(z1), with Laurent polynomials in z2, as a reduced fraction.
+    """Element of Q(w)(z) as a reduced fraction of {exponent: Scalar} dicts.
 
-    The denominator is a polynomial in z1 alone: monic, with lowest
-    exponent 0 and coprime to the numerator, so equality is structural.
-    z2 occurs only in Laurent polynomials (denominator 1): a fraction whose
-    denominator is not a monomial and meets z2 raises ArithmeticError.  A
-    single spectral variable z is z1.
+    The numerator is a Laurent polynomial in z; the denominator is a monic
+    polynomial with lowest exponent 0, coprime to the numerator, so
+    equality is structural.  The variable prints as z1 by default.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -794,38 +778,32 @@ class SpectralScalar:
 
     @staticmethod
     def from_scalar(s: Scalar):
+        return SpectralScalar.monomial(s, 0)
+
+    @staticmethod
+    def monomial(s: Scalar, e: int):
+        """s * z**e; s must be a Scalar, or the fraction would nest."""
         if not isinstance(s, Scalar):
-            raise TypeError("from_scalar takes a Scalar, got %s" % type(s).__name__)
+            raise TypeError(
+                "a spectral coefficient is a Scalar, got %s" % type(s).__name__
+            )
         if s.is_zero():
             return SZERO
-        return SpectralScalar({(0, 0): s}, {(0, 0): ONE}, _reduced=True)
-
-    @staticmethod
-    def variable(axis=0):
-        e = (1, 0) if axis == 0 else (0, 1)
-        return SpectralScalar({e: ONE}, {(0, 0): ONE}, _reduced=True)
-
-    @staticmethod
-    def monomial(s: Scalar, e1: int, e2: int = 0):
-        if s.is_zero():
-            return SZERO
-        return SpectralScalar({(e1, e2): s}, {(0, 0): ONE}, _reduced=True)
+        return SpectralScalar({e: s}, {0: ONE}, _reduced=True)
 
     def is_zero(self):
         return not self.num
 
     def is_one(self):
-        return self.num == {(0, 0): ONE} and self.den == {(0, 0): ONE}
+        return self.num == {0: ONE} and self.den == {0: ONE}
 
     def as_scalar(self):
-        """Return the underlying Scalar when no spectral variable occurs."""
-        nv1, nv2 = _zvars(self.num)
-        dv1, dv2 = _zvars(self.den)
-        if nv1 or nv2 or dv1 or dv2:
-            raise ValueError("spectral variable present: %s" % self)
+        """Return the underlying Scalar when z does not occur."""
         if not self.num:
             return ZERO
-        return self.num[(0, 0)] / self.den[(0, 0)]
+        if len(self.den) > 1 or self.num.keys() != {0}:
+            raise ValueError("spectral variable present: %s" % self)
+        return self.num[0]
 
     def __add__(self, other):
         other = _coerce(other)
@@ -840,14 +818,13 @@ class SpectralScalar:
             return SpectralScalar(_zadd(self.num, other.num), da)
         # Henrici, as in Scalar.__add__: monic cofactors of g = gcd(da, db)
         # keep the denominator monic with lowest exponent 0
-        g = _l1gcd(_to_list1(da), _to_list1(db)) if len(da) > 1 and len(db) > 1 else []
+        g = _l1gcd(_to_list(da), _to_list(db)) if len(da) > 1 and len(db) > 1 else []
         if len(g) > 1:
-            da, db = _zdiv1(da, g), _zdiv1(db, g)
+            da, db = _zdiv(da, g), _zdiv(db, g)
         num = _zadd(_zmul(self.num, db), _zmul(other.num, da))
         den = _zmul(da, db)
-        _reject_z2(num, den)
         if len(g) > 1:
-            num, g = _zcancel(num, _from_list1(g))
+            num, g = _zcancel(num, _from_list(g))
             den = _zmul(den, g)
         return SpectralScalar(num, den, _reduced=True)
 
@@ -881,14 +858,10 @@ class SpectralScalar:
         if other.is_one():
             return self
         a, b, c, d = self.num, self.den, other.num, other.den
-        if len(b) > 1 or len(d) > 1:
-            # z2 occurs only over the denominator 1
-            _reject_z2(a, d)
-            _reject_z2(c, b)
-            # cancel across, as Scalar.__mul__; a square has nothing to cancel
-            if other is not self:
-                a, d = _zcancel(a, d)
-                c, b = _zcancel(c, b)
+        # cancel across, as Scalar.__mul__; a square has nothing to cancel
+        if (len(b) > 1 or len(d) > 1) and other is not self:
+            a, d = _zcancel(a, d)
+            c, b = _zcancel(c, b)
         return SpectralScalar(_zmul(a, c), _zmul(b, d), _reduced=True)
 
     __rmul__ = __mul__
@@ -936,15 +909,19 @@ class SpectralScalar:
         return self._hash
 
     def specialize(self, value):
-        """Exact substitution z1 = value (a Scalar or SpectralScalar)."""
-        given = value
-        if isinstance(value, Scalar):
-            value = SpectralScalar.from_scalar(value)
-        low = min((e1 for e1, _ in self.num), default=0)
+        """Exact substitution z = value (an int, Scalar or SpectralScalar)."""
+        if isinstance(value, int):
+            value = Scalar.from_int(value)
+        given, value = value, _coerce(value)
+        if value is NotImplemented:
+            raise TypeError(
+                "specialize takes an int, Scalar or SpectralScalar, got %s"
+                % type(given).__name__
+            )
+        low = min(self.num, default=0)
         if low < 0 and value.is_zero():
-            # the numerator is Laurent in z1: the pole is its factor z1^-low
-            den = _zstr(_zshift(self.den, -low, 0), VAR_NAMES)
-            raise PoleError(VAR_NAMES[0], given, den)
+            # the numerator is Laurent in z: the pole is its factor z^-low
+            raise PoleError("z1", given, _zstr(_zshift(self.den, -low)))
         num = _zeval(self.num, value)
         den = _zeval(self.den, value)
         if den.is_zero():
@@ -952,21 +929,17 @@ class SpectralScalar:
                 k = as_q_power(value.as_scalar())
             except ValueError:
                 k = None
-            raise PoleError(VAR_NAMES[0], given, self.den_str(), k)
+            raise PoleError("z1", given, self.den_str(), k)
         return num / den
 
-    def den_poly_coeffs(self):
-        """Denominator as {exponent: Scalar}, a polynomial in z1."""
-        return {e1: c for (e1, _), c in self.den.items()}
+    def num_str(self, name="z1"):
+        return _zstr(self.num, name)
 
-    def num_str(self, names=VAR_NAMES):
-        return _zstr(self.num, names)
+    def den_str(self, name="z1"):
+        return _zstr(self.den, name)
 
-    def den_str(self, names=VAR_NAMES):
-        return _zstr(self.den, names)
-
-    def to_str(self, names=VAR_NAMES):
-        return "(%s)/(%s)" % (self.num_str(names), self.den_str(names))
+    def to_str(self, name="z1"):
+        return "(%s)/(%s)" % (self.num_str(name), self.den_str(name))
 
     def __repr__(self):
         return "SpectralScalar(%s)" % self.to_str()
@@ -984,8 +957,8 @@ def _coerce(x):
 
 def _zeval(d, value):
     out = SZERO
-    for (e1, e2), c in d.items():
-        out = out + SpectralScalar.monomial(c, 0, e2) * (value**e1)
+    for e, c in d.items():
+        out = out + SpectralScalar.from_scalar(c) * (value**e)
     return out
 
 
@@ -995,11 +968,10 @@ def _sreduce(num, den):
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {(0, 0): ONE}
-    _reject_z2(num, den)
+        return {}, {0: ONE}
     # clear Laurent shifts
-    n1, n2, num = _znormal(num)
-    d1, d2, den = _znormal(den)
+    n, num = _znormal(num)
+    d, den = _znormal(den)
     num, den = _zcancel(num, den)
     # monic denominator
     lc = den[max(den)]
@@ -1007,52 +979,34 @@ def _sreduce(num, den):
         inv = lc.inverse()
         num = _zscale(num, inv)
         den = _zscale(den, inv)
-    num = _zshift(num, n1 - d1, n2 - d2)
-    return num, den
+    return _zshift(num, n - d), den
 
 
-def _reject_z2(num, den):
-    """Raise when z2 meets a denominator that is not a monomial."""
-    if len(den) > 1 and any(e2 for d in (num, den) for _, e2 in d):
-        raise ArithmeticError(
-            "z2 meets the denominator %s: only Laurent polynomials in z2 "
-            "are supported" % _zstr(den, VAR_NAMES)
-        )
-
-
-def _zstr(d, names):
+def _zstr(d, name="z1"):
     if not d:
         return "0"
     parts = []
-    for e in sorted(d, key=lambda e: (e[1], e[0])):
-        c = d[e]
-        mono = []
-        if e[0]:
-            mono.append(names[0] if e[0] == 1 else "%s^%d" % (names[0], e[0]))
-        if e[1]:
-            mono.append(names[1] if e[1] == 1 else "%s^%d" % (names[1], e[1]))
-        cs = c.to_str()
-        parts.append("*".join([cs] + mono) if mono else cs)
+    for e in sorted(d):
+        cs = d[e].to_str()
+        if e:
+            cs += "*" + (name if e == 1 else "%s^%d" % (name, e))
+        parts.append(cs)
     return " + ".join(parts)
 
 
-SZERO = SpectralScalar({}, {(0, 0): ONE}, _reduced=True)
-SONE = SpectralScalar({(0, 0): ONE}, {(0, 0): ONE}, _reduced=True)
-Z1 = SpectralScalar.variable(0)
-Z2 = SpectralScalar.variable(1)
+SZERO = SpectralScalar({}, {0: ONE}, _reduced=True)
+SONE = SpectralScalar({0: ONE}, {0: ONE}, _reduced=True)
+Z1 = SpectralScalar.monomial(ONE, 1)
 
 
 def factor_q_poles(den, bound):
     """Split a z-polynomial over Q(w) into q-power roots.
 
-    den: {exponent: Scalar} in one variable z.  Trial-divides by (z - q^k)
-    for |k| <= bound and returns (multiset of exponents k as a sorted list,
-    leftover factor as {exponent: Scalar}).
+    den: {exponent: Scalar}, as SpectralScalar.den.  Trial-divides by
+    (z - q^k) for |k| <= bound and returns (multiset of exponents k as a
+    sorted list, leftover factor as {exponent: Scalar}).
     """
-    cs = [ZERO] * (max(den) + 1 if den else 0)
-    for e, c in den.items():
-        cs[e] = c
-    cs = _l1trim(cs)
+    cs = _l1trim(_to_list(den))
     found = []
     k = -bound
     while k <= bound and len(cs) > 1:
@@ -1066,8 +1020,7 @@ def factor_q_poles(den, bound):
             found.append(k)
             continue  # same k again (multiplicity)
         k += 1
-    leftover = {i: c for i, c in enumerate(cs) if not c.is_zero()}
-    return sorted(found), leftover
+    return sorted(found), _from_list(cs)
 
 
 # ---------------------------------------------------------------------------

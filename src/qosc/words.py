@@ -38,6 +38,11 @@ class WordExpr:
         return WordExpr.gen("f", i)
 
     @staticmethod
+    def product(kind, *indices):
+        """The monomial kind_{i1} kind_{i2} ... of the given indices."""
+        return WordExpr({tuple((kind, i) for i in indices): ONE})
+
+    @staticmethod
     def k(mu):
         return WordExpr({(("k", mu),): ONE})
 

@@ -1,3 +1,4 @@
+from qosc.algebraops import host_eps, level_module
 from qosc.fockmod import FockVector, W2Module, act, eval_word
 from qosc.fundrep import (
     bold_word,
@@ -16,7 +17,7 @@ from qosc.fundrep import (
     verify_u_rs_highest,
 )
 from qosc.lattice import EpsilonData, Weight
-from qosc.scalars import ONE, Scalar, Z1, Z2, parse_scalar
+from qosc.scalars import ONE, SONE, Scalar, Z1, parse_scalar, q_power
 
 EPSP = EpsilonData((0, 1, 0, 1, 0))
 
@@ -76,7 +77,7 @@ def test_bold_words_shape():
 
 
 def test_u_rs_base_cases():
-    tensor = fundamental_pair_modules(2, Z1, Z2, 8)
+    tensor = fundamental_pair_modules(2, 8)
     u00 = u_rs(tensor, 2, 1, 1, 0, 0)
     assert list(u00.terms.values()) == [ONE]
     lab = next(iter(u00.terms))
@@ -97,10 +98,44 @@ def test_ladder_identities_and_vanishing():
     res = verify_EF_identities(2, 1, 1, rmax=1, smax=1)
     assert all(t[-1] for t in res)
     # the explicit vanishing word kills every component vector
-    tensor = fundamental_pair_modules(2, Z1, Z2, 10)
+    tensor = fundamental_pair_modules(2, 10)
     for (r, s, i, j) in ((0, 0, 0, 0), (1, 1, 1, 0), (2, 1, 1, 1)):
         u = u_rs_component(tensor, 2, 2, 1, r, s, i, j)
         assert eval_word(vanishing_word(2), u, tensor).is_zero()
+
+
+def test_generator_images_are_homogeneous_in_x():
+    # the lemma behind checking the appendix identities at (x1, x2) = (z, 1):
+    # e_0 acts by x times an x-free map, f_0 by 1/x times one, and every
+    # other generator is x-free, on W(x), W^(x2)(x) and the underline factor
+    hosts = [("c", "bold", 7), ("d", "bold", 5), ("d", "underline", 5)]
+    for flavor, level, cutoff in hosts:
+        at = {x: level_module(flavor, level, host_eps(flavor, 2), cutoff, [(x, "W")])
+              for x in (Z1, ONE)}
+        mod = at[Z1]
+        images = 0
+        for gen in [(k, i) for k in "ef" for i in mod.algebra.gen_indices]:
+            factor = {("e", 0): Z1, ("f", 0): Z1.inverse()}.get(gen, SONE)
+            for label in mod.enumerate_labels():
+                v = FockVector.basis(label)
+                a, b = act(at[Z1], gen, v), act(at[ONE], gen, v)
+                assert a.overflow == b.overflow, (flavor, level, gen, label)
+                assert (a - b.scale(factor)).is_zero(), (flavor, level, gen, label)
+                images += not a.is_zero()
+        assert images > 100, (flavor, level)
+
+
+def test_swapped_spectral_parameters_fail_the_F_m_ladder():
+    # control for the check at (x1, x2) = (z, 1): F_m u^{0,0}_{0,0} equals
+    # x1 q^l2 u^{0,1}_{0,1} + x2 u^{0,0}_{0,1}, and not so with x1, x2 swapped
+    m, l1, l2 = 2, 1, 1
+    tensor = fundamental_pair_modules(m, 8)
+    lhs = eval_word(bold_word("F_m", m), u_rs_component(tensor, m, l1, l2, 0, 0, 0, 0), tensor)
+    a = u_rs_component(tensor, m, l1, l2, 0, 1, 0, 1)
+    b = u_rs_component(tensor, m, l1, l2, 0, 1, 0, 0)
+    assert not a.is_zero() and not b.is_zero()
+    assert (lhs - a.scale(Z1 * q_power(l2)) - b.scale(SONE)).is_zero()
+    assert not (lhs - a.scale(SONE * q_power(l2)) - b.scale(Z1)).is_zero()
 
 
 def test_expansion_coefficient_identities():

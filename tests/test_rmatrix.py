@@ -195,7 +195,7 @@ def test_solve_d_small_window():
     for key in rho:
         assert rho[key] == closed_rho_d(1, 1, *key)
         D = rho[key] / rho_d_product_part(1, 1, *key)
-        assert not any(e[0] for e in D.num) and not any(e[0] for e in D.den)
+        assert type(D.as_scalar()) is Scalar
     assert pole_failures("d", (1, 1), rho, 40) == {}
 
 
@@ -260,7 +260,7 @@ def test_diamond_renormalization_clears_finite_level_poles():
         pair = make_c_pair(2, sigma, cutoff=8, level="overline")
         rho, _ = solve_R(pair)
         for k, v in rho.items():
-            assert (D * v).den == {(0, 0): SONE.num[(0, 0)]}, (sigma, k)
+            assert (D * v).den == {0: SONE.num[0]}, (sigma, k)
 
 
 def test_rank_three_host():
