@@ -19,7 +19,7 @@ from .scalars import (
     q_power,
     qint,
 )
-from .lattice import EpsilonData, Weight, bilinear, fundamental_weight, qpair, simple_root
+from .lattice import EpsilonData, Weight, bilinear, qpair, simple_root
 from .fockmod import (
     FockVector,
     RestrictedModule,

@@ -296,11 +296,19 @@ def _walker(module, exprs):
     return walk
 
 
+def _touched(out, label):
+    """label has an image, or lost one above the cutoff, in out."""
+    return label in out[0] or label in out[1]
+
+
 def _image(out, label):
-    """The image of label in one word's (images, dropped), as a FockVector
-    whose overflow marks a dropped ket, as in eval_word."""
+    """The image of label in one word's (images, dropped), as a FockVector;
+    a label whose image dropped a ket above the cutoff raises WindowError,
+    as in _relation_residuals."""
     images, dropped = out
-    return FockVector(images.get(label), overflow=label in dropped)
+    if label in dropped:
+        raise WindowError("insufficient guard band for the word")
+    return FockVector(images.get(label))
 
 
 def _check_window(reports, kets, residuals):
@@ -594,7 +602,8 @@ def check_truncation_equivariance(tgt: TargetAlgebra, module):
     band of a phi word.  On a kept ket this says that phi(x) b stays
     kept-supported, so the truncated subspace is stable.  Returns
     RelationReports keyed by generator; each block's phi images come from
-    one merged walk."""
+    one merged walk.  A ket whose image dropped a ket above the cutoff
+    raises WindowError."""
     gens = _generators(tgt)
     walk = _walker(module, [tgt.phi(gen) for gen in gens])
     kept = tgt.kept
@@ -608,7 +617,8 @@ def check_truncation_equivariance(tgt: TargetAlgebra, module):
     def residuals(labels, live):
         # a ket with a zero image has a zero residual
         return [
-            [(pos, residual(out, label)) for pos, label in enumerate(labels) if label in out[0]]
+            [(pos, residual(out, label))
+             for pos, label in enumerate(labels) if _touched(out, label)]
             for out in walk(labels, live)
         ]
 
@@ -621,7 +631,9 @@ def check_truncation_equivariance(tgt: TargetAlgebra, module):
 def check_monoidality(tgt: TargetAlgebra, tensor_ambient, tensor_truncated, maxdeg):
     """On truncated v (x) w, acting by Delta(phi(x)) in the ambient tensor
     equals acting by the target coproduct with phi per factor.  Each
-    block's images come from one merged walk per tensor module."""
+    block's images come from one merged walk per tensor module.  A ket
+    whose image on either side dropped a ket above the cutoff raises
+    WindowError."""
     gens = _generators(tgt)
     ambient = _walker(tensor_ambient, [tgt.phi(gen) for gen in gens])
     truncated = _walker(tensor_truncated, [WordExpr.gen(*gen) for gen in gens])
@@ -631,7 +643,7 @@ def check_monoidality(tgt: TargetAlgebra, tensor_ambient, tensor_truncated, maxd
             [
                 (pos, _image(amb, label) - _image(tr, label))
                 for pos, label in enumerate(labels)
-                if label in amb[0] or label in tr[0]
+                if _touched(amb, label) or _touched(tr, label)
             ]
             for amb, tr in zip(ambient(labels, live), truncated(labels, live))
         ]

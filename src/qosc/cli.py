@@ -176,6 +176,9 @@ def cmd_truncate(args):
     x = _scalar(args.x, "--x")
     mod = _module(args, eps, x)
     tgt = _target(args, eps)
+    if args.cutoff < 2:
+        raise UsageError("--cutoff %d: the truncation checks reach degree cutoff - 2 and "
+                         "check no ket; they need --cutoff 2 or more" % args.cutoff)
     reps = check_truncation_equivariance(tgt, mod)
     checks = [r.to_json() for r in reps]
     if args.monoidal:

@@ -27,7 +27,6 @@ from .scalars import (
     SZERO,
     Q,
     Scalar,
-    SpectralScalar,
     Z1,
     q_power,
     qint,
@@ -604,10 +603,7 @@ def verify_appendix_C(m: int, l1: int, l2: int, r: int, s: int):
 
     lhs = eval_word(WordExpr.e(m + 1) * WordExpr.e(m + 1), Fu, tensor)
     um1 = u_rs(tensor, m, l1, l2, r - 1, s)
-    coeff = (
-        SpectralScalar.from_scalar(qint(l2 + r + 1) * qint(2))
-        * (x2 * q_power(-l2 - 2 * r) - x1 * q_power(l1 + 2))
-    )
+    coeff = qint(l2 + r + 1) * qint(2) * (x2 * q_power(-l2 - 2 * r) - x1 * q_power(l1 + 2))
     res["e2F"] = (lhs - um1.scale(coeff)).is_zero()
 
     basis = {
@@ -636,27 +632,15 @@ def verify_appendix_C(m: int, l1: int, l2: int, r: int, s: int):
     # derivation-consistent one is asserted.
     L = l1 + l2 + 2 * r
     xfac = x2 * q_power(-l2 - 2 * r) - x1 * q_power(l1 + 2)
-    c20_closed = (
-        SpectralScalar.from_scalar(
-            qint(l2 + r + 1) * qint(2) / (qint(L + 2) * qint(L + 3))
-        )
-        * xfac
-    )
-    c20_printed = (
-        SpectralScalar.from_scalar(
-            qint(l2 + r + 1) * qint(2) / (qint(L) * qint(L + 1))
-        )
-        * xfac
-    )
+    c20_closed = qint(l2 + r + 1) * qint(2) / (qint(L + 2) * qint(L + 3)) * xfac
+    c20_printed = qint(l2 + r + 1) * qint(2) / (qint(L) * qint(L + 1)) * xfac
     c10_closed = (
-        SpectralScalar.from_scalar(qint(l1 + 2)) * x1
-        + SpectralScalar.from_scalar(qint(r + 1) * qint(l2 + r + 2)) * x2
-        - SpectralScalar.from_scalar(Q * Q * qint(r) * qint(l2 + r + 1)) * x2
+        qint(l1 + 2) * x1
+        + qint(r + 1) * qint(l2 + r + 2) * x2
+        - Q * Q * qint(r) * qint(l2 + r + 1) * x2
         - (x2 * q_power(-l1 - l2 - 2 * r - 2) - x1)
-        * SpectralScalar.from_scalar(
-            qint(2) * qint(l2 + r + 1) * qint(r) / qint(L + 2)
-        )
-    ) * SpectralScalar.from_scalar(qint(L + 4).inverse())
+        * (qint(2) * qint(l2 + r + 1) * qint(r) / qint(L + 2))
+    ) * qint(L + 4).inverse()
     if r >= 1:
         res["C20"] = sol.get("C20", SZERO) == c20_closed
         res["C20_printed_brackets"] = sol.get("C20", SZERO) == c20_printed
@@ -667,15 +651,11 @@ def verify_appendix_C(m: int, l1: int, l2: int, r: int, s: int):
     c00 = sol.get("C00", SZERO)
     res["C00_nonzero"] = not c00.is_zero()
     # the closing identity comparing u^{0,0}_{r+1,s} coefficients
-    lhs = x2 * SpectralScalar.from_scalar(qint(r + 1))
+    lhs = x2 * qint(r + 1)
     rhs = (
         c00
-        + sol.get("C10", SZERO)
-        * SpectralScalar.from_scalar(q_power(-l1 - 2) * qint(r + 1))
-        + sol.get("C20", SZERO)
-        * SpectralScalar.from_scalar(
-            q_power(-2 * l1 - 4) * qint(r) * qint(r + 1) / qint(2)
-        )
+        + sol.get("C10", SZERO) * (q_power(-l1 - 2) * qint(r + 1))
+        + sol.get("C20", SZERO) * (q_power(-2 * l1 - 4) * qint(r) * qint(r + 1) / qint(2))
     )
     res["closing_identity"] = lhs == rhs
     return res

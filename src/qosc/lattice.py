@@ -114,25 +114,6 @@ def simple_root(i: int, eps: EpsilonData) -> Weight:
     raise IndexError("generator index %d outside I" % i)
 
 
-def fundamental_weight(i: int, eps: EpsilonData) -> Weight:
-    """varpi_i for i in I \\ {0}, satisfying (varpi_i | alpha_j) = delta_ij."""
-    n = eps.n
-    if not 1 <= i <= n:
-        raise IndexError("fundamental weight index %d" % i)
-
-    def dt(a):
-        return eps.delta(a).scale(1 if eps.eps(a) == 0 else -1)
-
-    if i == n:
-        return eps.Lam()
-    if i == n - 1:
-        return eps.Lam() + dt(n)
-    w = eps.Lam().scale(2)
-    for a in range(i + 1, n + 1):
-        w = w + dt(a)
-    return w
-
-
 def bilinear(mu: Weight, nu: Weight, eps: EpsilonData) -> Fraction:
     """Symmetric form with (d_i|d_j) = (-1)^eps_i delta_ij, (d_i|Lam) = -1/2,
     and (Lam|Lam) = (1/4) * sum_i (-1)^eps_i."""

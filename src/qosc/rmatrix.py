@@ -83,7 +83,7 @@ def _pole_factor(e, renormalized=False) -> SpectralScalar:
     """(1 - q^e z)/(z - q^e): the ratio of eigenvalues across a pole at
     z = q^e.  renormalized gives (z - q^e)/(1 - q^e) instead, the factor
     that clears that pole and is 1 at z = 1."""
-    qe = SpectralScalar.from_scalar(q_power(e))
+    qe = q_power(e)
     if renormalized:
         return (Z1 - qe) / (SONE - qe)
     return (SONE - qe * Z1) / (Z1 - qe)
@@ -113,12 +113,12 @@ def renormalize_diamond(sigma, m: int) -> SpectralScalar:
 
 def rho_d_ratio_r(l1, l2, k) -> SpectralScalar:
     pref = q_power(l1 - l2) * qint(l2 + k + 1) / qint(l1 + k + 1)
-    return SpectralScalar.from_scalar(pref) * _pole_factor(l1 + l2 + 2 * k + 2)
+    return pref * _pole_factor(l1 + l2 + 2 * k + 2)
 
 
 def rho_d_ratio_s(l1, l2, t) -> SpectralScalar:
     pref = q_power(l2 - l1) * qint(l2 - t + 1) / qint(l1 - t + 1)
-    return SpectralScalar.from_scalar(pref) * _pole_factor(-l1 - l2 - 2 + 2 * t)
+    return pref * _pole_factor(-l1 - l2 - 2 + 2 * t)
 
 
 def closed_rho_d(l1, l2, r, s) -> SpectralScalar:
@@ -470,16 +470,10 @@ def solve_R(pair: RPair, needed_weights=()):
     sol, status = solve_unique(equations, unknowns)
     if status != "unique":
         raise SolverError("e_0 intertwining system is %s" % status)
-    rho = {k: _to_spectral(v) for k, v in sol.items()}
+    rho = {k: SONE * v for k, v in sol.items()}
     if not rho[pair.lambda0].is_one():
         raise SolverError("normalization failed on the top component")
     return rho, dec
-
-
-def _to_spectral(v):
-    if isinstance(v, SpectralScalar):
-        return v
-    return SpectralScalar.from_scalar(v)
 
 
 def verify_spectral(pair, dec, rho, maxdeg):
@@ -601,7 +595,7 @@ def pole_failures(flavor, params, rho, bound):
     return {
         key: ks
         for key, (ks, leftover) in rho_pole_multisets(rho, bound).items()
-        if not set(ks) <= declared or list(leftover) != [0]
+        if not set(ks) <= declared or len(leftover) != 1
     }
 
 

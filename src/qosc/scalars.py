@@ -11,21 +11,24 @@ Reducing in x is exact, since gcd(f(w**s), g(w**s)) = gcd(f, g)(w**s).
 Equality is structural.  Spectral elements are fractions in one variable
 z over Q(w): every claim depends on the spectral parameters x1, x2 only
 through z = x1/x2, or is homogeneous in them and so is checked at
-(x1, x2) = (z, 1) (fundrep.verify_EF_identities).  In both fields a sum
-a/b + c/d cancels only gcd(num, g) for g = gcd(b, d), and nothing when
-g = 1 (Henrici), and a product of reduced fractions cancels gcd(a, d)
-and gcd(c, b) before it multiplies, so no gcd of full cross products is
-ever taken.  Each of these gcds comes with its
-cofactors from one cached call, _pgcd_cof.  It runs the heuristic GCDHEU:
-the gcd of the values at an integer xi >= 2 min(|a|, |b|) + 2, read back
-in symmetric base xi, is accepted only when it divides both polynomials
-exactly, which under that bound proves it the gcd and gives the
-cofactors; after a few larger xi the primitive PRS takes over.
+(x1, x2) = (z, 1) (fundrep.verify_EF_identities).  They take the same
+layout, z**noff * num(z) / den(z) with num and den dense tuples of Scalar
+coefficients, and their gcds run Euclid over Q(w) on those tuples; a
+Scalar or an int enters them by coercion in the arithmetic operators.
+In both fields a sum a/b + c/d cancels only gcd(num, g) for
+g = gcd(b, d), and nothing when g = 1 (Henrici), and a product of
+reduced fractions cancels gcd(a, d) and gcd(c, b) before it multiplies,
+so no gcd of full cross products is ever taken.  In Q(w) each of these
+gcds comes with its cofactors from one cached call, _pgcd_cof.  It runs
+the heuristic GCDHEU: the gcd of the values at an integer
+xi >= 2 min(|a|, |b|) + 2, read back in symmetric base xi, is accepted
+only when it divides both polynomials exactly, which under that bound
+proves it the gcd and gives the cofactors; after a few larger xi the
+primitive PRS takes over.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _igcd
 from math import isqrt
@@ -295,17 +298,6 @@ class Scalar:
     def is_one(self):
         return self.noff == 0 and self.num == _PONE and self.den == _PONE
 
-    def is_monomial(self):
-        return len(self.num) == 1 and len(self.den) == 1
-
-    def monomial_parts(self):
-        """(Fraction coefficient, exponent) for a monomial; None otherwise."""
-        if not self.num:
-            return Fraction(0), 0
-        if self.is_monomial():
-            return Fraction(self.num[0], self.den[0]), self.noff
-        return None
-
     def dense(self):
         """(noff, num, den) with num and den as coefficient tuples in w."""
         return (
@@ -461,18 +453,6 @@ class Scalar:
             self._hash = hash((self.noff, self.stride, self.num, self.den))
         return self._hash
 
-    def bar(self):
-        """The involution w -> 1/w (hence q -> 1/q)."""
-        if not self.num:
-            return self
-        # num(w^-s) = w^(-s deg num) rev(num)(w^s); den likewise
-        s = self.stride
-        num, den = self.num[::-1], self.den[::-1]
-        noff = s * (len(den) - len(num)) - self.noff
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        return _make(noff, s, num, den)
-
     def __repr__(self):
         return "Scalar(%s)" % self.to_str()
 
@@ -567,16 +547,8 @@ def q_power(k):
 
 def as_q_power(s: Scalar):
     """Return k with s == q**k, or None."""
-    mp = s.monomial_parts()
-    if mp is None:
-        return None
-    c, e = mp
-    if e % 2 != 0:
-        return None
-    k = e // 2
-    if c == (-1 if k % 2 else 1):
-        return k
-    return None
+    k = s.noff // 2
+    return k if s == q_power(k) else None
 
 
 @lru_cache(maxsize=None)
@@ -637,143 +609,112 @@ class PoleError(ArithmeticError):
         super().__init__(msg)
 
 
-def _ztrim(d):
-    return {e: c for e, c in d.items() if not c.is_zero()}
+def _ztrim(cs):
+    """(i, cs[i:j]) with cs[i] and cs[j - 1] nonzero, as _ptrim."""
+    i, j = 0, len(cs)
+    while j > i and cs[j - 1].is_zero():
+        j -= 1
+    while i < j and cs[i].is_zero():
+        i += 1
+    return i, tuple(cs[i:j])
 
 
-def _zshift(d, s):
-    if s == 0:
-        return d
-    return {e + s: c for e, c in d.items()}
-
-
-def _znormal(d):
-    """Shift exponents so the least is 0; return (shift, dict)."""
-    if not d:
-        return 0, {}
-    low = min(d)
-    return low, _zshift(d, -low)
-
-
-def _zadd(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e)
-        out[e] = c if s is None else s + c
-    return _ztrim(out)
+def _zadd(a_off, a, b_off, b):
+    """z**a_off a + z**b_off b as (offset, trimmed tuple), as _padd."""
+    if not a:
+        return b_off, b
+    if not b:
+        return a_off, a
+    if a_off > b_off:
+        a_off, a, b_off, b = b_off, b, a_off, a
+    cs = list(a)
+    k = b_off - a_off
+    cs.extend([ZERO] * (k + len(b) - len(cs)))
+    for i, c in enumerate(b, k):
+        cs[i] = cs[i] + c
+    i, cs = _ztrim(cs)
+    return a_off + i, cs
 
 
 def _zmul(a, b):
-    if not a or not b:
-        return {}
-    out = {}
-    for e, c in a.items():
-        for f, d in b.items():
-            k = e + f
-            s = out.get(k)
-            p = c * d
-            out[k] = p if s is None else s + p
-    return _ztrim(out)
+    """Product of nonzero trimmed coefficient tuples, trimmed too."""
+    if len(a) == 1:
+        x = a[0]
+        return b if x.is_one() else tuple(x * c for c in b)
+    if len(b) == 1:
+        y = b[0]
+        return a if y.is_one() else tuple(y * c for c in a)
+    cs = [ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x.is_zero():
+            for j, y in enumerate(b, i):
+                cs[j] = cs[j] + x * y
+    return tuple(cs)
 
 
 def _zscale(a, s: Scalar):
-    if s.is_zero():
-        return {}
-    if s.is_one():
-        return a
-    return _ztrim({e: c * s for e, c in a.items()})
+    """a times a nonzero Scalar s."""
+    return a if s.is_one() else tuple(c * s for c in a)
 
 
-def _to_list(d):
-    """Nonneg-exponent dict -> dense list."""
-    out = [ZERO] * (max(d) + 1 if d else 0)
-    for e, c in d.items():
-        out[e] = c
-    return out
-
-
-def _from_list(cs):
-    return {i: c for i, c in enumerate(cs) if not c.is_zero()}
-
-
-def _zdiv(d, g):
-    """d / g for a polynomial d and a dense list g dividing it."""
-    return _from_list(_l1div_exact(_to_list(d), g))
-
-
-def _zcancel(n, d):
-    """(n/g, d/g) for g = gcd(n, d): n is Laurent in z, d a polynomial in z
-    with a nonzero constant term, so powers of z never cancel."""
-    if len(n) < 2 or len(d) < 2:
-        return n, d
-    s, n = _znormal(n)
-    g = _l1gcd(_to_list(n), _to_list(d))
-    if len(g) > 1:
-        n, d = _zdiv(n, g), _zdiv(d, g)
-    return _zshift(n, s), d
-
-
-def _l1trim(cs):
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _l1gcd(a, b):
-    """Monic gcd of dense Scalar-coefficient lists (univariate Euclid)."""
+def _zgcd(a, b):
+    """Monic gcd of nonzero trimmed coefficient tuples (Euclid over Q(w))."""
     a, b = list(a), list(b)
-    _l1trim(a)
-    _l1trim(b)
     while b:
-        # a mod b
+        # a mod b; the top coefficient cancels exactly
         inv = b[-1].inverse()
         while len(a) >= len(b):
             c = a[-1] * inv
             k = len(a) - len(b)
-            for i in range(len(b)):
+            for i in range(len(b) - 1):
                 a[k + i] = a[k + i] - c * b[i]
             a.pop()
-            _l1trim(a)
-            if not a:
-                break
+            while a and a[-1].is_zero():
+                a.pop()
         a, b = b, a
-    if not a:
-        return []
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
+    return _zscale(tuple(a), a[-1].inverse())
 
 
-def _l1div_exact(a, b):
-    a = list(a)
+def _zdiv_exact(a, b):
+    """a/b for a monic b that divides a."""
+    r = list(a)
     q = [ZERO] * (len(a) - len(b) + 1)
-    inv = b[-1].inverse()
-    while _l1trim(a) and len(a) >= len(b):
-        c = a[-1] * inv
-        k = len(a) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            a[k + i] = a[k + i] - c * b[i]
-        a.pop()
-    if any(not c.is_zero() for c in a):
-        raise ArithmeticError("inexact division in K0[z]")
-    return q
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(b) - 1]
+        if not c.is_zero():
+            for i in range(len(b) - 1):
+                r[k + i] = r[k + i] - c * b[i]
+    if any(not c.is_zero() for c in r[: len(b) - 1]):
+        raise ArithmeticError("inexact division in Q(w)[z]")
+    return tuple(q)
+
+
+def _zcancel(n, d):
+    """(n/g, d/g) for the monic g = gcd(n, d) of trimmed tuples; both have
+    nonzero constant terms, so powers of z never cancel."""
+    if len(n) < 2 or len(d) < 2:
+        return n, d
+    g = _zgcd(n, d)
+    if len(g) == 1:
+        return n, d
+    return _zdiv_exact(n, g), _zdiv_exact(d, g)
 
 
 class SpectralScalar:
-    """Element of Q(w)(z) as a reduced fraction of {exponent: Scalar} dicts.
+    """Element of Q(w)(z): z**noff * num(z) / den(z), as Scalar in w.
 
-    The numerator is a Laurent polynomial in z; the denominator is a monic
-    polynomial with lowest exponent 0, coprime to the numerator, so
-    equality is structural.  The variable prints as z1 by default.
+    num and den are tuples of Scalar coefficients, lowest degree first,
+    each with a nonzero constant term (num is () for zero, with noff 0);
+    den is monic and coprime to num.  The form is unique, so equality and
+    hashing are structural on (noff, num, den).  SpectralScalar(noff,
+    num, den) takes any coefficient tuples and reduces them.  The variable
+    prints as z1 by default.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("noff", "num", "den", "_hash")
 
-    def __init__(self, num, den, _reduced=False):
-        if not _reduced:
-            num, den = _sreduce(num, den)
-        self.num = num
-        self.den = den
+    def __init__(self, noff, num, den):
+        self.noff, self.num, self.den = _sreduce(noff, num, den)
         self._hash = None
 
     @staticmethod
@@ -789,19 +730,22 @@ class SpectralScalar:
             )
         if s.is_zero():
             return SZERO
-        return SpectralScalar({e: s}, {0: ONE}, _reduced=True)
+        return _smake(e, (s,), _ZONE)
 
     def is_zero(self):
         return not self.num
 
     def is_one(self):
-        return self.num == {0: ONE} and self.den == {0: ONE}
+        return (
+            self.noff == 0 and len(self.num) == 1 and len(self.den) == 1
+            and self.num[0].is_one()
+        )
 
     def as_scalar(self):
         """Return the underlying Scalar when z does not occur."""
         if not self.num:
             return ZERO
-        if len(self.den) > 1 or self.num.keys() != {0}:
+        if self.noff or len(self.num) > 1 or len(self.den) > 1:
             raise ValueError("spectral variable present: %s" % self)
         return self.num[0]
 
@@ -815,25 +759,23 @@ class SpectralScalar:
             return self
         da, db = self.den, other.den
         if da == db:
-            return SpectralScalar(_zadd(self.num, other.num), da)
+            return SpectralScalar(*_zadd(self.noff, self.num, other.noff, other.num), da)
         # Henrici, as in Scalar.__add__: monic cofactors of g = gcd(da, db)
-        # keep the denominator monic with lowest exponent 0
-        g = _l1gcd(_to_list(da), _to_list(db)) if len(da) > 1 and len(db) > 1 else []
+        # keep the denominator monic
+        g = _zgcd(da, db) if len(da) > 1 and len(db) > 1 else _ZONE
         if len(g) > 1:
-            da, db = _zdiv(da, g), _zdiv(db, g)
-        num = _zadd(_zmul(self.num, db), _zmul(other.num, da))
+            da, db = _zdiv_exact(da, g), _zdiv_exact(db, g)
+        noff, num = _zadd(self.noff, _zmul(self.num, db), other.noff, _zmul(other.num, da))
         den = _zmul(da, db)
         if len(g) > 1:
-            num, g = _zcancel(num, _from_list(g))
+            num, g = _zcancel(num, g)
             den = _zmul(den, g)
-        return SpectralScalar(num, den, _reduced=True)
+        return _smake(noff, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SpectralScalar(
-            {e: -c for e, c in self.num.items()}, self.den, _reduced=True
-        )
+        return _smake(self.noff, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -862,14 +804,15 @@ class SpectralScalar:
         if (len(b) > 1 or len(d) > 1) and other is not self:
             a, d = _zcancel(a, d)
             c, b = _zcancel(c, b)
-        return SpectralScalar(_zmul(a, c), _zmul(b, d), _reduced=True)
+        return _smake(self.noff + other.noff, _zmul(a, c), _zmul(b, d))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero SpectralScalar")
-        return SpectralScalar(dict(self.den), dict(self.num))
+        inv = self.num[-1].inverse()
+        return _smake(-self.noff, _zscale(self.den, inv), _zscale(self.num, inv))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -899,13 +842,11 @@ class SpectralScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.noff == other.noff and self.num == other.num and self.den == other.den
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(
-                (frozenset(self.num.items()), frozenset(self.den.items()))
-            )
+            self._hash = hash((self.noff, self.num, self.den))
         return self._hash
 
     def specialize(self, value):
@@ -918,11 +859,9 @@ class SpectralScalar:
                 "specialize takes an int, Scalar or SpectralScalar, got %s"
                 % type(given).__name__
             )
-        low = min(self.num, default=0)
-        if low < 0 and value.is_zero():
-            # the numerator is Laurent in z: the pole is its factor z^-low
-            raise PoleError("z1", given, _zstr(_zshift(self.den, -low)))
-        num = _zeval(self.num, value)
+        if self.noff < 0 and value.is_zero():
+            # the pole is the factor z**-noff of the denominator
+            raise PoleError("z1", given, _zstr(-self.noff, self.den))
         den = _zeval(self.den, value)
         if den.is_zero():
             try:
@@ -930,19 +869,29 @@ class SpectralScalar:
             except ValueError:
                 k = None
             raise PoleError("z1", given, self.den_str(), k)
-        return num / den
+        return value**self.noff * _zeval(self.num, value) / den
 
     def num_str(self, name="z1"):
-        return _zstr(self.num, name)
+        return _zstr(self.noff, self.num, name)
 
     def den_str(self, name="z1"):
-        return _zstr(self.den, name)
+        return _zstr(0, self.den, name)
 
     def to_str(self, name="z1"):
         return "(%s)/(%s)" % (self.num_str(name), self.den_str(name))
 
     def __repr__(self):
         return "SpectralScalar(%s)" % self.to_str()
+
+
+def _smake(noff, num, den):
+    """A SpectralScalar from parts already in canonical form."""
+    s = object.__new__(SpectralScalar)
+    s.noff = noff
+    s.num = num
+    s.den = den
+    s._hash = None
+    return s
 
 
 def _coerce(x):
@@ -955,58 +904,53 @@ def _coerce(x):
     return NotImplemented
 
 
-def _zeval(d, value):
-    out = SZERO
-    for e, c in d.items():
-        out = out + SpectralScalar.from_scalar(c) * (value**e)
-    return out
+def _zeval(cs, value):
+    """cs at z = value, by Horner."""
+    acc = SZERO
+    for c in reversed(cs):
+        acc = acc * value + c
+    return acc
 
 
-def _sreduce(num, den):
-    num = _ztrim(num)
-    den = _ztrim(den)
+def _sreduce(noff, num, den):
+    """Canonical (noff, num, den) of z**noff * num(z) / den(z)."""
+    i, num = _ztrim(num)
+    j, den = _ztrim(den)
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {0: ONE}
-    # clear Laurent shifts
-    n, num = _znormal(num)
-    d, den = _znormal(den)
+        return 0, (), _ZONE
     num, den = _zcancel(num, den)
-    # monic denominator
-    lc = den[max(den)]
-    if not lc.is_one():
-        inv = lc.inverse()
-        num = _zscale(num, inv)
-        den = _zscale(den, inv)
-    return _zshift(num, n - d), den
+    inv = den[-1].inverse()
+    return noff + i - j, _zscale(num, inv), _zscale(den, inv)
 
 
-def _zstr(d, name="z1"):
-    if not d:
-        return "0"
+def _zstr(off, cs, name="z1"):
     parts = []
-    for e in sorted(d):
-        cs = d[e].to_str()
+    for e, c in enumerate(cs, off):
+        if c.is_zero():
+            continue
+        s = c.to_str()
         if e:
-            cs += "*" + (name if e == 1 else "%s^%d" % (name, e))
-        parts.append(cs)
-    return " + ".join(parts)
+            s += "*" + (name if e == 1 else "%s^%d" % (name, e))
+        parts.append(s)
+    return " + ".join(parts) or "0"
 
 
-SZERO = SpectralScalar({}, {0: ONE}, _reduced=True)
-SONE = SpectralScalar({0: ONE}, {0: ONE}, _reduced=True)
+_ZONE = (ONE,)
+SZERO = _smake(0, (), _ZONE)
+SONE = _smake(0, _ZONE, _ZONE)
 Z1 = SpectralScalar.monomial(ONE, 1)
 
 
 def factor_q_poles(den, bound):
     """Split a z-polynomial over Q(w) into q-power roots.
 
-    den: {exponent: Scalar}, as SpectralScalar.den.  Trial-divides by
+    den: a coefficient tuple, as SpectralScalar.den.  Trial-divides by
     (z - q^k) for |k| <= bound and returns (multiset of exponents k as a
-    sorted list, leftover factor as {exponent: Scalar}).
+    sorted list, leftover factor as a coefficient tuple).
     """
-    cs = _l1trim(_to_list(den))
+    cs = den
     found = []
     k = -bound
     while k <= bound and len(cs) > 1:
@@ -1016,11 +960,11 @@ def factor_q_poles(den, bound):
         for c in reversed(cs):
             acc = acc * qk + c
         if acc.is_zero():
-            cs = _l1div_exact(cs, [-qk, ONE])
+            cs = _zdiv_exact(cs, (-qk, ONE))
             found.append(k)
             continue  # same k again (multiplicity)
         k += 1
-    return sorted(found), _from_list(cs)
+    return sorted(found), cs
 
 
 # ---------------------------------------------------------------------------

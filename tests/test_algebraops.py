@@ -561,14 +561,23 @@ def test_blocked_equivariance_matches_one_ket_at_a_time():
         assert all(r.checked == 24 for r in got if r is not rep)
 
 
+class Leaky(TruncatedModule):
+    """A truncation that reports every nonzero e_1 image as leaving the
+    window: the truncated side of such a ket has no image left."""
+
+    def apply_gen(self, gen, label):
+        out = TruncatedModule.apply_gen(self, gen, label)
+        return DROPPED if gen == ("e", 1) and out else out
+
+
 def test_blocked_monoidality_matches_one_ket_at_a_time():
-    class Leaky(TruncatedModule):
-        """A truncation that reports every nonzero e_1 image as leaving the
-        window: the truncated side of a failing ket is empty and flagged."""
+    class Blind(TruncatedModule):
+        """A truncation that kills every nonzero e_1 image: the truncated
+        side of a failing ket is empty."""
 
         def apply_gen(self, gen, label):
             out = TruncatedModule.apply_gen(self, gen, label)
-            return DROPPED if gen == ("e", 1) and out else out
+            return () if gen == ("e", 1) and out else out
 
     tgt = phi_words("c", "underline", EPS)
     wx = WModule(EPS, parse_scalar("q^2"), cutoff=6)
@@ -576,7 +585,7 @@ def test_blocked_monoidality_matches_one_ket_at_a_time():
     t_amb = TensorModule([wx, wy])
 
     def t_bad():
-        return TensorModule([Leaky(wx, tgt), TruncatedModule(wy, tgt)])
+        return TensorModule([Blind(wx, tgt), TruncatedModule(wy, tgt)])
 
     def check(t_tr):
         got = check_monoidality(tgt, t_amb, t_tr, maxdeg=4)
@@ -594,8 +603,29 @@ def test_blocked_monoidality_matches_one_ket_at_a_time():
         got = check(_listed(t_bad(), labels))
         rep = got[2]
         assert rep.residual_label == failing and rep.checked == pos + 1, pos
-        assert rep.residual.overflow
+        # the truncated side is empty, so the residual is the ambient image
+        assert rep.residual == eval_word(tgt.phi(("e", 1)), FockVector.basis(failing), t_amb)
         assert all(r.checked == 24 for r in got if r is not rep)
+
+
+def test_truncation_checks_refuse_a_ket_whose_image_left_the_window():
+    tgt = phi_words("c", "underline", EPS)
+    factors = [(parse_scalar("q^2"), "W"), (parse_scalar("q^-4"), "W")]
+    t_amb, t_tr = (level_module("c", level, EPS, 4, factors) for level in ("bold", "underline"))
+    # maxdeg = cutoff: phi images of the top kets leave the window
+    with pytest.raises(WindowError):
+        check_monoidality(tgt, t_amb, t_tr, maxdeg=4)
+    reps = check_monoidality(tgt, t_amb, t_tr, maxdeg=1)
+    assert all(r.passed for r in reps)
+    # a ket whose truncated image left the window whole has no image at all
+    wx, wy = (WModule(EPS, x, cutoff=6) for x, _ in factors)
+    t_leaky = TensorModule([Leaky(wx, tgt), TruncatedModule(wy, tgt)])
+    with pytest.raises(WindowError):
+        check_monoidality(tgt, TensorModule([wx, wy]), t_leaky, maxdeg=4)
+    # equivariance on a window listed up to the cutoff
+    module = WModule(EPS, ONE, cutoff=4)
+    with pytest.raises(WindowError):
+        check_truncation_equivariance(tgt, _listed(module, list(module.enumerate_labels())))
 
 
 def test_monoidality_catches_an_image_only_on_the_truncated_side():

@@ -134,6 +134,9 @@ USAGE_ERRORS = [
     (["fundamental", "--l", "1", "--x", "0"], "--x"),
     (["verify-phi", "--flavor", "d", "--side", "underline"], "--flavor d"),
     (["truncate", "--flavor", "d", "--side", "underline"], "--flavor d"),
+    (["truncate", "--flavor", "c", "--side", "underline", "--cutoff", "0"], "--cutoff 2 or more"),
+    (["truncate", "--flavor", "c", "--side", "overline", "--cutoff", "1", "--monoidal"],
+     "--cutoff 2 or more"),
     (["rmatrix", "--flavor", "c", "--cutoff", "-1"], "top component ()"),
     (["rmatrix", "--flavor", "d", "--l", "1,1", "--m", "2", "--cutoff", "1", "--level",
       "underline"], "top component (0, 1)"),

@@ -8,7 +8,6 @@ from qosc.lattice import (
     EpsilonData,
     Weight,
     bilinear,
-    fundamental_weight,
     qpair,
     simple_root,
 )
@@ -43,13 +42,6 @@ def test_bilinear_values():
     assert bilinear(d1, EPS.Lam(), EPS) == Fraction(-1, 2)
     # (Lam|Lam) = (1/4) sum (-1)^eps_i
     assert bilinear(EPS.Lam(), EPS.Lam(), EPS) == Fraction(-1, 4)
-
-
-def test_fundamental_weights_pair_with_roots():
-    for i in EPS.II:
-        for j in EPS.II:
-            want = 1 if i == j else 0
-            assert bilinear(fundamental_weight(i, EPS), simple_root(j, EPS), EPS) == want
 
 
 def test_qpair_values():

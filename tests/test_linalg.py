@@ -294,8 +294,9 @@ def ref_cone_member_by_solve(roots, dvec):
     if status != "unique":
         return False
     for x in sol.values():
-        parts = x.monomial_parts()
-        if parts is None or parts[1] != 0 or parts[0].denominator != 1 or parts[0] < 0:
+        # a nonnegative integer n is the Scalar from_int(n), whose num is (n,)
+        n = x.num[0] if x.num else 0
+        if n < 0 or x != Scalar.from_int(n):
             return False
     return True
 

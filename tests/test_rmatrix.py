@@ -1,3 +1,4 @@
+import copy
 import re
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from qosc.decomp import hw_weight
 from qosc.fockmod import FockVector
 from qosc.fundrep import truncate_image_span
+from qosc.linalg import RowBasis
 from qosc.rmatrix import (
     AdmissibilityError,
     SolverError,
@@ -172,7 +174,7 @@ def assert_canonical_match(rep, rho_level):
     coefficients are Scalars, and it hashes equal to the level rho."""
     assert set(rep["expected"]) == set(rho_level)
     for key, val in rep["expected"].items():
-        coeffs = list(val.num.values()) + list(val.den.values())
+        coeffs = val.num + val.den
         assert all(type(c) is Scalar for c in coeffs), key
         assert val == rho_level[key] and hash(val) == hash(rho_level[key]), key
 
@@ -187,6 +189,27 @@ def test_cross_level_operator_identity_and_scales():
     assert rep["pass"] and rep["checked"] > 0
     assert rep["rho_failures"] == {}
     assert_canonical_match(rep, rho_u)
+
+
+def test_cross_level_check_fails_on_a_scale_alone():
+    # one level rho off by q, compared on a level span without the blocks
+    # of its component: the operator identity holds on every block left,
+    # and the rho comparison alone must fail the check
+    sigma = ("-", "+")
+    pair_b = make_c_pair(2, sigma, cutoff=5, level="bold")
+    pair_u = make_c_pair(2, sigma, cutoff=5, level="underline")
+    rho_u, dec_u = solve_R(pair_u)
+    rho_b, dec_b = solve_R(pair_b, needed_weights=list(dec_u.blocks))
+    key = sorted(rho_u)[-1]
+    rest = copy.copy(dec_u)
+    rest.blocks = {wt: blk for wt, blk in dec_u.blocks.items()
+                   if all(k != key for k, _, _ in blk[1])}
+    rep = verify_truncated_operator(
+        pair_b, dec_b, rho_b, pair_u, rest, {**rho_u, key: rho_u[key] * Q}
+    )
+    assert rep["checked"] > 0 and rep["failures"] == []
+    assert set(rep["rho_failures"]) == {key}
+    assert not rep["pass"]
 
 
 def test_solve_d_small_window():
@@ -242,6 +265,20 @@ def test_d_unitarity_at_equal_labels():
     assert verify_unitarity(pair, dec, rho, maxdeg=4)["pass"]
 
 
+def test_unitarity_fails_on_an_image_outside_the_span():
+    # every stored vector, applied through a span that lost the last
+    # vector of one block: that vector's image leaves the span
+    pair = make_c_pair(2, ("+", "+"), cutoff=5, level="bold")
+    rho, dec = solve_R(pair, needed_weights=None)
+    wt, entries = dec.ordered(3)[-1]
+    assert len(entries) > 1
+    short = copy.copy(dec)
+    short.blocks = {**dec.blocks, wt: (RowBasis(), entries[:-1])}
+    short.ordered = dec.ordered
+    rep = verify_unitarity(pair, short, rho, maxdeg=3)
+    assert not rep["pass"] and rep["failures"] == [(entries[-1][0], wt)]
+
+
 def test_overline_level_full_entrywise_verification():
     # the truncated modules are finite dimensional, so the spectral
     # decomposition can be verified entrywise on every block
@@ -260,7 +297,7 @@ def test_diamond_renormalization_clears_finite_level_poles():
         pair = make_c_pair(2, sigma, cutoff=8, level="overline")
         rho, _ = solve_R(pair)
         for k, v in rho.items():
-            assert (D * v).den == {0: SONE.num[0]}, (sigma, k)
+            assert (D * v).den == SONE.den, (sigma, k)
 
 
 def test_rank_three_host():
@@ -274,6 +311,14 @@ def test_c_pole_consistency():
     pair = make_c_pair(2, ("+", "+"), cutoff=6, level="bold")
     rho, _ = solve_R(pair)
     assert pole_failures("c", ("+", "+"), rho, 64) == {}
+
+
+def test_pole_failures_report_a_factor_that_is_no_q_power():
+    # z - 2 is no z - q^e, so it is left over whatever the bound, and the
+    # declared pole of the same rho does not hide it
+    lam = (2,)
+    rho = {(): SONE, lam: closed_rho_c(("+", "+"), lam) / (Z1 - 2)}
+    assert pole_failures("c", ("+", "+"), rho, 64) == {lam: [2]}
 
 
 def test_closed_rho_d_recursion_endpoints():

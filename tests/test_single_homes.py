@@ -1,5 +1,6 @@
-"""Level modules have one constructor, algebraops.level_module, and no
-module of the package probes its arguments with hasattr or getattr."""
+"""Level modules have one constructor, algebraops.level_module, Q(w)(z)
+is entered only inside scalars, and no module of the package probes its
+arguments with hasattr or getattr."""
 
 import ast
 from pathlib import Path
@@ -23,16 +24,23 @@ def top_level_scopes(tree):
             yield "<module>", node
 
 
+def names_one_of(node, names):
+    """node is a name or an attribute in names, as WModule or v.from_scalar."""
+    return (isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names)
+
+
 def callers_of(tree, names):
     """The scopes with a call whose callee expression names one of names,
-    as in WModule(...) or (WModule if c else W2Module)(...)."""
+    as in WModule(...), (WModule if c else W2Module)(...) or
+    v.from_scalar(...)."""
     return sorted(
         {
             scope
             for scope, node in top_level_scopes(tree)
             for call in ast.walk(node)
             if isinstance(call, ast.Call)
-            and any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(call.func))
+            and any(names_one_of(n, names) for n in ast.walk(call.func))
         }
     )
 
@@ -53,6 +61,15 @@ def test_no_module_probes_attributes():
     assert package_callers({"hasattr", "getattr"}) == []
 
 
+# SpectralScalar(...), SpectralScalar.monomial(...) and any .from_scalar(...)
+SPECTRAL_ENTRIES = {"SpectralScalar", "from_scalar"}
+
+
+def test_only_scalars_enters_the_spectral_field():
+    # every other module lifts a Scalar by arithmetic with Z1 or SONE
+    assert {path for path, _ in package_callers(SPECTRAL_ENTRIES)} == {"scalars.py"}
+
+
 def test_the_checks_see_a_second_caller():
     tree = ast.parse(
         "import fockmod\n"
@@ -66,3 +83,15 @@ def test_the_checks_see_a_second_caller():
     )
     assert callers_of(tree, {"WModule", "W2Module"}) == ["<module>", "helper", "level_module"]
     assert callers_of(tree, {"hasattr", "getattr"}) == ["Probe.size"]
+
+
+def test_the_spectral_check_sees_every_entry():
+    tree = ast.parse(
+        "from .scalars import SpectralScalar\n"
+        "def pole(e):\n    return (Z1 - SpectralScalar.from_scalar(q_power(e))) * SONE\n"
+        "def lift(s):\n    return s.from_scalar(ONE)\n"
+        "def mono():\n    return SpectralScalar.monomial(ONE, 1)\n"
+        "def plain():\n    return Scalar.monomial(1, 2) * Z1 - qint(2)\n"
+        "class Rho:\n    def build(self):\n        return SpectralScalar(0, (ONE,), (ONE,))\n"
+    )
+    assert callers_of(tree, SPECTRAL_ENTRIES) == ["Rho.build", "lift", "mono", "pole"]
