@@ -28,7 +28,6 @@ from .fockmod import (
     W2Module,
     WModule,
     act,
-    act_k,
     eval_word,
     weight_block,
 )

@@ -586,9 +586,7 @@ def truncate_vector(vec: FockVector, kept) -> FockVector:
             return all(keeps(p) for p in label)
         return all(c == 0 for i, c in enumerate(label, start=1) if i not in ks)
 
-    out = FockVector(overflow=vec.overflow)
-    out.terms = {l: c for l, c in vec.terms.items() if keeps(l)}
-    return out
+    return FockVector.of({l: c for l, c in vec.terms.items() if keeps(l)})
 
 
 def _generators(tgt):

@@ -377,10 +377,11 @@ def cmd_fundamental(args):
                              % (args.cutoff, args.l, need))
     mod = level_module("d", "bold", host_eps("d", args.m), args.cutoff,
                        [(_scalar(args.x, "--x"), "W")])
-    need = mod.degree(v_lk_label(args.l, k, mod.n))
+    # e_0 v_{l,k} and its certificate word lie two degrees above v_{l,k}
+    need = mod.degree(v_lk_label(args.l, k, mod.n)) + 2
     if args.cutoff < need:
-        raise UsageError("--cutoff %d: v_{%d,%d} has degree %d, above the window; it needs "
-                         "--cutoff %d or more" % (args.cutoff, args.l, k, need, need))
+        raise UsageError("--cutoff %d: e_0 v_{%d,%d} has degree %d, above the window; it "
+                         "needs --cutoff %d or more" % (args.cutoff, args.l, k, need, need))
     rep = build_fundamental(mod, args.l, k)
     checks = [
         {

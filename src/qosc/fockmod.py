@@ -3,7 +3,9 @@
 All modules are materialized lazily on sparse vectors over ket labels.
 A ket label is an integer tuple m (for W), a pair of tuples (for the
 rank-two Fock space) or a nested tuple of factor labels (for tensor
-products).  An image above the module cutoff is dropped whole and flagged.
+products).  An image above the module cutoff is DROPPED whole, and act and
+eval_word raise WindowError on it; since a ket's degree is its weight's,
+image_leaves_window tells such an image by its weight, before acting.
 """
 
 from __future__ import annotations
@@ -27,21 +29,27 @@ DROPPED = object()
 
 
 class FockVector:
-    """Sparse vector: {label: coefficient}, plus a sticky overflow flag."""
+    """Sparse vector: {label: coefficient}."""
 
-    __slots__ = ("terms", "overflow")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, overflow=False):
+    def __init__(self, terms=None):
         self.terms = {}
         if terms:
             for l, c in terms.items():
                 if not c.is_zero():
                     self.terms[l] = c
-        self.overflow = overflow
 
     @staticmethod
     def basis(label):
         return FockVector({label: ONE})
+
+    @staticmethod
+    def of(terms):
+        """A vector on terms, a {label: Scalar} dict with no zero entry."""
+        v = FockVector()
+        v.terms = terms
+        return v
 
     def is_zero(self):
         return not self.terms
@@ -55,21 +63,15 @@ class FockVector:
                 out.pop(l, None)
             else:
                 out[l] = s
-        v = FockVector()
-        v.terms = out
-        v.overflow = self.overflow or other.overflow
-        return v
+        return FockVector.of(out)
 
     def __sub__(self, other):
         return self + other.scale(Scalar.from_int(-1))
 
     def scale(self, c):
         if c.is_zero():
-            return FockVector(overflow=self.overflow)
-        v = FockVector()
-        v.terms = {l: c * x for l, x in self.terms.items()}
-        v.overflow = self.overflow
-        return v
+            return FockVector()
+        return FockVector.of({l: c * x for l, x in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):
@@ -87,10 +89,7 @@ class FockVector:
             bits.append("(%s)*|%s>" % (c.to_str(), ket_str(l)))
         if len(self.terms) > 4:
             bits.append("...")
-        return "FockVector(%s%s)" % (
-            " + ".join(bits),
-            ", overflow" if self.overflow else "",
-        )
+        return "FockVector(%s)" % " + ".join(bits)
 
 
 def tensor_vector(va: FockVector, vb: FockVector) -> FockVector:
@@ -99,7 +98,6 @@ def tensor_vector(va: FockVector, vb: FockVector) -> FockVector:
     for la, ca in va.terms.items():
         for lb, cb in vb.terms.items():
             out.terms[(la, lb)] = ca * cb
-    out.overflow = va.overflow or vb.overflow
     return out
 
 
@@ -481,7 +479,7 @@ class PullbackModule(ModuleView):
 class TruncatedModule(PullbackModule):
     """A truncation tr_eps'(V): the kets of a pull-back supported on the
     kept indices of its target algebra.  It acts as the pull-back does, so
-    a phi image that leaves the window is dropped whole and flagged."""
+    a phi image that leaves the window is DROPPED whole."""
 
     def _kept_supported(self, delta):
         kept = self.algebra.kept
@@ -707,28 +705,35 @@ def _eval_trie(trie, rows, module):
     return list(zip(outs, dropped))
 
 
-def _vector(terms, overflow):
-    v = FockVector(overflow=overflow)
-    v.terms = terms
-    return v
+def _one_row(walked, what):
+    """The vector of an action's one row; WindowError if a ket's image left."""
+    rows, dropped = walked
+    if dropped:
+        raise WindowError("%s: the image of a ket left the degree window" % (what,))
+    return FockVector.of(rows.get(None, {}))
 
 
 def act(module, gen, vec: FockVector) -> FockVector:
-    """Apply a generator ('e', i) or ('f', i); drops kets above the cutoff
-    and marks the overflow flag."""
-    rows, dropped = _step(module, gen, {None: vec.terms})
-    return _vector(rows.get(None, {}), vec.overflow or bool(dropped))
-
-
-def act_k(module, mu: Weight, vec: FockVector) -> FockVector:
-    rows, _ = _step(module, ("k", mu), {None: vec.terms})
-    return _vector(rows.get(None, {}), vec.overflow)
+    """Apply a generator ('e', i) or ('f', i); raises WindowError when the
+    image of a ket of vec lies above the cutoff."""
+    return _one_row(_step(module, gen, {None: vec.terms}), gen)
 
 
 def eval_word(expr: WordExpr, vec: FockVector, module) -> FockVector:
-    """Evaluate a WordExpr right-to-left on a vector."""
-    ((rows, dropped),) = _eval_trie(expr.suffix_trie(), {None: vec.terms}, module)
-    return _vector(rows.get(None, {}), vec.overflow or bool(dropped))
+    """Evaluate a WordExpr right-to-left on a vector; raises WindowError
+    when a step of a term dropped a ket above the cutoff."""
+    (walked,) = _eval_trie(expr.suffix_trie(), {None: vec.terms}, module)
+    return _one_row(walked, "word")
+
+
+def image_leaves_window(module, gen, wt: Weight):
+    """Whether the image of a weight-wt vector under gen = (kind, j), of
+    weight wt + alpha_j for e_j and wt - alpha_j for f_j, lies above the
+    cutoff; atom_shift(gen) is that weight's change of degree.  Exact,
+    since a ket's degree is its weight's degree: there act raises
+    WindowError unless every ket's image is zero, and elsewhere it never
+    raises."""
+    return wt.degree() + module.atom_shift(gen) > module.cutoff
 
 
 def eval_words_on_kets(trie, labels, module):

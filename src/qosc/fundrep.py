@@ -18,6 +18,7 @@ from .fockmod import (
     ImageMemo,
     act,
     eval_word,
+    image_leaves_window,
     tensor_vector,
 )
 from .linalg import RowBasis, Shadow, ShadowBasis, solve_unique
@@ -124,10 +125,12 @@ class Subspace:
         as an entry (key, v, v_tgt); with target None the entries are v.
 
         A stored vector queues one candidate per f_j: the vector, j and the
-        candidate's weight, the vector's weight less alpha_j.  A candidate's
-        image is computed when it is popped, unless its block is full, and
-        its target image only when the image is independent; an image that
-        is zero or overflows on either side is dropped.  Each image is
+        candidate's weight, the vector's weight less alpha_j, unless that
+        weight lies above the window (image_leaves_window), so no image
+        computed here leaves it; the target's has the same weight and
+        cutoff.  A candidate's image is computed when it is popped, unless
+        its block is full, and its target image only when the image is
+        independent; a zero image is dropped.  Each image is
         decided as add decides it: one independent at w0 is accepted, any
         other is reduced exactly, at once when no bound is given; so an
         unbounded build stores what an eager exact one would, in order.
@@ -168,7 +171,7 @@ class Subspace:
             if not drained:
                 if j is not None:
                     vs = act(source, ("f", j), vs)
-                    if vs.is_zero() or vs.overflow:
+                    if vs.is_zero():
                         continue
                 r = self._at_w0(wt, vs.terms)
                 if bound is not None and r is not None and not r:
@@ -182,12 +185,11 @@ class Subspace:
             if target is not None:
                 if j is not None:
                     vt = act(target, ("f", j), vt)
-                    if vt.overflow:
-                        continue
                 entry = (key, vs, vt)
             self._store(wt, blk, entry, r, mult)
             for j, root in roots:
-                queue.append((key, vs, vt, j, wt - root))
+                if not image_leaves_window(source, ("f", j), wt):
+                    queue.append((key, vs, vt, j, wt - root))
         self._shadow = self._shadows = None
 
     def contains(self, vec: FockVector):
@@ -320,7 +322,8 @@ def fundamental_span(module, l: int, k: int) -> Subspace:
 
 def build_fundamental(module, l: int, k: int):
     """fundamental_span of v_{l,k}; verifies e_0/f_0 stability and the
-    explicit e_0 identity."""
+    explicit e_0 identity.  On an ambient module it raises WindowError
+    below cutoff l + 2, where e_0 v_{l,k} leaves the window."""
     n = module.n
     v0 = FockVector.basis(v_lk_label(l, k, n))
     lower = finite_indices(module.algebra)
@@ -338,16 +341,13 @@ def build_fundamental(module, l: int, k: int):
 
     for wt, vecs in span.ordered():
         for v in vecs:
-            if wt.degree() + 2 <= module.cutoff:
-                img = act(module, ("e", 0), v)
-                if not img.overflow and not span.contains(img):
+            if not image_leaves_window(module, ("e", 0), wt):
+                if not span.contains(act(module, ("e", 0), v)):
                     report.e0_closed = False
-            img = act(module, ("f", 0), v)
-            if not img.overflow and not span.contains(img):
+            if not span.contains(act(module, ("f", 0), v)):
                 report.f0_closed = False
             for j in lower:
-                img = act(module, ("e", j), v)
-                if not img.overflow and not span.contains(img):
+                if not span.contains(act(module, ("e", j), v)):
                     report.raising_closed = False
     return report
 
@@ -365,12 +365,10 @@ def iso_between_k(module, l: int, k1: int, k2: int):
         for _, a, b in entries:
             image.add(b)
             for gen in (("e", 0), ("f", 0)):
-                ia = act(module, gen, a)
-                ib = act(module, gen, b)
-                if ia.overflow or ib.overflow:
+                if image_leaves_window(module, gen, wt):
                     continue
-                im = span.apply(ia, {0: ONE})
-                if im is None or not (im - ib).is_zero():
+                im = span.apply(act(module, gen, a), {0: ONE})
+                if im is None or not (im - act(module, gen, b)).is_zero():
                     residuals.append((gen, wt))
     return {"dims_match": span.dims() == image.dims(), "residuals": residuals}
 

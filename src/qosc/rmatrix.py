@@ -23,6 +23,7 @@ from .fockmod import (
     FockVector,
     TensorModule,
     act,
+    image_leaves_window,
     label_key,
     tensor_vector,
     weight_block,
@@ -429,23 +430,18 @@ def solve_R(pair: RPair, needed_weights=()):
     if pair.lambda0 not in unknowns:
         raise SolverError("top component %r is outside the window" % (pair.lambda0,))
     src, tgt = pair.source, pair.target
-    cutoff = src.cutoff
+    # the components whose e_0 image lies in the window: one equation each
+    raised = [comp for comp in pair.components
+              if not image_leaves_window(src, ("e", 0), comp.weight)]
     alpha0 = src.algebra.root(0)
-    eq_weights = []
-    for comp in pair.components:
-        if comp.weight.degree() + 2 <= cutoff:
-            eq_weights.append(comp.weight + alpha0)
-    needed = None if needed_weights is None else eq_weights + list(needed_weights)
+    needed = (None if needed_weights is None
+              else [comp.weight + alpha0 for comp in raised] + list(needed_weights))
     dec = PairDecomposition(pair, needed_weights=needed)
 
     equations = []
-    for comp in pair.components:
-        if comp.weight.degree() + 2 > cutoff:
-            continue
+    for comp in raised:
         u = act(src, ("e", 0), comp.v_src)
         ut = act(tgt, ("e", 0), comp.v_tgt)
-        if u.overflow or ut.overflow:
-            continue
         parts = dec.express(u)
         if parts is None:
             raise SolverError(
@@ -490,10 +486,10 @@ def verify_spectral(pair, dec, rho, maxdeg):
         for ckey, vs, vt in entries:
             rimg = vt.scale(rho[ckey])
             for g in gens:
+                if image_leaves_window(src, g, wt):
+                    continue
                 u = act(src, g, vs)
                 ut = act(tgt, g, rimg)
-                if u.overflow or ut.overflow:
-                    continue
                 lhs = dec.apply(u, rho)
                 if lhs is None:
                     continue

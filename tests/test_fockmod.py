@@ -1,25 +1,32 @@
 import itertools
+from collections import Counter
 
 import pytest
+from test_eval_reference import act_or_none
 
 from qosc.algebraops import phi_words
 from qosc.fockmod import (
     DROPPED,
     FockVector,
     ImageMemo,
+    ModuleView,
+    PullbackModule,
     RestrictedModule,
     TensorModule,
     TruncatedModule,
     W2Module,
+    WindowError,
     WModule,
     act,
-    act_k,
+    eval_word,
     flat_label,
+    image_leaves_window,
     weight_block,
 )
 from qosc.lattice import EpsilonData, Weight, qpair, simple_root
 from qosc.fundrep import Subspace
 from qosc.scalars import Q, Scalar, Z1, W as Wsc, parse_scalar, qint
+from qosc.words import WordExpr
 
 EPS = EpsilonData((1, 0, 1, 0, 1))
 EPSP = EpsilonData((0, 1, 0, 1, 0))
@@ -39,16 +46,16 @@ def test_action_table_examples():
 def test_printed_k_rows_match_qpair():
     mod = WModule(EPS, Scalar.from_int(1), cutoff=6)
     m = (1, 2, 0, 1, 0)
-    kv = act_k(mod, simple_root(0, EPS), FockVector.basis(m))
+    kv = eval_word(WordExpr.k(simple_root(0, EPS)), FockVector.basis(m), mod)
     assert kv.terms[m] == EPS.qi(1) ** (m[0] - 1) * EPS.qi(2) ** m[1]
-    kv = act_k(mod, simple_root(5, EPS), FockVector.basis(m))
+    kv = eval_word(WordExpr.k(simple_root(5, EPS)), FockVector.basis(m), mod)
     assert kv.terms[m] == EPS.qi(5) ** (1 - m[4]) * EPS.qi(4) ** (-m[3])
-    kv = act_k(mod, EPS.Lam(), FockVector.basis(m))
+    kv = eval_word(WordExpr.k(EPS.Lam()), FockVector.basis(m), mod)
     assert kv.terms[m] == Wsc ** sum(m)
 
     w2 = W2Module(EPSP, Scalar.from_int(1), cutoff=6)
     lab = ((1, 0, 2, 0, 0), (0, 1, 0, 0, 1))
-    kv = act_k(w2, simple_root(0, EPSP), FockVector.basis(lab))
+    kv = eval_word(WordExpr.k(simple_root(0, EPSP)), FockVector.basis(lab), w2)
     want = EPSP.qi(1) ** 1 * EPSP.qi(2) ** 1 * Q**2
     assert kv.terms[lab] == want
     assert w2.weight_of(lab) == Weight(2, (1, 1, 2, 0, 1))
@@ -62,11 +69,11 @@ def test_kets_outside_cone_are_dropped():
     assert img.is_zero()
 
 
-def test_overflow_flag_is_sticky():
+def test_an_image_above_the_window_raises_window_error():
     mod = WModule(EPS, Scalar.from_int(1), cutoff=2)
     v = FockVector.basis((0, 1, 0, 1, 0))
-    img = act(mod, ("f", 5), v)  # degree 4 > cutoff
-    assert img.is_zero() and img.overflow
+    with pytest.raises(WindowError):
+        act(mod, ("f", 5), v)  # degree 4 > cutoff
 
 
 def test_generator_domain_error():
@@ -77,13 +84,12 @@ def test_generator_domain_error():
 
 def test_guard_violation_raises_window_error():
     from qosc.algebraops import check_relation_on
-    from qosc.fockmod import WindowError, eval_word
-    from qosc.words import WordExpr
 
     mod = WModule(EPS, Scalar.from_int(1), cutoff=4)
     expr = WordExpr.e(0) * WordExpr.f(5)  # raises degree by 4
     ket = (0, 1, 0, 1, 0)
-    assert eval_word(expr, FockVector.basis(ket), mod).overflow
+    with pytest.raises(WindowError):
+        eval_word(expr, FockVector.basis(ket), mod)
     # the guard band keeps the ket out of a relation check; a module that
     # understates the rise lets it in, and the check refuses the result
     assert check_relation_on(mod, "e0f5", expr, [ket]).checked == 0
@@ -115,7 +121,7 @@ def test_k_acts_by_qpair_eigenvalue():
     for label in mod.enumerate_labels(3):
         wt = mod.weight_of(label)
         for mu in mus:
-            kv = act_k(mod, mu, FockVector.basis(label))
+            kv = eval_word(WordExpr.k(mu), FockVector.basis(label), mod)
             assert kv.terms[label] == qpair(wt, mu, EPS)
 
 
@@ -183,8 +189,8 @@ def test_desk_scale_cyclicity_of_parity_submodules():
                 continue
             for i in EPS.I:
                 for kind in ("e", "f"):
-                    img = act(sub, (kind, i), v)
-                    if not img.is_zero() and not img.overflow:
+                    img = act_or_none(sub, (kind, i), v)
+                    if img is not None and not img.is_zero():
                         queue.append(img)
         for label in sub.enumerate_labels(2):
             assert span.contains(FockVector.basis(label)), (parity, label)
@@ -300,3 +306,64 @@ def test_each_module_keeps_its_images_in_one_place():
     label = ((0, 0, 0, 0, 0), (0, 2, 0, 2, 0))  # at the cutoff; e_0 raises it by 2
     assert memo.apply_gen(("e", 0), label) is DROPPED
     assert memo._images == {(("e", 0), label): DROPPED} and tensor._images is None
+
+
+# -- the weight rule of the window -------------------------------------------
+
+
+def weight_rule_failures(mod):
+    """Where a module breaks the premise of image_leaves_window: a ket whose
+    degree is not its weight's degree, an image the rule puts above the
+    window that act returns nonzero, or one it puts inside that act
+    refuses.  Also counts the images of each kind, so that a pass is
+    earned."""
+    failures, seen = [], Counter()
+    for label in mod.enumerate_labels():
+        wt = mod.weight_of(label)
+        if mod.degree(label) != wt.degree():
+            failures.append(("degree", label))
+        for gen in [(kind, j) for j in mod.algebra.gen_indices for kind in "ef"]:
+            above = image_leaves_window(mod, gen, wt)
+            try:
+                img = act(mod, gen, FockVector.basis(label))
+            except WindowError:
+                seen["raised"] += 1
+                if not above:
+                    failures.append(("raised inside", gen, label))
+                continue
+            seen["above" if above else "returned"] += 1
+            if above and not img.is_zero():
+                failures.append(("returned above", gen, label))
+    return failures, seen
+
+
+WEIGHT_RULE_MODULES = {
+    **PROTOCOL_MODULES,
+    "Tensor(W,W)": lambda x, cutoff: TensorModule([_w(x, cutoff), _w("q^-4", cutoff)]),
+    "Tensor(Truncated(W2),W2)": lambda x, cutoff: TensorModule(
+        [_tr_w2(x, cutoff), PullbackModule(_w2("q^-4", cutoff), phi_words("d", "underline", EPSP))]),
+    "Pullback(W)": lambda x, cutoff: PullbackModule(_w(x, cutoff), phi_words("c", "overline", EPS)),
+    "Pullback(W2)": lambda x, cutoff: PullbackModule(_w2(x, cutoff), phi_words("d", "overline", EPSP)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_RULE_MODULES))
+def test_the_weight_rule_decides_the_window(name):
+    # the whole window, so the rule meets images on both sides of the cutoff
+    failures, seen = weight_rule_failures(WEIGHT_RULE_MODULES[name]("q^2", 3))
+    assert not failures, failures[:5]
+    assert seen["raised"] and seen["returned"], seen
+
+
+class _ShiftedWeights(ModuleView):
+    """A view whose weights carry one d_1 more than its kets' degrees."""
+
+    def weight_of(self, label):
+        return self.base.weight_of(label) + self.eps.delta(1)
+
+
+def test_the_weight_rule_check_sees_a_shifted_weight():
+    failures, _ = weight_rule_failures(_ShiftedWeights(_w2("q^2", 3)))
+    # every ket is off by one degree, and the rule puts each image that
+    # lands at the cutoff above it
+    assert {f[0] for f in failures} == {"degree", "returned above"}

@@ -1,3 +1,5 @@
+from test_eval_reference import act_or_none
+
 from qosc.algebraops import host_eps, level_module
 from qosc.fockmod import FockVector, W2Module, act, eval_word
 from qosc.fundrep import (
@@ -118,8 +120,11 @@ def test_generator_images_are_homogeneous_in_x():
             factor = {("e", 0): Z1, ("f", 0): Z1.inverse()}.get(gen, SONE)
             for label in mod.enumerate_labels():
                 v = FockVector.basis(label)
-                a, b = act(at[Z1], gen, v), act(at[ONE], gen, v)
-                assert a.overflow == b.overflow, (flavor, level, gen, label)
+                a, b = (act_or_none(at[x], gen, v) for x in (Z1, ONE))
+                # both raise or neither
+                assert (a is None) == (b is None), (flavor, level, gen, label)
+                if a is None:
+                    continue
                 assert (a - b.scale(factor)).is_zero(), (flavor, level, gen, label)
                 images += not a.is_zero()
         assert images > 100, (flavor, level)

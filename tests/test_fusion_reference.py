@@ -45,7 +45,7 @@ def ref_fuse(pair, rho, dec, c1, c2):
 
 
 def _despectralize(vec):
-    out = FockVector(overflow=vec.overflow)
+    out = FockVector()
     for l, c in vec.terms.items():
         if isinstance(c, SpectralScalar):
             c = c.as_scalar()

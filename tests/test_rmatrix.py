@@ -2,6 +2,7 @@ import copy
 import re
 
 import pytest
+from test_eval_reference import act_or_none
 
 from qosc.decomp import hw_weight
 from qosc.fockmod import FockVector
@@ -113,8 +114,6 @@ def test_projector_completeness_and_orthogonality():
 
     from qosc.fockmod import weight_block
 
-    from qosc.fockmod import act
-
     for wt in list(dec.blocks):
         if wt.degree() > 3:
             continue
@@ -132,13 +131,13 @@ def test_projector_completeness_and_orthogonality():
             assert (total - b).is_zero()
             # the projectors intertwine the finite-type action
             for gen in (("e", 2), ("f", 3)):
-                img = act(pair.source, gen, b)
-                if img.overflow:
+                img = act_or_none(pair.source, gen, b)
+                if img is None:
                     continue
                 for lam in comp_keys:
                     lhs = project(lam, img)
-                    rhs = act(pair.target, gen, project(lam, b))
-                    if rhs.overflow:
+                    rhs = act_or_none(pair.target, gen, project(lam, b))
+                    if rhs is None:
                         continue
                     assert (lhs - rhs).is_zero()
 
