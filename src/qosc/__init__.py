@@ -61,6 +61,7 @@ from .rmatrix import (
     AdmissibilityError,
     SolverError,
     check_admissible,
+    closed_form_failures,
     closed_rho_c,
     closed_rho_d,
     fuse,

@@ -23,7 +23,7 @@ from .algebraops import (
     truncate_vector,
 )
 from .decomp import classical_dim, decompose, hw_weight
-from .fockmod import DROPPED, FockVector, ModuleView
+from .fockmod import DROPPED, FockVector, ImageMemo
 from .fundrep import (
     appendix_C_verdicts,
     block_order,
@@ -38,8 +38,7 @@ from .lattice import EpsilonData
 from .rmatrix import (
     AdmissibilityError,
     check_admissible,
-    closed_rho_c,
-    closed_rho_d,
+    closed_form_failures,
     compare_truncated_image,
     fuse,
     fused_cyclicity,
@@ -132,8 +131,8 @@ def criterion_3():
         # idempotence of the projection
         for label in w5.enumerate_labels(4):
             b = FockVector.basis(label)
-            t1 = truncate_vector(b, tgt.kept)
-            if not (truncate_vector(t1, tgt.kept) - t1).is_zero():
+            t1 = truncate_vector(b, w5, tgt)
+            if not (truncate_vector(t1, w5, tgt) - t1).is_zero():
                 bad.setdefault("idempotence", []).append(label)
                 break
     # monoidality on W(x) (x) W(y)
@@ -217,7 +216,7 @@ def criterion_5():
             key=block_order,
         )
         rho_b, dec_b = solve_R(pair_b, needed_weights=needed)
-        mism = [k for k in rho_b if rho_b[k] != closed_rho_c(sigma, k)]
+        mism = closed_form_failures("c", sigma, rho_b)
         if mism:
             bad["closed-form %s" % ("".join(sigma),)] = mism
         details["components %s" % "".join(sigma)] = sorted(rho_b)
@@ -246,7 +245,7 @@ def criterion_6():
     for (l1, l2, N) in ((1, 1, 6), (1, 2, 7), (2, 2, 8)):
         pair = make_d_pair(2, l1, l2, cutoff=N, level="underline")
         rho, dec = solve_R(pair)
-        mism = [k for k in rho if rho[k] != closed_rho_d(l1, l2, *k)]
+        mism = closed_form_failures("d", (l1, l2), rho)
         if mism:
             bad["closed-form (%d,%d)" % (l1, l2)] = mism
         details["components (%d,%d)" % (l1, l2)] = sorted(rho)
@@ -266,7 +265,7 @@ def criterion_6():
     # bold-prime level: its rho's equal the closed forms (small window)
     pair_b = make_d_pair(2, 1, 1, cutoff=4, level="bold")
     rho_b, dec_b = solve_R(pair_b)
-    mism = [k for k in rho_b if rho_b[k] != closed_rho_d(1, 1, *k)]
+    mism = closed_form_failures("d", (1, 1), rho_b)
     if mism:
         bad["bold-prime closed-form (1,1)"] = mism
     return _report("6-spectral-type-d", not bad, failures=bad, **details)
@@ -369,13 +368,14 @@ def criterion_8():
 # -- criterion 9: negative controls -------------------------------------------
 
 
-class _CorruptedW(ModuleView):
-    """W(x) with the sign of e_0 flipped; must fail the e-f relation."""
+class _CorruptedW(ImageMemo):
+    """W(x) with the sign of e_0 flipped; must fail the e-f relation.  It
+    keeps its images in its own memo, so those of its base stay clean."""
 
-    def apply_gen(self, gen, label):
+    def _image(self, gen, label):
         out = self.base.apply_gen(gen, label)
         if gen == ("e", 0) and out is not DROPPED:
-            return [(l, -c) for l, c in out]
+            return tuple((l, -c) for l, c in out)
         return out
 
 

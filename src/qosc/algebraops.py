@@ -257,8 +257,8 @@ def _check_suite(module, suite, labels=None):
     for safe, members in bands.items():
         walk = _walker(module, [suite[i][1] for i in members])
 
-        def residuals(labels, live, walk=walk):
-            return [_relation_residuals(labels, *out) for out in walk(labels, live)]
+        def residuals(labels, walk=walk):
+            return [_relation_residuals(labels, *out) for out in walk(labels)]
 
         kets = ((label, d) for label, d in zip(labels, degrees) if d <= safe)
         _check_window([reports[i] for i in members], kets, residuals)
@@ -281,24 +281,24 @@ def _relation_residuals(labels, images, dropped):
 
 
 def _walker(module, exprs):
-    """walk(labels, live): the words exprs[i], i in live, on each basis ket
-    of labels, from one walk of their merged suffix trie
-    (eval_words_on_kets).  The trie is rebuilt only when live changes."""
-    built = {}
-
-    def walk(labels, live):
-        trie = built.get(live)
-        if trie is None:
-            built.clear()
-            trie = built[live] = suffix_trie([exprs[i] for i in live])
-        return eval_words_on_kets(trie, labels, module)
-
-    return walk
+    """walk(labels): the words exprs on each basis ket of labels, from one
+    walk of their merged suffix trie (eval_words_on_kets), built once."""
+    trie = suffix_trie(exprs)
+    return lambda labels: eval_words_on_kets(trie, labels, module)
 
 
 def _touched(out, label):
     """label has an image, or lost one above the cutoff, in out."""
     return label in out[0] or label in out[1]
+
+
+def _touched_residuals(labels, outs, residual):
+    """(position, residual(outs, label)) of each label of a block that is
+    _touched in one of outs, in order; lazy, as _relation_residuals is.  A
+    label touched in none has a zero residual."""
+    for pos, label in enumerate(labels):
+        if any(_touched(out, label) for out in outs):
+            yield pos, residual(outs, label)
 
 
 def _image(out, label):
@@ -313,34 +313,33 @@ def _image(out, label):
 
 def _check_window(reports, kets, residuals):
     """Check every report on the (label, degree) pairs of kets in order, in
-    blocks of _BLOCK.  residuals(labels, live) gives, for each index in
-    live (the reports still running, in order), the (position, residual)
-    pairs of the block's labels whose residual may be nonzero, by
-    position; the residual of any other label is zero.  Each report counts
-    its kets and their top degree; its first nonzero residual ends it, and
-    the report keeps that residual with its ket."""
+    blocks of _BLOCK.  residuals(labels) gives, for each report in order,
+    the (position, residual) pairs of the block's labels whose residual
+    may be nonzero, by position; the residual of any other label is zero.
+    Each report counts its kets and their top degree; its first nonzero
+    residual ends it, and the report keeps that residual with its ket.
+    The residuals of an ended report are not read, so a lazy residual
+    raises only for the kets up to its report's counterexample."""
     kets = iter(kets)
-    live = tuple(range(len(reports)))
+    live = len(reports)
     # the labels go as a list: a tuple built from a generator is resized
     # into its size class, whose free list then only grows (2000 dead
     # 16-tuples, 0.3 MiB, at the end of verify-phi)
     while live and (block := list(itertools.islice(kets, _BLOCK))):
         labels = [label for label, _ in block]
         tops = list(itertools.accumulate((d for _, d in block), max))
-        ended = []
-        for i, outs in zip(live, residuals(labels, live)):
-            report = reports[i]
+        for report, outs in zip(reports, residuals(labels)):
+            if report.residual is not None:
+                continue
             pos = len(block) - 1
             for at, out in outs:
                 if not out.is_zero():
                     pos = at
                     report.residual_label, report.residual = labels[at], out
-                    ended.append(i)
+                    live -= 1
                     break
             report.checked += pos + 1
             report.max_degree_checked = max(report.max_degree_checked, tops[pos])
-        if ended:
-            live = tuple(i for i in live if i not in ended)
     return reports
 
 
@@ -376,6 +375,13 @@ class TargetAlgebra:
 
     def root(self, j) -> Weight:
         return self.roots[j]
+
+    def keeps(self, delta):
+        """Whether truncation keeps the weight space of delta: delta vanishes
+        off the kept indices.  The one kept-support rule: a ket's weight is
+        its delta vector, so truncation keeps whole weight spaces."""
+        kept = self.kept
+        return all(c == 0 for i, c in enumerate(delta, start=1) if i not in kept)
 
     def phi(self, gen) -> WordExpr:
         """The phi image of a target generator ('e', j) or ('f', j)."""
@@ -577,16 +583,11 @@ def check_phi_relations(tgt: TargetAlgebra, module):
 # truncation
 
 
-def truncate_vector(vec: FockVector, kept) -> FockVector:
-    """Keep exactly the terms whose kets vanish on all removed positions."""
-    ks = set(kept)
-
-    def keeps(label):
-        if isinstance(label[0], tuple):
-            return all(keeps(p) for p in label)
-        return all(c == 0 for i, c in enumerate(label, start=1) if i not in ks)
-
-    return FockVector.of({l: c for l, c in vec.terms.items() if keeps(l)})
+def truncate_vector(vec: FockVector, module, tgt: TargetAlgebra) -> FockVector:
+    """Keep exactly the terms of vec, a vector of module, whose ket weight
+    tgt keeps."""
+    weight_of, keeps = module.weight_of, tgt.keeps
+    return FockVector.of({l: c for l, c in vec.terms.items() if keeps(weight_of(l).delta)})
 
 
 def _generators(tgt):
@@ -604,21 +605,15 @@ def check_truncation_equivariance(tgt: TargetAlgebra, module):
     raises WindowError."""
     gens = _generators(tgt)
     walk = _walker(module, [tgt.phi(gen) for gen in gens])
-    kept = tgt.kept
 
-    def residual(out, label):
+    def residual(outs, label):
         # tr(b) is b on a kept ket and 0 on any other
-        img = _image(out, label)
-        rhs = img if truncate_vector(FockVector.basis(label), kept).terms else FockVector()
-        return truncate_vector(img, kept) - rhs
+        img = _image(outs[0], label)
+        rhs = img if tgt.keeps(module.weight_of(label).delta) else FockVector()
+        return truncate_vector(img, module, tgt) - rhs
 
-    def residuals(labels, live):
-        # a ket with a zero image has a zero residual
-        return [
-            [(pos, residual(out, label))
-             for pos, label in enumerate(labels) if _touched(out, label)]
-            for out in walk(labels, live)
-        ]
+    def residuals(labels):
+        return [_touched_residuals(labels, (out,), residual) for out in walk(labels)]
 
     reports = [
         RelationReport("tr-equivariance:%s%d" % gen, module.cutoff, -1) for gen in gens
@@ -636,15 +631,13 @@ def check_monoidality(tgt: TargetAlgebra, tensor_ambient, tensor_truncated, maxd
     ambient = _walker(tensor_ambient, [tgt.phi(gen) for gen in gens])
     truncated = _walker(tensor_truncated, [WordExpr.gen(*gen) for gen in gens])
 
-    def residuals(labels, live):
-        return [
-            [
-                (pos, _image(amb, label) - _image(tr, label))
-                for pos, label in enumerate(labels)
-                if _touched(amb, label) or _touched(tr, label)
-            ]
-            for amb, tr in zip(ambient(labels, live), truncated(labels, live))
-        ]
+    def residual(outs, label):
+        amb, tr = outs
+        return _image(amb, label) - _image(tr, label)
+
+    def residuals(labels):
+        return [_touched_residuals(labels, outs, residual)
+                for outs in zip(ambient(labels), truncated(labels))]
 
     reports = [
         RelationReport("tr-monoidal:%s%d" % gen, tensor_ambient.cutoff, -1) for gen in gens

@@ -43,11 +43,7 @@ def partitions_upto(total):
             for rest in gen(rem - first, first):
                 yield (first,) + rest
 
-    seen = set()
-    for lam in gen(total, total):
-        if lam not in seen:
-            seen.add(lam)
-            yield lam
+    return gen(total, total)
 
 
 def in_classical_family(lam, group, ell):

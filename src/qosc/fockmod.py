@@ -173,9 +173,6 @@ class FockModule:
         self.lam_level = lam_level
         self.x = Scalar.from_int(x) if isinstance(x, int) else x
 
-    def parity(self, label):
-        return self.degree(label) % 2
-
     def atom_shift(self, atom):
         """Degree change of a U_D(eps) atom: the guard band of relation checks."""
         kind, i = atom
@@ -409,7 +406,10 @@ class W2Module(AmbientModule):
 class ModuleView(FockModule):
     """A module that forwards every protocol method to self.base, and
     shares its images; a subclass overrides only what differs.  A view
-    whose images differ from its base's owns its _images."""
+    whose images differ from its base's owns its _images.
+
+    A view keeps whole weight spaces of its base: the kets whose weight's
+    delta keeps(delta) accepts, every ket unless a subclass says less."""
 
     def __init__(self, base):
         super().__init__(base.eps, base.cutoff, base.algebra, base.lam_level, base.x)
@@ -428,11 +428,16 @@ class ModuleView(FockModule):
     def _image(self, gen, label):
         return self.base.apply_gen(gen, label)
 
+    def keeps(self, delta):
+        return True
+
     def labels_by_delta(self, dvec):
-        return self.base.labels_by_delta(dvec)
+        return self.base.labels_by_delta(dvec) if self.keeps(dvec) else []
 
     def enumerate_labels(self, maxdeg=None):
-        return self.base.enumerate_labels(maxdeg)
+        for label in self.base.enumerate_labels(maxdeg):
+            if self.keeps(self.weight_of(label).delta):
+                yield label
 
 
 class ImageMemo(ModuleView):
@@ -477,21 +482,12 @@ class PullbackModule(ModuleView):
 
 
 class TruncatedModule(PullbackModule):
-    """A truncation tr_eps'(V): the kets of a pull-back supported on the
-    kept indices of its target algebra.  It acts as the pull-back does, so
-    a phi image that leaves the window is DROPPED whole."""
+    """A truncation tr_eps'(V): the weight spaces of a pull-back that its
+    target algebra keeps (TargetAlgebra.keeps).  It acts as the pull-back
+    does, so a phi image that leaves the window is DROPPED whole."""
 
-    def _kept_supported(self, delta):
-        kept = self.algebra.kept
-        return all(c == 0 for i, c in enumerate(delta, start=1) if i not in kept)
-
-    def labels_by_delta(self, dvec):
-        return self.base.labels_by_delta(dvec) if self._kept_supported(dvec) else []
-
-    def enumerate_labels(self, maxdeg=None):
-        for label in self.base.enumerate_labels(maxdeg):
-            if self._kept_supported(self.weight_of(label).delta):
-                yield label
+    def keeps(self, delta):
+        return self.algebra.keeps(delta)
 
 
 class TensorModule(FockModule):
@@ -755,18 +751,12 @@ def weight_block(module, wt: Weight, maxdeg=None):
 
 
 class RestrictedModule(ModuleView):
-    """A W-type module restricted to one parity (the submodules W^+/W^-)."""
+    """A W-type module restricted to one parity (the submodules W^+/W^-):
+    the weight spaces whose degree has that parity."""
 
     def __init__(self, base, parity: int):
         super().__init__(base)
         self.parity_value = parity
 
-    def labels_by_delta(self, dvec):
-        if sum(dvec) % 2 != self.parity_value:
-            return []
-        return self.base.labels_by_delta(dvec)
-
-    def enumerate_labels(self, maxdeg=None):
-        for label in self.base.enumerate_labels(maxdeg):
-            if self.parity(label) == self.parity_value:
-                yield label
+    def keeps(self, delta):
+        return sum(delta) % 2 == self.parity_value

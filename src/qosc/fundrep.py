@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .algebraops import LEVELS, host_eps, level_module, phi_words, truncate_vector
+from .algebraops import LEVELS, host_eps, level_module, phi_words
 from .decomp import finite_indices
 from .fockmod import (
     FockVector,
@@ -274,15 +274,18 @@ def lowering_closure(module, v, indices) -> Subspace:
 
 
 def truncate_image_span(image: Subspace, truncated) -> Subspace:
-    """Truncate every stored vector of an image span to the kept indices of
-    the target algebra of the module truncated, as a span in truncated."""
-    kept = truncated.algebra.kept
+    """The truncation of an image span to the target algebra of the module
+    truncated, as a span in truncated: the image's blocks at the weights
+    that target keeps (TargetAlgebra.keeps), their stored vectors shared
+    in order.  A weight vector is kept or dropped whole, so the kept
+    vectors stay independent with no reduction; the blocks leave the
+    shadow, so a later add reduces against them exactly."""
+    keeps = truncated.algebra.keeps
     out = Subspace(truncated)
-    for wt, (b, vecs) in image.blocks.items():
-        for v in vecs:
-            tv = truncate_vector(v, kept)
-            if not tv.is_zero():
-                out.add(tv)
+    for wt, (_, vecs) in image.blocks.items():
+        if keeps(wt.delta):
+            out.blocks[wt] = (RowBasis(), list(vecs))
+            out._shadows[wt] = None
     return out
 
 

@@ -134,6 +134,15 @@ def closed_rho_d(l1, l2, r, s) -> SpectralScalar:
     return rho
 
 
+def closed_form_failures(flavor, params, rho):
+    """The keys of rho, in its order, whose rho differs from the closed
+    form: closed_rho_c(params, key) for flavor 'c' (params = sigma),
+    closed_rho_d(*params, *key) for 'd' (params = (l1, l2))."""
+    if flavor == "c":
+        return [key for key, val in rho.items() if val != closed_rho_c(params, key)]
+    return [key for key, val in rho.items() if val != closed_rho_d(*params, *key)]
+
+
 def rho_d_product_part(l1, l2, r, s) -> SpectralScalar:
     """The displayed product (without the constant), for D-extraction."""
     exps = [l1 + l2 + 2 * k + 2 for k in range(1, r + 1)]
@@ -388,27 +397,22 @@ class PairDecomposition(MatchedSpan):
     def __init__(self, pair: RPair, needed_weights=None):
         src = pair.source
         lowering = finite_indices(src.algebra)
-        admit, bound = None, pair.bound
+        bound = pair.bound
         if needed_weights is not None:
             cone = _ConeTest([src.algebra.root(j) for j in lowering])
             needed = list(needed_weights)
 
-            def admit(wt):
-                return any(
+            # a weight off the cone, a seed's included, has bound 0, so
+            # the build skips it before acting
+            def bound(wt):
+                n = pair.bound(wt)
+                return n if n and any(
                     nu.lam == wt.lam
                     and cone.member(tuple(a - b for a, b in zip(wt.delta, nu.delta)))
                     for nu in needed
-                )
+                ) else 0
 
-            def bound(wt):
-                n = pair.bound(wt)
-                return n if n and admit(wt) else 0
-
-        seeds = [
-            (comp.key, comp.v_src, comp.v_tgt)
-            for comp in pair.components
-            if admit is None or admit(comp.weight)
-        ]
+        seeds = [(comp.key, comp.v_src, comp.v_tgt) for comp in pair.components]
         super().__init__(src, pair.target, seeds, lowering, bound)
 
 

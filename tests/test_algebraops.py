@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from test_eval_reference import ref_act, ref_eval_word
+from test_eval_reference import ref_act, ref_eval_word, ref_truncate
 
 from qosc.algebraops import (
     RelationReport,
@@ -125,12 +125,52 @@ def test_target_cartan_data_from_embedded_roots():
 
 def test_truncate_vector():
     tgt = phi_words("c", "underline", EPS)
+    mod = WModule(EPS, ONE, cutoff=4)
     v = FockVector.basis((0, 0, 0, 0, 0))
-    assert truncate_vector(v, tgt.kept) == v
+    assert truncate_vector(v, mod, tgt) == ref_truncate(v, tgt.kept) == v
     v = FockVector.basis((1, 0, 0, 0, 0))
-    assert truncate_vector(v, tgt.kept).is_zero()
+    assert truncate_vector(v, mod, tgt).is_zero() and ref_truncate(v, tgt.kept).is_zero()
     v = FockVector.basis((0, 1, 0, 1, 0))
-    assert truncate_vector(v, tgt.kept) == v
+    assert truncate_vector(v, mod, tgt) == ref_truncate(v, tgt.kept) == v
+    # a vector over two weights keeps the terms of the kept one
+    v = FockVector({(0, 1, 0, 0, 0): ONE, (0, 0, 1, 0, 0): Q})
+    assert truncate_vector(v, mod, tgt) == ref_truncate(v, tgt.kept) == FockVector.basis(
+        (0, 1, 0, 0, 0))
+
+
+# a bold module per (flavor, shape) and its host: W, W2, a parity part of
+# each, a tensor of W's and a tensor of W2's
+SHAPES = {
+    ("c", "W"): [(ONE, "W")],
+    ("c", "W^-"): [(ONE, "-")],
+    ("c", "tensor"): [(parse_scalar("q^2"), "+"), (parse_scalar("q^-4"), "W")],
+    ("d", "W2"): [(ONE, "W")],
+    ("d", "W2^+"): [(ONE, "+")],
+    ("d", "W2 tensor"): [(Z1, "W"), (ONE, "-")],
+}
+
+
+@pytest.mark.parametrize("level", ["underline", "overline"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_truncation_by_weight_matches_the_nested_label_rule(shape, level):
+    flavor, _ = shape
+    host = EPS if flavor == "c" else EPSP
+    cutoff = 4 if len(SHAPES[shape]) > 1 else 5
+    tgt = phi_words(flavor, level, host)
+    bold = level_module(flavor, "bold", host, cutoff, SHAPES[shape])
+    truncated = level_module(flavor, level, host, cutoff, SHAPES[shape])
+    labels = list(bold.enumerate_labels())
+    kept = [label for label in labels if ref_truncate(FockVector.basis(label), tgt.kept).terms]
+    assert 0 < len(kept) < len(labels)
+    for label in labels:
+        b = FockVector.basis(label)
+        assert truncate_vector(b, bold, tgt) == ref_truncate(b, tgt.kept), label
+    # the truncated module's window and weight blocks are the kept kets
+    assert list(truncated.enumerate_labels()) == kept
+    deltas = {bold.weight_of(label).delta for label in labels}
+    for delta in deltas:
+        got = sorted(truncated.labels_by_delta(delta))
+        assert got == sorted(l for l in bold.labels_by_delta(delta) if l in kept), delta
 
 
 def test_truncation_equivariance_and_stability():
@@ -203,7 +243,7 @@ def test_negative_control_detects_corruption():
 
 
 def _kept(vec, tgt):
-    return truncate_vector(vec, tgt.kept) == vec
+    return ref_truncate(vec, tgt.kept) == vec
 
 
 def test_equivariance_catches_a_phi_image_that_leaves_kept_support():
@@ -225,7 +265,7 @@ def test_equivariance_catches_a_phi_image_that_leaves_kept_support():
     rep = next(r for r in reps if not r.passed)
     assert first is not None and rep.residual_label == first
     img = eval_word(bad_word, FockVector.basis(first), mod)
-    assert rep.residual == truncate_vector(img, tgt.kept) - img
+    assert rep.residual == ref_truncate(img, tgt.kept) - img
     assert rep.checked == 1 + list(mod.enumerate_labels(4)).index(first)
 
 
@@ -487,8 +527,8 @@ def test_merged_walk_charges_a_drop_to_its_own_relations():
 
 def _equivariance_residual(tgt, module, gen):
     word, kept = tgt.phi(gen), tgt.kept
-    return lambda b: truncate_vector(ref_eval_word(word, b, module), kept) - ref_eval_word(
-        word, truncate_vector(b, kept), module
+    return lambda b: ref_truncate(ref_eval_word(word, b, module), kept) - ref_eval_word(
+        word, ref_truncate(b, kept), module
     )
 
 
@@ -630,6 +670,41 @@ def test_truncation_checks_refuse_a_ket_whose_image_left_the_window():
         check_truncation_equivariance(tgt, _listed(module, list(module.enumerate_labels())))
 
 
+def test_truncation_checks_stop_at_a_counterexample_before_a_drop():
+    class PhantomLeak(TruncatedModule):
+        """A truncation whose e_1 fixes every ket that e_1 kills and drops
+        every other image: each ket fails tr-monoidal:e1 or drops."""
+
+        def apply_gen(self, gen, label):
+            out = TruncatedModule.apply_gen(self, gen, label)
+            if gen != ("e", 1):
+                return out
+            return DROPPED if out else [(label, ONE)]
+
+    tgt = phi_words("c", "underline", EPS)
+    wx = WModule(EPS, parse_scalar("q^2"), cutoff=4)
+    wy = WModule(EPS, parse_scalar("q^-2"), cutoff=4)
+    t_amb = TensorModule([wx, wy])
+
+    def t_bad():
+        return TensorModule([PhantomLeak(wx, tgt), TruncatedModule(wy, tgt)])
+
+    e1 = ("e", 1)
+    labels = list(t_bad().enumerate_labels(2))
+    fail = next(l for l in labels if t_bad().apply_gen(e1, l) is not DROPPED)
+    drop = next(l for l in labels if t_bad().apply_gen(e1, l) is DROPPED)
+    # the counterexample ends tr-monoidal:e1 before its drop, in one block
+    module = _listed(t_bad(), [fail, drop])
+    got = check_monoidality(tgt, t_amb, module, maxdeg=2)
+    _assert_same_reports(got, _ref_reports(
+        "tr-monoidal", tgt, 4, module, 2,
+        lambda gen: _monoidal_residual(tgt, t_amb, module, gen)))
+    assert got[2].residual_label == fail and got[2].checked == 1
+    # the drop first raises, as one ket at a time
+    with pytest.raises(WindowError):
+        check_monoidality(tgt, t_amb, _listed(t_bad(), [drop, fail]), maxdeg=2)
+
+
 def test_monoidality_catches_an_image_only_on_the_truncated_side():
     class Phantom(TruncatedModule):
         """A truncation whose e_1 fixes every ket that e_1 kills."""
@@ -657,7 +732,7 @@ def test_level_module_wraps_each_factor_and_tensors_several():
     lone = level_module("c", "underline", EPS, 4, [(ONE, "-")])
     assert type(lone) is RestrictedModule and lone.parity_value == 1
     assert type(lone.base) is TruncatedModule and type(lone.base.base) is WModule
-    assert all(lone.parity(l) == 1 for l in lone.enumerate_labels())
+    assert all(lone.degree(l) % 2 == 1 for l in lone.enumerate_labels())
     pair = level_module("d", "bold", EPSP, 4, [(Z1, "W"), (ONE, "+")])
     assert type(pair) is TensorModule
     w, even = pair.factors

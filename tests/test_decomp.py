@@ -8,6 +8,7 @@ from qosc.decomp import (
     find_hw,
     hw_weight,
     in_classical_family,
+    is_partition,
     partitions_upto,
     tableau_H,
 )
@@ -34,6 +35,11 @@ def nonzero(res):
 def test_partitions_and_families():
     assert conjugate((3, 1)) == (2, 1, 1)
     ps = set(partitions_upto(3))
+    # each partition comes once; cumulative counts of partitions of 0..8
+    for total, count in enumerate((1, 2, 4, 7, 12, 19, 30, 45, 67)):
+        got = list(partitions_upto(total))
+        assert len(got) == len(set(got)) == count, total
+        assert all(is_partition(p) and sum(p) <= total for p in got)
     assert (2, 1) in ps and (1, 1, 1) in ps and () in ps
     assert in_classical_family((5,), "O", 2)
     assert in_classical_family((1, 1), "O", 2)

@@ -5,6 +5,9 @@ suffix trie: every term applied atom by atom through fresh FockVectors,
 raising WindowError at the first ket whose image apply_gen DROPPED.
 ``ref_substituted`` is the expansion that relation checks used before
 the pull-back: every target atom replaced by its phi word.
+``ref_truncate`` is the rule that truncated vectors before truncation
+read weights: a term is kept when every Fock factor of its nested ket
+label vanishes off the kept indices.
 """
 
 import pytest
@@ -71,6 +74,19 @@ def ref_eval_word(expr, vec, module):
                 break
         total = total + w.scale(c)
     return total
+
+
+def ref_truncate(vec, kept):
+    """The terms of vec whose kets vanish on all removed positions, read
+    factor by factor through nested labels."""
+    ks = set(kept)
+
+    def keeps(label):
+        if isinstance(label[0], tuple):
+            return all(keeps(p) for p in label)
+        return all(c == 0 for i, c in enumerate(label, start=1) if i not in ks)
+
+    return FockVector.of({l: c for l, c in vec.terms.items() if keeps(l)})
 
 
 def ref_substituted(expr, emap, fmap):

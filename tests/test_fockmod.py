@@ -127,14 +127,17 @@ def test_k_acts_by_qpair_eigenvalue():
 
 def test_parity_split_and_stability():
     mod = WModule(EPS, Scalar.from_int(1), cutoff=6)
-    assert mod.parity((0,) * 5) == 0 and mod.parity((0, 0, 0, 0, 1)) == 1
+    even, odd = RestrictedModule(mod, 0), RestrictedModule(mod, 1)
+    assert even.labels_by_delta((0,) * 5) == [(0,) * 5] and not odd.labels_by_delta((0,) * 5)
+    assert odd.labels_by_delta((0, 0, 0, 0, 1)) == [(0, 0, 0, 0, 1)]
+    assert not even.labels_by_delta((0, 0, 0, 0, 1))
     for label in mod.enumerate_labels(4):
-        p = mod.parity(label)
+        p = mod.degree(label) % 2
         for i in EPS.I:
             for kind in ("e", "f"):
                 img = act(mod, (kind, i), FockVector.basis(label))
                 for l2 in img.terms:
-                    assert mod.parity(l2) == p
+                    assert mod.degree(l2) % 2 == p
 
 
 def test_weight_block_constrained_multiplicity():
@@ -249,7 +252,9 @@ def test_module_protocol(name, wrap):
             blocks.update(weight_block(mod, Weight(mod.lam_level, delta), k))
     assert set(labels) == blocks
     for label in labels:
-        assert mod.parity(label) == mod.degree(label) % 2
+        # a ket's degree is its weight's, so a parity part keeps whole
+        # weight spaces
+        assert mod.degree(label) == mod.weight_of(label).degree()
         for j in mod.algebra.gen_indices:
             for kind in ("e", "f"):
                 shift = mod.atom_shift((kind, j))
@@ -266,7 +271,7 @@ def test_module_protocol(name, wrap):
             parts = zip((mod.base if wrap == "memo" else mod).factors, label)
         for factor, part in parts:
             if isinstance(factor, RestrictedModule):
-                assert factor.parity(part) == factor.parity_value
+                assert factor.degree(part) % 2 == factor.parity_value
 
 
 def test_image_memo_gives_the_bare_tensor_images():

@@ -5,7 +5,8 @@ shadow.
 on its own, ``ref_lowering_closure`` the unmatched BFS that
 ``fundrep.lowering_closure`` ran through ``Subspace.add``, and
 ``ref_iso_between_k`` the second BFS, pair table and partner lookup of
-``fundrep.iso_between_k``.  ``Subspace.build`` must build the same blocks,
+``fundrep.iso_between_k``, and ``ref_truncate_image_span`` the per-vector
+truncate-and-add that ``fundrep.truncate_image_span`` ran.  ``Subspace.build`` must build the same blocks,
 in the same order, with structurally equal entries (``(key, v_src, v_tgt)``
 when matched, bare vectors when not), and the isomorphism check must give
 the same result.  On an exhaustive pair the build decides independence through
@@ -18,7 +19,7 @@ import gc
 from collections import Counter, deque
 
 import pytest
-from test_eval_reference import act_or_none
+from test_eval_reference import act_or_none, ref_truncate
 
 from qosc import acceptance, fundrep, rmatrix
 from qosc.algebraops import LEVELS, host_eps, level_module
@@ -32,11 +33,20 @@ from qosc.fundrep import (
     fundamental_span,
     iso_between_k,
     lowering_closure,
+    truncate_image_span,
     v_lk_label,
 )
 from qosc.lattice import EpsilonData
 from qosc.linalg import SHADOW_POINT, RowBasis, Shadow, nullspace
-from qosc.rmatrix import PairDecomposition, _ConeTest, make_c_pair, make_d_pair
+from qosc.rmatrix import (
+    PairDecomposition,
+    _ConeTest,
+    c_target_module,
+    fuse,
+    make_c_pair,
+    make_d_pair,
+    solve_R,
+)
 from qosc.scalars import ONE, Z1, Scalar, SpectralScalar, parse_scalar
 
 EPSP = EpsilonData((0, 1, 0, 1, 0))
@@ -104,6 +114,16 @@ def ref_lowering_closure(module, v, indices):
             if span.add(img):
                 queue.append(img)
     return span
+
+
+def ref_truncate_image_span(image, truncated):
+    out = Subspace(truncated)
+    for _, vecs in image.blocks.values():
+        for v in vecs:
+            tv = ref_truncate(v, truncated.algebra.kept)
+            if not tv.is_zero():
+                out.add(tv)
+    return out
 
 
 def ref_iso_between_k(module, l, k1, k2):
@@ -726,3 +746,46 @@ def test_a_matched_span_expresses_through_lazily_filled_rows():
         coords = rows[span._wt(v)].express(v.terms)
         assert span.express(v) == [(i, c, scaled[i]) for i, c in coords.items()]
     assert _same_rows(basis, rows[span._wt(vectors[0])])
+
+
+# -- truncated spans keep whole weight blocks --------------------------------
+
+
+def _fused_c_image(sigma=("+", "-"), cutoff=4):
+    pair = make_c_pair(2, sigma, cutoff=cutoff, level="bold")
+    return fuse(pair, *solve_R(pair, needed_weights=None), parse_scalar("q^-4"))
+
+
+def _truncation_cases():
+    """(image span, truncated module) pairs: a fused type-c image and a
+    fundamental span of type d, each truncated to both levels."""
+    image = _fused_c_image()
+    epsp = host_eps("d", 2)
+    span = fundamental_span(level_module("d", "bold", epsp, 5, [(ONE, "W")]), 1, 1)
+    for level in ("underline", "overline"):
+        yield image, c_target_module(2, ("+", "-"), image.module.cutoff, level, Z1)
+        yield span, level_module("d", level, epsp, 5, [(ONE, "W")])
+
+
+def test_truncated_spans_match_the_per_vector_reference():
+    for image, truncated in _truncation_cases():
+        got = truncate_image_span(image, truncated)
+        want = ref_truncate_image_span(image, truncated)
+        assert want.dim() > 0 and want.dim() < image.dim()
+        assert list(got.blocks) == list(want.blocks)
+        for wt, (_, entries) in want.blocks.items():
+            assert [_structure(v) for v in got.blocks[wt][1]] == [_structure(v) for v in entries]
+        assert compare_spans(got, want) == compare_spans(want, got) == {"pass": True}
+
+
+def test_a_truncated_span_refuses_a_dependent_vector():
+    for image, truncated in _truncation_cases():
+        span = truncate_image_span(image, truncated)
+        dims = span.dims()
+        for wt, (_, vecs) in list(span.blocks.items()):
+            assert not span.add(vecs[0].scale(parse_scalar("q^3")) + vecs[-1]), wt
+        assert span.dims() == dims
+        # a kept ket outside the span is still accepted
+        b = next(v for v in map(FockVector.basis, truncated.enumerate_labels())
+                 if span._wt(v) in dims and not span.contains(v))
+        assert span.add(b) and span.dim() == sum(dims.values()) + 1

@@ -17,8 +17,13 @@ def classes_defining(tree, method):
 
 
 def test_only_fock_module_defines_apply_gen():
-    tree = ast.parse((SRC / "fockmod.py").read_text())
-    assert classes_defining(tree, "apply_gen") == ["FockModule"]
+    # in every module of the package: a module with its own images gives
+    # _image and keeps them in its own memo
+    assert [
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in classes_defining(ast.parse(path.read_text()), "apply_gen")
+    ] == [("fockmod.py", "FockModule")]
 
 
 def test_no_module_flags_whether_it_caches_images():

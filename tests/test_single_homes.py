@@ -1,6 +1,9 @@
 """Level modules have one constructor, algebraops.level_module, Q(w)(z)
-is entered only inside scalars, and no module of the package probes its
-arguments with hasattr or getattr."""
+is entered only inside scalars, no module of the package probes its
+arguments with hasattr or getattr, and truncation has one kept-support
+rule, TargetAlgebra.keeps: only fockmod reads nested ket labels, and
+truncate_image_span keeps whole blocks without truncating or adding a
+vector."""
 
 import ast
 from pathlib import Path
@@ -95,3 +98,79 @@ def test_the_spectral_check_sees_every_entry():
         "class Rho:\n    def build(self):\n        return SpectralScalar(0, (ONE,), (ONE,))\n"
     )
     assert callers_of(tree, SPECTRAL_ENTRIES) == ["Rho.build", "lift", "mono", "pole"]
+
+
+def nested_label_probes(tree):
+    """The scopes that test whether a label's first part is a tuple, as in
+    isinstance(label[0], tuple)."""
+    return sorted(
+        {
+            scope
+            for scope, node in top_level_scopes(tree)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+            and len(call.args) == 2
+            and isinstance(call.args[0], ast.Subscript)
+            and isinstance(call.args[1], ast.Name) and call.args[1].id == "tuple"
+        }
+    )
+
+
+def test_only_fockmod_reads_nested_labels():
+    probes = sorted(
+        (path.name, scope)
+        for path in SRC.glob("*.py")
+        for scope in nested_label_probes(ast.parse(path.read_text()))
+    )
+    assert {path for path, _ in probes} == {"fockmod.py"}
+
+
+def test_the_nested_label_check_sees_a_probe():
+    tree = ast.parse(
+        "def truncate_vector(vec, kept):\n"
+        "    def keeps(label):\n"
+        "        if isinstance(label[0], tuple):\n"
+        "            return all(keeps(p) for p in label)\n"
+        "        return True\n"
+        "    return vec\n"
+        "def plain(x):\n    return isinstance(x, tuple)\n"
+    )
+    assert nested_label_probes(tree) == ["truncate_vector"]
+
+
+def calls_in(tree, function, names):
+    """The names among names that the body of a top-level function calls,
+    by name or as a method."""
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return sorted(
+        {
+            name
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            for name in names
+            if names_one_of(call.func, {name})
+        }
+    )
+
+
+TRUNCATING_CALLS = {"truncate_vector", "add"}
+
+
+def test_truncate_image_span_neither_truncates_nor_adds_a_vector():
+    tree = ast.parse((SRC / "fundrep.py").read_text())
+    assert calls_in(tree, "truncate_image_span", TRUNCATING_CALLS) == []
+
+
+def test_the_truncation_check_sees_a_per_vector_span():
+    tree = ast.parse(
+        "def truncate_image_span(image, truncated):\n"
+        "    out = Subspace(truncated)\n"
+        "    for wt, (b, vecs) in image.blocks.items():\n"
+        "        for v in vecs:\n"
+        "            tv = truncate_vector(v, truncated.algebra.kept)\n"
+        "            if not tv.is_zero():\n"
+        "                out.add(tv)\n"
+        "    return out\n"
+    )
+    assert calls_in(tree, "truncate_image_span", TRUNCATING_CALLS) == ["add", "truncate_vector"]
