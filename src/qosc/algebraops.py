@@ -258,26 +258,13 @@ def _check_suite(module, suite, labels=None):
         walk = _walker(module, [suite[i][1] for i in members])
 
         def residuals(labels, walk=walk):
-            return [_relation_residuals(labels, *out) for out in walk(labels)]
+            # a relation's residual on a ket is the ket's image
+            return [_touched_residuals(labels, (out,), lambda outs, label: _image(outs[0], label))
+                    for out in walk(labels)]
 
         kets = ((label, d) for label, d in zip(labels, degrees) if d <= safe)
         _check_window([reports[i] for i in members], kets, residuals)
     return reports
-
-
-def _relation_residuals(labels, images, dropped):
-    """(position, residual) of each label of a block with a nonzero image,
-    in order.  A label whose image dropped a ket above the cutoff raises
-    WindowError when its turn comes, so only the kets up to the relation's
-    first counterexample can raise it."""
-    if not (images or dropped):
-        return
-    for pos, label in enumerate(labels):
-        if label in dropped:
-            raise WindowError("insufficient guard band for the word")
-        terms = images.get(label)
-        if terms:
-            yield pos, FockVector(terms)
 
 
 def _walker(module, exprs):
@@ -294,8 +281,12 @@ def _touched(out, label):
 
 def _touched_residuals(labels, outs, residual):
     """(position, residual(outs, label)) of each label of a block that is
-    _touched in one of outs, in order; lazy, as _relation_residuals is.  A
-    label touched in none has a zero residual."""
+    _touched in one of outs, in order.  A label touched in none has a zero
+    residual.  Lazy: a residual that raises WindowError raises only when
+    its turn comes, so only the kets up to a report's first counterexample
+    can raise it."""
+    if not any(images or dropped for images, dropped in outs):
+        return
     for pos, label in enumerate(labels):
         if any(_touched(out, label) for out in outs):
             yield pos, residual(outs, label)
@@ -303,8 +294,7 @@ def _touched_residuals(labels, outs, residual):
 
 def _image(out, label):
     """The image of label in one word's (images, dropped), as a FockVector;
-    a label whose image dropped a ket above the cutoff raises WindowError,
-    as in _relation_residuals."""
+    a label whose image dropped a ket above the cutoff raises WindowError."""
     images, dropped = out
     if label in dropped:
         raise WindowError("insufficient guard band for the word")
@@ -417,10 +407,9 @@ def phi_words(kind: str, side: str, host: EpsilonData, eta=1):
     if n % 2 == 0 or n < 5:
         raise ValueError("host length must be odd >= 5")
     m = (n - 1) // 2
-    flavor = host.flavor
-    if kind == "c" and flavor != "bold":
+    if kind == "c" and host != host_eps("c", m):
         raise ValueError("type c truncation requires the (1,0,...,0,1) host")
-    if kind == "d" and flavor != "bold-prime":
+    if kind == "d" and host != host_eps("d", m):
         raise ValueError("type d truncation requires the (0,1,...,1,0) host")
     if eta not in (1, -1):
         raise ValueError("eta must be +-1")

@@ -11,7 +11,7 @@ image_leaves_window tells such an image by its weight, before acting.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .lattice import EpsilonData, Weight, qpair, simple_root
 from .scalars import ONE, Scalar, qint
@@ -153,6 +153,47 @@ def _valid_ket(m, eps: EpsilonData):
     return True
 
 
+def _fock_kets(eps: EpsilonData, maxdeg):
+    """The kets |m> of degree <= maxdeg in lexicographic order, m_i <= 1
+    where eps_i = 1: the one range of Fock kets."""
+    ranges = [range(2 if b else maxdeg + 1) for b in eps.seq]
+    return (m for m in itertools.product(*ranges) if sum(m) <= maxdeg)
+
+
+def _delta_kets(eps: EpsilonData, dvec):
+    """The one Fock ket of a delta vector, m = dvec, if it is a ket."""
+    m = tuple(dvec)
+    return [m] if _valid_ket(m, eps) else []
+
+
+def _split(dvec, parts):
+    """The labels (l_1, ..., l_k) with l_i in parts[i](d_i) and d_1 + ... +
+    d_k = dvec: the one split of a weight over the parts of a ket."""
+    first, rest = parts[0], parts[1:]
+    if not rest:
+        return [(l,) for l in first(dvec)]
+    out = []
+    for d in itertools.product(*[range(t + 1) for t in dvec]):
+        heads = first(d)
+        if heads:
+            tails = _split(tuple(t - s for t, s in zip(dvec, d)), rest)
+            out.extend((l,) + tail for l in heads for tail in tails)
+    return out
+
+
+def _joint(maxdeg, parts, degrees):
+    """The labels (l_1, ..., l_k) of total degree <= maxdeg, factor by
+    factor: l_i runs over parts[i](budget), the budget the factors before
+    it left, and degrees[i](l_i) is its degree.  In lexicographic order
+    when each part lists its labels in that order."""
+    if not parts:
+        yield ()
+        return
+    for l in parts[0](maxdeg):
+        for rest in _joint(maxdeg - degrees[0](l), parts[1:], degrees[1:]):
+            yield (l,) + rest
+
+
 class FockModule:
     """The protocol shared by every module.
 
@@ -266,22 +307,15 @@ class WModule(AmbientModule):
         return [(l, c) for l, c in out if _valid_ket(l, self.eps)]
 
     def labels_by_delta(self, dvec):
-        m = tuple(dvec)
-        return [m] if _valid_ket(m, self.eps) else []
+        return _delta_kets(self.eps, dvec)
 
     def enumerate_labels(self, maxdeg=None):
-        maxdeg = self.cutoff if maxdeg is None else maxdeg
-        ranges = [
-            range(0, 2 if self.eps.seq[i] == 1 else maxdeg + 1)
-            for i in range(self.n)
-        ]
-        for m in itertools.product(*ranges):
-            if sum(m) <= maxdeg:
-                yield m
+        return _fock_kets(self.eps, self.cutoff if maxdeg is None else maxdeg)
 
 
 class W2Module(AmbientModule):
-    """W^(x2)(x) on pairs |m> (x) |m'>; requires eps_1 = eps_n = 0."""
+    """W^(x2)(x) on pairs |m> (x) |m'> of Fock kets, split and enumerated
+    as a two-factor tensor's kets are; requires eps_1 = eps_n = 0."""
 
     def __init__(self, eps: EpsilonData, x, cutoff: int):
         if eps.eps(1) != 0 or eps.eps(eps.n) != 0:
@@ -368,39 +402,12 @@ class W2Module(AmbientModule):
         return [(l, c) for l, c in out if _valid_ket(l[0], eps) and _valid_ket(l[1], eps)]
 
     def labels_by_delta(self, dvec):
-        per = []
-        for i, t in enumerate(dvec):
-            if t < 0:
-                return []
-            if self.eps.seq[i] == 1:
-                opts = [(a, t - a) for a in (0, 1) if 0 <= t - a <= 1]
-            else:
-                opts = [(a, t - a) for a in range(t + 1)]
-            if not opts:
-                return []
-            per.append(opts)
-        out = []
-        for combo in itertools.product(*per):
-            m = tuple(a for a, _ in combo)
-            mp = tuple(b for _, b in combo)
-            out.append((m, mp))
-        return out
+        kets = partial(_delta_kets, self.eps)
+        return _split(dvec, (kets, kets))
 
     def enumerate_labels(self, maxdeg=None):
-        maxdeg = self.cutoff if maxdeg is None else maxdeg
-        ranges = [
-            range(0, 2 if self.eps.seq[i] == 1 else maxdeg + 1)
-            for i in range(self.n)
-        ]
-        singles = [
-            m
-            for m in itertools.product(*ranges)
-            if sum(m) <= maxdeg
-        ]
-        for m in singles:
-            for mp in singles:
-                if sum(m) + sum(mp) <= maxdeg:
-                    yield (m, mp)
+        kets = partial(_fock_kets, self.eps)
+        return _joint(self.cutoff if maxdeg is None else maxdeg, (kets, kets), (sum, sum))
 
 
 class ModuleView(FockModule):
@@ -542,38 +549,14 @@ class TensorModule(FockModule):
         return out
 
     def labels_by_delta(self, dvec):
-        out = []
-
-        def rec(idx, remaining, acc):
-            if idx == len(self.factors) - 1:
-                for l in self.factors[idx].labels_by_delta(remaining):
-                    out.append(tuple(acc + [l]))
-                return
-            f = self.factors[idx]
-            for sub in _sub_deltas(remaining):
-                for l in f.labels_by_delta(sub):
-                    rec(
-                        idx + 1,
-                        tuple(r - s for r, s in zip(remaining, sub)),
-                        acc + [l],
-                    )
-
-        rec(0, tuple(dvec), [])
-        return out
+        return _split(dvec, [f.labels_by_delta for f in self.factors])
 
     def enumerate_labels(self, maxdeg=None):
-        maxdeg = self.cutoff if maxdeg is None else maxdeg
-
-        def rec(idx, budget):
-            if idx == len(self.factors):
-                yield ()
-                return
-            for l in self.factors[idx].enumerate_labels(budget):
-                d = self.factors[idx].degree(l)
-                for rest in rec(idx + 1, budget - d):
-                    yield (l,) + rest
-
-        yield from rec(0, maxdeg)
+        return _joint(
+            self.cutoff if maxdeg is None else maxdeg,
+            [f.enumerate_labels for f in self.factors],
+            [f.degree for f in self.factors],
+        )
 
 
 @lru_cache(maxsize=1024)
@@ -581,10 +564,6 @@ def _coproduct_power(wt, root, kind, eps):
     """The q-power that a tensor factor of weight wt gives the coproduct of
     e_j (q(wt, -alpha_j)) or f_j (q(wt, alpha_j)), root = alpha_j."""
     return qpair(wt, -root if kind == "e" else root, eps)
-
-
-def _sub_deltas(t):
-    return itertools.product(*[range(ti + 1) for ti in t])
 
 
 # -- vector-level actions ----------------------------------------------------
@@ -739,15 +718,13 @@ def eval_words_on_kets(trie, labels, module):
     return _eval_trie(trie, {label: {label: ONE} for label in labels}, module)
 
 
-def weight_block(module, wt: Weight, maxdeg=None):
+def weight_block(module, wt: Weight):
     """Ordered basis labels of the wt weight space within the window."""
     if wt.lam != module.lam_level:
         return []
-    maxdeg = module.cutoff if maxdeg is None else maxdeg
-    if wt.degree() > maxdeg or any(c < 0 for c in wt.delta):
+    if wt.degree() > module.cutoff or any(c < 0 for c in wt.delta):
         return []
-    labels = module.labels_by_delta(wt.delta)
-    return sorted(labels, key=label_key)
+    return sorted(module.labels_by_delta(wt.delta), key=label_key)
 
 
 class RestrictedModule(ModuleView):

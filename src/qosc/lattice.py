@@ -65,20 +65,6 @@ class EpsilonData:
         self.I = tuple(range(self.n + 1))
         self.II = tuple(range(1, self.n + 1))
 
-    @property
-    def flavor(self):
-        n = self.n
-        if n >= 5 and n % 2 == 1:
-            if self.seq == tuple((i + 1) % 2 for i in range(n)):
-                return "bold"  # (1,0,...,0,1)
-            if self.seq == tuple(i % 2 for i in range(n)):
-                return "bold-prime"  # (0,1,...,1,0)
-        if all(b == 0 for b in self.seq):
-            return "all-zero"
-        if all(b == 1 for b in self.seq):
-            return "all-one"
-        return "generic"
-
     def eps(self, i):
         return self.seq[i - 1]
 

@@ -424,17 +424,7 @@ class Scalar:
         return self * other.inverse()
 
     def __pow__(self, n):
-        if n == 0:
-            return ONE
-        if n < 0:
-            return self.inverse() ** (-n)
-        r, b, e = ONE, self, n
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return _power(self, n, ONE)
 
     # -- structure ----------------------------------------------------------
 
@@ -827,16 +817,7 @@ class SpectralScalar:
         return other / self
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        r = SONE
-        b, e = self, n
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return _power(self, n, SONE)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -904,9 +885,23 @@ def _coerce(x):
     return NotImplemented
 
 
+def _power(x, n, one):
+    """x**n by square-and-multiply, for a Scalar or SpectralScalar x whose
+    field has the unit one."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    r = one
+    while n:
+        if n & 1:
+            r = r * x
+        x = x * x
+        n >>= 1
+    return r
+
+
 def _zeval(cs, value):
-    """cs at z = value, by Horner."""
-    acc = SZERO
+    """cs at z = value, by Horner: a Scalar at a Scalar point."""
+    acc = ZERO
     for c in reversed(cs):
         acc = acc * value + c
     return acc
@@ -955,11 +950,7 @@ def factor_q_poles(den, bound):
     k = -bound
     while k <= bound and len(cs) > 1:
         qk = q_power(k)
-        # evaluate at z = q^k
-        acc = ZERO
-        for c in reversed(cs):
-            acc = acc * qk + c
-        if acc.is_zero():
+        if _zeval(cs, qk).is_zero():
             cs = _zdiv_exact(cs, (-qk, ONE))
             found.append(k)
             continue  # same k again (multiplicity)

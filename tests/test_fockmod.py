@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from test_eval_reference import act_or_none
 
-from qosc.algebraops import phi_words
+from qosc.algebraops import host_eps, level_module, phi_words
 from qosc.fockmod import (
     DROPPED,
     FockVector,
@@ -249,7 +249,7 @@ def test_module_protocol(name, wrap):
     blocks = set()
     for delta in itertools.product(range(k + 1), repeat=mod.n):
         if sum(delta) <= k:
-            blocks.update(weight_block(mod, Weight(mod.lam_level, delta), k))
+            blocks.update(weight_block(mod, Weight(mod.lam_level, delta)))
     assert set(labels) == blocks
     for label in labels:
         # a ket's degree is its weight's, so a parity part keeps whole
@@ -372,3 +372,108 @@ def test_the_weight_rule_check_sees_a_shifted_weight():
     # every ket is off by one degree, and the rule puts each image that
     # lands at the cutoff above it
     assert {f[0] for f in failures} == {"degree", "returned above"}
+
+
+# -- one ket enumeration -----------------------------------------------------
+
+
+def ref_enumerate_labels(mod, maxdeg):
+    """The window of mod up to maxdeg as each class once enumerated it: a
+    range loop for W, its single kets paired for W2, a recursion over the
+    factors of a tensor, and a view's base filtered by its keeps."""
+    if isinstance(mod, ModuleView):
+        return [l for l in ref_enumerate_labels(mod.base, maxdeg)
+                if mod.keeps(mod.weight_of(l).delta)]
+    if isinstance(mod, TensorModule):
+
+        def rec(idx, budget):
+            if idx == len(mod.factors):
+                yield ()
+                return
+            for l in ref_enumerate_labels(mod.factors[idx], budget):
+                for rest in rec(idx + 1, budget - mod.factors[idx].degree(l)):
+                    yield (l,) + rest
+
+        return list(rec(0, maxdeg))
+    ranges = [range(0, 2 if b == 1 else maxdeg + 1) for b in mod.eps.seq]
+    singles = [m for m in itertools.product(*ranges) if sum(m) <= maxdeg]
+    if isinstance(mod, WModule):
+        return singles
+    return [(m, mp) for m in singles for mp in singles if sum(m) + sum(mp) <= maxdeg]
+
+
+def ref_labels_by_delta(mod, dvec):
+    """The kets of weight delta dvec as each class once split it: the one
+    ket m = dvec for W, a table of splits per index for W2, every split of
+    dvec over the factors of a tensor, and none off a view's keeps."""
+    if isinstance(mod, ModuleView):
+        return ref_labels_by_delta(mod.base, dvec) if mod.keeps(dvec) else []
+    if isinstance(mod, TensorModule):
+        out = []
+
+        def rec(idx, remaining, acc):
+            if idx == len(mod.factors) - 1:
+                for l in ref_labels_by_delta(mod.factors[idx], remaining):
+                    out.append(tuple(acc + [l]))
+                return
+            for sub in itertools.product(*[range(t + 1) for t in remaining]):
+                for l in ref_labels_by_delta(mod.factors[idx], sub):
+                    rec(idx + 1, tuple(r - s for r, s in zip(remaining, sub)), acc + [l])
+
+        rec(0, tuple(dvec), [])
+        return out
+    if isinstance(mod, WModule):
+        m = tuple(dvec)
+        ok = all(mi >= 0 and (mi <= 1 or not b) for mi, b in zip(m, mod.eps.seq))
+        return [m] if ok else []
+    per = []
+    for t, b in zip(dvec, mod.eps.seq):
+        if t < 0:
+            return []
+        if b == 1:
+            opts = [(a, t - a) for a in (0, 1) if 0 <= t - a <= 1]
+        else:
+            opts = [(a, t - a) for a in range(t + 1)]
+        if not opts:
+            return []
+        per.append(opts)
+    return [(tuple(a for a, _ in combo), tuple(b for _, b in combo))
+            for combo in itertools.product(*per)]
+
+
+# (level, parts of the factors, cutoff): a lone W or W2, its parity parts,
+# both truncations, and tensors of two and three factors
+ENUMERATION_CASES = {
+    "bare": ("bold", "W", 5),
+    "even": ("bold", "+", 5),
+    "odd": ("bold", "-", 5),
+    "underline": ("underline", "W", 5),
+    "overline": ("overline", "W", 5),
+    "tensor2": ("bold", "W-", 4),
+    "tensor3": ("bold", "W+W", 3),
+    "tensor2-underline": ("underline", "WW", 4),
+    "tensor2-overline": ("overline", "-W", 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENUMERATION_CASES))
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("flavor", ["c", "d"])
+def test_one_ket_enumeration_keeps_the_window_and_its_splits(flavor, m, case):
+    level, parts, cutoff = ENUMERATION_CASES[case]
+    mod = level_module(flavor, level, host_eps(flavor, m), cutoff, [(1, p) for p in parts])
+    # the window order decides the first counterexample of every check
+    for maxdeg in range(cutoff + 1):
+        assert list(mod.enumerate_labels(maxdeg)) == ref_enumerate_labels(mod, maxdeg), maxdeg
+    window = list(mod.enumerate_labels())
+    assert window == ref_enumerate_labels(mod, cutoff) and window
+    # the weight blocks of the window partition it
+    blocks = []
+    for delta in itertools.product(range(cutoff + 1), repeat=mod.n):
+        if sum(delta) <= cutoff:
+            got = mod.labels_by_delta(delta)
+            assert set(got) == set(ref_labels_by_delta(mod, delta)), delta
+            blocks.extend(got)
+    assert sorted(blocks) == sorted(window)
+    for delta in [(-1,) + (1,) * (mod.n - 1), (2, 1) + (0,) * (mod.n - 3) + (-1,)]:
+        assert mod.labels_by_delta(delta) == ref_labels_by_delta(mod, delta) == []

@@ -82,12 +82,18 @@ def test_embedded_root_identifications():
     assert tgt.roots[m + 1] == -(EPS.delta(3) + EPS.delta(5))
 
 
-def test_flavor_tags():
-    assert EPS.flavor == "bold"
-    assert EPSP.flavor == "bold-prime"
-    assert EpsilonData((0, 0, 0, 0)).flavor == "all-zero"
-    assert EpsilonData((1, 1, 1)).flavor == "all-one"
-    assert EpsilonData((1, 1, 0, 0)).flavor == "generic"
+HOST_ERRORS = {
+    "c": "type c truncation requires the (1,0,...,0,1) host",
+    "d": "type d truncation requires the (0,1,...,1,0) host",
+}
+
+
+@pytest.mark.parametrize("kind, other", [("c", EPSP), ("d", EPS)])
+def test_phi_words_refuses_every_other_host(kind, other):
+    for host in (other, EpsilonData((1,) * 5), EpsilonData((0,) * 5)):
+        with pytest.raises(ValueError) as err:
+            phi_words(kind, "underline", host)
+        assert str(err.value) == HOST_ERRORS[kind], host
 
 
 def test_weight_text_form():

@@ -3,7 +3,8 @@ is entered only inside scalars, no module of the package probes its
 arguments with hasattr or getattr, and truncation has one kept-support
 rule, TargetAlgebra.keeps: only fockmod reads nested ket labels, and
 truncate_image_span keeps whole blocks without truncating or adding a
-vector."""
+vector.  Kets are enumerated one way: only fockmod's one Fock-ket range
+and one weight split call itertools.product."""
 
 import ast
 from pathlib import Path
@@ -174,3 +175,49 @@ def test_the_truncation_check_sees_a_per_vector_span():
         "    return out\n"
     )
     assert calls_in(tree, "truncate_image_span", TRUNCATING_CALLS) == ["add", "truncate_vector"]
+
+
+def product_callers(tree):
+    """The scopes that call itertools.product, as itertools.product(...) or
+    by a name imported from itertools; a method named product, as
+    WordExpr.product, is not it."""
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+        for alias in node.names
+        if alias.name == "product"
+    }
+    return sorted(
+        {
+            scope
+            for scope, node in top_level_scopes(tree)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and (isinstance(call.func, ast.Attribute) and call.func.attr == "product"
+                 and isinstance(call.func.value, ast.Name) and call.func.value.id == "itertools"
+                 or isinstance(call.func, ast.Name) and call.func.id in names)
+        }
+    )
+
+
+def test_only_the_ket_enumeration_calls_itertools_product():
+    callers = sorted(
+        (path.name, scope)
+        for path in SRC.glob("*.py")
+        for scope in product_callers(ast.parse(path.read_text()))
+    )
+    assert callers == [("fockmod.py", "_fock_kets"), ("fockmod.py", "_split")]
+
+
+def test_the_product_check_sees_every_call_but_a_word_product():
+    tree = ast.parse(
+        "import itertools\n"
+        "from itertools import product as pairs\n"
+        "class TensorModule:\n"
+        "    def labels_by_delta(self, dvec):\n"
+        "        return list(itertools.product(*[range(t + 1) for t in dvec]))\n"
+        "def singles(ranges):\n    return [m for m in pairs(*ranges)]\n"
+        "def word():\n    return WordExpr.product('e', 1, 2)\n"
+    )
+    assert product_callers(tree) == ["TensorModule.labels_by_delta", "singles"]
