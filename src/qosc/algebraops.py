@@ -23,6 +23,7 @@ from .fockmod import (
     eval_word,  # not called here; perfbench/selftest.py checks the tracer rebinds it
     eval_words_on_kets,
     ket_str,
+    relation_walks,
 )
 from .lattice import EpsilonData, Weight, bilinear, qpair, simple_root
 from .scalars import MINUS_ONE, ONE, Q, QTILDE, Scalar, q_power, qbinom_at, qint
@@ -237,8 +238,9 @@ def _check_suite(module, suite, labels=None):
     its guard band, cutoff - expr_max_rise.
 
     The relations of one guard band are checked together: one merged
-    suffix trie of their terms is walked once per block of kets.  A ket
-    whose image under a relation dropped a ket above the cutoff raises
+    suffix trie of their terms is walked once per block of kets, on packed
+    integers when the suite packs (fockmod.relation_walks).  A ket whose
+    image under a relation dropped a ket above the cutoff raises
     WindowError when that relation reaches it."""
     reports = [RelationReport(name, module.cutoff, max_degree_checked=-1) for name, _ in suite]
     bands = {}
@@ -254,8 +256,8 @@ def _check_suite(module, suite, labels=None):
     # whole window raised the peak RSS of verify-phi by 0.1 MiB
     labels = list(labels)
     degrees = list(map(module.degree, labels))
-    for safe, members in bands.items():
-        walk = _walker(module, [suite[i][1] for i in members])
+    walks = relation_walks(module, [[suite[i][1] for i in members] for members in bands.values()])
+    for (safe, members), walk in zip(bands.items(), walks):
 
         def residuals(labels, walk=walk):
             # a relation's residual on a ket is the ket's image
@@ -395,6 +397,10 @@ class TargetAlgebra:
         return self.param ** self.d(i)
 
 
+KINDS = ("c", "d")
+SIDES = ("underline", "overline")
+
+
 def phi_words(kind: str, side: str, host: EpsilonData, eta=1):
     """The phi images of the target generators, per the truncation maps.
 
@@ -403,6 +409,10 @@ def phi_words(kind: str, side: str, host: EpsilonData, eta=1):
     the complement.  eta is +-1; the check maps use the q-commutator
     parameter q^eta ('c') or -q^eta ('d').
     """
+    if kind not in KINDS:
+        raise ValueError("kind must be 'c' or 'd', got %r" % (kind,))
+    if side not in SIDES:
+        raise ValueError("side must be 'underline' or 'overline', got %r" % (side,))
     n = host.n
     if n % 2 == 0 or n < 5:
         raise ValueError("host length must be odd >= 5")
@@ -484,6 +494,8 @@ def phi_words(kind: str, side: str, host: EpsilonData, eta=1):
 
 def host_eps(flavor: str, m: int) -> EpsilonData:
     """The host of length 2m+1: (1,0,...,0,1) for 'c', (0,1,...,1,0) for 'd'."""
+    if flavor not in KINDS:
+        raise ValueError("flavor must be 'c' or 'd', got %r" % (flavor,))
     first = 1 if flavor == "c" else 0
     return EpsilonData(tuple((i + first) % 2 for i in range(2 * m + 1)))
 

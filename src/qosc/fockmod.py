@@ -11,11 +11,12 @@ image_leaves_window tells such an image by its weight, before acting.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from functools import lru_cache, partial
 
-from .lattice import EpsilonData, Weight, qpair, simple_root
-from .scalars import ONE, Scalar, qint
-from .words import WordExpr, word_degree_profile
+from .lattice import EpsilonData, Weight, qpair, qpair_exponent, simple_root
+from .scalars import ONE, Z1, Scalar, qint
+from .words import WordExpr, suffix_trie, word_degree_profile
 
 
 class WindowError(RuntimeError):
@@ -231,14 +232,17 @@ class FockModule:
         key = (gen, label)
         hit = None if images is None else images.get(key)
         if hit is None:
-            hit = self._image(gen, label)
-            # a list is an image at any degree, whose terms share one degree;
-            # a view's base answers with a tuple or DROPPED, decided already
-            # in the same window
-            if type(hit) is list:
-                hit = DROPPED if hit and self.degree(hit[0][0]) > self.cutoff else tuple(hit)
+            hit = self._windowed(self._image(gen, label))
             if images is not None:
                 images[key] = hit
+        return hit
+
+    def _windowed(self, hit):
+        """An _image answer under the window rule: a list is an image at any
+        degree, whose terms share one degree; a view's base answers with a
+        tuple or DROPPED, decided already in the same window."""
+        if type(hit) is list:
+            return DROPPED if hit and self.degree(hit[0][0]) > self.cutoff else tuple(hit)
         return hit
 
 
@@ -614,25 +618,26 @@ def _step(module, atom, rows):
     return out, dropped
 
 
-def _walk(module, node, rows, parts, outs, dropped):
+def _walk(step, finish, node, rows, parts, outs, dropped):
     """Depth-first below one trie node: at each term end, add (term index,
     coefficient, rows) to parts[r] of its word r, and sum the word into
-    outs[r] at its last end; add the sources a step drops to dropped[r] of
-    each word r that owns the step's node.  A module-level function, not a
-    closure, so no reference cycle keeps the rows alive until the cyclic
-    GC runs."""
+    outs[r] with finish(parts, r, outs) at its last end; step(atom, rows)
+    gives a step's image rows and the sources it drops, which go to
+    dropped[r] of each word r that owns the step's node.  A module-level
+    function, not a closure, so no reference cycle keeps the rows alive
+    until the cyclic GC runs."""
     children, ends, _ = node
     for r, idx, c, last in ends:
         parts[r].append((idx, c, rows))
         if last:
-            _sum_parts(parts, r, outs)
+            finish(parts, r, outs)
     for atom, child in children.items():
-        img, d = _step(module, atom, rows)
+        img, d = step(atom, rows)
         if d:
             for r in child[2]:
                 dropped[r].update(d)
         if img:
-            _walk(module, child, img, parts, outs, dropped)
+            _walk(step, finish, child, img, parts, outs, dropped)
 
 
 def _sum_parts(parts, r, outs):
@@ -659,10 +664,12 @@ def _sum_parts(parts, r, outs):
     outs[r] = {src: acc for src, acc in out.items() if acc}
 
 
-def _eval_trie(trie, rows, module):
+def _eval_trie(trie, rows, step, finish=_sum_parts):
     """The words of a suffix trie (words.suffix_trie) on rows {source:
-    {label: Scalar}}: per word in order, (image rows, the set of sources
-    whose image under that word dropped a ket above the cutoff).
+    {label: coefficient}}, one step(atom, rows) per trie edge (_step on
+    Scalar rows, _pstep on packed ones): per word in order, (image rows,
+    the set of sources whose image under that word dropped a ket above the
+    cutoff).
 
     Walks the trie once for all rows and words, so each atom is applied
     once per shared suffix, and stops below a node where every row's image
@@ -673,10 +680,10 @@ def _eval_trie(trie, rows, module):
     parts = [[] for _ in range(count)]
     outs = [{} for _ in range(count)]
     dropped = [set() for _ in range(count)]
-    _walk(module, trie, rows, parts, outs, dropped)
+    _walk(step, finish, trie, rows, parts, outs, dropped)
     for r in range(count):
         if parts[r] is not None:  # the walk stopped above the last end
-            _sum_parts(parts, r, outs)
+            finish(parts, r, outs)
     return list(zip(outs, dropped))
 
 
@@ -697,7 +704,7 @@ def act(module, gen, vec: FockVector) -> FockVector:
 def eval_word(expr: WordExpr, vec: FockVector, module) -> FockVector:
     """Evaluate a WordExpr right-to-left on a vector; raises WindowError
     when a step of a term dropped a ket above the cutoff."""
-    (walked,) = _eval_trie(expr.suffix_trie(), {None: vec.terms}, module)
+    (walked,) = _eval_trie(expr.suffix_trie(), {None: vec.terms}, partial(_step, module))
     return _one_row(walked, "word")
 
 
@@ -715,7 +722,7 @@ def eval_words_on_kets(trie, labels, module):
     """The words of a suffix trie on each basis ket of labels, in one walk:
     per word, ({label: image terms}, the set of labels whose image dropped
     a ket above the cutoff).  A label whose image is zero has no entry."""
-    return _eval_trie(trie, {label: {label: ONE} for label in labels}, module)
+    return _eval_trie(trie, {label: {label: ONE} for label in labels}, partial(_step, module))
 
 
 def weight_block(module, wt: Weight):
@@ -737,3 +744,585 @@ class RestrictedModule(ModuleView):
 
     def keeps(self, delta):
         return sum(delta) % 2 == self.parity_value
+
+
+# -- relation walks on packed integers ----------------------------------------
+#
+# A relation check reads whether each residual is zero, and its first
+# nonzero one.  relation_walks runs its words on rows of Python ints: each
+# coefficient, a polynomial P(w, z) with integer coefficients, is the int
+# P(2^K, 2^(K D)) (Kronecker substitution), so a product or a sum is one
+# int operation and a k_mu step is a sign and a shift.
+#
+# Clearing.  An atom a has a factor F_a = f_a(w) z^t_a: f_a is the lcm of
+# the w-denominators of a's image coefficients on the window times the
+# power of w that lifts their lowest w-exponent to 0, and z^t_a does the
+# same in z.  Its packed images are F_a times its images, polynomials, so a
+# row after the atoms of a path holds the product of their F_a times its
+# true entries.  A word gets one factor F_r = f_r(w) z^T_r, and each of
+# its terms c_t * (atoms) the coefficient M_t = c_t F_r / prod F_a,
+# a polynomial: the packed word is F_r times the true one, zero iff it is,
+# and decoding divides by F_r.
+#
+# Width.  A nonzero P has P(2^K, 2^(K D)) != 0 when every coefficient lies
+# below 2^(K-1) in absolute value and every w-degree below D (z in an
+# outer slot; D = 0 when no packed coefficient holds z).  Every zero test
+# of a walk drops an entry, so the bound covers every row entry and partial
+# sum: with G_a >= 1 the largest l1 norm of a packed image of a (its terms
+# together) on the kets packed, an entry after a path has l1 norm at most
+# the product of G_a along it, and every partial sum of word r at most
+# B_r = sum_t |M_t|_1 prod_{a in t} G_a.  K = 1 + bit_length(max B_r)
+# proves them all, and D = 1 + the largest sum of w-degrees.  A pull-back's
+# images come from a packed walk of its phi words on its base, whose bound
+# is proven the same way, and G of a phi image is that word's bound.
+#
+# Fallback.  A coefficient with a denominator in z, an atom whose
+# coefficients mix Scalars and SpectralScalars, a slot wider than
+# _MAX_SLOT_BITS, or a ket met outside the window whose image exceeds the
+# bounds proven on the window: the check walks Scalar rows
+# (eval_words_on_kets) from there on.
+
+_MAX_SLOT_BITS = 256
+_PACK_BLOCK = 32  # kets per packed walk of phi words over a base window
+
+
+class _NoFit(Exception):
+    """Packed rows cannot hold a coefficient or a bound."""
+
+
+def _pieces(c):
+    """(spectral, ((z-exponent, Scalar), ...)) of a coefficient; _NoFit
+    for a denominator in z."""
+    if isinstance(c, Scalar):
+        return False, ((0, c),)
+    if len(c.den) > 1:
+        raise _NoFit
+    return True, tuple((c.noff + j, a) for j, a in enumerate(c.num) if not a.is_zero())
+
+
+def _top(y):
+    """The highest w-exponent of a nonzero Laurent polynomial."""
+    return y.noff + y.stride * (len(y.num) - 1)
+
+
+def _denominator(y):
+    """The denominator of a Scalar, as a Scalar."""
+    return Scalar(0, y.dense()[2], (1,))
+
+
+def _poly_int(y, K):
+    """A polynomial y (a Scalar of denominator 1, exponents >= 0) at w = 2^K."""
+    v = 0
+    step = K * y.stride
+    for c in reversed(y.num):
+        v = (v << step) + c
+    return v << (K * y.noff)
+
+
+class _Factor:
+    """F = f(w) z^t of an atom and the bounds of its packed images: l1 norm
+    at most G and w-degree at most deg; spectral says their coefficients
+    are SpectralScalars, zused that a packed image holds a power of z."""
+
+    __slots__ = ("f", "t", "G", "deg", "spectral", "zused")
+
+    def __init__(self, f=ONE, t=0, G=1, deg=0, spectral=False, zused=False):
+        self.f, self.t, self.G, self.deg = f, t, G, deg
+        self.spectral, self.zused = spectral, zused
+
+    @staticmethod
+    def of(images):
+        """The factor of an atom with these images (tuples or DROPPED)."""
+        split = [[_pieces(c) for _, c in img] for img in images if img is not DROPPED]
+        kinds = {spectral for img in split for spectral, _ in img}
+        if len(kinds) > 1:
+            raise _NoFit
+        f = ONE
+        for img in split:
+            for _, pieces in img:
+                for _, a in pieces:
+                    if a.den != (1,) and (a * f).den != (1,):
+                        f = f * _denominator(a * f)
+        lo = hi = zlo = zhi = None
+        G = 1
+        for img in split:
+            norm = 0
+            for _, pieces in img:
+                for z, a in pieces:
+                    y = a * f
+                    norm += sum(map(abs, y.num))
+                    lo = y.noff if lo is None else min(lo, y.noff)
+                    hi = _top(y) if hi is None else max(hi, _top(y))
+                    zlo = z if zlo is None else min(zlo, z)
+                    zhi = z if zhi is None else max(zhi, z)
+            G = max(G, norm)
+        if lo is None:  # no coefficient to pack
+            return _Factor()
+        return _Factor(f * Scalar.monomial(1, -lo), -zlo, G, hi - lo, kinds.pop(), zhi > zlo)
+
+    def pack(self, image, K, KD):
+        """A packed image: F times each coefficient, at w = 2^K, z = 2^KD."""
+        if image is DROPPED:
+            return image
+        out = []
+        for label, c in image:
+            v = 0
+            for z, a in _pieces(c)[1]:
+                v += _poly_int(a * self.f, K) << (KD * (z + self.t))
+            out.append((label, v))
+        return tuple(out)
+
+    def fit(self, image, K, KD):
+        """pack, for an image met outside the window; _NoFit unless it keeps
+        the bounds proven on the window."""
+        if image is not DROPPED:
+            norm = 0
+            for _, c in image:
+                spectral, pieces = _pieces(c)
+                if spectral != self.spectral:
+                    raise _NoFit
+                for z, a in pieces:
+                    y = a * self.f
+                    if y.den != (1,) or y.noff < 0 or _top(y) > self.deg:
+                        raise _NoFit
+                    if z + self.t < 0:
+                        raise _NoFit
+                    norm += sum(map(abs, y.num))
+            if norm > self.G:
+                raise _NoFit
+        return self.pack(image, K, KD)
+
+
+class _KFactor:
+    """k_mu on the weights of a window: the sign and power of w of
+    q(weight, mu) per weight, lifted by the factor w^s."""
+
+    def __init__(self, mu, weights, eps):
+        self.mu, self.eps = mu, eps
+        self.exps = [qpair_exponent(wt, mu, eps) for wt in weights]
+        lo = min((e for _, e in self.exps), default=0)
+        hi = max((e for _, e in self.exps), default=0)
+        self.s = -lo
+        self.factor = _Factor(Scalar.monomial(1, self.s), deg=hi - lo)
+
+    def table(self, K):
+        """[(negate, shift)] per weight, and frees the exponents."""
+        s, shared = self.s, {}
+        out = [shared.setdefault((sign, e), (sign < 0, K * (e + s))) for sign, e in self.exps]
+        self.exps = None
+        return out
+
+    def fit(self, wt, K):
+        """The (negate, shift) of a weight met outside the window; _NoFit
+        unless its power of w keeps the degree proven on the window."""
+        sign, e = qpair_exponent(wt, self.mu, self.eps)
+        if not 0 <= e + self.s <= self.factor.deg:
+            raise _NoFit
+        return sign < 0, K * (e + self.s)
+
+
+class _Word:
+    """A WordExpr cleared of denominators over the factors of its atoms:
+    the word is (sum_t M_t z^zpow_t row_t) / (f z^T), each M_t a
+    polynomial in w and row_t a packed row after the atoms of term t."""
+
+    def __init__(self, expr, factors):
+        ys, ts, gs, degs, flags = [], [], [], [], []
+        for atoms, c in expr.terms.items():
+            if not isinstance(c, Scalar):
+                raise _NoFit
+            fa, t, G, deg, spectral = ONE, 0, 1, 0, False
+            for atom in atoms:
+                F = factors.get(atom, _UNIT)
+                fa, t, G, deg = fa * F.f, t + F.t, G * F.G, deg + F.deg
+                spectral = spectral or F.spectral
+            ys.append(c / fa)
+            ts.append(t)
+            gs.append(G)
+            degs.append(deg)
+            flags.append(spectral)
+        f = ONE
+        for y in ys:
+            if (y * f).den != (1,):
+                f = f * _denominator(y * f)
+        ys = [y * f for y in ys]
+        lift = Scalar.monomial(1, max((-y.noff for y in ys), default=0))
+        self.f = f * lift
+        self.T = max(ts, default=0)
+        ms = [y * lift for y in ys]
+        self.coeffs = [(m, self.T - t) for m, t in zip(ms, ts)]
+        self.bound = sum(sum(map(abs, m.num)) * G for m, G in zip(ms, gs))
+        self.deg = max((_top(m) + deg for m, deg in zip(ms, degs)), default=0)
+        self.zused = any(self.T - t for t in ts)
+        self.flags = flags
+        self.mixed = len(set(flags)) > 1
+        self.spectral = bool(flags) and flags[0]
+
+    def factor(self, zused):
+        """The factor of this word's packed images, as an atom's."""
+        if self.mixed:
+            raise _NoFit
+        return _Factor(self.f, self.T, max(self.bound, 1), self.deg, self.spectral, zused)
+
+    def packed(self, K, KD):
+        """M_t z^zpow_t packed, per term in order."""
+        return [_poly_int(m, K) << (KD * zp) for m, zp in self.coeffs]
+
+
+_UNIT = _Factor()  # an atom outside I, which a walk refuses when it reaches it
+
+
+class _ScalarImages:
+    """The images of a module that gives them as Scalars, on its window:
+    through apply_gen when its class redefines it, else _image under the
+    window rule, which leaves the module's Scalar cache alone."""
+
+    bound = deg = 0  # no walk of their own
+    zused = False
+
+    def __init__(self, module, gens):
+        if type(module).apply_gen is FockModule.apply_gen:
+            self.image = lambda gen, label: module._windowed(module._image(gen, label))
+        else:
+            self.image = module.apply_gen
+        self.labels = list(module.enumerate_labels())
+        self.raw = {gen: [self.image(gen, label) for label in self.labels] for gen in gens}
+        self.factors = {gen: _Factor.of(images) for gen, images in self.raw.items()}
+        self.zused = any(F.zused for F in self.factors.values())
+
+    def pack(self, K, D):
+        # each atom's Scalar images go as its packed ones come
+        tables = {}
+        while self.raw:
+            gen, images = self.raw.popitem()
+            pack = self.factors[gen].pack
+            tables[gen] = {label: pack(img, K, K * D) for label, img in zip(self.labels, images)}
+        return tables
+
+    def miss(self, gen, label, K, D):
+        return {gen: self.factors[gen].fit(self.image(gen, label), K, K * D)}
+
+
+class _PhiImages:
+    """The images of a pull-back: its phi words walked on packed rows of
+    its base, over the base window in blocks."""
+
+    def __init__(self, module, gens):
+        self.module, self.gens = module, gens
+        words = [module.algebra.phi(gen) for gen in gens]
+        self.inner = _Packing(module.base, [words], [suffix_trie(words)])
+        self.labels = self.inner.labels
+        self.bound, self.deg, self.zused = self.inner.bound, self.inner.deg, self.inner.zused
+        self.factors = {
+            gen: word.factor(self.zused) for gen, word in zip(gens, self.inner.words[0])
+        }
+
+    def pack(self, K, D):
+        self.inner.pack(K, D)
+        tables = {gen: {} for gen in self.gens}
+        for i in range(0, len(self.labels), _PACK_BLOCK):
+            self._fill(tables, self.labels[i : i + _PACK_BLOCK])
+        return tables
+
+    def miss(self, gen, label, K, D):
+        tables = {gen: {} for gen in self.gens}
+        self._fill(tables, [label])
+        return {gen: table[label] for gen, table in tables.items()}
+
+    def _fill(self, tables, labels):
+        for gen, (rows, dropped) in zip(self.gens, self.inner.rows(0, labels)):
+            table = tables[gen]
+            for label in labels:
+                row = rows.get(label)
+                if label in dropped:
+                    table[label] = DROPPED
+                else:
+                    table[label] = self.module._windowed(list(row.items())) if row else ()
+
+
+def _images_of(module, gens):
+    """The packed source of module's images: a view that forwards to its
+    base reads the base's, a pull-back walks its phi words, and any other
+    module (or a class that redefines apply_gen or _image) gives Scalars."""
+    cls = type(module)
+    if cls.apply_gen is FockModule.apply_gen:
+        if cls._image is ModuleView._image:
+            return _images_of(module.base, gens)
+        if cls._image is PullbackModule._image:
+            return _PhiImages(module, gens)
+    return _ScalarImages(module, gens)
+
+
+class _Packing:
+    """Bands of words (lists of WordExprs) on one module, with their merged
+    suffix tries, cleared and bounded; pack(K, D) lays out their packed
+    images and tries at a width that the bounds prove, and rows(i, labels)
+    walks band i."""
+
+    def __init__(self, module, bands, tries):
+        atoms = {atom for band in bands for expr in band for term in expr.terms for atom in term}
+        if any(kind not in ("e", "f", "k") for kind, _ in atoms):
+            raise _NoFit
+        self.gen_indices = module.algebra.gen_indices
+        gens = [a for a in atoms if a[0] != "k" and a[1] in self.gen_indices]
+        self.images = _images_of(module, gens)
+        self.labels = self.images.labels
+        mus = {a[1] for a in atoms if a[0] == "k"}
+        # k steps read a ket's weight by its index: one table per mu, of
+        # one (negate, shift) per weight, shares the window's kets
+        self.module, self.weight_ids, self.wid = module, {}, {}
+        if mus:
+            for label in self.labels:
+                wt = module.weight_of(label)
+                self.wid[label] = self.weight_ids.setdefault(wt, len(self.weight_ids))
+        self.kfactors = {mu: _KFactor(mu, self.weight_ids, module.eps) for mu in mus}
+        factors = dict(self.images.factors)
+        factors.update((("k", mu), kf.factor) for mu, kf in self.kfactors.items())
+        self.tries = tries
+        self.words = [[_Word(expr, factors) for expr in band] for band in bands]
+        words = [w for band in self.words for w in band]
+        self.bound = max([self.images.bound] + [w.bound for w in words])
+        self.deg = max([self.images.deg] + [w.deg for w in words])
+        self.zused = self.images.zused or any(w.zused for w in words)
+
+    def proven_width(self):
+        """(K, D): the narrowest slots the bounds prove."""
+        return self.bound.bit_length() + 1, (self.deg + 1 if self.zused else 0)
+
+    def pack(self, K, D):
+        """Lay out the packed images and tries at K bits per w-slot and D
+        w-slots per power of z; ValueError below the proven width."""
+        if self.bound >> (K - 1):
+            raise ValueError("%d-bit slots: below the proven bound %d" % (K, self.bound))
+        if self.zused and D <= self.deg:
+            raise ValueError("%d w-slots per z: below the proven degree %d" % (D, self.deg))
+        self.K, self.D = K, D
+        self.tables = self.images.pack(K, D)
+        self.ktables = {mu: kf.table(K) for mu, kf in self.kfactors.items()}
+        self.coeffs = [[word.packed(K, K * D) for word in words] for words in self.words]
+        return self
+
+    def weight_id(self, label):
+        """The index of the weight of a ket met outside the window."""
+        wt = self.module.weight_of(label)
+        i = self.weight_ids.get(wt)
+        if i is None:
+            i = self.weight_ids[wt] = len(self.weight_ids)
+            for mu, kf in self.kfactors.items():
+                self.ktables[mu].append(kf.fit(wt, self.K))
+        self.wid[label] = i
+        return i
+
+    def miss(self, atom, label):
+        """The packed image of a ket met outside the window."""
+        for gen, image in self.images.miss(atom, label, self.K, self.D).items():
+            self.tables[gen][label] = image
+        return self.tables[atom][label]
+
+    def rows(self, i, labels, finish=None):
+        """The words of band i on each basis ket of labels, as
+        eval_words_on_kets gives them, with packed rows: the walk of the
+        band's trie, whose term ends read their packed coefficients."""
+        rows = {label: {label: 1} for label in labels}
+        finish = finish or partial(_psum_parts, self.coeffs[i])
+        return _eval_trie(self.tries[i], rows, partial(_pstep, self), finish)
+
+    def walk(self, i, labels):
+        """rows(i, labels) with each word's rows read as Scalar or
+        SpectralScalar rows, decoded when read."""
+        words, coeffs = self.words[i], self.coeffs[i]
+        flags = {}
+
+        def finish(parts, r, outs):
+            word_parts = parts[r]
+            _psum_parts(coeffs, parts, r, outs)
+            if words[r].mixed and outs[r]:
+                flags[r] = _replay_flags(word_parts, coeffs[r], words[r].flags, outs[r])
+
+        walked = self.rows(i, labels, finish)
+        return [
+            (_Decoded(rows, partial(self.value, word, flags.get(r))), dropped)
+            for r, ((rows, dropped), word) in enumerate(zip(walked, words))
+        ]
+
+    def value(self, word, flags, src, label, v):
+        """The coefficient a packed entry v of word stands for: the
+        SpectralScalar or Scalar that a Scalar walk gives."""
+        spectral = word.spectral if flags is None else flags[(src, label)]
+        out = None
+        for j, digits in sorted(_unpack(v, self.K, self.D).items()):
+            dense = [digits.get(e, 0) for e in range(max(digits) + 1)]
+            c = Scalar(0, dense, (1,)) / word.f
+            if spectral:
+                c = c * Z1 ** (j - word.T)
+            elif j != word.T:
+                raise ArithmeticError("a Scalar residual with a power of z")
+            out = c if out is None else out + c
+        return out
+
+
+def _unpack(v, K, D):
+    """{z-power: {w-exponent: coefficient}} of the nonzero coefficients of
+    the P with v = P(2^K, 2^(K D)): the digits of v in base 2^K taken in
+    [-2^(K-1), 2^(K-1)), D of them per power of z (all of them when D is
+    0).  P is the one polynomial with v = P(2^K, 2^(K D)) whose
+    coefficients lie in that range and whose w-degrees lie below D."""
+    half, mask = 1 << (K - 1), (1 << K) - 1
+    slots = {}
+    p = 0
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        v = (v - d) >> K
+        if d:
+            j, e = divmod(p, D) if D else (0, p)
+            slots.setdefault(j, {})[e] = d
+        p += 1
+    return slots
+
+
+class _Decoded(Mapping):
+    """Packed rows {source: {label: int}} read as {label: coefficient}
+    rows; value(src, label, v) decodes one entry."""
+
+    __slots__ = ("rows", "value")
+
+    def __init__(self, rows, value):
+        self.rows, self.value = rows, value
+
+    def __getitem__(self, src):
+        return {label: self.value(src, label, v) for label, v in self.rows[src].items()}
+
+    def __contains__(self, src):
+        return src in self.rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+
+def _pstep(packing, atom, rows):
+    """_step on packed rows {source: {label: int}}."""
+    out = {}
+    if atom[0] == "k":
+        wid, table = packing.wid, packing.ktables[atom[1]]
+        for src, terms in rows.items():
+            img = {}
+            for l, c in terms.items():
+                i = wid.get(l)
+                if i is None:
+                    i = packing.weight_id(l)
+                negate, shift = table[i]
+                img[l] = -(c << shift) if negate else c << shift
+            out[src] = img
+        return out, ()
+    if atom[1] not in packing.gen_indices:
+        raise ValueError("generator index %r outside I" % (atom,))
+    table = packing.tables[atom]
+    dropped = []
+    for src, terms in rows.items():
+        acc = {}
+        drop = False
+        for label, c in terms.items():
+            image = table.get(label)
+            if image is None:
+                image = packing.miss(atom, label)
+            if image is DROPPED:
+                drop = True
+                continue
+            for l2, c2 in image:
+                s = acc.get(l2)
+                if s is None:
+                    acc[l2] = c * c2
+                else:
+                    s += c * c2
+                    if s:
+                        acc[l2] = s
+                    else:
+                        del acc[l2]
+        if drop:
+            dropped.append(src)
+        if acc:
+            out[src] = acc
+    return out, dropped
+
+
+def _psum_parts(coeffs, parts, r, outs):
+    """_sum_parts on packed rows, with coeffs[r] the packed coefficients of
+    word r's terms."""
+    word_parts, parts[r] = parts[r], None
+    word_parts.sort(key=lambda part: part[0])
+    packed = coeffs[r]
+    out = {}
+    for idx, _, prows in word_parts:
+        c = packed[idx]
+        one = c == 1
+        for src, vec in prows.items():
+            acc = out.get(src)
+            if acc is None:
+                out[src] = dict(vec) if one else {label: c * x for label, x in vec.items()}
+                continue
+            for label, x in vec.items():
+                s = acc.get(label)
+                if s is None:
+                    acc[label] = x if one else c * x
+                else:
+                    s += x if one else c * x
+                    if s:
+                        acc[label] = s
+                    else:
+                        del acc[label]
+    outs[r] = {src: acc for src, acc in out.items() if acc}
+
+
+def _replay_flags(word_parts, packed, term_flags, out):
+    """{(source, label): spectral} of the nonzero entries of a word whose
+    terms mix Scalar and SpectralScalar coefficients: a Scalar sum is
+    spectral when a term since its last zero was, as _sum_parts adds."""
+    flags = {}
+    for src, row in out.items():
+        for label in row:
+            s, flag = 0, False
+            for idx, _, prows in word_parts:
+                x = prows.get(src, {}).get(label)
+                if x is None:
+                    continue
+                flag = term_flags[idx] or (flag and s != 0)
+                s += packed[idx] * x
+            flags[(src, label)] = flag
+    return flags
+
+
+class _SuiteWalks:
+    """The walks of relation_walks: packed while the suite packs, on
+    Scalar rows from the first block that does not."""
+
+    def __init__(self, module, bands):
+        self.module = module
+        self.tries = [suffix_trie(band) for band in bands]
+        try:
+            packing = _Packing(module, bands, self.tries)
+            K, D = packing.proven_width()
+            self.packing = packing.pack(K, D) if K <= _MAX_SLOT_BITS else None
+        except _NoFit:
+            self.packing = None
+
+    def walk(self, i, labels):
+        if self.packing is not None:
+            try:
+                return self.packing.walk(i, labels)
+            except _NoFit:
+                self.packing = None
+        return eval_words_on_kets(self.tries[i], labels, self.module)
+
+
+def relation_walks(module, bands):
+    """walk(labels) per band, a list of WordExprs: the words of the band on
+    each basis ket of labels, as eval_words_on_kets gives them, from one
+    walk of their merged suffix trie.  A relation check's walks: exact, on
+    packed integers when the suite packs (see above), else on Scalar rows."""
+    walks = _SuiteWalks(module, bands)
+    return [partial(walks.walk, i) for i in range(len(bands))]

@@ -116,9 +116,9 @@ def bilinear(mu: Weight, nu: Weight, eps: EpsilonData) -> Fraction:
     return acc
 
 
-def qpair(mu: Weight, nu: Weight, eps: EpsilonData) -> Scalar:
-    """The biadditive pairing q(mu, nu) = v^(l' |mu| + l |nu|) prod q_i^(mu_i nu_i),
-    where l, l' are the Lambda-coefficients of mu and nu."""
+def qpair_exponent(mu: Weight, nu: Weight, eps: EpsilonData):
+    """(sign, e) with q(mu, nu) = sign * w**e: the pairing as a sign and a
+    power of w."""
     wexp = nu.lam * sum(mu.delta) + mu.lam * sum(nu.delta)
     sign = 1
     for i in eps.II:
@@ -131,5 +131,10 @@ def qpair(mu: Weight, nu: Weight, eps: EpsilonData) -> Scalar:
                 sign = -sign
         else:
             wexp -= 2 * e
-    return Scalar.monomial(sign, wexp)
+    return sign, wexp
 
+
+def qpair(mu: Weight, nu: Weight, eps: EpsilonData) -> Scalar:
+    """The biadditive pairing q(mu, nu) = v^(l' |mu| + l |nu|) prod q_i^(mu_i nu_i),
+    where l, l' are the Lambda-coefficients of mu and nu."""
+    return Scalar.monomial(*qpair_exponent(mu, nu, eps))

@@ -4,7 +4,7 @@ Shared implementation lives in qosc.acceptance so the CLI `suite`
 subcommand runs exactly the same checks.
 """
 
-from qosc import acceptance
+from qosc import acceptance, fockmod
 
 
 def _run(fn):
@@ -56,7 +56,16 @@ def test_criterion_8_fusion():
     assert rep["rejected"] == (0, 1, 2)
 
 
-def test_criterion_9_negative_controls():
+def test_criterion_9_negative_controls(monkeypatch):
+    # the corrupted W's check runs on packed rows (no Scalar-row step), and
+    # its decoded counterexample is the one the Scalar walk reported
+    def refuse(*args):
+        raise AssertionError("the relation walk fell back to Scalar rows")
+
+    monkeypatch.setattr(fockmod, "_step", refuse)
     rep = _run(acceptance.criterion_9)
-    assert rep["counterexample"] is not None
+    assert rep["counterexample"] == {
+        "ket": "[0,0,0,0,0]",
+        "residual": "FockVector(((2)/(1))*|[0,0,0,0,0]>)",
+    }
     assert rep["rejected"] == (0, 1, 6)

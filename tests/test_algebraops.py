@@ -11,6 +11,7 @@ from qosc.algebraops import (
     check_relation_on,
     check_relations,
     check_truncation_equivariance,
+    host_eps,
     level_module,
     phi_words,
     relation_suite,
@@ -99,6 +100,24 @@ def test_phi_words_examples():
     assert (tgt.phi(("e", m + 1)) - want).is_zero()
     with pytest.raises(ValueError):
         phi_words("c", "underline", EPSP)
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda: phi_words("x", "underline", host_eps("c", 2)), "'x'"),
+        (lambda: phi_words("x", "overline", host_eps("d", 2)), "'x'"),
+        (lambda: phi_words("c", "sideways", host_eps("c", 2)), "'sideways'"),
+        (lambda: phi_words("d", "", host_eps("d", 2)), "''"),
+        (lambda: host_eps("x", 2), "'x'"),
+        (lambda: host_eps("C", 2), "'C'"),
+    ],
+)
+def test_phi_words_and_host_eps_name_a_bad_kind_or_side(call, bad):
+    # each used to build a target on a guessed branch: U_q(D_3^(1)) for
+    # kind "x", U_qt(D_3^(1)) for side "sideways", the type-d host for "x"
+    with pytest.raises(ValueError, match=bad):
+        call()
 
 
 def test_phi_relations_small_windows():

@@ -10,10 +10,14 @@ read weights: a term is kept when every Fock factor of its nested ket
 label vanishes off the kept indices.
 """
 
+import itertools
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qosc.algebraops import check_relation_on, phi_words, target_relation_suite
+from qosc import fockmod
+from qosc.algebraops import check_relation_on, phi_words, relation_suite, target_relation_suite
 from qosc.fockmod import (
     DROPPED,
     FockVector,
@@ -23,11 +27,15 @@ from qosc.fockmod import (
     W2Module,
     WindowError,
     WModule,
+    _Packing,
+    _unpack,
     act,
     eval_word,
+    eval_words_on_kets,
+    relation_walks,
 )
-from qosc.lattice import EpsilonData, qpair
-from qosc.scalars import ONE, Q, Scalar, parse_scalar, qint
+from qosc.lattice import EpsilonData, Weight, qpair
+from qosc.scalars import ONE, Q, Z1, Scalar, SpectralScalar, parse_scalar, qint
 from qosc.words import WordExpr, expr_max_rise, suffix_trie
 
 EPS = EpsilonData((1, 0, 1, 0, 1))
@@ -241,3 +249,232 @@ def test_truncated_image_that_leaves_the_window_raises_window_error():
     trunc = TruncatedModule(WModule(EPS, Scalar.from_int(1), cutoff=4), tgt)
     with pytest.raises(WindowError):
         act(trunc, ("e", 0), FockVector.basis((0, 2, 0, 2, 0)))
+
+
+# -- packed relation walks equal Scalar rows ----------------------------------
+#
+# relation_walks runs a relation check's words on packed integers when the
+# suite packs.  Its rows must be the Scalar walk's (eval_words_on_kets) and
+# the per-term loop's (ref_eval_word): the same entries, of the same type,
+# and the same sources dropped.  Every Scalar-row walk steps through
+# fockmod._step, so a walk that runs with _step refused ran packed.
+
+
+INV_QQ = (Q - Q.inverse()).inverse()  # 1/(q - q^-1), as in the Cartan relations
+INV_2 = qint(2).inverse()  # 1/[2], as in the hat phi maps
+PACKED_COEFFS = COEFFS + [INV_QQ, INV_2]
+
+
+@contextmanager
+def scalar_steps_refused():
+    def refuse(*args):
+        raise AssertionError("a relation walk fell back to Scalar rows")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fockmod, "_step", refuse)
+        yield
+
+
+def l1(v, K, D):
+    """The l1 norm of the polynomial that a packed entry stands for."""
+    return sum(abs(c) for slot in _unpack(v, K, D).values() for c in slot.values())
+
+
+@contextmanager
+def packed_walks_within_their_bounds():
+    """scalar_steps_refused, and every entry that a packed step or a word's
+    sum leaves lies within the bound that its walk proved."""
+    step, total, walks = fockmod._pstep, fockmod._psum_parts, []
+
+    def within(packing, rows):
+        for row in rows.values():
+            for v in row.values():
+                assert l1(v, packing.K, packing.D) <= packing.bound
+
+    def checked_step(packing, atom, rows):
+        walks.append(packing)
+        out, dropped = step(packing, atom, rows)
+        within(packing, out)
+        return out, dropped
+
+    def checked_total(coeffs, parts, r, outs):
+        total(coeffs, parts, r, outs)
+        if walks:
+            within(walks[-1], outs[r])
+
+    with scalar_steps_refused(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fockmod, "_pstep", checked_step)
+        mp.setattr(fockmod, "_psum_parts", checked_total)
+        yield
+
+
+def spectral_x(a, j):
+    """x = q^a z^j, a Scalar when j = 0."""
+    return Q ** a if j == 0 else Q ** a * Z1 ** j
+
+
+def packed_module(name, x):
+    return {
+        "W": lambda: WModule(EPS, x, cutoff=4),
+        "W2": lambda: W2Module(EPSP, x, cutoff=3),
+        "Pullback(W)": lambda: PullbackModule(
+            WModule(EPS, x, cutoff=4), phi_words("c", "overline", EPS)),
+        # the overline truncation of W lies below the cutoff: nothing drops
+        "Truncated(W)": lambda: TruncatedModule(
+            WModule(EPS, x, cutoff=4), phi_words("c", "underline", EPS)),
+        "Pullback(W2)": lambda: PullbackModule(
+            W2Module(EPSP, x, cutoff=3), phi_words("d", "overline", EPSP)),
+        "Truncated(W2)": lambda: TruncatedModule(
+            W2Module(EPSP, x, cutoff=3), phi_words("d", "underline", EPSP)),
+    }[name]()
+
+
+PACKED_MODULES = ["W", "W2", "Pullback(W)", "Truncated(W)", "Pullback(W2)", "Truncated(W2)"]
+
+
+def dropping_kets(module, gen, count):
+    """The first kets of the window whose image under gen left it."""
+    return [l for l in module.enumerate_labels() if module.apply_gen(gen, l) is DROPPED][:count]
+
+
+@st.composite
+def module_words_and_kets(draw, name):
+    """A module with x = q^a z^j, words in its atoms with k atoms and the
+    coefficients 1/(q - q^-1) and 1/[2], and kets whose image under the
+    last word left the window."""
+    x = spectral_x(draw(st.integers(-3, 3)), draw(st.integers(-1, 1)))
+    mod = packed_module(name, x)
+    gens = list(mod.algebra.gen_indices)
+    roots = [mod.algebra.root(gens[0]), mod.algebra.root(gens[-1])]
+    ks = [("k", r) for r in roots] + [("k", -roots[0])]
+    pool = draw(st.lists(st.sampled_from([(k, i) for i in gens for k in "ef"] + ks),
+                         min_size=1, max_size=4, unique=True))
+    exprs = []
+    for _ in range(draw(st.integers(1, 3))):
+        words = draw(st.lists(st.lists(st.sampled_from(pool), max_size=4).map(tuple),
+                              min_size=1, max_size=5))
+        exprs.append(WordExpr({w: draw(st.sampled_from(PACKED_COEFFS)) for w in words}))
+    e0 = ("e", gens[0])
+    exprs.append(WordExpr({(e0, draw(st.sampled_from(ks))): INV_QQ,
+                           (draw(st.sampled_from(pool)),): INV_2}))
+    labels = list(mod.enumerate_labels())
+    kets = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
+    drops = dropping_kets(mod, e0, 2)
+    return mod, exprs, kets + [l for l in drops if l not in kets], drops
+
+
+def typed_rows(walked):
+    """Per word: ({source: [(label, type, coefficient)]}, dropped sources)."""
+    return [
+        ({src: [(l, type(c), c) for l, c in rows[src].items()] for src in rows}, set(dropped))
+        for rows, dropped in walked
+    ]
+
+
+@pytest.mark.parametrize("name", PACKED_MODULES)
+def test_packed_walks_match_scalar_rows(name):
+    @settings(max_examples=30, deadline=None)
+    @given(module_words_and_kets(name))
+    def check(case):
+        mod, exprs, kets, drops = case
+        want = typed_rows(eval_words_on_kets(suffix_trie(exprs), kets, mod))
+        with packed_walks_within_their_bounds():
+            (walk,) = relation_walks(mod, [exprs])
+            got = typed_rows(walk(kets))
+        assert got == want
+        # the e_0 word drops the kets whose e_0 image left the window
+        assert set(drops) <= got[-1][1] and drops
+        for expr, (rows, dropped) in zip(exprs, got):
+            for label in kets:
+                if label in dropped:
+                    with pytest.raises(WindowError):
+                        ref_eval_word(expr, FockVector.basis(label), mod)
+                else:
+                    ref = ref_eval_word(expr, FockVector.basis(label), mod)
+                    assert [(l, type(c), c) for l, c in ref.terms.items()] == rows.get(label, [])
+
+    check()
+
+
+def test_mixed_words_keep_the_types_of_the_scalar_walk():
+    # a sum is spectral when a spectral term since its last zero was: e0 f0
+    # is spectral at x = q^2 z, k_0 (which acts as 1) and the unit word are
+    # not, and e0 f0 k_0 cancels e0 f0 to zero before the unit word adds
+    mod = WModule(EPS, Q ** 2 * Z1, cutoff=4)
+    e0f0, k0 = (("e", 0), ("f", 0)), ("k", Weight(0, (0,) * 5))
+    exprs = [
+        WordExpr({e0f0: ONE, (k0,): INV_QQ}),
+        WordExpr({(k0,): INV_2, e0f0: Q}),
+        WordExpr({e0f0: ONE, e0f0 + (k0,): -ONE, (): INV_2}),
+    ]
+    kets = list(mod.enumerate_labels(2))
+    want = typed_rows(eval_words_on_kets(suffix_trie(exprs), kets, mod))
+    with packed_walks_within_their_bounds():
+        got = typed_rows(relation_walks(mod, [exprs])[0](kets))
+    assert got == want
+    types = [{t for row in rows.values() for _, t, _ in row} for rows, _ in got]
+    assert types == [{Scalar, SpectralScalar}, {Scalar, SpectralScalar}, {Scalar}]
+
+
+def test_a_z_denominator_takes_the_scalar_walk():
+    mod = WModule(EPS, parse_scalar("1/(1-z)"), cutoff=4)
+    exprs = [expr for _, expr in relation_suite(EPS)][:12]
+    kets = list(mod.enumerate_labels())[:20]
+    with scalar_steps_refused(), pytest.raises(AssertionError, match="fell back"):
+        relation_walks(mod, [exprs])[0](kets)
+    (walk,) = relation_walks(mod, [exprs])
+    assert typed_rows(walk(kets)) == typed_rows(eval_words_on_kets(suffix_trie(exprs), kets, mod))
+
+
+# -- negative controls of the slot width --------------------------------------
+
+
+def _suite_packing(module, exprs):
+    bands = [exprs]
+    return _Packing(module, bands, [suffix_trie(band) for band in bands])
+
+
+def test_a_slot_one_bit_below_the_proven_width_is_refused():
+    # each relation is homogeneous in z, so its packed rows hold no z;
+    # e_0 + f_0, of z-degrees 1 and -1, puts z in outer slots
+    exprs = [expr for _, expr in relation_suite(EPSP)]
+    packing = _suite_packing(W2Module(EPSP, Q ** 2 * Z1, cutoff=3), exprs)
+    assert packing.proven_width()[1] == 0
+    packing = _suite_packing(W2Module(EPSP, Q ** 2 * Z1, cutoff=3),
+                             exprs + [WordExpr.e(0) + WordExpr.f(0)])
+    K, D = packing.proven_width()
+    # K is the narrowest width whose half-slot exceeds every bound
+    assert 1 << (K - 2) <= packing.bound < 1 << (K - 1)
+    assert D == packing.deg + 1 > 1
+    with pytest.raises(ValueError, match="bit slots"):
+        packing.pack(K - 1, D)
+    with pytest.raises(ValueError, match="w-slots per z"):
+        packing.pack(K, D - 1)
+    # a bound of exactly 2^(K-1) takes one bit more
+    bound, packing.bound = packing.bound, 1 << (K - 1)
+    assert packing.proven_width()[0] == K + 1
+    with pytest.raises(ValueError, match="bit slots"):
+        packing.pack(K, D)
+    packing.bound = bound
+    assert packing.pack(K, D).K == K
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+@pytest.mark.parametrize("D", [0, 2])
+def test_a_coefficient_of_half_a_slot_is_never_read_as_zero(K, D):
+    # every P with three slots and coefficients in [-2^(K-1), 2^(K-1)]:
+    # P(2^K, 2^(K D)) is zero iff P is, and it decodes to P whenever its
+    # coefficients lie in the proven range [-2^(K-1), 2^(K-1))
+    half = 1 << (K - 1)
+    for cs in itertools.product(range(-half, half + 1), repeat=3):
+        v = sum(c << (K * p) for p, c in enumerate(cs))
+        assert (v == 0) == (not any(cs))
+        digits = _unpack(v, K, D)
+        assert bool(digits) == any(cs)
+        if all(c < half for c in cs):
+            want = {}
+            for p, c in enumerate(cs):
+                if c:
+                    j, e = divmod(p, D) if D else (0, p)
+                    want.setdefault(j, {})[e] = c
+            assert digits == want

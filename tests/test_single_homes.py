@@ -4,7 +4,8 @@ arguments with hasattr or getattr, and truncation has one kept-support
 rule, TargetAlgebra.keeps: only fockmod reads nested ket labels, and
 truncate_image_span keeps whole blocks without truncating or adding a
 vector.  Kets are enumerated one way: only fockmod's one Fock-ket range
-and one weight split call itertools.product."""
+and one weight split call itertools.product.  Only fockmod's relation walks
+touch the packed encoding of coefficients as integers."""
 
 import ast
 from pathlib import Path
@@ -221,3 +222,42 @@ def test_the_product_check_sees_every_call_but_a_word_product():
         "def word():\n    return WordExpr.product('e', 1, 2)\n"
     )
     assert product_callers(tree) == ["TensorModule.labels_by_delta", "singles"]
+
+
+def packed_encoding_scopes(tree):
+    """The scopes that touch the packed encoding, in which a polynomial is
+    an int with one slot of K bits per coefficient: a bit shift by a
+    computed amount (c << K, v >>= K) or a bit_length call.  A shift by a
+    constant, as n >>= 1 of a square-and-multiply, is not one."""
+
+    def touches(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.RShift)):
+            return not isinstance(node.right, ast.Constant)
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.LShift, ast.RShift)):
+            return not isinstance(node.value, ast.Constant)
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "bit_length")
+
+    return sorted(
+        {scope for scope, node in top_level_scopes(tree) for sub in ast.walk(node) if touches(sub)}
+    )
+
+
+def test_only_fockmod_touches_the_packed_encoding():
+    scopes = sorted(
+        (path.name, scope)
+        for path in SRC.glob("*.py")
+        for scope in packed_encoding_scopes(ast.parse(path.read_text()))
+    )
+    assert scopes and {path for path, _ in scopes} == {"fockmod.py"}
+
+
+def test_the_packed_encoding_check_sees_every_touch():
+    tree = ast.parse(
+        "def pack(c, K, e):\n    return c << (K * e)\n"
+        "def width(bound):\n    return bound.bit_length() + 1\n"
+        "class Rows:\n    def unpack(self, v):\n        v >>= self.K\n        return v\n"
+        "def halve(n):\n    n >>= 1\n    return n >> 2\n"
+        "def product(a, b):\n    return a * b\n"
+    )
+    assert packed_encoding_scopes(tree) == ["Rows.unpack", "pack", "width"]
