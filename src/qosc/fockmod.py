@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from functools import lru_cache, partial
 
 from .lattice import EpsilonData, Weight, qpair, qpair_exponent, simple_root
-from .scalars import ONE, Z1, Scalar, qint
+from .scalars import ONE, Scalar, qint
 from .words import WordExpr, suffix_trie, word_degree_profile
 
 
@@ -761,8 +761,7 @@ class RestrictedModule(ModuleView):
 # row after the atoms of a path holds the product of their F_a times its
 # true entries.  A word gets one factor F_r = f_r(w) z^T_r, and each of
 # its terms c_t * (atoms) the coefficient M_t = c_t F_r / prod F_a,
-# a polynomial: the packed word is F_r times the true one, zero iff it is,
-# and decoding divides by F_r.
+# a polynomial: the packed word is F_r times the true one, zero iff it is.
 #
 # Width.  A nonzero P has P(2^K, 2^(K D)) != 0 when every coefficient lies
 # below 2^(K-1) in absolute value and every w-degree below D (z in an
@@ -776,28 +775,35 @@ class RestrictedModule(ModuleView):
 # images come from a packed walk of its phi words on its base, whose bound
 # is proven the same way, and G of a phi image is that word's bound.
 #
-# Fallback.  A coefficient with a denominator in z, an atom whose
-# coefficients mix Scalars and SpectralScalars, a slot wider than
-# _MAX_SLOT_BITS, or a ket met outside the window whose image exceeds the
-# bounds proven on the window: the check walks Scalar rows
-# (eval_words_on_kets) from there on.
+# Reading.  A nonzero packed entry is read as its word's Scalar walk on its
+# source ket: a Scalar walk keeps one row per source and sums a word's terms
+# in term order, so that one ket gives the coefficients, and their types,
+# that a Scalar walk of the whole block gives.
+#
+# Fallback.  A coefficient with a denominator in z, or a ket that a walk
+# meets outside the packed window: the check walks Scalar rows
+# (eval_words_on_kets) from that block on.
 
-_MAX_SLOT_BITS = 256
-_PACK_BLOCK = 32  # kets per packed walk of phi words over a base window
+# Kets per packed walk of a pull-back's phi words over its base window.  A
+# walk keeps every row of its block alive at once: on verify-phi d (W2,
+# cutoff 4) and verify-phi c (W, cutoff 8) blocks of 8 to 64 tie on CPU,
+# and the whole window as one walk raised the peak RSS of the first by
+# 0.6 MiB.
+_PACK_BLOCK = 32
 
 
 class _NoFit(Exception):
-    """Packed rows cannot hold a coefficient or a bound."""
+    """Packed rows cannot hold a coefficient, or a walk left the kets packed."""
 
 
 def _pieces(c):
-    """(spectral, ((z-exponent, Scalar), ...)) of a coefficient; _NoFit
-    for a denominator in z."""
+    """((z-exponent, Scalar), ...) of a coefficient; _NoFit for a
+    denominator in z."""
     if isinstance(c, Scalar):
-        return False, ((0, c),)
+        return ((0, c),)
     if len(c.den) > 1:
         raise _NoFit
-    return True, tuple((c.noff + j, a) for j, a in enumerate(c.num) if not a.is_zero())
+    return tuple((c.noff + j, a) for j, a in enumerate(c.num) if not a.is_zero())
 
 
 def _top(y):
@@ -821,25 +827,21 @@ def _poly_int(y, K):
 
 class _Factor:
     """F = f(w) z^t of an atom and the bounds of its packed images: l1 norm
-    at most G and w-degree at most deg; spectral says their coefficients
-    are SpectralScalars, zused that a packed image holds a power of z."""
+    at most G and w-degree at most deg; zused says that a packed image
+    holds a power of z."""
 
-    __slots__ = ("f", "t", "G", "deg", "spectral", "zused")
+    __slots__ = ("f", "t", "G", "deg", "zused")
 
-    def __init__(self, f=ONE, t=0, G=1, deg=0, spectral=False, zused=False):
-        self.f, self.t, self.G, self.deg = f, t, G, deg
-        self.spectral, self.zused = spectral, zused
+    def __init__(self, f=ONE, t=0, G=1, deg=0, zused=False):
+        self.f, self.t, self.G, self.deg, self.zused = f, t, G, deg, zused
 
     @staticmethod
     def of(images):
         """The factor of an atom with these images (tuples or DROPPED)."""
         split = [[_pieces(c) for _, c in img] for img in images if img is not DROPPED]
-        kinds = {spectral for img in split for spectral, _ in img}
-        if len(kinds) > 1:
-            raise _NoFit
         f = ONE
         for img in split:
-            for _, pieces in img:
+            for pieces in img:
                 for _, a in pieces:
                     if a.den != (1,) and (a * f).den != (1,):
                         f = f * _denominator(a * f)
@@ -847,7 +849,7 @@ class _Factor:
         G = 1
         for img in split:
             norm = 0
-            for _, pieces in img:
+            for pieces in img:
                 for z, a in pieces:
                     y = a * f
                     norm += sum(map(abs, y.num))
@@ -858,7 +860,7 @@ class _Factor:
             G = max(G, norm)
         if lo is None:  # no coefficient to pack
             return _Factor()
-        return _Factor(f * Scalar.monomial(1, -lo), -zlo, G, hi - lo, kinds.pop(), zhi > zlo)
+        return _Factor(f * Scalar.monomial(1, -lo), -zlo, G, hi - lo, zhi > zlo)
 
     def pack(self, image, K, KD):
         """A packed image: F times each coefficient, at w = 2^K, z = 2^KD."""
@@ -867,30 +869,10 @@ class _Factor:
         out = []
         for label, c in image:
             v = 0
-            for z, a in _pieces(c)[1]:
+            for z, a in _pieces(c):
                 v += _poly_int(a * self.f, K) << (KD * (z + self.t))
             out.append((label, v))
         return tuple(out)
-
-    def fit(self, image, K, KD):
-        """pack, for an image met outside the window; _NoFit unless it keeps
-        the bounds proven on the window."""
-        if image is not DROPPED:
-            norm = 0
-            for _, c in image:
-                spectral, pieces = _pieces(c)
-                if spectral != self.spectral:
-                    raise _NoFit
-                for z, a in pieces:
-                    y = a * self.f
-                    if y.den != (1,) or y.noff < 0 or _top(y) > self.deg:
-                        raise _NoFit
-                    if z + self.t < 0:
-                        raise _NoFit
-                    norm += sum(map(abs, y.num))
-            if norm > self.G:
-                raise _NoFit
-        return self.pack(image, K, KD)
 
 
 class _KFactor:
@@ -898,7 +880,6 @@ class _KFactor:
     q(weight, mu) per weight, lifted by the factor w^s."""
 
     def __init__(self, mu, weights, eps):
-        self.mu, self.eps = mu, eps
         self.exps = [qpair_exponent(wt, mu, eps) for wt in weights]
         lo = min((e for _, e in self.exps), default=0)
         hi = max((e for _, e in self.exps), default=0)
@@ -906,19 +887,9 @@ class _KFactor:
         self.factor = _Factor(Scalar.monomial(1, self.s), deg=hi - lo)
 
     def table(self, K):
-        """[(negate, shift)] per weight, and frees the exponents."""
+        """[(negate, shift)] per weight."""
         s, shared = self.s, {}
-        out = [shared.setdefault((sign, e), (sign < 0, K * (e + s))) for sign, e in self.exps]
-        self.exps = None
-        return out
-
-    def fit(self, wt, K):
-        """The (negate, shift) of a weight met outside the window; _NoFit
-        unless its power of w keeps the degree proven on the window."""
-        sign, e = qpair_exponent(wt, self.mu, self.eps)
-        if not 0 <= e + self.s <= self.factor.deg:
-            raise _NoFit
-        return sign < 0, K * (e + self.s)
+        return [shared.setdefault((sign, e), (sign < 0, K * (e + s))) for sign, e in self.exps]
 
 
 class _Word:
@@ -927,20 +898,18 @@ class _Word:
     polynomial in w and row_t a packed row after the atoms of term t."""
 
     def __init__(self, expr, factors):
-        ys, ts, gs, degs, flags = [], [], [], [], []
+        ys, ts, gs, degs = [], [], [], []
         for atoms, c in expr.terms.items():
             if not isinstance(c, Scalar):
                 raise _NoFit
-            fa, t, G, deg, spectral = ONE, 0, 1, 0, False
+            fa, t, G, deg = ONE, 0, 1, 0
             for atom in atoms:
                 F = factors.get(atom, _UNIT)
                 fa, t, G, deg = fa * F.f, t + F.t, G * F.G, deg + F.deg
-                spectral = spectral or F.spectral
             ys.append(c / fa)
             ts.append(t)
             gs.append(G)
             degs.append(deg)
-            flags.append(spectral)
         f = ONE
         for y in ys:
             if (y * f).den != (1,):
@@ -954,15 +923,10 @@ class _Word:
         self.bound = sum(sum(map(abs, m.num)) * G for m, G in zip(ms, gs))
         self.deg = max((_top(m) + deg for m, deg in zip(ms, degs)), default=0)
         self.zused = any(self.T - t for t in ts)
-        self.flags = flags
-        self.mixed = len(set(flags)) > 1
-        self.spectral = bool(flags) and flags[0]
 
     def factor(self, zused):
         """The factor of this word's packed images, as an atom's."""
-        if self.mixed:
-            raise _NoFit
-        return _Factor(self.f, self.T, max(self.bound, 1), self.deg, self.spectral, zused)
+        return _Factor(self.f, self.T, max(self.bound, 1), self.deg, zused)
 
     def packed(self, K, KD):
         """M_t z^zpow_t packed, per term in order."""
@@ -978,15 +942,14 @@ class _ScalarImages:
     window rule, which leaves the module's Scalar cache alone."""
 
     bound = deg = 0  # no walk of their own
-    zused = False
 
     def __init__(self, module, gens):
         if type(module).apply_gen is FockModule.apply_gen:
-            self.image = lambda gen, label: module._windowed(module._image(gen, label))
+            image = lambda gen, label: module._windowed(module._image(gen, label))
         else:
-            self.image = module.apply_gen
+            image = module.apply_gen
         self.labels = list(module.enumerate_labels())
-        self.raw = {gen: [self.image(gen, label) for label in self.labels] for gen in gens}
+        self.raw = {gen: [image(gen, label) for label in self.labels] for gen in gens}
         self.factors = {gen: _Factor.of(images) for gen, images in self.raw.items()}
         self.zused = any(F.zused for F in self.factors.values())
 
@@ -998,9 +961,6 @@ class _ScalarImages:
             pack = self.factors[gen].pack
             tables[gen] = {label: pack(img, K, K * D) for label, img in zip(self.labels, images)}
         return tables
-
-    def miss(self, gen, label, K, D):
-        return {gen: self.factors[gen].fit(self.image(gen, label), K, K * D)}
 
 
 class _PhiImages:
@@ -1021,23 +981,16 @@ class _PhiImages:
         self.inner.pack(K, D)
         tables = {gen: {} for gen in self.gens}
         for i in range(0, len(self.labels), _PACK_BLOCK):
-            self._fill(tables, self.labels[i : i + _PACK_BLOCK])
+            block = self.labels[i : i + _PACK_BLOCK]
+            for gen, (rows, dropped) in zip(self.gens, self.inner.rows(0, block)):
+                table = tables[gen]
+                for label in block:
+                    row = rows.get(label)
+                    if label in dropped:
+                        table[label] = DROPPED
+                    else:
+                        table[label] = self.module._windowed(list(row.items())) if row else ()
         return tables
-
-    def miss(self, gen, label, K, D):
-        tables = {gen: {} for gen in self.gens}
-        self._fill(tables, [label])
-        return {gen: table[label] for gen, table in tables.items()}
-
-    def _fill(self, tables, labels):
-        for gen, (rows, dropped) in zip(self.gens, self.inner.rows(0, labels)):
-            table = tables[gen]
-            for label in labels:
-                row = rows.get(label)
-                if label in dropped:
-                    table[label] = DROPPED
-                else:
-                    table[label] = self.module._windowed(list(row.items())) if row else ()
 
 
 def _images_of(module, gens):
@@ -1070,15 +1023,15 @@ class _Packing:
         mus = {a[1] for a in atoms if a[0] == "k"}
         # k steps read a ket's weight by its index: one table per mu, of
         # one (negate, shift) per weight, shares the window's kets
-        self.module, self.weight_ids, self.wid = module, {}, {}
+        weight_ids, self.wid = {}, {}
         if mus:
             for label in self.labels:
                 wt = module.weight_of(label)
-                self.wid[label] = self.weight_ids.setdefault(wt, len(self.weight_ids))
-        self.kfactors = {mu: _KFactor(mu, self.weight_ids, module.eps) for mu in mus}
+                self.wid[label] = weight_ids.setdefault(wt, len(weight_ids))
+        self.kfactors = {mu: _KFactor(mu, weight_ids, module.eps) for mu in mus}
         factors = dict(self.images.factors)
         factors.update((("k", mu), kf.factor) for mu, kf in self.kfactors.items())
-        self.tries = tries
+        self.module, self.bands, self.tries = module, bands, tries
         self.words = [[_Word(expr, factors) for expr in band] for band in bands]
         words = [w for band in self.words for w in band]
         self.bound = max([self.images.bound] + [w.bound for w in words])
@@ -1102,97 +1055,35 @@ class _Packing:
         self.coeffs = [[word.packed(K, K * D) for word in words] for words in self.words]
         return self
 
-    def weight_id(self, label):
-        """The index of the weight of a ket met outside the window."""
-        wt = self.module.weight_of(label)
-        i = self.weight_ids.get(wt)
-        if i is None:
-            i = self.weight_ids[wt] = len(self.weight_ids)
-            for mu, kf in self.kfactors.items():
-                self.ktables[mu].append(kf.fit(wt, self.K))
-        self.wid[label] = i
-        return i
-
-    def miss(self, atom, label):
-        """The packed image of a ket met outside the window."""
-        for gen, image in self.images.miss(atom, label, self.K, self.D).items():
-            self.tables[gen][label] = image
-        return self.tables[atom][label]
-
-    def rows(self, i, labels, finish=None):
+    def rows(self, i, labels):
         """The words of band i on each basis ket of labels, as
         eval_words_on_kets gives them, with packed rows: the walk of the
         band's trie, whose term ends read their packed coefficients."""
         rows = {label: {label: 1} for label in labels}
-        finish = finish or partial(_psum_parts, self.coeffs[i])
-        return _eval_trie(self.tries[i], rows, partial(_pstep, self), finish)
+        return _eval_trie(self.tries[i], rows, partial(_pstep, self),
+                          partial(_psum_parts, self.coeffs[i]))
 
     def walk(self, i, labels):
-        """rows(i, labels) with each word's rows read as Scalar or
-        SpectralScalar rows, decoded when read."""
-        words, coeffs = self.words[i], self.coeffs[i]
-        flags = {}
-
-        def finish(parts, r, outs):
-            word_parts = parts[r]
-            _psum_parts(coeffs, parts, r, outs)
-            if words[r].mixed and outs[r]:
-                flags[r] = _replay_flags(word_parts, coeffs[r], words[r].flags, outs[r])
-
-        walked = self.rows(i, labels, finish)
+        """rows(i, labels), each word's rows read as its Scalar walk."""
         return [
-            (_Decoded(rows, partial(self.value, word, flags.get(r))), dropped)
-            for r, ((rows, dropped), word) in enumerate(zip(walked, words))
+            (_Decoded(rows, expr, self.module), dropped)
+            for (rows, dropped), expr in zip(self.rows(i, labels), self.bands[i])
         ]
-
-    def value(self, word, flags, src, label, v):
-        """The coefficient a packed entry v of word stands for: the
-        SpectralScalar or Scalar that a Scalar walk gives."""
-        spectral = word.spectral if flags is None else flags[(src, label)]
-        out = None
-        for j, digits in sorted(_unpack(v, self.K, self.D).items()):
-            dense = [digits.get(e, 0) for e in range(max(digits) + 1)]
-            c = Scalar(0, dense, (1,)) / word.f
-            if spectral:
-                c = c * Z1 ** (j - word.T)
-            elif j != word.T:
-                raise ArithmeticError("a Scalar residual with a power of z")
-            out = c if out is None else out + c
-        return out
-
-
-def _unpack(v, K, D):
-    """{z-power: {w-exponent: coefficient}} of the nonzero coefficients of
-    the P with v = P(2^K, 2^(K D)): the digits of v in base 2^K taken in
-    [-2^(K-1), 2^(K-1)), D of them per power of z (all of them when D is
-    0).  P is the one polynomial with v = P(2^K, 2^(K D)) whose
-    coefficients lie in that range and whose w-degrees lie below D."""
-    half, mask = 1 << (K - 1), (1 << K) - 1
-    slots = {}
-    p = 0
-    while v:
-        d = v & mask
-        if d >= half:
-            d -= mask + 1
-        v = (v - d) >> K
-        if d:
-            j, e = divmod(p, D) if D else (0, p)
-            slots.setdefault(j, {})[e] = d
-        p += 1
-    return slots
 
 
 class _Decoded(Mapping):
-    """Packed rows {source: {label: int}} read as {label: coefficient}
-    rows; value(src, label, v) decodes one entry."""
+    """Packed rows {source: {label: int}} of a word, read as {label:
+    coefficient} rows: a source's row is the word's Scalar walk on it."""
 
-    __slots__ = ("rows", "value")
+    __slots__ = ("rows", "expr", "module")
 
-    def __init__(self, rows, value):
-        self.rows, self.value = rows, value
+    def __init__(self, rows, expr, module):
+        self.rows, self.expr, self.module = rows, expr, module
 
     def __getitem__(self, src):
-        return {label: self.value(src, label, v) for label, v in self.rows[src].items()}
+        self.rows[src]  # KeyError for a zero row, as a dict raises
+        ((rows, _),) = eval_words_on_kets(self.expr.suffix_trie(), [src], self.module)
+        return rows[src]
 
     def __contains__(self, src):
         return src in self.rows
@@ -1205,7 +1096,8 @@ class _Decoded(Mapping):
 
 
 def _pstep(packing, atom, rows):
-    """_step on packed rows {source: {label: int}}."""
+    """_step on packed rows {source: {label: int}}; _NoFit for a ket
+    outside the kets packed."""
     out = {}
     if atom[0] == "k":
         wid, table = packing.wid, packing.ktables[atom[1]]
@@ -1214,7 +1106,7 @@ def _pstep(packing, atom, rows):
             for l, c in terms.items():
                 i = wid.get(l)
                 if i is None:
-                    i = packing.weight_id(l)
+                    raise _NoFit
                 negate, shift = table[i]
                 img[l] = -(c << shift) if negate else c << shift
             out[src] = img
@@ -1229,7 +1121,7 @@ def _pstep(packing, atom, rows):
         for label, c in terms.items():
             image = table.get(label)
             if image is None:
-                image = packing.miss(atom, label)
+                raise _NoFit
             if image is DROPPED:
                 drop = True
                 continue
@@ -1278,24 +1170,6 @@ def _psum_parts(coeffs, parts, r, outs):
     outs[r] = {src: acc for src, acc in out.items() if acc}
 
 
-def _replay_flags(word_parts, packed, term_flags, out):
-    """{(source, label): spectral} of the nonzero entries of a word whose
-    terms mix Scalar and SpectralScalar coefficients: a Scalar sum is
-    spectral when a term since its last zero was, as _sum_parts adds."""
-    flags = {}
-    for src, row in out.items():
-        for label in row:
-            s, flag = 0, False
-            for idx, _, prows in word_parts:
-                x = prows.get(src, {}).get(label)
-                if x is None:
-                    continue
-                flag = term_flags[idx] or (flag and s != 0)
-                s += packed[idx] * x
-            flags[(src, label)] = flag
-    return flags
-
-
 class _SuiteWalks:
     """The walks of relation_walks: packed while the suite packs, on
     Scalar rows from the first block that does not."""
@@ -1305,8 +1179,7 @@ class _SuiteWalks:
         self.tries = [suffix_trie(band) for band in bands]
         try:
             packing = _Packing(module, bands, self.tries)
-            K, D = packing.proven_width()
-            self.packing = packing.pack(K, D) if K <= _MAX_SLOT_BITS else None
+            self.packing = packing.pack(*packing.proven_width())
         except _NoFit:
             self.packing = None
 

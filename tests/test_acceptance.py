@@ -57,13 +57,26 @@ def test_criterion_8_fusion():
 
 
 def test_criterion_9_negative_controls(monkeypatch):
-    # the corrupted W's check runs on packed rows (no Scalar-row step), and
-    # its decoded counterexample is the one the Scalar walk reported
+    # the corrupted W's check runs on packed rows (no Scalar-row step) up to
+    # its counterexample, whose one ket is then read from the Scalar walk:
+    # the residual the Scalar walk of the whole check reported
+    step, read, reads = fockmod._step, fockmod._Decoded.__getitem__, []
+
     def refuse(*args):
         raise AssertionError("the relation walk fell back to Scalar rows")
 
+    def read_on_scalar_rows(rows, src):
+        reads.append(src)
+        monkeypatch.setattr(fockmod, "_step", step)
+        try:
+            return read(rows, src)
+        finally:
+            monkeypatch.setattr(fockmod, "_step", refuse)
+
     monkeypatch.setattr(fockmod, "_step", refuse)
+    monkeypatch.setattr(fockmod._Decoded, "__getitem__", read_on_scalar_rows)
     rep = _run(acceptance.criterion_9)
+    assert reads == [(0, 0, 0, 0, 0)]
     assert rep["counterexample"] == {
         "ket": "[0,0,0,0,0]",
         "residual": "FockVector(((2)/(1))*|[0,0,0,0,0]>)",

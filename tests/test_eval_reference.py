@@ -28,7 +28,6 @@ from qosc.fockmod import (
     WindowError,
     WModule,
     _Packing,
-    _unpack,
     act,
     eval_word,
     eval_words_on_kets,
@@ -254,10 +253,12 @@ def test_truncated_image_that_leaves_the_window_raises_window_error():
 # -- packed relation walks equal Scalar rows ----------------------------------
 #
 # relation_walks runs a relation check's words on packed integers when the
-# suite packs.  Its rows must be the Scalar walk's (eval_words_on_kets) and
-# the per-term loop's (ref_eval_word): the same entries, of the same type,
-# and the same sources dropped.  Every Scalar-row walk steps through
-# fockmod._step, so a walk that runs with _step refused ran packed.
+# suite packs.  Its packed rows must be nonzero where the Scalar walk's
+# (eval_words_on_kets) and the per-term loop's (ref_eval_word) are, with the
+# same sources dropped, and a row read from them must be the Scalar walk's:
+# the same entries, of the same type.  Every Scalar-row walk steps through
+# fockmod._step, so a walk that runs with _step refused ran packed; reading
+# a nonzero row walks its one source ket on Scalar rows.
 
 
 INV_QQ = (Q - Q.inverse()).inverse()  # 1/(q - q^-1), as in the Cartan relations
@@ -275,9 +276,29 @@ def scalar_steps_refused():
         yield
 
 
+def digits(v, K, D):
+    """{z-power: {w-exponent: coefficient}} of the nonzero coefficients of
+    the P with v = P(2^K, 2^(K D)) whose coefficients lie in [-2^(K-1),
+    2^(K-1)) and whose w-degrees lie below D (all of them when D is 0):
+    the digits of v in base 2^K, taken in that range."""
+    half, mask = 1 << (K - 1), (1 << K) - 1
+    slots = {}
+    p = 0
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        v = (v - d) >> K
+        if d:
+            j, e = divmod(p, D) if D else (0, p)
+            slots.setdefault(j, {})[e] = d
+        p += 1
+    return slots
+
+
 def l1(v, K, D):
     """The l1 norm of the polynomial that a packed entry stands for."""
-    return sum(abs(c) for slot in _unpack(v, K, D).values() for c in slot.values())
+    return sum(abs(c) for slot in digits(v, K, D).values() for c in slot.values())
 
 
 @contextmanager
@@ -371,17 +392,35 @@ def typed_rows(walked):
     ]
 
 
+def supports(walked):
+    """Per word: ({source: set of labels with an entry}, dropped sources)."""
+    return [({src: set(row) for src, row in rows.items()}, set(dropped)) for rows, dropped in walked]
+
+
+def packed_supports(walked):
+    """supports of a packed walk, read from its packed rows unread."""
+    return supports((rows.rows, dropped) for rows, dropped in walked)
+
+
+def packed_rows_match(module, exprs, kets):
+    """The typed rows of relation_walks, after checking that it walked
+    packed rows within their bounds, nonzero where the Scalar walk's are."""
+    want = eval_words_on_kets(suffix_trie(exprs), kets, module)
+    with packed_walks_within_their_bounds():
+        walked = relation_walks(module, [exprs])[0](kets)
+        assert packed_supports(walked) == supports(want)
+    got = typed_rows(walked)
+    assert got == typed_rows(want)
+    return got
+
+
 @pytest.mark.parametrize("name", PACKED_MODULES)
 def test_packed_walks_match_scalar_rows(name):
     @settings(max_examples=30, deadline=None)
     @given(module_words_and_kets(name))
     def check(case):
         mod, exprs, kets, drops = case
-        want = typed_rows(eval_words_on_kets(suffix_trie(exprs), kets, mod))
-        with packed_walks_within_their_bounds():
-            (walk,) = relation_walks(mod, [exprs])
-            got = typed_rows(walk(kets))
-        assert got == want
+        got = packed_rows_match(mod, exprs, kets)
         # the e_0 word drops the kets whose e_0 image left the window
         assert set(drops) <= got[-1][1] and drops
         for expr, (rows, dropped) in zip(exprs, got):
@@ -407,13 +446,30 @@ def test_mixed_words_keep_the_types_of_the_scalar_walk():
         WordExpr({(k0,): INV_2, e0f0: Q}),
         WordExpr({e0f0: ONE, e0f0 + (k0,): -ONE, (): INV_2}),
     ]
-    kets = list(mod.enumerate_labels(2))
-    want = typed_rows(eval_words_on_kets(suffix_trie(exprs), kets, mod))
-    with packed_walks_within_their_bounds():
-        got = typed_rows(relation_walks(mod, [exprs])[0](kets))
-    assert got == want
+    got = packed_rows_match(mod, exprs, list(mod.enumerate_labels(2)))
     types = [{t for row in rows.values() for _, t, _ in row} for rows, _ in got]
     assert types == [{Scalar, SpectralScalar}, {Scalar, SpectralScalar}, {Scalar}]
+
+
+def test_atoms_that_mix_scalar_and_spectral_images_pack():
+    # on W(q^2 z) (x) W(q) the images of e_0 and f_0 mix Scalars (from the
+    # second factor) and SpectralScalars; z lies in an outer slot, so a
+    # Scalar and a SpectralScalar free of z pack to the same int.  Their
+    # images start at z^0 and z^-1, so the terms e0 f0 and f0 e0 of ef:0,0
+    # sit one power of z above its k terms, and the walk packs z
+    mod = TensorModule([WModule(EPS, Q ** 2 * Z1, cutoff=2), WModule(EPS, Q, cutoff=2)])
+    e0, f0 = ("e", 0), ("f", 0)
+    assert {type(c) for l in mod.enumerate_labels() for g in (e0, f0)
+            if (img := mod.apply_gen(g, l)) is not DROPPED for _, c in img} == {
+        Scalar, SpectralScalar}
+    suite = relation_suite(EPS)
+    exprs = [expr for _, expr in suite][:12] + [dict(suite)["ef:0,0"]] + [
+        WordExpr({(e0, f0): ONE, (f0, e0): -INV_QQ}),
+        WordExpr({(e0,): INV_2, (f0,): Q}),
+    ]
+    got = packed_rows_match(mod, exprs, list(mod.enumerate_labels()))
+    assert {t for rows, _ in got for row in rows.values() for _, t, _ in row} == {
+        Scalar, SpectralScalar}
 
 
 def test_a_z_denominator_takes_the_scalar_walk():
@@ -424,6 +480,39 @@ def test_a_z_denominator_takes_the_scalar_walk():
         relation_walks(mod, [exprs])[0](kets)
     (walk,) = relation_walks(mod, [exprs])
     assert typed_rows(walk(kets)) == typed_rows(eval_words_on_kets(suffix_trie(exprs), kets, mod))
+
+
+def outside_words(kind):
+    """Relation words whose atoms are both k and e/f, only e/f, or only k:
+    a ket outside the window meets each kind of step first in one of them."""
+    suite = [expr for _, expr in relation_suite(EPS)]
+    if kind == "k and e/f":
+        return suite[:12]
+    if kind == "e/f":
+        return [e for e in suite if all(a[0] != "k" for t in e.terms for a in t)][:6]
+    ks = sorted({a for e in suite[:12] for t in e.terms for a in t if a[0] == "k"}, key=repr)
+    return [WordExpr({(k,): ONE, (): -Q}) for k in ks]
+
+
+@pytest.mark.parametrize("kind", ["k and e/f", "e/f", "k"])
+def test_a_ket_outside_the_packed_window_takes_the_scalar_walk(kind):
+    # a walk that meets a ket outside the kets packed walks that block, and
+    # every later one, on Scalar rows
+    mod = WModule(EPS, Q ** 2, cutoff=4)
+    exprs = outside_words(kind)
+    assert exprs
+    inside, outside = list(mod.enumerate_labels())[:8], [(0, 5, 0, 0, 0)]
+    assert outside[0] not in mod.enumerate_labels()
+    (walk,) = relation_walks(mod, [exprs])
+    with scalar_steps_refused():
+        walk(inside)
+        with pytest.raises(AssertionError, match="fell back"):
+            walk(inside + outside)
+        with pytest.raises(AssertionError, match="fell back"):
+            walk(inside)
+    for kets in (inside + outside, inside):
+        want = eval_words_on_kets(suffix_trie(exprs), kets, mod)
+        assert typed_rows(walk(kets)) == typed_rows(want)
 
 
 # -- negative controls of the slot width --------------------------------------
@@ -469,12 +558,12 @@ def test_a_coefficient_of_half_a_slot_is_never_read_as_zero(K, D):
     for cs in itertools.product(range(-half, half + 1), repeat=3):
         v = sum(c << (K * p) for p, c in enumerate(cs))
         assert (v == 0) == (not any(cs))
-        digits = _unpack(v, K, D)
-        assert bool(digits) == any(cs)
+        got = digits(v, K, D)
+        assert bool(got) == any(cs)
         if all(c < half for c in cs):
             want = {}
             for p, c in enumerate(cs):
                 if c:
                     j, e = divmod(p, D) if D else (0, p)
                     want.setdefault(j, {})[e] = c
-            assert digits == want
+            assert got == want
