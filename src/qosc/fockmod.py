@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from functools import lru_cache, partial
+from operator import getitem
 
 from .lattice import EpsilonData, Weight, qpair, qpair_exponent, simple_root
-from .scalars import ONE, Scalar, qint
+from .scalars import ONE, SONE, Scalar, qint
 from .words import WordExpr, suffix_trie, word_degree_profile
 
 
@@ -236,6 +237,26 @@ class FockModule:
             if images is not None:
                 images[key] = hit
         return hit
+
+    def _lookup(self, gen):
+        """(image_of, key): image_of(key, label) is the image of gen on one
+        ket, apply_gen's, as an e/f step on Scalar rows reads it."""
+        return self.apply_gen, gen
+
+    def _kstep(self, mu, rows):
+        """k_mu on Scalar rows: one q-power per label, shared by the rows."""
+        eps, weight_of = self.eps, self.weight_of
+        factors, out = {}, {}
+        for src, terms in rows.items():
+            img = {}
+            for l, c in terms.items():
+                f = factors.get(l)
+                if f is None:
+                    f = factors[l] = qpair(weight_of(l), mu, eps)
+                img[l] = c * f
+            if img:
+                out[src] = img
+        return out
 
     def _windowed(self, hit):
         """An _image answer under the window rule: a list is an image at any
@@ -573,44 +594,36 @@ def _coproduct_power(wt, root, kind, eps):
 # -- vector-level actions ----------------------------------------------------
 
 
-def _step(module, atom, rows):
-    """One atom on rows {source: {label: Scalar}}: (image rows, the sources
-    with a ket whose image apply_gen DROPPED).  A row whose image is zero
-    is left out.  Every module action goes through here."""
-    out = {}
+def _step(source, atom, rows):
+    """One atom on rows {source ket: {label: coefficient}} of a row source,
+    a module (Scalar rows) or a _Packing (packed rows): (image rows, the
+    sources with a ket whose image was DROPPED).  A row whose image is zero
+    is left out.  Every module action and every relation walk goes through
+    here; the source gives its k_mu step and its image of each ket."""
     if atom[0] == "k":
-        mu, eps, weight_of = atom[1], module.eps, module.weight_of
-        factors = {}  # one q-power per distinct label, shared by the rows
-        for src, terms in rows.items():
-            img = {}
-            for l, c in terms.items():
-                f = factors.get(l)
-                if f is None:
-                    f = factors[l] = qpair(weight_of(l), mu, eps)
-                img[l] = c * f
-            if img:
-                out[src] = img
-        return out, ()
-    if atom[1] not in module.algebra.gen_indices:
+        return source._kstep(atom[1], rows), ()
+    if atom[1] not in source.algebra.gen_indices:
         raise ValueError("generator index %r outside I" % (atom,))
-    dropped = []
-    apply_gen = module.apply_gen
+    image_of, key = source._lookup(atom)
+    out, dropped = {}, []
     for src, terms in rows.items():
         acc = {}
         drop = False
         for label, c in terms.items():
-            image = apply_gen(atom, label)
+            image = image_of(key, label)
             if image is DROPPED:
                 drop = True
                 continue
             for l2, c2 in image:
-                p = c * c2
                 s = acc.get(l2)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    acc.pop(l2, None)
+                if s is None:
+                    acc[l2] = c * c2
                 else:
-                    acc[l2] = s
+                    s += c * c2
+                    if s:
+                        acc[l2] = s
+                    else:
+                        del acc[l2]
         if drop:
             dropped.append(src)
         if acc:
@@ -618,26 +631,30 @@ def _step(module, atom, rows):
     return out, dropped
 
 
-def _walk(step, finish, node, rows, parts, outs, dropped):
+def _walk(source, node, rows, parts, outs, dropped):
     """Depth-first below one trie node: at each term end, add (term index,
     coefficient, rows) to parts[r] of its word r, and sum the word into
-    outs[r] with finish(parts, r, outs) at its last end; step(atom, rows)
-    gives a step's image rows and the sources it drops, which go to
-    dropped[r] of each word r that owns the step's node.  A module-level
-    function, not a closure, so no reference cycle keeps the rows alive
-    until the cyclic GC runs."""
+    outs[r] at its last end; the sources a step drops go to dropped[r] of
+    each word r that owns the step's node.  A module-level function, not a
+    closure, so no reference cycle keeps the rows alive until the cyclic
+    GC runs."""
     children, ends, _ = node
     for r, idx, c, last in ends:
         parts[r].append((idx, c, rows))
         if last:
-            finish(parts, r, outs)
+            _sum_parts(parts, r, outs)
     for atom, child in children.items():
-        img, d = step(atom, rows)
+        img, d = _step(source, atom, rows)
         if d:
             for r in child[2]:
                 dropped[r].update(d)
         if img:
-            _walk(step, finish, child, img, parts, outs, dropped)
+            _walk(source, child, img, parts, outs, dropped)
+
+
+# the unit of packed, Scalar and spectral rows; a set, so that an int is
+# not compared with a Scalar
+_ONES = frozenset((1, ONE, SONE))
 
 
 def _sum_parts(parts, r, outs):
@@ -647,29 +664,30 @@ def _sum_parts(parts, r, outs):
     word_parts.sort(key=lambda part: part[0])
     out = {}
     for _, c, prows in word_parts:
-        one = c.is_one()  # skip the products by 1
+        one = c in _ONES  # skip the products by 1
         for src, vec in prows.items():
             acc = out.get(src)
             if acc is None:
                 out[src] = dict(vec) if one else {label: c * x for label, x in vec.items()}
                 continue
             for label, x in vec.items():
-                p = x if one else c * x
                 s = acc.get(label)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    acc.pop(label, None)
+                if s is None:
+                    acc[label] = x if one else c * x
                 else:
-                    acc[label] = s
+                    s += x if one else c * x
+                    if s:
+                        acc[label] = s
+                    else:
+                        del acc[label]
     outs[r] = {src: acc for src, acc in out.items() if acc}
 
 
-def _eval_trie(trie, rows, step, finish=_sum_parts):
-    """The words of a suffix trie (words.suffix_trie) on rows {source:
-    {label: coefficient}}, one step(atom, rows) per trie edge (_step on
-    Scalar rows, _pstep on packed ones): per word in order, (image rows,
-    the set of sources whose image under that word dropped a ket above the
-    cutoff).
+def _eval_trie(trie, rows, source):
+    """The words of a suffix trie (words.suffix_trie) on rows {source ket:
+    {label: coefficient}} of a row source, as _step takes them: per word in
+    order, (image rows, the set of source kets whose image under that word
+    dropped a ket above the cutoff).
 
     Walks the trie once for all rows and words, so each atom is applied
     once per shared suffix, and stops below a node where every row's image
@@ -680,10 +698,10 @@ def _eval_trie(trie, rows, step, finish=_sum_parts):
     parts = [[] for _ in range(count)]
     outs = [{} for _ in range(count)]
     dropped = [set() for _ in range(count)]
-    _walk(step, finish, trie, rows, parts, outs, dropped)
+    _walk(source, trie, rows, parts, outs, dropped)
     for r in range(count):
         if parts[r] is not None:  # the walk stopped above the last end
-            finish(parts, r, outs)
+            _sum_parts(parts, r, outs)
     return list(zip(outs, dropped))
 
 
@@ -704,7 +722,7 @@ def act(module, gen, vec: FockVector) -> FockVector:
 def eval_word(expr: WordExpr, vec: FockVector, module) -> FockVector:
     """Evaluate a WordExpr right-to-left on a vector; raises WindowError
     when a step of a term dropped a ket above the cutoff."""
-    (walked,) = _eval_trie(expr.suffix_trie(), {None: vec.terms}, partial(_step, module))
+    (walked,) = _eval_trie(expr.suffix_trie(), {None: vec.terms}, module)
     return _one_row(walked, "word")
 
 
@@ -722,7 +740,7 @@ def eval_words_on_kets(trie, labels, module):
     """The words of a suffix trie on each basis ket of labels, in one walk:
     per word, ({label: image terms}, the set of labels whose image dropped
     a ket above the cutoff).  A label whose image is zero has no entry."""
-    return _eval_trie(trie, {label: {label: ONE} for label in labels}, partial(_step, module))
+    return _eval_trie(trie, {label: {label: ONE} for label in labels}, module)
 
 
 def weight_block(module, wt: Weight):
@@ -752,7 +770,9 @@ class RestrictedModule(ModuleView):
 # nonzero one.  relation_walks runs its words on rows of Python ints: each
 # coefficient, a polynomial P(w, z) with integer coefficients, is the int
 # P(2^K, 2^(K D)) (Kronecker substitution), so a product or a sum is one
-# int operation and a k_mu step is a sign and a shift.
+# int operation and a k_mu step is a sign and a shift.  The rows walk
+# through _step, _sum_parts and _walk as Scalar rows do, with a _Packing
+# as their source and a packed copy of each trie.
 #
 # Clearing.  An atom a has a factor F_a = f_a(w) z^t_a: f_a is the lcm of
 # the w-denominators of a's image coefficients on the window times the
@@ -796,6 +816,13 @@ class _NoFit(Exception):
     """Packed rows cannot hold a coefficient, or a walk left the kets packed."""
 
 
+class _Table(dict):
+    """A table of the kets packed: a ket outside them raises _NoFit."""
+
+    def __missing__(self, label):
+        raise _NoFit
+
+
 def _pieces(c):
     """((z-exponent, Scalar), ...) of a coefficient; _NoFit for a
     denominator in z."""
@@ -811,9 +838,16 @@ def _top(y):
     return y.noff + y.stride * (len(y.num) - 1)
 
 
-def _denominator(y):
-    """The denominator of a Scalar, as a Scalar."""
-    return Scalar(0, y.dense()[2], (1,))
+def _clearing(ys):
+    """f(w) that clears Scalars ys: the lcm of their w-denominators times
+    the power of w that lifts their lowest w-exponent to 0, so that every
+    f y is a polynomial."""
+    f = ONE
+    for y in ys:
+        if y.den != (1,) and (y * f).den != (1,):
+            f = f * Scalar(0, (y * f).dense()[2], (1,))
+    # the lowest w-exponent of f y is f.noff + y.noff
+    return f * Scalar.monomial(1, -f.noff - min((y.noff for y in ys), default=0))
 
 
 def _poly_int(y, K):
@@ -839,28 +873,20 @@ class _Factor:
     def of(images):
         """The factor of an atom with these images (tuples or DROPPED)."""
         split = [[_pieces(c) for _, c in img] for img in images if img is not DROPPED]
-        f = ONE
-        for img in split:
-            for pieces in img:
-                for _, a in pieces:
-                    if a.den != (1,) and (a * f).den != (1,):
-                        f = f * _denominator(a * f)
-        lo = hi = zlo = zhi = None
-        G = 1
+        f = _clearing([a for img in split for pieces in img for _, a in pieces])
+        G, deg, zs = 1, 0, []
         for img in split:
             norm = 0
             for pieces in img:
                 for z, a in pieces:
                     y = a * f
                     norm += sum(map(abs, y.num))
-                    lo = y.noff if lo is None else min(lo, y.noff)
-                    hi = _top(y) if hi is None else max(hi, _top(y))
-                    zlo = z if zlo is None else min(zlo, z)
-                    zhi = z if zhi is None else max(zhi, z)
+                    deg = max(deg, _top(y))
+                    zs.append(z)
             G = max(G, norm)
-        if lo is None:  # no coefficient to pack
+        if not zs:  # no coefficient to pack
             return _Factor()
-        return _Factor(f * Scalar.monomial(1, -lo), -zlo, G, hi - lo, zhi > zlo)
+        return _Factor(f, -min(zs), G, deg, max(zs) > min(zs))
 
     def pack(self, image, K, KD):
         """A packed image: F times each coefficient, at w = 2^K, z = 2^KD."""
@@ -910,15 +936,9 @@ class _Word:
             ts.append(t)
             gs.append(G)
             degs.append(deg)
-        f = ONE
-        for y in ys:
-            if (y * f).den != (1,):
-                f = f * _denominator(y * f)
-        ys = [y * f for y in ys]
-        lift = Scalar.monomial(1, max((-y.noff for y in ys), default=0))
-        self.f = f * lift
+        self.f = _clearing(ys)
         self.T = max(ts, default=0)
-        ms = [y * lift for y in ys]
+        ms = [y * self.f for y in ys]
         self.coeffs = [(m, self.T - t) for m, t in zip(ms, ts)]
         self.bound = sum(sum(map(abs, m.num)) * G for m, G in zip(ms, gs))
         self.deg = max((_top(m) + deg for m, deg in zip(ms, degs)), default=0)
@@ -934,6 +954,17 @@ class _Word:
 
 
 _UNIT = _Factor()  # an atom outside I, which a walk refuses when it reaches it
+
+
+def _packed_trie(node, coeffs):
+    """A copy of a suffix trie whose term ends hold the packed coefficients
+    coeffs[word][term] in place of the word's."""
+    children, ends, owners = node
+    return [
+        {atom: _packed_trie(child, coeffs) for atom, child in children.items()},
+        [[r, idx, coeffs[r][idx], last] for r, idx, _, last in ends],
+        owners,
+    ]
 
 
 class _ScalarImages:
@@ -959,7 +990,7 @@ class _ScalarImages:
         while self.raw:
             gen, images = self.raw.popitem()
             pack = self.factors[gen].pack
-            tables[gen] = {label: pack(img, K, K * D) for label, img in zip(self.labels, images)}
+            tables[gen] = _Table(zip(self.labels, (pack(img, K, K * D) for img in images)))
         return tables
 
 
@@ -979,7 +1010,7 @@ class _PhiImages:
 
     def pack(self, K, D):
         self.inner.pack(K, D)
-        tables = {gen: {} for gen in self.gens}
+        tables = {gen: _Table() for gen in self.gens}
         for i in range(0, len(self.labels), _PACK_BLOCK):
             block = self.labels[i : i + _PACK_BLOCK]
             for gen, (rows, dropped) in zip(self.gens, self.inner.rows(0, block)):
@@ -1010,20 +1041,20 @@ class _Packing:
     """Bands of words (lists of WordExprs) on one module, with their merged
     suffix tries, cleared and bounded; pack(K, D) lays out their packed
     images and tries at a width that the bounds prove, and rows(i, labels)
-    walks band i."""
+    walks band i.  The row source of a packed walk (see _step)."""
 
     def __init__(self, module, bands, tries):
         atoms = {atom for band in bands for expr in band for term in expr.terms for atom in term}
         if any(kind not in ("e", "f", "k") for kind, _ in atoms):
             raise _NoFit
-        self.gen_indices = module.algebra.gen_indices
-        gens = [a for a in atoms if a[0] != "k" and a[1] in self.gen_indices]
+        self.algebra = module.algebra
+        gens = [a for a in atoms if a[0] != "k" and a[1] in self.algebra.gen_indices]
         self.images = _images_of(module, gens)
         self.labels = self.images.labels
         mus = {a[1] for a in atoms if a[0] == "k"}
         # k steps read a ket's weight by its index: one table per mu, of
         # one (negate, shift) per weight, shares the window's kets
-        weight_ids, self.wid = {}, {}
+        weight_ids, self.wid = {}, _Table()
         if mus:
             for label in self.labels:
                 wt = module.weight_of(label)
@@ -1052,16 +1083,35 @@ class _Packing:
         self.K, self.D = K, D
         self.tables = self.images.pack(K, D)
         self.ktables = {mu: kf.table(K) for mu, kf in self.kfactors.items()}
-        self.coeffs = [[word.packed(K, K * D) for word in words] for words in self.words]
+        self.ptries = [
+            _packed_trie(trie, [word.packed(K, K * D) for word in words])
+            for trie, words in zip(self.tries, self.words)
+        ]
         return self
+
+    def _lookup(self, gen):
+        """(getitem, gen's packed table): the packed image of gen on one
+        ket, table[label], and _NoFit outside the kets packed."""
+        return getitem, self.tables[gen]
+
+    def _kstep(self, mu, rows):
+        """k_mu on packed rows: a sign and a shift per weight; _NoFit for a
+        ket outside the kets packed."""
+        wid, table = self.wid, self.ktables[mu]
+        out = {}
+        for src, terms in rows.items():
+            img = {}
+            for l, c in terms.items():
+                negate, shift = table[wid[l]]
+                img[l] = -(c << shift) if negate else c << shift
+            out[src] = img
+        return out
 
     def rows(self, i, labels):
         """The words of band i on each basis ket of labels, as
         eval_words_on_kets gives them, with packed rows: the walk of the
-        band's trie, whose term ends read their packed coefficients."""
-        rows = {label: {label: 1} for label in labels}
-        return _eval_trie(self.tries[i], rows, partial(_pstep, self),
-                          partial(_psum_parts, self.coeffs[i]))
+        band's packed trie."""
+        return _eval_trie(self.ptries[i], {label: {label: 1} for label in labels}, self)
 
     def walk(self, i, labels):
         """rows(i, labels), each word's rows read as its Scalar walk."""
@@ -1093,81 +1143,6 @@ class _Decoded(Mapping):
 
     def __len__(self):
         return len(self.rows)
-
-
-def _pstep(packing, atom, rows):
-    """_step on packed rows {source: {label: int}}; _NoFit for a ket
-    outside the kets packed."""
-    out = {}
-    if atom[0] == "k":
-        wid, table = packing.wid, packing.ktables[atom[1]]
-        for src, terms in rows.items():
-            img = {}
-            for l, c in terms.items():
-                i = wid.get(l)
-                if i is None:
-                    raise _NoFit
-                negate, shift = table[i]
-                img[l] = -(c << shift) if negate else c << shift
-            out[src] = img
-        return out, ()
-    if atom[1] not in packing.gen_indices:
-        raise ValueError("generator index %r outside I" % (atom,))
-    table = packing.tables[atom]
-    dropped = []
-    for src, terms in rows.items():
-        acc = {}
-        drop = False
-        for label, c in terms.items():
-            image = table.get(label)
-            if image is None:
-                raise _NoFit
-            if image is DROPPED:
-                drop = True
-                continue
-            for l2, c2 in image:
-                s = acc.get(l2)
-                if s is None:
-                    acc[l2] = c * c2
-                else:
-                    s += c * c2
-                    if s:
-                        acc[l2] = s
-                    else:
-                        del acc[l2]
-        if drop:
-            dropped.append(src)
-        if acc:
-            out[src] = acc
-    return out, dropped
-
-
-def _psum_parts(coeffs, parts, r, outs):
-    """_sum_parts on packed rows, with coeffs[r] the packed coefficients of
-    word r's terms."""
-    word_parts, parts[r] = parts[r], None
-    word_parts.sort(key=lambda part: part[0])
-    packed = coeffs[r]
-    out = {}
-    for idx, _, prows in word_parts:
-        c = packed[idx]
-        one = c == 1
-        for src, vec in prows.items():
-            acc = out.get(src)
-            if acc is None:
-                out[src] = dict(vec) if one else {label: c * x for label, x in vec.items()}
-                continue
-            for label, x in vec.items():
-                s = acc.get(label)
-                if s is None:
-                    acc[label] = x if one else c * x
-                else:
-                    s += x if one else c * x
-                    if s:
-                        acc[label] = s
-                    else:
-                        del acc[label]
-    outs[r] = {src: acc for src, acc in out.items() if acc}
 
 
 class _SuiteWalks:

@@ -295,6 +295,9 @@ class Scalar:
     def is_zero(self):
         return not self.num
 
+    def __bool__(self):
+        return bool(self.num)
+
     def is_one(self):
         return self.noff == 0 and self.num == _PONE and self.den == _PONE
 
@@ -724,6 +727,9 @@ class SpectralScalar:
 
     def is_zero(self):
         return not self.num
+
+    def __bool__(self):
+        return bool(self.num)
 
     def is_one(self):
         return (

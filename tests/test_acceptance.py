@@ -4,7 +4,9 @@ Shared implementation lives in qosc.acceptance so the CLI `suite`
 subcommand runs exactly the same checks.
 """
 
-from qosc import acceptance, fockmod
+from qosc import acceptance
+
+from test_eval_reference import packed_walks_only
 
 
 def _run(fn):
@@ -56,26 +58,13 @@ def test_criterion_8_fusion():
     assert rep["rejected"] == (0, 1, 2)
 
 
-def test_criterion_9_negative_controls(monkeypatch):
+def test_criterion_9_negative_controls():
     # the corrupted W's check runs on packed rows (no Scalar-row step) up to
     # its counterexample, whose one ket is then read from the Scalar walk:
     # the residual the Scalar walk of the whole check reported
-    step, read, reads = fockmod._step, fockmod._Decoded.__getitem__, []
-
-    def refuse(*args):
-        raise AssertionError("the relation walk fell back to Scalar rows")
-
-    def read_on_scalar_rows(rows, src):
-        reads.append(src)
-        monkeypatch.setattr(fockmod, "_step", step)
-        try:
-            return read(rows, src)
-        finally:
-            monkeypatch.setattr(fockmod, "_step", refuse)
-
-    monkeypatch.setattr(fockmod, "_step", refuse)
-    monkeypatch.setattr(fockmod._Decoded, "__getitem__", read_on_scalar_rows)
-    rep = _run(acceptance.criterion_9)
+    reads = []
+    with packed_walks_only(reads):
+        rep = _run(acceptance.criterion_9)
     assert reads == [(0, 0, 0, 0, 0)]
     assert rep["counterexample"] == {
         "ket": "[0,0,0,0,0]",

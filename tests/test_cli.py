@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from qosc import fockmod
 from qosc.cli import build_parser, main
+
+from test_eval_reference import packed_walks_only
 
 
 def run_cli(capsys, argv):
@@ -360,20 +361,17 @@ def test_perfbench_output_gate(inv, tmp_path):
 
 
 # The relation checks of the benchmark's relations smoke runs pack: a
-# check that fell back would walk Scalar rows, and every Scalar-row walk
-# steps through fockmod._step, so the runs must print their recorded
-# reports with _step refused.
+# check that fell back would walk Scalar rows, a step of fockmod._step on
+# a module, so the runs must print their recorded reports with such a step
+# refused.
 RELATION_SMOKE = json.loads((ROOT / "perfbench" / "workloads.json").read_text())[
     "workloads"]["relations"]["smoke"]
 
 
 @pytest.mark.parametrize("inv", RELATION_SMOKE, ids=lambda inv: " ".join(inv["argv"]))
-def test_relation_smoke_runs_take_no_fallback(inv, capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a relation walk fell back to Scalar rows")
-
-    monkeypatch.setattr(fockmod, "_step", refuse)
-    assert main([a.replace("{k}", "0") for a in inv["argv"]]) == inv["rc"]
+def test_relation_smoke_runs_take_no_fallback(inv, capsys):
+    with packed_walks_only():
+        assert main([a.replace("{k}", "0") for a in inv["argv"]]) == inv["rc"]
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == inv["digest"]
 

@@ -256,24 +256,16 @@ def test_truncated_image_that_leaves_the_window_raises_window_error():
 # suite packs.  Its packed rows must be nonzero where the Scalar walk's
 # (eval_words_on_kets) and the per-term loop's (ref_eval_word) are, with the
 # same sources dropped, and a row read from them must be the Scalar walk's:
-# the same entries, of the same type.  Every Scalar-row walk steps through
-# fockmod._step, so a walk that runs with _step refused ran packed; reading
-# a nonzero row walks its one source ket on Scalar rows.
+# the same entries, of the same type.  Scalar rows and packed rows step
+# through one fockmod._step, whose source is the module on Scalar rows and
+# a _Packing on packed ones, so a walk that runs with that step refused on
+# a module ran packed; reading a nonzero row walks its one source ket on
+# Scalar rows.
 
 
 INV_QQ = (Q - Q.inverse()).inverse()  # 1/(q - q^-1), as in the Cartan relations
 INV_2 = qint(2).inverse()  # 1/[2], as in the hat phi maps
 PACKED_COEFFS = COEFFS + [INV_QQ, INV_2]
-
-
-@contextmanager
-def scalar_steps_refused():
-    def refuse(*args):
-        raise AssertionError("a relation walk fell back to Scalar rows")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fockmod, "_step", refuse)
-        yield
 
 
 def digits(v, K, D):
@@ -302,30 +294,56 @@ def l1(v, K, D):
 
 
 @contextmanager
-def packed_walks_within_their_bounds():
-    """scalar_steps_refused, and every entry that a packed step or a word's
-    sum leaves lies within the bound that its walk proved."""
-    step, total, walks = fockmod._pstep, fockmod._psum_parts, []
+def packed_walks_only(reads=None):
+    """Refuse a step on Scalar rows, a step of fockmod._step whose source is
+    a module: a relation walk takes one only when it fell back to them.
+    Every entry that a packed step or a packed word sum leaves must lie
+    within the bound that its walk proved.  With a list reads, a _Decoded
+    row is read from the Scalar walk of its source ket, which goes to
+    reads."""
+    step, total, walk = fockmod._step, fockmod._sum_parts, fockmod._eval_trie
+    read = fockmod._Decoded.__getitem__
+    sources = []  # the row sources of the walks under way, innermost last
+    reading = []  # the _Decoded reads under way
 
-    def within(packing, rows):
-        for row in rows.values():
-            for v in row.values():
-                assert l1(v, packing.K, packing.D) <= packing.bound
+    def within(source, rows):
+        if isinstance(source, _Packing):
+            for row in rows.values():
+                for v in row.values():
+                    assert l1(v, source.K, source.D) <= source.bound
 
-    def checked_step(packing, atom, rows):
-        walks.append(packing)
-        out, dropped = step(packing, atom, rows)
-        within(packing, out)
+    def checked_step(source, atom, rows):
+        if isinstance(source, fockmod.FockModule) and not reading:
+            raise AssertionError("a relation walk fell back to Scalar rows")
+        out, dropped = step(source, atom, rows)
+        within(source, out)
         return out, dropped
 
-    def checked_total(coeffs, parts, r, outs):
-        total(coeffs, parts, r, outs)
-        if walks:
-            within(walks[-1], outs[r])
+    def checked_total(parts, r, outs):
+        total(parts, r, outs)
+        within(sources[-1], outs[r])
 
-    with scalar_steps_refused(), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fockmod, "_pstep", checked_step)
-        mp.setattr(fockmod, "_psum_parts", checked_total)
+    def checked_walk(trie, rows, source):
+        sources.append(source)
+        try:
+            return walk(trie, rows, source)
+        finally:
+            sources.pop()
+
+    def read_on_scalar_rows(rows, src):
+        reads.append(src)
+        reading.append(src)
+        try:
+            return read(rows, src)
+        finally:
+            reading.pop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fockmod, "_step", checked_step)
+        mp.setattr(fockmod, "_sum_parts", checked_total)
+        mp.setattr(fockmod, "_eval_trie", checked_walk)
+        if reads is not None:
+            mp.setattr(fockmod._Decoded, "__getitem__", read_on_scalar_rows)
         yield
 
 
@@ -406,7 +424,7 @@ def packed_rows_match(module, exprs, kets):
     """The typed rows of relation_walks, after checking that it walked
     packed rows within their bounds, nonzero where the Scalar walk's are."""
     want = eval_words_on_kets(suffix_trie(exprs), kets, module)
-    with packed_walks_within_their_bounds():
+    with packed_walks_only():
         walked = relation_walks(module, [exprs])[0](kets)
         assert packed_supports(walked) == supports(want)
     got = typed_rows(walked)
@@ -476,7 +494,7 @@ def test_a_z_denominator_takes_the_scalar_walk():
     mod = WModule(EPS, parse_scalar("1/(1-z)"), cutoff=4)
     exprs = [expr for _, expr in relation_suite(EPS)][:12]
     kets = list(mod.enumerate_labels())[:20]
-    with scalar_steps_refused(), pytest.raises(AssertionError, match="fell back"):
+    with packed_walks_only(), pytest.raises(AssertionError, match="fell back"):
         relation_walks(mod, [exprs])[0](kets)
     (walk,) = relation_walks(mod, [exprs])
     assert typed_rows(walk(kets)) == typed_rows(eval_words_on_kets(suffix_trie(exprs), kets, mod))
@@ -504,7 +522,7 @@ def test_a_ket_outside_the_packed_window_takes_the_scalar_walk(kind):
     inside, outside = list(mod.enumerate_labels())[:8], [(0, 5, 0, 0, 0)]
     assert outside[0] not in mod.enumerate_labels()
     (walk,) = relation_walks(mod, [exprs])
-    with scalar_steps_refused():
+    with packed_walks_only():
         walk(inside)
         with pytest.raises(AssertionError, match="fell back"):
             walk(inside + outside)

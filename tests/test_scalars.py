@@ -271,6 +271,16 @@ def test_shared_z1_factors_cancel_in_sums_and_products(a, b, g1, g2, d1, d2):
     assert_reduced_z(u * v, _sympy_frac(u) * _sympy_frac(v))
 
 
+@given(small_scalars(), small_scalars(), laurent_z(), laurent_z(1))
+def test_a_coefficient_is_false_exactly_when_it_is_zero(a, b, p, d):
+    # walk rows drop an entry when it tests false
+    if b.is_zero():
+        b = ONE
+    for v in (ZERO, SZERO, a, a - a, a / b, p, p - p, p / d, p * a):
+        assert bool(v) == (not v.is_zero())
+    assert not ZERO and not SZERO and ONE and SONE and Z1
+
+
 def test_factor_q_poles():
     z = Z1
     den = (z - SpectralScalar.from_scalar(Q**2)) * (z - SpectralScalar.from_scalar(Q**6))

@@ -5,7 +5,10 @@ rule, TargetAlgebra.keeps: only fockmod reads nested ket labels, and
 truncate_image_span keeps whole blocks without truncating or adding a
 vector.  Kets are enumerated one way: only fockmod's one Fock-ket range
 and one weight split call itertools.product.  Only fockmod's relation walks
-touch the packed encoding of coefficients as integers."""
+touch the packed encoding of coefficients as integers.  Scalar rows and
+packed rows share one walk kernel: only fockmod._step and _sum_parts
+accumulate walk rows, and the trie walk takes no step or sum as a
+parameter."""
 
 import ast
 from pathlib import Path
@@ -261,3 +264,106 @@ def test_the_packed_encoding_check_sees_every_touch():
         "def product(a, b):\n    return a * b\n"
     )
     assert packed_encoding_scopes(tree) == ["Rows.unpack", "pack", "width"]
+
+
+def items_loop_value(node):
+    """The value name of a loop `for key, value in x.items()`, else None."""
+    if (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+            and isinstance(node.iter.func, ast.Attribute) and node.iter.func.attr == "items"
+            and isinstance(node.target, ast.Tuple) and len(node.target.elts) == 2
+            and isinstance(node.target.elts[1], ast.Name)):
+        return node.target.elts[1].id
+    return None
+
+
+def drops_an_entry(node):
+    """node has an if whose branch deletes a dict entry: del d[k] or d.pop(k)."""
+    return any(
+        isinstance(x, ast.Delete) and any(isinstance(t, ast.Subscript) for t in x.targets)
+        or isinstance(x, ast.Call) and isinstance(x.func, ast.Attribute) and x.func.attr == "pop"
+        for branch in ast.walk(node) if isinstance(branch, ast.If)
+        for stmt in branch.body + branch.orelse
+        for x in ast.walk(stmt)
+    )
+
+
+def row_accumulators(tree):
+    """The scopes that accumulate walk rows {source: {label: coefficient}}
+    with a zero drop: a loop over rows.items() holding a loop over one
+    row's items that drops an entry in an if."""
+
+    def accumulates(node):
+        for outer in ast.walk(node):
+            row = items_loop_value(outer)
+            for inner in ast.walk(outer) if row else ():
+                if (inner is not outer and items_loop_value(inner)
+                        and isinstance(inner.iter.func.value, ast.Name)
+                        and inner.iter.func.value.id == row and drops_an_entry(inner)):
+                    return True
+        return False
+
+    return sorted({scope for scope, node in top_level_scopes(tree) if accumulates(node)})
+
+
+def called_parameters(tree, functions):
+    """(function, parameter) for each parameter of the named top-level
+    functions that its body calls, as step(atom, rows)."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            params = {a.arg for a in node.args.args + node.args.kwonlyargs}
+            out |= {(node.name, call.func.id) for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in params}
+    return sorted(out)
+
+
+def test_scalar_and_packed_rows_share_one_walk_kernel():
+    accumulators = sorted(
+        (path.name, scope)
+        for path in SRC.glob("*.py")
+        for scope in row_accumulators(ast.parse(path.read_text()))
+    )
+    assert accumulators == [("fockmod.py", "_step"), ("fockmod.py", "_sum_parts")]
+    tree = ast.parse((SRC / "fockmod.py").read_text())
+    walks = {"_walk", "_eval_trie"}
+    assert walks <= {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert called_parameters(tree, walks) == []
+
+
+def test_the_kernel_check_sees_a_second_copy():
+    tree = ast.parse(
+        "def _pstep(packing, atom, rows):\n"
+        "    out = {}\n"
+        "    for src, terms in rows.items():\n"
+        "        acc = {}\n"
+        "        for label, c in terms.items():\n"
+        "            for l2, c2 in packing.tables[atom][label]:\n"
+        "                s = acc.get(l2, 0) + c * c2\n"
+        "                if s:\n                    acc[l2] = s\n"
+        "                else:\n                    del acc[l2]\n"
+        "        out[src] = acc\n"
+        "    return out\n"
+        "class Rows:\n"
+        "    def total(self, rows, out):\n"
+        "        for src, vec in rows.items():\n"
+        "            acc = out.setdefault(src, {})\n"
+        "            for label, x in vec.items():\n"
+        "                acc[label] = acc.get(label, 0) + x\n"
+        "                if not acc[label]:\n                    acc.pop(label)\n"
+        "def word_product(a, b, acc):\n"
+        "    for a1, c1 in a.items():\n"
+        "        for a2, c2 in b.items():\n"
+        "            s = acc.get(a1 + a2, 0) + c1 * c2\n"
+        "            if not s:\n                acc.pop(a1 + a2, None)\n"
+        "def _walk(step, finish, node, rows):\n"
+        "    for atom, child in node[0].items():\n"
+        "        img = step(atom, rows)\n"
+        "        finish(img)\n"
+        "        _walk(step, finish, child, img)\n"
+        "def _eval_trie(trie, rows, source):\n"
+        "    return _walk(source, trie, rows)\n"
+    )
+    assert row_accumulators(tree) == ["Rows.total", "_pstep"]
+    assert called_parameters(tree, {"_walk", "_eval_trie"}) == [
+        ("_walk", "finish"), ("_walk", "step")]
