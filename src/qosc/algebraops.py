@@ -8,7 +8,6 @@ quantum affine algebra of type C or D acting through q-commutator words.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 
 from .fockmod import (
@@ -26,7 +25,7 @@ from .fockmod import (
     relation_walks,
 )
 from .lattice import EpsilonData, Weight, bilinear, qpair, simple_root
-from .scalars import MINUS_ONE, ONE, Q, QTILDE, Scalar, q_power, qbinom_at, qint
+from .scalars import MINUS_ONE, ONE, Q, QTILDE, q_power, qbinom_at, qint
 from .words import WordExpr, expr_max_rise, qcommutator, suffix_trie
 
 
@@ -183,14 +182,27 @@ def relation_suite(eps: EpsilonData):
 # relation reports
 
 
-@dataclass
 class RelationReport:
-    relation: str
-    window: int
-    max_degree_checked: int
-    residual_label: object = None
-    residual: object = None
-    checked: int = 0
+    """One relation's check on a window: its first counterexample, if any,
+    and the kets checked."""
+
+    def __init__(self, relation, window, max_degree_checked, residual_label=None,
+                 residual=None, checked=0):
+        self.relation, self.window = relation, window
+        self.max_degree_checked = max_degree_checked
+        self.residual_label, self.residual, self.checked = residual_label, residual, checked
+
+    def _fields(self):
+        return (self.relation, self.window, self.max_degree_checked, self.residual_label,
+                self.residual, self.checked)
+
+    def __eq__(self, other):
+        if other.__class__ is not RelationReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "RelationReport%r" % (self._fields(),)
 
     @property
     def passed(self):
@@ -344,7 +356,6 @@ def _window(module, maxdeg):
 # target algebras and phi homomorphisms
 
 
-@dataclass
 class TargetAlgebra:
     """A quantum affine algebra embedded by phi into U_D(host_eps).
 
@@ -352,18 +363,11 @@ class TargetAlgebra:
     Cartan data is derived from the embedded simple roots.
     """
 
-    kind: str
-    side: str
-    host_eps: EpsilonData
-    param: Scalar
-    name: str
-    gen_indices: tuple
-    kept: tuple
-    roots: dict
-    phi_e: dict
-    phi_f: dict
-    eta: int = 1
-    key: tuple = None
+    def __init__(self, kind, side, host_eps, param, name, gen_indices, kept, roots,
+                 phi_e, phi_f, eta=1, key=None):
+        self.kind, self.side, self.host_eps, self.param = kind, side, host_eps, param
+        self.name, self.gen_indices, self.kept, self.roots = name, gen_indices, kept, roots
+        self.phi_e, self.phi_f, self.eta, self.key = phi_e, phi_f, eta, key
 
     def root(self, j) -> Weight:
         return self.roots[j]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from functools import lru_cache, partial
+from math import prod
 from operator import getitem
 
 from .lattice import EpsilonData, Weight, qpair, qpair_exponent, simple_root
@@ -243,20 +244,10 @@ class FockModule:
         ket, apply_gen's, as an e/f step on Scalar rows reads it."""
         return self.apply_gen, gen
 
-    def _kstep(self, mu, rows):
-        """k_mu on Scalar rows: one q-power per label, shared by the rows."""
-        eps, weight_of = self.eps, self.weight_of
-        factors, out = {}, {}
-        for src, terms in rows.items():
-            img = {}
-            for l, c in terms.items():
-                f = factors.get(l)
-                if f is None:
-                    f = factors[l] = qpair(weight_of(l), mu, eps)
-                img[l] = c * f
-            if img:
-                out[src] = img
-        return out
+    def _kfactor(self, ks):
+        """The k atoms ks on Scalar rows: {label: the product of their
+        q-powers at the label's weight}, each computed when first read."""
+        return _KPowers(self, ks)
 
     def _windowed(self, hit):
         """An _image answer under the window rule: a list is an image at any
@@ -265,6 +256,21 @@ class FockModule:
         if type(hit) is list:
             return DROPPED if hit and self.degree(hit[0][0]) > self.cutoff else tuple(hit)
         return hit
+
+
+class _KPowers(dict):
+    """{label: prod over ks of q(weight of label, mu)}, filled as read."""
+
+    def __init__(self, module, ks):
+        self.module, self.ks = module, ks
+
+    def __missing__(self, label):
+        module = self.module
+        wt, f = module.weight_of(label), ONE
+        for _, mu in self.ks:
+            f = f * qpair(wt, mu, module.eps)
+        self[label] = f
+        return f
 
 
 class AmbientModule(FockModule):
@@ -346,6 +352,7 @@ class W2Module(AmbientModule):
         if eps.eps(1) != 0 or eps.eps(eps.n) != 0:
             raise ValueError("W^(x2)(x) requires eps_1 = eps_n = 0")
         super().__init__(eps, x, cutoff, 2)
+        self._qpows = {}
 
     def degree(self, label):
         return sum(label[0]) + sum(label[1])
@@ -355,8 +362,12 @@ class W2Module(AmbientModule):
         return Weight(2, tuple(a + b for a, b in zip(m, mp)))
 
     def _qpow(self, i, e):
-        # q_i^e as a Scalar
-        return self.eps.qi(i) ** e
+        """q_i^e as a Scalar, read from a table of the powers met."""
+        key = (i, e)
+        p = self._qpows.get(key)
+        if p is None:
+            p = self._qpows[key] = self.eps.qi(i) ** e
+        return p
 
     def _image(self, gen, label):
         kind, i = gen
@@ -599,9 +610,12 @@ def _step(source, atom, rows):
     a module (Scalar rows) or a _Packing (packed rows): (image rows, the
     sources with a ket whose image was DROPPED).  A row whose image is zero
     is left out.  Every module action and every relation walk goes through
-    here; the source gives its k_mu step and its image of each ket."""
+    here; the source gives its factor of k atoms per ket (_kfactor) and
+    its image of each ket (_lookup)."""
     if atom[0] == "k":
-        return source._kstep(atom[1], rows), ()
+        factor = source._kfactor((atom,))
+        return {src: {l: c * factor[l] for l, c in terms.items()}
+                for src, terms in rows.items()}, ()
     if atom[1] not in source.algebra.gen_indices:
         raise ValueError("generator index %r outside I" % (atom,))
     image_of, key = source._lookup(atom)
@@ -639,10 +653,10 @@ def _walk(source, node, rows, parts, outs, dropped):
     closure, so no reference cycle keeps the rows alive until the cyclic
     GC runs."""
     children, ends, _ = node
-    for r, idx, c, last in ends:
-        parts[r].append((idx, c, rows))
+    for r, idx, c, last, head, tail in ends:
+        parts[r].append((idx, c, head, tail, rows))
         if last:
-            _sum_parts(parts, r, outs)
+            _sum_parts(source, parts, r, outs)
     for atom, child in children.items():
         img, d = _step(source, atom, rows)
         if d:
@@ -657,25 +671,37 @@ def _walk(source, node, rows, parts, outs, dropped):
 _ONES = frozenset((1, ONE, SONE))
 
 
-def _sum_parts(parts, r, outs):
+def _sum_parts(source, parts, r, outs):
     """Sum the parts of word r per row in term order into outs[r], leaving
-    out a row whose sum is zero, and release the parts."""
+    out a row whose sum is zero, and release the parts.  A part's term
+    takes its leading k atoms (head) as a factor per image ket and its
+    trailing ones (tail) as a factor per source ket, which the source gives
+    (_kfactor).  On a basis ket those are the k steps of the walk: a k atom
+    multiplies each entry by a nonzero factor of its ket's weight, so the
+    sums, their zeros and their order are the stepped walk's."""
     word_parts, parts[r] = parts[r], None
     word_parts.sort(key=lambda part: part[0])
     out = {}
-    for _, c, prows in word_parts:
-        one = c in _ONES  # skip the products by 1
+    for _, c, head, tail, prows in word_parts:
+        hf = source._kfactor(head) if head else None
+        tf = source._kfactor(tail) if tail else None
+        c_one = c in _ONES  # skip the products by 1
         for src, vec in prows.items():
+            m, one = (c, c_one) if tf is None else (c * tf[src], False)
+            if hf is not None:  # a row of the part's own, m taken in
+                vec, one = {label: m * x * hf[label] for label, x in vec.items()}, True
             acc = out.get(src)
             if acc is None:
-                out[src] = dict(vec) if one else {label: c * x for label, x in vec.items()}
+                if hf is None:
+                    vec = dict(vec) if one else {label: m * x for label, x in vec.items()}
+                out[src] = vec
                 continue
             for label, x in vec.items():
                 s = acc.get(label)
                 if s is None:
-                    acc[label] = x if one else c * x
+                    acc[label] = x if one else m * x
                 else:
-                    s += x if one else c * x
+                    s += x if one else m * x
                     if s:
                         acc[label] = s
                     else:
@@ -701,7 +727,7 @@ def _eval_trie(trie, rows, source):
     _walk(source, trie, rows, parts, outs, dropped)
     for r in range(count):
         if parts[r] is not None:  # the walk stopped above the last end
-            _sum_parts(parts, r, outs)
+            _sum_parts(source, parts, r, outs)
     return list(zip(outs, dropped))
 
 
@@ -770,7 +796,7 @@ class RestrictedModule(ModuleView):
 # nonzero one.  relation_walks runs its words on rows of Python ints: each
 # coefficient, a polynomial P(w, z) with integer coefficients, is the int
 # P(2^K, 2^(K D)) (Kronecker substitution), so a product or a sum is one
-# int operation and a k_mu step is a sign and a shift.  The rows walk
+# int operation and a k_mu factor a signed power of 2.  The rows walk
 # through _step, _sum_parts and _walk as Scalar rows do, with a _Packing
 # as their source and a packed copy of each trie.
 #
@@ -841,7 +867,9 @@ def _top(y):
 def _clearing(ys):
     """f(w) that clears Scalars ys: the lcm of their w-denominators times
     the power of w that lifts their lowest w-exponent to 0, so that every
-    f y is a polynomial."""
+    f y is a polynomial.  Each distinct value is cleared once, in the order
+    ys first give it."""
+    ys = list(dict.fromkeys(ys))
     f = ONE
     for y in ys:
         if y.den != (1,) and (y * f).den != (1,):
@@ -872,33 +900,42 @@ class _Factor:
     @staticmethod
     def of(images):
         """The factor of an atom with these images (tuples or DROPPED)."""
-        split = [[_pieces(c) for _, c in img] for img in images if img is not DROPPED]
-        f = _clearing([a for img in split for pieces in img for _, a in pieces])
-        G, deg, zs = 1, 0, []
-        for img in split:
+        images = [img for img in images if img is not DROPPED]
+        # each distinct coefficient once, in the order the images give it
+        split = {c: _pieces(c) for img in images for _, c in img}
+        f = _clearing([a for pieces in split.values() for _, a in pieces])
+        norms, deg, zs = {}, 0, set()
+        for c, pieces in split.items():
             norm = 0
-            for pieces in img:
-                for z, a in pieces:
-                    y = a * f
-                    norm += sum(map(abs, y.num))
-                    deg = max(deg, _top(y))
-                    zs.append(z)
-            G = max(G, norm)
+            for z, a in pieces:
+                y = a * f
+                norm += sum(map(abs, y.num))
+                deg = max(deg, _top(y))
+                zs.add(z)
+            norms[c] = norm
         if not zs:  # no coefficient to pack
             return _Factor()
+        G = max([1] + [sum([norms[c] for _, c in img]) for img in images])
         return _Factor(f, -min(zs), G, deg, max(zs) > min(zs))
 
-    def pack(self, image, K, KD):
-        """A packed image: F times each coefficient, at w = 2^K, z = 2^KD."""
-        if image is DROPPED:
-            return image
-        out = []
-        for label, c in image:
-            v = 0
-            for z, a in _pieces(c):
-                v += _poly_int(a * self.f, K) << (KD * (z + self.t))
-            out.append((label, v))
-        return tuple(out)
+    def packer(self, K, KD):
+        """pack(image): a packed image, F times each coefficient at w =
+        2^K, z = 2^KD, or DROPPED; each distinct coefficient is packed
+        once per packer."""
+        f, t, ints = self.f, self.t, {}
+
+        def packed(c):
+            v = ints.get(c)
+            if v is None:
+                v = ints[c] = sum(_poly_int(a * f, K) << (KD * (z + t)) for z, a in _pieces(c))
+            return v
+
+        def pack(image):
+            if image is DROPPED:
+                return image
+            return tuple((label, packed(c)) for label, c in image)
+
+        return pack
 
 
 class _KFactor:
@@ -913,9 +950,9 @@ class _KFactor:
         self.factor = _Factor(Scalar.monomial(1, self.s), deg=hi - lo)
 
     def table(self, K):
-        """[(negate, shift)] per weight."""
+        """[sign * 2^shift] per weight: the packed q-power times w^s."""
         s, shared = self.s, {}
-        return [shared.setdefault((sign, e), (sign < 0, K * (e + s))) for sign, e in self.exps]
+        return [shared.setdefault((sign, e), sign << (K * (e + s))) for sign, e in self.exps]
 
 
 class _Word:
@@ -962,7 +999,7 @@ def _packed_trie(node, coeffs):
     children, ends, owners = node
     return [
         {atom: _packed_trie(child, coeffs) for atom, child in children.items()},
-        [[r, idx, coeffs[r][idx], last] for r, idx, _, last in ends],
+        [[r, idx, coeffs[r][idx], last, head, tail] for r, idx, _, last, head, tail in ends],
         owners,
     ]
 
@@ -989,8 +1026,8 @@ class _ScalarImages:
         tables = {}
         while self.raw:
             gen, images = self.raw.popitem()
-            pack = self.factors[gen].pack
-            tables[gen] = _Table(zip(self.labels, (pack(img, K, K * D) for img in images)))
+            pack = self.factors[gen].packer(K, K * D)
+            tables[gen] = _Table(zip(self.labels, map(pack, images)))
         return tables
 
 
@@ -1052,8 +1089,8 @@ class _Packing:
         self.images = _images_of(module, gens)
         self.labels = self.images.labels
         mus = {a[1] for a in atoms if a[0] == "k"}
-        # k steps read a ket's weight by its index: one table per mu, of
-        # one (negate, shift) per weight, shares the window's kets
+        # k factors read a ket's weight by its index: one table per mu, of
+        # one signed power of 2 per weight, shares the window's kets
         weight_ids, self.wid = {}, _Table()
         if mus:
             for label in self.labels:
@@ -1083,6 +1120,7 @@ class _Packing:
         self.K, self.D = K, D
         self.tables = self.images.pack(K, D)
         self.ktables = {mu: kf.table(K) for mu, kf in self.kfactors.items()}
+        self.kfolds = {}
         self.ptries = [
             _packed_trie(trie, [word.packed(K, K * D) for word in words])
             for trie, words in zip(self.tries, self.words)
@@ -1094,18 +1132,15 @@ class _Packing:
         ket, table[label], and _NoFit outside the kets packed."""
         return getitem, self.tables[gen]
 
-    def _kstep(self, mu, rows):
-        """k_mu on packed rows: a sign and a shift per weight; _NoFit for a
-        ket outside the kets packed."""
-        wid, table = self.wid, self.ktables[mu]
-        out = {}
-        for src, terms in rows.items():
-            img = {}
-            for l, c in terms.items():
-                negate, shift = table[wid[l]]
-                img[l] = -(c << shift) if negate else c << shift
-            out[src] = img
-        return out
+    def _kfactor(self, ks):
+        """The k atoms ks on packed rows: {label: the product of their signed
+        powers of 2 at the label's weight}, filled as read; _NoFit for a ket
+        outside the kets packed."""
+        fold = self.kfolds.get(ks)
+        if fold is None:
+            per_weight = list(map(prod, zip(*(self.ktables[mu] for _, mu in ks))))
+            fold = self.kfolds[ks] = _KFold(self.wid, per_weight)
+        return fold
 
     def rows(self, i, labels):
         """The words of band i on each basis ket of labels, as
@@ -1119,6 +1154,17 @@ class _Packing:
             (_Decoded(rows, expr, self.module), dropped)
             for (rows, dropped), expr in zip(self.rows(i, labels), self.bands[i])
         ]
+
+
+class _KFold(dict):
+    """{label: a packed k factor}, read per weight index as first met."""
+
+    def __init__(self, wid, per_weight):
+        self.wid, self.per_weight = wid, per_weight
+
+    def __missing__(self, label):
+        v = self[label] = self.per_weight[self.wid[label]]
+        return v
 
 
 class _Decoded(Mapping):

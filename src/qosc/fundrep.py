@@ -9,7 +9,6 @@ here.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .algebraops import LEVELS, host_eps, level_module, phi_words
 from .decomp import finite_indices
@@ -296,15 +295,14 @@ def v_lk_label(l: int, k: int, n: int):
     return (m, mp)
 
 
-@dataclass
 class FundamentalReport:
-    l: int
-    k: int
-    span: Subspace
-    e0_certificate: bool = True
-    e0_closed: bool = True
-    f0_closed: bool = True
-    raising_closed: bool = True
+    """The span of one fundamental module and its closure checks."""
+
+    def __init__(self, l, k, span, e0_certificate=True, e0_closed=True, f0_closed=True,
+                 raising_closed=True):
+        self.l, self.k, self.span = l, k, span
+        self.e0_certificate, self.e0_closed = e0_certificate, e0_closed
+        self.f0_closed, self.raising_closed = f0_closed, raising_closed
 
 
 def e0_certificate_word(n: int) -> WordExpr:

@@ -2,18 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Q, QTILDE, Scalar
 
 
-@dataclass(frozen=True)
 class Weight:
-    """Element of P: lam * Lambda + sum_i delta[i-1] * d_i (1-indexed d's)."""
+    """Element of P: lam * Lambda + sum_i delta[i-1] * d_i (1-indexed d's).
+    Immutable; equal and hashed as the pair (lam, delta)."""
 
-    lam: int
-    delta: tuple
+    __slots__ = ("lam", "delta")
+
+    def __init__(self, lam: int, delta: tuple):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "delta", delta)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Weight is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return self.lam == other.lam and self.delta == other.delta
+
+    def __hash__(self):
+        return hash((self.lam, self.delta))
 
     def __add__(self, other):
         return Weight(

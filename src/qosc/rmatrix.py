@@ -12,7 +12,6 @@ and fusion images are checked against this solve.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from typing import Callable
@@ -174,15 +173,15 @@ def poles(flavor, params, bound):
 # pairs
 
 
-@dataclass
 class Component:
-    key: object
-    weight: Weight
-    v_src: FockVector
-    v_tgt: FockVector
+    """A classical component: its key, weight and vectors in source and target."""
+
+    __slots__ = ("key", "weight", "v_src", "v_tgt")
+
+    def __init__(self, key, weight: Weight, v_src: FockVector, v_tgt: FockVector):
+        self.key, self.weight, self.v_src, self.v_tgt = key, weight, v_src, v_tgt
 
 
-@dataclass
 class RPair:
     """A tensor pair source -> target and its classical components.
 
@@ -190,12 +189,10 @@ class RPair:
     bound(wt): an upper bound on the dimension of that orbit at weight wt
     (MatchedSpan)."""
 
-    source: TensorModule
-    target: TensorModule
-    components: list
-    lambda0: object
-    exhaustive: bool
-    bound: Callable
+    def __init__(self, source: TensorModule, target: TensorModule, components: list,
+                 lambda0, exhaustive: bool, bound: Callable):
+        self.source, self.target, self.components = source, target, components
+        self.lambda0, self.exhaustive, self.bound = lambda0, exhaustive, bound
 
 
 def _normalize_lex(v: FockVector) -> FockVector:

@@ -109,10 +109,13 @@ class WordExpr:
         return out
 
     def suffix_trie(self):
-        """suffix_trie([self]), built once.  A WordExpr is not changed
-        after it is built, so the trie never goes stale."""
+        """The trie of self for a walk on any vector, built once: as
+        suffix_trie([self]), but a term's first-applied k atoms stay on its
+        path, since they fold into a factor per source ket only on a basis
+        ket.  A WordExpr is not changed after it is built, so the trie never
+        goes stale."""
         if self._trie is None:
-            self._trie = suffix_trie([self])
+            self._trie = _trie([self], _head_split)
         return self._trie
 
     def __repr__(self):
@@ -130,28 +133,59 @@ class WordExpr:
         return "WordExpr(%s)" % " + ".join(bits)
 
 
+def _head_split(atoms):
+    """(head, core, ()): head the leading k atoms of a term, applied last."""
+    h = 0
+    while h < len(atoms) and atoms[h][0] == "k":
+        h += 1
+    return atoms[:h], atoms[h:], ()
+
+
+def _end_split(atoms):
+    """(head, core, tail): the leading and the trailing k atoms of a term
+    and the atoms between them; a term of k atoms only is all head."""
+    head, core, _ = _head_split(atoms)
+    t = len(core)
+    while t and core[t - 1][0] == "k":
+        t -= 1
+    return head, core[:t], core[t:]
+
+
 def suffix_trie(exprs):
     """The terms of several WordExprs as one trie keyed rightmost atom
     first: evaluating right-to-left, terms that end in the same atoms share
     the nodes of that suffix, within one word and across words.
 
+    A term's k atoms at its ends are not on its path: its leading ones
+    (applied last) act on each image ket, its trailing ones (applied first)
+    on each source ket, by a q-power per weight, so the walk of a basis ket
+    folds both into a factor where it adds the term.  So k_mu e_j k_-mu
+    and e_j share the e_j node, and a term of k atoms only ends at the root.
+
     A node is [children {atom: node}, ends, owners].  ends lists [word
-    index, term index, coefficient, last] for each term that ends at the
-    node, where last marks the word's last end in the order a walk meets
-    them (a node's ends, then its children in insertion order).  owners
-    lists, in order, the words with a term through the node, that is the
-    words an image dropped at the node belongs to.  The root owns every
-    word, so len(root[2]) is the number of words.
+    index, term index, coefficient, last, head, tail] for each term that
+    ends at the node, where last marks the word's last end in the order a
+    walk meets them (a node's ends, then its children in insertion order)
+    and head and tail are its leading and trailing k atoms.  owners lists,
+    in order, the words with a term through the node, that is the words an
+    image dropped at the node belongs to.  The root owns every word, so
+    len(root[2]) is the number of words.
     """
+    return _trie(exprs, _end_split)
+
+
+def _trie(exprs, split):
+    """suffix_trie of exprs, each term's atoms split into (head, path, tail)."""
     root = [{}, [], list(range(len(exprs)))]
     for r, expr in enumerate(exprs):
         for idx, (atoms, c) in enumerate(expr.terms.items()):
+            head, core, tail = split(atoms)
             node = root
-            for atom in reversed(atoms):
+            for atom in reversed(core):
                 node = node[0].setdefault(atom, [{}, [], []])
                 if not node[2] or node[2][-1] != r:
                     node[2].append(r)
-            node[1].append([r, idx, c, False])
+            node[1].append([r, idx, c, False, head, tail])
     last, stack = {}, [root]
     while stack:
         node = stack.pop()

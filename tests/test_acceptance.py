@@ -59,7 +59,7 @@ def test_criterion_8_fusion():
 
 
 def test_criterion_9_negative_controls():
-    # the corrupted W's check runs on packed rows (no Scalar-row step) up to
+    # the corrupted W's check runs on packed rows (no Scalar-row step or sum) up to
     # its counterexample, whose one ket is then read from the Scalar walk:
     # the residual the Scalar walk of the whole check reported
     reads = []

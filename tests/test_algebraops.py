@@ -1,7 +1,7 @@
-from dataclasses import replace
+import copy
 
 import pytest
-from test_eval_reference import ref_act, ref_eval_word, ref_truncate
+from test_eval_reference import packed_walks_only, ref_act, ref_eval_word, ref_truncate
 
 from qosc.algebraops import (
     RelationReport,
@@ -18,9 +18,11 @@ from qosc.algebraops import (
     target_relation_suite,
     truncate_vector,
 )
+from qosc import fockmod
 from qosc.fockmod import (
     DROPPED,
     FockVector,
+    ImageMemo,
     PullbackModule,
     RestrictedModule,
     TensorModule,
@@ -38,6 +40,13 @@ from qosc.words import WordExpr, divided_power, expr_max_rise, qcommutator
 
 EPS = EpsilonData((1, 0, 1, 0, 1))
 EPSP = EpsilonData((0, 1, 0, 1, 0))
+
+
+def replace(tgt, **changes):
+    """A copy of a TargetAlgebra with some of its fields changed."""
+    out = copy.copy(tgt)
+    vars(out).update(changes)
+    return out
 
 
 def test_relation_suite_contents():
@@ -263,6 +272,43 @@ def test_negative_control_detects_corruption():
 
 def _kept(vec, tgt):
     return ref_truncate(vec, tgt.kept) == vec
+
+
+class _MisroutedE1(ImageMemo):
+    """W(x) whose e_1 sends each ket to the kets that e_2 reaches from it,
+    with e_1's coefficients: e_1 then moves weights by alpha_2."""
+
+    def _image(self, gen, label):
+        out = self.base.apply_gen(gen, label)
+        if gen == ("e", 1) and out is not DROPPED:
+            e2 = self.base.apply_gen(("e", 2), label)
+            if e2 is DROPPED:
+                return e2
+            return tuple((l2, c) for (_, c), (l2, _) in zip(out, e2))
+        return out
+
+
+def test_cartan_relations_catch_an_e1_that_moves_weights_by_alpha_2():
+    # no other negative control breaks a Cartan relation: here
+    # k_mu e_1 k_-mu = q(mu, alpha_2) e_1, which differs from q(mu, alpha_1)
+    # e_1 exactly when mu tells alpha_1 from alpha_2
+    mod = _MisroutedE1(WModule(EPS, parse_scalar("q^2"), cutoff=5))
+    a1, a2 = simple_root(1, EPS), simple_root(2, EPS)
+    suite = [(name, expr) for name, expr in relation_suite(EPS) if name.startswith("cartan:e1:")]
+    told = {name for name, expr in suite
+            if any(qpair(mu, a1, EPS) != qpair(mu, a2, EPS)
+                   for atoms in expr.terms for kind, mu in atoms if kind == "k")}
+    assert told and len(told) < len(suite)
+    with packed_walks_only(reads=[]):
+        packed = _check_suite(mod, suite)
+    assert not any(rep.checked == 0 for rep in packed)
+    assert {rep.relation for rep in packed if not rep.passed} == told
+    # the same counterexamples, byte for byte, from the Scalar walk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fockmod._Packing, "pack", lambda self, K, D: (_ for _ in ()).throw(fockmod._NoFit))
+        scalar = _check_suite(mod, suite)
+    assert [rep.to_json() for rep in packed] == [rep.to_json() for rep in scalar]
+    assert [repr(rep.residual) for rep in packed] == [repr(rep.residual) for rep in scalar]
 
 
 def test_equivariance_catches_a_phi_image_that_leaves_kept_support():

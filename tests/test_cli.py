@@ -361,9 +361,9 @@ def test_perfbench_output_gate(inv, tmp_path):
 
 
 # The relation checks of the benchmark's relations smoke runs pack: a
-# check that fell back would walk Scalar rows, a step of fockmod._step on
-# a module, so the runs must print their recorded reports with such a step
-# refused.
+# check that fell back would walk Scalar rows, a step of fockmod._step or
+# a word sum of _sum_parts on a module, so the runs must print their
+# recorded reports with those refused.
 RELATION_SMOKE = json.loads((ROOT / "perfbench" / "workloads.json").read_text())[
     "workloads"]["relations"]["smoke"]
 

@@ -35,6 +35,7 @@ from qosc.fockmod import (
 )
 from qosc.lattice import EpsilonData, Weight, qpair
 from qosc.scalars import ONE, Q, Z1, Scalar, SpectralScalar, parse_scalar, qint
+from qosc import words
 from qosc.words import WordExpr, expr_max_rise, suffix_trie
 
 EPS = EpsilonData((1, 0, 1, 0, 1))
@@ -168,9 +169,9 @@ def test_trie_shares_suffixes():
     e, f = WordExpr.e, WordExpr.f
     expr = e(0) * f(1) * e(2) + f(0) * f(1) * e(2) + e(2) + WordExpr.unit()
     children, ends, owners = expr.suffix_trie()
-    assert ends == [[0, 3, ONE, False]] and list(children) == [("e", 2)]
+    assert ends == [[0, 3, ONE, False, (), ()]] and list(children) == [("e", 2)]
     (node,) = children.values()
-    assert node[1] == [[0, 2, ONE, False]] and list(node[0]) == [("f", 1)]
+    assert node[1] == [[0, 2, ONE, False, (), ()]] and list(node[0]) == [("f", 1)]
     assert expr.suffix_trie() is expr.suffix_trie()
 
 
@@ -183,13 +184,13 @@ def test_merged_trie_shares_suffixes_across_words():
     assert ends == [] and owners == [0, 1, 2] and list(children) == [("e", 2), ("f", 0)]
     node = children[("e", 2)]
     # a walk meets a's e_2 end first, its e_0.f_1.e_2 end last
-    assert node[1] == [[0, 1, ONE, False]] and node[2] == [0, 1]
+    assert node[1] == [[0, 1, ONE, False, (), ()]] and node[2] == [0, 1]
     (node,) = node[0].values()
     assert list(node[0]) == [("e", 0), ("f", 0)] and node[2] == [0, 1]
-    assert node[0][("e", 0)][1:] == [[[0, 0, ONE, True]], [0]]
-    assert node[0][("f", 0)][1:] == [[[1, 0, Q, False]], [1]]
+    assert node[0][("e", 0)][1:] == [[[0, 0, ONE, True, (), ()]], [0]]
+    assert node[0][("f", 0)][1:] == [[[1, 0, Q, False, (), ()]], [1]]
     # b's f_0 end is met after its f_0.f_1.e_2 end
-    assert children[("f", 0)][1:] == [[[1, 1, ONE, True]], [1]]
+    assert children[("f", 0)][1:] == [[[1, 1, ONE, True, (), ()]], [1]]
 
 
 # -- the pull-back equals the substituted words -------------------------------
@@ -295,15 +296,15 @@ def l1(v, K, D):
 
 @contextmanager
 def packed_walks_only(reads=None):
-    """Refuse a step on Scalar rows, a step of fockmod._step whose source is
-    a module: a relation walk takes one only when it fell back to them.
-    Every entry that a packed step or a packed word sum leaves must lie
-    within the bound that its walk proved.  With a list reads, a _Decoded
+    """Refuse a step or a word sum on Scalar rows, a call of fockmod._step
+    or _sum_parts whose source is a module: a relation walk makes one only
+    when it fell back to them.  Every entry that a packed step, a folded k
+    factor or a packed word sum leaves must lie within the bound that its
+    walk proved.  With a list reads, a _Decoded
     row is read from the Scalar walk of its source ket, which goes to
     reads."""
-    step, total, walk = fockmod._step, fockmod._sum_parts, fockmod._eval_trie
+    step, total = fockmod._step, fockmod._sum_parts
     read = fockmod._Decoded.__getitem__
-    sources = []  # the row sources of the walks under way, innermost last
     reading = []  # the _Decoded reads under way
 
     def within(source, rows):
@@ -312,23 +313,27 @@ def packed_walks_only(reads=None):
                 for v in row.values():
                     assert l1(v, source.K, source.D) <= source.bound
 
-    def checked_step(source, atom, rows):
+    def on_scalar_rows(source):
         if isinstance(source, fockmod.FockModule) and not reading:
             raise AssertionError("a relation walk fell back to Scalar rows")
+
+    def checked_step(source, atom, rows):
+        on_scalar_rows(source)
         out, dropped = step(source, atom, rows)
         within(source, out)
         return out, dropped
 
-    def checked_total(parts, r, outs):
-        total(parts, r, outs)
-        within(sources[-1], outs[r])
-
-    def checked_walk(trie, rows, source):
-        sources.append(source)
-        try:
-            return walk(trie, rows, source)
-        finally:
-            sources.pop()
+    def checked_total(source, parts, r, outs):
+        # a word of k atoms only takes no step: its sum alone walks rows
+        on_scalar_rows(source)
+        for _, _, head, tail, prows in parts[r]:
+            if isinstance(source, _Packing) and (head or tail):  # folded entries
+                within(source, {src: {label: x * (source._kfactor(head)[label] if head else 1)
+                                      * (source._kfactor(tail)[src] if tail else 1)
+                                      for label, x in vec.items()}
+                                for src, vec in prows.items()})
+        total(source, parts, r, outs)
+        within(source, outs[r])
 
     def read_on_scalar_rows(rows, src):
         reads.append(src)
@@ -341,7 +346,6 @@ def packed_walks_only(reads=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fockmod, "_step", checked_step)
         mp.setattr(fockmod, "_sum_parts", checked_total)
-        mp.setattr(fockmod, "_eval_trie", checked_walk)
         if reads is not None:
             mp.setattr(fockmod._Decoded, "__getitem__", read_on_scalar_rows)
         yield
@@ -531,6 +535,109 @@ def test_a_ket_outside_the_packed_window_takes_the_scalar_walk(kind):
     for kets in (inside + outside, inside):
         want = eval_words_on_kets(suffix_trie(exprs), kets, mod)
         assert typed_rows(walk(kets)) == typed_rows(want)
+
+
+# -- k atoms at the ends of a term fold into per-ket factors ------------------
+#
+# A walk of basis kets takes a term's leading k atoms (applied last) as a
+# factor per image ket and its trailing ones (applied first) as a factor
+# per source ket; k atoms between e/f atoms stay steps.  The folded walks,
+# on Scalar rows and on packed rows, must equal the walk that steps every
+# atom and the per-term loop: the same entries, types and dropped sources.
+
+PLACES = ["first", "last", "both", "only k", "inside"]
+
+
+def stepped_trie(exprs):
+    """The trie that keeps every atom of every term on its path."""
+    return words._trie(exprs, lambda atoms: ((), atoms, ()))
+
+
+@st.composite
+def k_placed_words(draw, name):
+    """A module with x = q^a z^j, words whose terms hold k atoms at the
+    places drawn, and kets of its window."""
+    x = spectral_x(draw(st.integers(-3, 3)), draw(st.integers(-1, 1)))
+    mod = packed_module(name, x)
+    gens = list(mod.algebra.gen_indices)
+    roots = [mod.algebra.root(gens[0]), mod.algebra.root(gens[-1])]
+    ks = st.lists(st.sampled_from([("k", r) for r in roots] + [("k", -roots[0])]),
+                  min_size=1, max_size=2).map(tuple)
+    efs = st.lists(st.sampled_from([(k, i) for i in gens for k in "ef"]),
+                   min_size=1, max_size=2).map(tuple)
+
+    def term(place):
+        # atoms are applied right to left: the last atom is applied first
+        if place == "first":
+            return draw(efs) + draw(ks)
+        if place == "last":
+            return draw(ks) + draw(efs)
+        if place == "both":
+            return draw(ks) + draw(efs) + draw(ks)
+        if place == "only k":
+            return draw(ks)
+        return draw(efs) + draw(ks) + draw(efs)
+
+    exprs = []
+    for _ in range(draw(st.integers(1, 3))):
+        places = draw(st.lists(st.sampled_from(PLACES), min_size=1, max_size=4))
+        terms = [term(p) for p in places] + draw(st.lists(efs, max_size=1))
+        exprs.append(WordExpr({t: draw(st.sampled_from(PACKED_COEFFS)) for t in terms}))
+    labels = list(mod.enumerate_labels())
+    kets = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
+    return mod, exprs, kets
+
+
+@pytest.mark.parametrize("name", ["W", "W2", "Pullback(W)", "Truncated(W2)"])
+def test_folded_k_atoms_match_the_stepped_walk(name):
+    @settings(max_examples=25, deadline=None)
+    @given(k_placed_words(name))
+    def check(case):
+        mod, exprs, kets = case
+        stepped = typed_rows(fockmod._eval_trie(
+            stepped_trie(exprs), {label: {label: ONE} for label in kets}, mod))
+        assert typed_rows(eval_words_on_kets(suffix_trie(exprs), kets, mod)) == stepped
+        assert packed_rows_match(mod, exprs, kets) == stepped
+        for expr, (rows, dropped) in zip(exprs, stepped):
+            for label in kets:
+                if label in dropped:
+                    with pytest.raises(WindowError):
+                        ref_eval_word(expr, FockVector.basis(label), mod)
+                else:
+                    ref = ref_eval_word(expr, FockVector.basis(label), mod)
+                    assert [(l, type(c), c) for l, c in ref.terms.items()] == rows.get(label, [])
+
+    check()
+
+
+def k_steps(walk):
+    """The k atoms that fockmod._step applies during walk()."""
+    steps, step = [], fockmod._step
+
+    def recording(source, atom, rows):
+        steps.append(atom)
+        return step(source, atom, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fockmod, "_step", recording)
+        walk()
+    return [atom for atom in steps if atom[0] == "k"]
+
+
+def test_cartan_relations_take_no_k_step():
+    # every k atom of a Cartan relation k_mu e_j k_-mu - q^(mu, alpha_j) e_j
+    # sits at an end of its term, so a walk of basis kets folds it
+    mod = WModule(EPS, Q ** 2, cutoff=4)
+    exprs = [expr for name, expr in relation_suite(EPS) if name.startswith("cartan:")]
+    kets = list(mod.enumerate_labels())
+    (walk,) = relation_walks(mod, [exprs])
+    assert k_steps(lambda: walk(kets)) == []
+    assert k_steps(lambda: eval_words_on_kets(suffix_trie(exprs), kets, mod)) == []
+    # negative cases: the trie that steps every atom, and a word's own trie,
+    # which steps its first-applied k atoms for eval_word's vectors
+    assert k_steps(lambda: fockmod._eval_trie(
+        stepped_trie(exprs), {label: {label: ONE} for label in kets}, mod))
+    assert k_steps(lambda: eval_word(exprs[0], FockVector.basis(kets[0]), mod))
 
 
 # -- negative controls of the slot width --------------------------------------
