@@ -359,13 +359,14 @@ def _window(module, maxdeg):
 class TargetAlgebra:
     """A quantum affine algebra embedded by phi into U_D(host_eps).
 
-    kind: 'c' or 'd' (which alternating host), side: 'underline'/'overline'.
-    Cartan data is derived from the embedded simple roots.
+    key: ('target', kind, side, host seq, eta), with kind 'c' or 'd' (which
+    alternating host) and side 'underline'/'overline'.  Cartan data is
+    derived from the embedded simple roots.
     """
 
-    def __init__(self, kind, side, host_eps, param, name, gen_indices, kept, roots,
+    def __init__(self, host_eps, param, name, gen_indices, kept, roots,
                  phi_e, phi_f, eta=1, key=None):
-        self.kind, self.side, self.host_eps, self.param = kind, side, host_eps, param
+        self.host_eps, self.param = host_eps, param
         self.name, self.gen_indices, self.kept, self.roots = name, gen_indices, kept, roots
         self.phi_e, self.phi_f, self.eta, self.key = phi_e, phi_f, eta, key
 
@@ -481,8 +482,6 @@ def phi_words(kind: str, side: str, host: EpsilonData, eta=1):
         )
 
     return TargetAlgebra(
-        kind=kind,
-        side=side,
         host_eps=host,
         param=param,
         name=name,

@@ -208,14 +208,7 @@ def _factors(args, eps):
 def cmd_decompose(args):
     mod, ell = _factors(args, _epsilon(args))
     res = decompose(mod, args.flavor, ell, args.cutoff)
-    rows = [
-        {"lambda": list(lam), "mult": d} for lam, d in res if d or args.zeros
-    ]
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("lambda,mult\n")
-            for row in rows:
-                fh.write('"%s",%d\n' % (" ".join(map(str, row["lambda"])), row["mult"]))
+    rows = [{"lambda": list(lam), "mult": d} for lam, d in res if d]
     checks = [{"id": "decompose", "pass": True, "table": rows}]
     return _emit(args, "decompose", checks)
 
@@ -501,8 +494,6 @@ def build_parser():
 
     sp = sub.add_parser("decompose", help="highest-weight multiplicities")
     factored(sp)
-    sp.add_argument("--zeros", action="store_true", help="include zero multiplicities")
-    sp.add_argument("--csv", help="also write the multiplicity table as CSV")
     sp.set_defaults(fn=cmd_decompose)
 
     sp = sub.add_parser("hwv", help="exact highest-weight kernel at a weight")

@@ -133,18 +133,11 @@ class AmbientAlgebra:
     def __init__(self, eps: EpsilonData):
         self.eps = eps
         self.gen_indices = tuple(eps.I)
-        self.name = "U_D(%s)" % (eps.seq,)
         self.key = ("ambient", eps.seq)
         self.roots = {i: simple_root(i, eps) for i in eps.I}
 
     def root(self, i) -> Weight:
         return self.roots[i]
-
-    def __eq__(self, other):
-        return isinstance(other, AmbientAlgebra) and self.eps == other.eps
-
-    def __hash__(self):
-        return hash(self.key)
 
 
 def _valid_ket(m, eps: EpsilonData):
@@ -1007,7 +1000,8 @@ def _packed_trie(node, coeffs):
 class _ScalarImages:
     """The images of a module that gives them as Scalars, on its window:
     through apply_gen when its class redefines it, else _image under the
-    window rule, which leaves the module's Scalar cache alone."""
+    window rule, which leaves the module's Scalar cache alone (a view's
+    _image reads its base's apply_gen, and so fills the base's cache)."""
 
     bound = deg = 0  # no walk of their own
 
@@ -1062,15 +1056,12 @@ class _PhiImages:
 
 
 def _images_of(module, gens):
-    """The packed source of module's images: a view that forwards to its
-    base reads the base's, a pull-back walks its phi words, and any other
-    module (or a class that redefines apply_gen or _image) gives Scalars."""
+    """The packed source of module's images: a pull-back walks its phi
+    words, and any other module (or a class that redefines apply_gen or
+    _image) gives Scalars."""
     cls = type(module)
-    if cls.apply_gen is FockModule.apply_gen:
-        if cls._image is ModuleView._image:
-            return _images_of(module.base, gens)
-        if cls._image is PullbackModule._image:
-            return _PhiImages(module, gens)
+    if cls.apply_gen is FockModule.apply_gen and cls._image is PullbackModule._image:
+        return _PhiImages(module, gens)
     return _ScalarImages(module, gens)
 
 

@@ -967,6 +967,10 @@ def factor_q_poles(den, bound):
 # ---------------------------------------------------------------------------
 # tiny expression grammar for CLI scalars: integers, w, q, z, ^, *, /, +, -
 
+# parentheses nest at most this deep: each level recurses through the
+# four parsers below, so a deeper input would exhaust Python's stack
+MAX_NESTING = 64
+
 
 def parse_scalar(text: str):
     """Parse an expression over {q, w, z, integers, ^, *, /, +, -, ()}.
@@ -985,7 +989,7 @@ def parse_scalar(text: str):
 
 def _tokenize(text):
     toks = []
-    i = 0
+    i = depth = 0
     while i < len(text):
         c = text[i]
         if c.isspace():
@@ -1001,6 +1005,10 @@ def _tokenize(text):
             i += 1
         elif c in "+-*/^()":
             toks.append((c, c))
+            depth += (c == "(") - (c == ")")
+            if depth > MAX_NESTING:
+                raise ValueError("parentheses nest deeper than %d in scalar expression"
+                                 % MAX_NESTING)
             i += 1
         else:
             raise ValueError("bad character %r in scalar expression" % c)

@@ -128,11 +128,13 @@ USAGE_ERRORS = [
     (["rmatrix", "--flavor", "c", "--sigma", "+,x"], "--sigma"),
     (["hwv", "--weight", "2*L+1*d9"], "--weight"),
     (["verify-relations", "--x", "foo"], "--x"),
+    (["verify-relations", "--x", "(" * 400 + "1" + ")" * 400], "--x"),
     (["verify-relations", "--epsilon", "1,2"], "--epsilon"),
     (["fuse", "--c", "q^-6"], "--c"),
     (["fuse", "--c", "z,1"], "--c"),
     (["fuse", "--c", "0,1"], "--c"),
     (["fuse", "--c", "1,0"], "--c"),
+    (["fuse", "--c", "(" * 400 + "1" + ")" * 400], "--c"),
     (["fundamental", "--l", "1", "--x", "0"], "--x"),
     (["verify-phi", "--flavor", "d", "--side", "underline"], "--flavor d"),
     (["truncate", "--flavor", "d", "--side", "underline"], "--flavor d"),

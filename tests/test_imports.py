@@ -25,11 +25,7 @@ def unused_imports(tree):
     return sorted(name for name in imported if name not in used)
 
 
-# __init__.py imports only to re-export the package's API
-@pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.stem,
-)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     unused = {(path.stem, name) for name in unused_imports(tree)}

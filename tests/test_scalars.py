@@ -300,6 +300,12 @@ def test_parser():
     assert parse_scalar("2*q + 1") == Q + Q + ONE
     with pytest.raises(ValueError):
         parse_scalar("q^")
+    # nesting is refused before the recursive parsers could overflow the stack
+    depth = scalars.MAX_NESTING
+    assert parse_scalar("(" * depth + "q" + ")" * depth) == Q
+    for deeper in (depth + 1, 400):
+        with pytest.raises(ValueError, match="nest"):
+            parse_scalar("(" * deeper + "1" + ")" * deeper)
 
 
 def laurent_polys():
